@@ -4,7 +4,8 @@ Single binary, subcommand style: density / measure / verify / sn. A config
 file of key=value lines supplies defaults, explicit flags win, and every
 output embeds the effective configuration plus the seed so identical
 invocations produce byte-identical JSON. Exit codes: 0 success or PASS,
-1 FAIL or internal error, 2 usage or parse error, 3 INCONCLUSIVE.
+1 FAIL or internal error, 2 usage or parse error, 3 INCONCLUSIVE (including
+an exhausted budget or an overflow guard).
 """
 
 from __future__ import annotations
@@ -554,7 +555,10 @@ def main(argv=None) -> int:
     except DslSyntaxError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DslError, BudgetExceeded, ValueError, OverflowError) as e:
+    except (BudgetExceeded, OverflowError) as e:
+        print(f"inconclusive: {e}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except (DslError, ValueError) as e:
         usage = isinstance(e, ValueError)
         print(f"{'usage' if usage else 'error'}: {e}", file=sys.stderr)
         return EXIT_USAGE if usage else EXIT_FAIL

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _iproduct
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -65,8 +64,7 @@ class DimensionMismatch(DslValueError):
 
 
 class BudgetExceeded(DslError):
-    def __init__(self, message: str):
-        super().__init__(message)
+    pass
 
 
 class ModeError(DslError):
@@ -419,10 +417,7 @@ class _Parser:
                 self.advance()
                 rhs = self.parse_term()
                 cls = {"|": Union, "&": Intersection, "\\": Difference}[t.text]
-                try:
-                    node = cls(node, rhs)
-                except DimensionMismatch:
-                    raise
+                node = cls(node, rhs)
             else:
                 return node
 
@@ -629,31 +624,41 @@ def to_text(expr: SetExpr) -> str:
 # ------------------------------------------------------------- residue image
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidueImage:
-    """pi_m(X) at level m: exact, or the image of the box truncation."""
+    """pi_m(X) at level m: exact, or the image of the box truncation.
+
+    The image is a flat boolean mask over (Z/m)^dim in row-major order: the
+    residue tuple (r_1, ..., r_n) sits at index r_1*m^(n-1) + ... + r_n, so
+    in dimension 1 the index is the residue itself. `residues` and
+    `sorted_residues` are views derived from the mask."""
 
     m: int
     dim: int
-    residues: frozenset
+    mask: np.ndarray
     mode: str
     truncation: int | None = None
     assumptions: frozenset = frozenset()
 
     def __post_init__(self):
-        if len(self.residues) > self.m**self.dim:
-            raise ValueError("more residues than classes")
+        if self.mask.dtype != bool or self.mask.shape != (self.m**self.dim,):
+            raise ValueError("mask must be a flat boolean array with one cell per class")
 
     @property
     def count(self) -> int:
-        return len(self.residues)
+        return int(np.count_nonzero(self.mask))
+
+    @property
+    def residues(self) -> frozenset:
+        return frozenset(self.sorted_residues())
 
     def level_measure(self) -> Fraction:
         """|pi_m(X)| / m^n, the Haar measure of the level set X_m."""
         return Fraction(self.count, self.m**self.dim)
 
     def sorted_residues(self) -> list:
-        return sorted(self.residues)
+        coords = np.unravel_index(np.flatnonzero(self.mask), (self.m,) * self.dim)
+        return coords[0].tolist() if self.dim == 1 else list(zip(*(c.tolist() for c in coords)))
 
 
 @dataclass(frozen=True)
@@ -749,30 +754,31 @@ class CompiledSet:
         return sorted(map(tuple, pts.tolist()))
 
     # -- residue images ---------------------------------------------------
-    def residue_image(self, m: int, truncation: int | None = None) -> ResidueImage:
+    def _check_level(self, m: int) -> None:
         if m < 1:
             raise DslValueError("modulus must be >= 1")
         if m**self.dim > self.residue_budget:
             raise BudgetExceeded(
                 f"residue enumeration at level m={m}, dim={self.dim} exceeds budget {self.residue_budget}"
             )
+
+    def residue_image(self, m: int, truncation: int | None = None) -> ResidueImage:
+        self._check_level(m)
         if self.mode == EXACT:
-            residues = _exact_image(self.expr, m, self.dim, self.residue_budget)
-            return ResidueImage(m, self.dim, frozenset(residues), EXACT, None, self.assumptions)
+            mask = _exact_mask(self.expr, m, self.dim, self.residue_budget)
+            return ResidueImage(m, self.dim, mask, EXACT, None, self.assumptions)
         n = truncation if truncation is not None else max(m, 10**6)
         if n < m:
             raise DslValueError(f"truncation bound {n} < modulus {m}")
-        if self.dim == 1:
-            members = self.members_in_box(n)
-            residues = frozenset(int(x) % m for x in members)
-        else:
-            residues = frozenset(tuple(c % m for c in pt) for pt in self.members_in_box(n))
-        return ResidueImage(m, self.dim, residues, TRUNCATED, n, self.assumptions)
+        pts = np.asarray(self.members_in_box(n), dtype=np.int64).reshape(-1, self.dim) % m
+        mask = np.zeros(m**self.dim, dtype=bool)
+        mask[np.ravel_multi_index(pts.T, (m,) * self.dim)] = True
+        return ResidueImage(m, self.dim, mask, TRUNCATED, n, self.assumptions)
 
     def clopen_image_exact(self, m: int) -> ResidueImage | None:
         """Exact pi_m(X) for clopen-structured expressions (Cong/Multiples
         trees under any combinators), at any level m: membership is decided
-        by the residue mod L, so the image is computed by evaluating one
+        by the residue mod L, so the image is the projection to Z/m of one
         period mod lcm(m, L). Returns None when the structure is not clopen
         or the set is not one-dimensional."""
         if self.dim != 1:
@@ -784,20 +790,20 @@ class CompiledSet:
         if big > self.residue_budget:
             raise BudgetExceeded(f"clopen evaluation at lcm({m},{level})={big} exceeds budget")
         period = _mask_raw(self.expr, big - 1, +1)
-        hits = np.unique(np.nonzero(period)[0] % m)
-        residues = frozenset(int(v) for v in hits)
-        return ResidueImage(m, self.dim, residues, EXACT, None, self.assumptions)
+        return ResidueImage(m, 1, _project(period, big, m, 1), EXACT, None, self.assumptions)
 
     def residue_count(self, m: int) -> int:
-        """|pi_m(X)| without materializing the image, using closed-form
-        per-prime counts where the structure allows (CRT product sizes,
-        inclusion-exclusion for multiples). Falls back to enumeration."""
+        """|pi_m(X)| using closed-form per-prime counts where the structure
+        allows (CRT product sizes, inclusion-exclusion for multiples), which
+        also serve levels beyond the residue budget. Otherwise counts the
+        cells of the exact image mask."""
         if self.mode != EXACT:
             raise ModeError("residue_count needs an exact-mode set")
         c = _exact_count(self.expr, m, self.dim, self.residue_budget)
         if c is not None:
             return c
-        return len(_exact_image(self.expr, m, self.dim, self.residue_budget))
+        self._check_level(m)
+        return int(np.count_nonzero(_exact_mask(self.expr, m, self.dim, self.residue_budget)))
 
     # -- structure views for estimator fast paths ------------------------
     def interval_view(self, r: int) -> list[tuple[int, int]] | None:
@@ -1059,97 +1065,97 @@ def _interval_view(expr: SetExpr, r: int) -> list[tuple[int, int]] | None:
 # ------------------------------------------------------------- exact engine
 
 
-def _crt_coefficients(locals_: list[tuple[int, object]], m: int) -> list[int]:
-    coeffs = []
-    for q, _ in locals_:
-        rest = m // q
-        coeffs.append(rest * pow(rest, -1, q) % m)
-    return coeffs
-
-
-def _exact_image(expr: SetExpr, m: int, dim: int, budget: int) -> set:
-    if isinstance(expr, Cong):
+def _exact_mask(expr: SetExpr, m: int, dim: int, budget: int) -> np.ndarray:
+    """pi_m(expr) as a flat row-major mask over (Z/m)^dim. Atoms given by
+    local conditions build one mask per prime power q || m and meet in
+    _crt_and; the other atoms and Union are direct mask operations."""
+    pps = _primes.prime_powers_of(m)
+    if isinstance(expr, Cong):  # every coordinate in the class r mod gcd(m, m0)
         g = math.gcd(m, expr.m0)
-        base = {s for s in range(expr.r % g, m, g)}
-        if dim == 1:
-            return base
-        if len(base) ** dim > budget:
-            raise BudgetExceeded(f"cong image at m={m} dim={dim} exceeds budget")
-        return set(_iproduct(sorted(base), repeat=dim))
+        line = np.zeros(m, dtype=bool)
+        line[expr.r % g:: g] = True
+        out = line
+        for _ in range(dim - 1):
+            out = np.logical_and.outer(out, line)
+        return out.ravel()
     if isinstance(expr, Multiples):
-        out: set = set()
+        out = np.zeros(m**dim, dtype=bool)
         for a in expr.moduli:
-            g = math.gcd(m, a)
-            scal = list(range(0, m, g))
-            if dim == 1:
-                out.update(scal)
-            else:
-                if len(out) + len(scal) ** dim > budget:
-                    raise BudgetExceeded(f"multiples image at m={m} dim={dim} exceeds budget")
-                out.update(_iproduct(scal, repeat=dim))
+            out |= _exact_mask(Cong(0, a), m, dim, budget)
         return out
     if isinstance(expr, KFree):
-        locals_ = []
-        for p, j, q in _primes.prime_powers_of(m):
-            if j >= expr.k:
-                pk = p**expr.k
-                allowed = [r for r in range(q) if r % pk != 0]
-            else:
-                allowed = list(range(q))
-            locals_.append((q, allowed))
-        return _crt_scalar(locals_, m, budget)
+        return _crt_and(m, dim, [(q, np.arange(q) % p**expr.k != 0) for p, j, q in pps if j >= expr.k])
     if isinstance(expr, Primes):
         # every prime not dividing m is a unit mod m (assumes-dirichlet: each
         # unit class is actually hit); primes dividing m contribute themselves
-        ar = np.arange(m, dtype=np.int64)
-        units = set(np.nonzero(np.gcd(ar, m) == 1)[0].tolist())
-        if m > 1:
-            units.update(p % m for p in _primes.factorize(m))
-        return units
+        out = _crt_and(m, dim, [(q, np.arange(q) % p != 0) for p, _, q in pps])
+        out[[p % m for p, _, _ in pps]] = True
+        return out
     if isinstance(expr, Coprime):
-        locals_ = []
-        for p, j, q in _primes.prime_powers_of(m):
-            allowed = [t for t in _iproduct(range(q), repeat=dim) if any(c % p != 0 for c in t)]
-            locals_.append((q, allowed))
-        if not locals_:  # m = 1
-            return {tuple([0] * dim)} if dim > 1 else {0}
-        return _crt_tuple(locals_, m, dim, budget)
+        # locally: not every coordinate divisible by p
+        return _crt_and(m, dim, [(q, ~_exact_mask(Cong(0, p), q, dim, budget)) for p, _, q in pps])
     if isinstance(expr, PolyImage):
-        arity = max(expr.poly.arity, 1)
-        if m**arity > budget:
-            raise BudgetExceeded(f"polynomial image at m={m} arity={arity} exceeds budget")
-        vals = set()
-        for args in _iproduct(range(m), repeat=arity):
-            vals.add(expr.poly.evaluate(args, mod=m))
-        return vals
+        # f commutes with Z/m = prod Z/q, so the image is the CRT product of
+        # the local images: sum q^arity evaluations instead of m^arity
+        if m**expr.arity > budget:
+            raise BudgetExceeded(f"polynomial image at m={m} arity={expr.arity} exceeds budget")
+        return _crt_and(m, dim, [(q, _poly_values_mod(expr.poly, q, expr.arity)) for _, _, q in pps])
     if isinstance(expr, FiniteSet):
-        return {v % m for v in expr.values}
+        out = np.zeros(m, dtype=bool)
+        out[[v % m for v in expr.values]] = True
+        return out
     if isinstance(expr, Union):
-        return _exact_image(expr.a, m, dim, budget) | _exact_image(expr.b, m, dim, budget)
+        return _exact_mask(expr.a, m, dim, budget) | _exact_mask(expr.b, m, dim, budget)
     raise ModeError(f"no exact residue rule for {type(expr).__name__}")
 
 
-def _crt_scalar(locals_: list[tuple[int, list[int]]], m: int, budget: int) -> set:
-    if not locals_:
-        return {0}
-    total = math.prod(len(s) for _, s in locals_)
-    if total > budget:
-        raise BudgetExceeded(f"CRT enumeration of {total} residues at m={m} exceeds budget")
-    coeffs = _crt_coefficients(locals_, m)
-    out = set()
-    for combo in _iproduct(*(s for _, s in locals_)):
-        out.add(sum(s * c for s, c in zip(combo, coeffs)) % m)
-    return out
+def _crt_and(m: int, dim: int, locals_: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """The CRT combiner: the flat mask of tuples in (Z/m)^dim whose reduction
+    mod each q lies in that q's local mask over (Z/q)^dim. As q | m, the
+    local mask read at r mod q for every r < m is the local mask tiled m//q
+    times along each axis, so the image is the AND of the tiles."""
+    out = np.ones((m,) * dim, dtype=bool)
+    for q, local in locals_:
+        out &= np.tile(local.reshape((q,) * dim), (m // q,) * dim)
+    return out.ravel()
 
 
-def _crt_tuple(locals_: list[tuple[int, list[tuple[int, ...]]]], m: int, dim: int, budget: int) -> set:
-    total = math.prod(len(s) for _, s in locals_)
-    if total > budget:
-        raise BudgetExceeded(f"CRT enumeration of {total} residue tuples at m={m} exceeds budget")
-    coeffs = _crt_coefficients(locals_, m)
-    out = set()
-    for combo in _iproduct(*(s for _, s in locals_)):
-        out.add(tuple(sum(t[i] * c for t, c in zip(combo, coeffs)) % m for i in range(dim)))
+def _project(mask: np.ndarray, m: int, q: int, dim: int) -> np.ndarray:
+    """Image mod q of a flat mask over (Z/m)^dim, for q | m: axis i splits
+    as r_i = a_i*q + b_i, and the image keeps every b found for some a."""
+    blocks = mask.reshape((m // q, q) * dim)
+    return blocks.any(axis=tuple(range(0, 2 * dim, 2))).ravel()
+
+
+def _poly_values_mod(poly: Polynomial, q: int, arity: int) -> np.ndarray:
+    """Mask over Z/q of poly's values on (Z/q)^arity, evaluated in chunks of
+    2^20 grid points. Every product is reduced mod q, so it stays below
+    q^2; past the int64 range the arithmetic uses Python integers."""
+    ar = np.arange(q, dtype=np.int64).astype(np.int64 if q <= 3_037_000_499 else object)
+    powers = {k: _powmod(ar, k, q) for k in {k for e, _ in poly.terms for k in e} - {0}}
+    hit = np.zeros(q, dtype=bool)
+    cells = q**arity
+    for start in range(0, cells, 1 << 20):
+        coords = np.unravel_index(np.arange(start, min(cells, start + (1 << 20))), (q,) * arity)
+        val = 0
+        for e, c in poly.terms:
+            term = c % q
+            for i in range(arity):
+                if e[i]:
+                    term = term * powers[e[i]][coords[i]] % q
+            val = (val + term) % q
+        hit[np.asarray(val, dtype=np.int64)] = True
+    return hit
+
+
+def _powmod(base: np.ndarray, e: int, q: int) -> np.ndarray:
+    out = np.ones_like(base) % q
+    while e:
+        if e & 1:
+            out = out * base % q
+        e >>= 1
+        if e:
+            base = base * base % q
     return out
 
 
@@ -1200,16 +1206,8 @@ def crt_split(img: ResidueImage) -> CrtSplit:
     whether the image equals the full product of the projections."""
     if img.mode != EXACT:
         raise ModeError("crt_split needs an EXACT residue image")
-    pps = _primes.prime_powers_of(img.m)
-    if not pps:
-        return CrtSplit({}, True)
-    parts: dict[int, ResidueImage] = {}
-    sizes = []
-    for _, _, q in pps:
-        if img.dim == 1:
-            proj = frozenset(r % q for r in img.residues)
-        else:
-            proj = frozenset(tuple(c % q for c in r) for r in img.residues)
-        parts[q] = ResidueImage(q, img.dim, proj, EXACT, None, img.assumptions)
-        sizes.append(len(proj))
-    return CrtSplit(parts, math.prod(sizes) == len(img.residues))
+    parts = {
+        q: ResidueImage(q, img.dim, _project(img.mask, img.m, q, img.dim), EXACT, None, img.assumptions)
+        for _, _, q in _primes.prime_powers_of(img.m)
+    }
+    return CrtSplit(parts, math.prod(p.count for p in parts.values()) == img.count)

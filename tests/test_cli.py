@@ -114,6 +114,14 @@ def test_verify_poonen_stoll_units_inconclusive():
     run_cli("verify", "poonen-stoll", "--spec", "units", expect=3)
 
 
+def test_exhausted_budget_is_inconclusive():
+    proc = run_cli("verify", "omega", "--pbound", "100", expect=3)
+    assert proc.stdout == "" and "more than 20 primes" in proc.stderr
+    # the first level already exceeds the residue budget: 1000^3 tuples
+    proc = run_cli("measure", "--set", "image(x*y*z)", "--chain", "explicit:1000", expect=3)
+    assert "exceeds budget" in proc.stderr
+
+
 def test_verify_unknown_theorem_usage_error():
     proc = subprocess.run(
         CLI + ["verify", "no-such-thing"], capture_output=True, text=True

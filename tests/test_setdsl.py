@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from zhat.setdsl import (
     ModeError,
     Multiples,
     Polynomial,
+    PolyImage,
     Union,
     compile_set,
     crt_split,
@@ -44,6 +46,41 @@ def is_prime(x):
 
 def brute_residues(pred, m, n):
     return frozenset(x % m for x in range(1, n + 1) if pred(x))
+
+
+def squarefree_table(n):
+    """sf[x] for 0 <= x <= n: strike the multiples of every square d^2."""
+    sf = [True] * (n + 1)
+    sf[0] = False
+    for d in range(2, math.isqrt(n) + 1):
+        sf[d * d:: d * d] = [False] * len(range(d * d, n + 1, d * d))
+    return sf
+
+
+SQUAREFREE = squarefree_table(60000)
+
+
+def prime_power_parts(m):
+    out, p = [], 2
+    while m > 1:
+        q = 1
+        while m % p == 0:
+            m //= p
+            q *= p
+        if q > 1:
+            out.append(q)
+        p += 1
+    return out
+
+
+def brute_poly_image(poly, m):
+    arity = max(poly.arity, 1)
+    return frozenset(poly.evaluate(args, mod=m) for args in product(range(m), repeat=arity))
+
+
+def brute_coprime_image(n, m):
+    # a tuple class lifts to a coprime tuple exactly when it is coprime to m
+    return frozenset(t for t in product(range(m), repeat=n) if math.gcd(*t, m) == 1)
 
 
 # ---------------------------------------------------------------- parsing
@@ -286,5 +323,101 @@ def test_union_of_exact_atoms_stays_exact(r, m):
     e = Union(Cong(r % m, m), KFree(2))
     img = compile_set(e).residue_image(12)
     assert img.mode == EXACT
-    oracle = brute_residues(lambda x: x % m == r % m or is_squarefree(x), 12, 60000)
+    oracle = brute_residues(lambda x: x % m == r % m or SQUAREFREE[x], 12, 60000)
     assert img.residues == oracle
+
+
+# ---------------------------------------------------------------- differential
+
+_BOX = 5000  # every class these atoms reach mod m <= 60 has a member in [-_BOX, _BOX]
+
+
+@st.composite
+def _union_of_atoms(draw):
+    """DSL text of a union of 1-3 exact atoms, with an independent membership
+    predicate over Z."""
+    texts, preds = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["cong", "kfree", "multiples", "finite"]))
+        if kind == "cong":
+            r, m0 = draw(st.integers(-20, 20)), draw(st.integers(1, 12))
+            texts.append(f"cong({r},{m0})")
+            preds.append(lambda x, r=r, m0=m0: (x - r) % m0 == 0)
+        elif kind == "kfree":
+            texts.append("kfree(2)")
+            preds.append(lambda x: SQUAREFREE[abs(x)])
+        elif kind == "multiples":
+            mods = tuple(draw(st.lists(st.integers(1, 15), min_size=1, max_size=3)))
+            texts.append(f"multiples({','.join(map(str, mods))})")
+            preds.append(lambda x, mods=mods: any(x % a == 0 for a in mods))
+        else:
+            vals = tuple(draw(st.lists(st.integers(-50, 50), min_size=1, max_size=4)))
+            texts.append(f"finite({','.join(map(str, vals))})")
+            preds.append(lambda x, vals=vals: x in vals)
+    return " | ".join(texts), lambda x: any(p(x) for p in preds)
+
+
+def _brute_union_image(pred, m):
+    return frozenset(x % m for x in range(-_BOX, _BOX + 1) if pred(x))
+
+
+@st.composite
+def _polynomial(draw, arity):
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        e = (draw(st.integers(0, 5)), draw(st.integers(0, 3)) if arity == 2 else 0, 0)
+        terms[e] = draw(st.integers(-9, 9))
+    return Polynomial.from_dict(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_union_of_atoms(), st.integers(min_value=1, max_value=60))
+def test_exact_union_image_matches_brute_force(case, m):
+    text, pred = case
+    cs = compile_set(text)
+    img = cs.residue_image(m)
+    oracle = _brute_union_image(pred, m)
+    assert img.mode == EXACT
+    assert img.residues == oracle, (text, m)
+    assert cs.residue_count(m) == len(oracle), (text, m)
+
+
+@pytest.mark.parametrize("arity,m_max", [(1, 80), (2, 30)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_poly_image_matches_evaluation(arity, m_max, data):
+    poly = data.draw(_polynomial(arity))
+    m = data.draw(st.integers(min_value=1, max_value=m_max))
+    img = compile_set(PolyImage(poly)).residue_image(m)
+    assert img.residues == brute_poly_image(poly, m), (str(poly), m)
+
+
+@pytest.mark.parametrize("n,levels", [(2, (1, 2, 4, 12, 18, 30)), (3, (1, 4, 6, 12))])
+def test_coprime_image_matches_gcd(n, levels):
+    cs = compile_set(f"coprime({n})")
+    for m in levels:
+        img = cs.residue_image(m)
+        assert img.residues == brute_coprime_image(n, m), (n, m)
+        assert img.count == cs.residue_count(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([1, 6, 12, 20, 36, 60, 90]))
+def test_crt_split_matches_projection(data, m):
+    kind = data.draw(st.sampled_from(["union", "poly", "coprime"]))
+    if kind == "union":
+        expr, pred = data.draw(_union_of_atoms())
+        oracle = _brute_union_image(pred, m)
+    elif kind == "poly":
+        poly = data.draw(_polynomial(1))
+        expr, oracle = PolyImage(poly), brute_poly_image(poly, m)
+    else:
+        expr, oracle = "coprime(2)", brute_coprime_image(2, m)
+
+    def reduce(r, q):
+        return tuple(c % q for c in r) if isinstance(r, tuple) else r % q
+
+    want = {q: frozenset(reduce(r, q) for r in oracle) for q in prime_power_parts(m)}
+    split = crt_split(compile_set(expr).residue_image(m))
+    assert {q: part.residues for q, part in split.parts.items()} == want
+    assert split.is_product == (math.prod(len(v) for v in want.values()) == len(oracle))

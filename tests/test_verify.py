@@ -221,6 +221,7 @@ def test_mt_gap_vanishes_for_squarefree():
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] == pytest.approx(768 / 1225 - 6.0 / math.pi**2, abs=2e-3)
     assert rep.quantities["vanishing"] is True
+    assert rep.verdict == "PASS"
 
 
 def test_mt_gap_exactly_zero_for_periodic():
@@ -232,6 +233,7 @@ def test_mt_gap_exactly_zero_for_periodic():
     )
     assert all(g == pytest.approx(0.0, abs=1e-3) for g in rep.quantities["gap_trace"])
     assert rep.quantities["vanishing"] is True
+    assert rep.verdict == "PASS"
 
 
 def test_mt_gap_stays_large_for_primes():
@@ -243,6 +245,7 @@ def test_mt_gap_stays_large_for_primes():
     )
     assert rep.quantities["vanishing"] is False
     assert min(rep.quantities["gap_trace"]) > 0.1
+    assert rep.verdict == "INCONCLUSIVE"
 
 
 # ---------------------------------------------------------------------------
