@@ -12,13 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from . import _primes
-from .measure import Bracket, LCM_GUARD, zeta_bracket
-from .setdsl import CompiledSet, DslValueError
+from .measure import Bracket, multiples_measure_ie, zeta_bracket
+from .setdsl import CompiledSet, DslValueError, _ie_coefficients, _ie_components
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -192,60 +191,23 @@ def dlog_zeta_check(s: float, cutoff: int, tol: float) -> DlogReport:
 # ------------------------------------------------------------- IE closed form
 
 
-def _subset_lcms(moduli: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(sign, lcm) per subset, empty subset included with sign +1, lcm 1."""
-    t = len(moduli)
-    lcms = [1] * (1 << t)
-    out = []
-    for bits in range(1 << t):
-        if bits:
-            low = bits & -bits
-            lcms[bits] = math.lcm(lcms[bits ^ low], moduli[low.bit_length() - 1])
-        out.append(((-1) ** bits.bit_count(), lcms[bits]))
-    return out
-
-
-@dataclass(frozen=True)
-class IEDirichlet:
-    """Closed-form Dirichlet evaluator for the complement of a finite union
-    of multiple-sets: a signed sum of lcm(J)^(-s) over subsets J."""
-
-    moduli: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.moduli or any(a < 1 for a in self.moduli):
-            raise DslValueError("need positive moduli")
-        if math.lcm(*self.moduli) > LCM_GUARD:
-            raise OverflowError("lcm exceeds guard; reduce the modulus list")
-
-    def terms(self) -> list[tuple[int, int]]:
-        return _subset_lcms(self.moduli)
-
-    def value(self, s) -> "Fraction | float":
-        return de_delta_exact(list(self.moduli), s)
-
-    def value_bracket(self, s: Fraction, digits: int = 30) -> tuple[Fraction, Fraction]:
-        return de_delta_bracket(list(self.moduli), s, digits)
-
-
 def de_delta_exact(moduli, s) -> "Fraction | float":
     """The density ratio of the complement-of-multiples closure at real
     s >= 1: sum over subsets J of (-1)^|J| lcm(J)^(-s). Exact rational for
-    integer s; float otherwise. At s=1 this agrees with the
-    inclusion-exclusion measure exactly."""
+    integer s, where it is the inclusion-exclusion measure in dimension s;
+    float otherwise, one exactly rounded sum per coprime group of moduli."""
     mods = tuple(moduli)
     if not mods or any(a < 1 for a in mods):
         raise DslValueError("need positive moduli")
-    if math.lcm(*mods) > LCM_GUARD:
-        raise OverflowError("lcm exceeds guard; reduce the modulus list")
     if s < 1:
         raise DslValueError(f"closed form defined for s >= 1, got {s}")
-    terms = _subset_lcms(mods)
-    s_int = int(s) if float(s) == int(s) else None
-    if s_int is not None:
-        return sum(Fraction(sign, lcm**s_int) for sign, lcm in terms)
+    if float(s) == int(s):
+        return multiples_measure_ie(mods, dim=int(s))
     sf = float(s)
-    return math.fsum(sign * lcm**-sf for sign, lcm in terms)
+    return math.prod(
+        math.fsum(c * l**-sf for l, c in _ie_coefficients(group).items())
+        for group in _ie_components(mods)
+    )
 
 
 def _iroot(x: int, k: int) -> int:
@@ -269,51 +231,44 @@ def _iroot(x: int, k: int) -> int:
         r = nr
 
 
-def _power_bracket(base: int, s: Fraction, digits: int) -> tuple[Fraction, Fraction]:
-    """Certified rational bracket of width 10^-digits around base**s."""
-    if base == 1:
-        return Fraction(1), Fraction(1)
-    num, den = s.numerator, s.denominator
-    scale = 10**digits
-    root = _iroot(base**num * scale**den, den)
-    return Fraction(root, scale), Fraction(root + 1, scale)
-
-
 def de_delta_bracket(moduli, s: Fraction, digits: int = 30) -> tuple[Fraction, Fraction]:
     """Certified rational bracket for the closed form at rational s >= 1,
-    built from directed integer-root brackets of each lcm(J)^s. Tight
-    enough (10^-digits per term) to separate nearby grid points."""
+    built from directed integer-root brackets of each lcm^s, scaled by the
+    integer inclusion-exclusion coefficients. Tight enough (10^-digits per
+    term) to separate nearby grid points. Each coprime group of moduli sums
+    to a subset-zeta ratio, which is nonnegative, so the group brackets
+    multiply endpoint by endpoint."""
     mods = tuple(moduli)
     s = Fraction(s)
     if s < 1:
         raise DslValueError(f"closed form defined for s >= 1, got {s}")
     if not mods or any(a < 1 for a in mods):
         raise DslValueError("need positive moduli")
-    if math.lcm(*mods) > LCM_GUARD:
-        raise OverflowError("lcm exceeds guard; reduce the modulus list")
-    # accumulate integer numerators at a fixed resolution: directed
-    # rounding per term keeps the bracket certified while avoiding any
+    # integer numerators at a fixed resolution: directed rounding per term
+    # and per product keeps the bracket certified while avoiding any
     # rational-gcd work inside the loop
     res = 10 ** (digits + 6)
     scale = 10**digits
-    lo_acc = 0
-    hi_acc = 0
     num, den = s.numerator, s.denominator
-    for sign, lcm in _subset_lcms(mods):
-        if lcm == 1:
-            lo_acc += sign * res
-            hi_acc += sign * res
-            continue
-        root = _iroot(lcm**num * scale**den, den)
-        # lcm^(-s) lies in [scale/(root+1), scale/root]
-        t_lo = res * scale // (root + 1)
-        t_hi = -((-res * scale) // root)
-        if sign > 0:
-            lo_acc += t_lo
-            hi_acc += t_hi
-        else:
-            lo_acc -= t_hi
-            hi_acc -= t_lo
+    lo_acc, hi_acc = res, res
+    for group in _ie_components(mods):
+        g_lo, g_hi = 0, 0
+        for lcm, c in _ie_coefficients(group).items():
+            if lcm == 1:
+                t_lo, t_hi = res, res
+            else:
+                root = _iroot(lcm**num * scale**den, den)
+                # lcm^(-s) lies in [scale/(root+1), scale/root]
+                t_lo = res * scale // (root + 1)
+                t_hi = -((-res * scale) // root)
+            if c > 0:
+                g_lo += c * t_lo
+                g_hi += c * t_hi
+            else:
+                g_lo += c * t_hi
+                g_hi += c * t_lo
+        lo_acc = lo_acc * max(g_lo, 0) // res
+        hi_acc = -((-hi_acc * g_hi) // res)
     return Fraction(lo_acc, res), Fraction(hi_acc, res)
 
 

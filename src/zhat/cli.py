@@ -5,7 +5,7 @@ file of key=value lines supplies defaults, explicit flags win, and every
 output embeds the effective configuration plus the seed so identical
 invocations produce byte-identical JSON. Exit codes: 0 success or PASS,
 1 FAIL or internal error, 2 usage or parse error, 3 INCONCLUSIVE (including
-an exhausted budget or an overflow guard).
+an exhausted budget or a float overflow).
 """
 
 from __future__ import annotations

@@ -15,18 +15,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .analytic import _subset_lcms, delta_ratio, zeta_set
-from .measure import (
-    Bracket,
-    ModulusChain,
-    closure_measure_trace,
-    multiples_measure_ie,
-)
+from .analytic import delta_ratio, zeta_set
+from .measure import ModulusChain, closure_measure_trace
 from .setdsl import (
     EXACT,
     BudgetExceeded,
@@ -37,6 +32,7 @@ from .setdsl import (
     FiniteSet,
     SetExpr,
     Union,
+    _ie_coefficients,
     _mask_nd,
     compile_set,
 )
@@ -149,20 +145,27 @@ def _alpha_ratio(cset: CompiledSet, alpha: float, r: int) -> tuple[float, str | 
             return num / harmonic(r), "closed-form interval counts"
         ie = cset.ie_view()
         if ie is not None:
-            kind, mods = ie
-            total = 0.0
-            for sign, lcm in _subset_lcms(tuple(mods)):
-                q = r // lcm
-                term = float(q) if alpha == 0.0 else harmonic(q) / lcm
-                total += sign * term
-            if kind == "multiples":
-                total = (float(r) if alpha == 0.0 else harmonic(r)) - total
+            num = _ie_weight(*ie, r, alpha)
             den = float(r) if alpha == 0.0 else harmonic(r)
-            return total / den, "closed-form multiple-set sums"
+            return float(num) / den, "closed-form multiple-set sums"
         return _alpha_ratio_mask(cset, alpha, r), None
     if cset.dim == 1:
         return _alpha_ratio_mask(cset, alpha, r), None
     return _alpha_ratio_grid(cset, alpha, r), None
+
+
+def _ie_weight(kind: str, mods, r: int, alpha: float) -> int | float:
+    """Weight of X ∩ [1,r] at alpha in {0,-1} for X the multiples of the
+    moduli ('multiples') or its complement: the complement's weight is
+    sum c * g(r // l) over the inclusion-exclusion coefficients, with
+    g(q) = q (alpha 0, an exact integer) or H(q)/l (alpha -1). Terms with
+    l > r vanish and are pruned in the kernel."""
+    coeffs = _ie_coefficients(mods, bound=r).items()
+    if alpha == 0.0:
+        comp, whole = sum(c * (r // l) for l, c in coeffs), r
+    else:
+        comp, whole = math.fsum(c * harmonic(r // l) / l for l, c in coeffs), harmonic(r)
+    return whole - comp if kind == "multiples" else comp
 
 
 def _weight_sum(idx: np.ndarray, alpha: float) -> float:
@@ -186,22 +189,19 @@ def _range_weight_sum(r: int, alpha: float) -> float:
 
 
 def _alpha_ratio_mask(cset: CompiledSet, alpha: float, r: int) -> float:
-    mask = cset.mask_upto(r)
-    idx = np.nonzero(mask)[0]
     if cset.positive_only:
+        idx = np.nonzero(cset.mask_upto(r))[0]
         num = _weight_sum(idx, alpha)
         den = _range_weight_sum(r, alpha)
         return num / den
-    from .setdsl import _contains, _mask_raw
-
-    neg = _mask_raw(cset.expr, r, -1)
-    neg[0] = False
-    nidx = np.nonzero(neg)[0]
+    full = cset.mask_symmetric(r)
+    idx = np.nonzero(full[r + 1:])[0] + 1
+    nidx = np.nonzero(full[:r][::-1])[0] + 1
     num = _weight_sum(idx, alpha) + _weight_sum(nidx, alpha)
     den = 2.0 * _range_weight_sum(r, alpha)
     if alpha == 0.0:
         den += 1.0
-        if _contains(cset.expr, (0,)):
+        if full[r]:
             num += 1.0
     return num / den
 
@@ -212,11 +212,7 @@ def _log_weight_numerator(cset: CompiledSet, r: int) -> float:
         return math.fsum(harmonic(b) - harmonic(a - 1) for a, b in iv)
     ie = cset.ie_view()
     if ie is not None:
-        kind, mods = ie
-        total = math.fsum(
-            sign * harmonic(r // lcm) / lcm for sign, lcm in _subset_lcms(tuple(mods))
-        )
-        return harmonic(r) - total if kind == "multiples" else total
+        return _ie_weight(*ie, r, -1.0)
     idx = np.nonzero(cset.mask_upto(r))[0]
     return _weight_sum(idx, -1.0)
 
@@ -274,15 +270,7 @@ def density_uniform(cset: CompiledSet, l_grid, scan_radius: int,
     if cset.positive_only:
         arr = cset.mask_upto(scan_radius)[1:].astype(np.int64)
     else:
-        from .setdsl import _contains, _mask_raw
-
-        neg = _mask_raw(cset.expr, scan_radius, -1)
-        neg[0] = False
-        arr = np.concatenate([
-            neg[::-1][:-1].astype(np.int64),
-            np.array([1 if _contains(cset.expr, (0,)) else 0], dtype=np.int64),
-            cset.mask_upto(scan_radius)[1:].astype(np.int64),
-        ])
+        arr = cset.mask_symmetric(scan_radius).astype(np.int64)
     if lengths[-1] > arr.size:
         raise DslValueError("window length exceeds available range")
     cum = np.concatenate([[0], np.cumsum(arr)])
@@ -354,17 +342,15 @@ def density_buck(cset: CompiledSet, chain: ModulusChain, cutoff: int,
     comp = compile_set(Complement(cset.expr), positive_only=cset.positive_only,
                        residue_budget=cset.residue_budget, box_budget=cset.box_budget)
     levels = [r.modulus for r in trace.records]
-    lower_certified = False
-    clopen_probe = comp.clopen_image_exact(levels[0]) if cset.dim == 1 else None
-    if clopen_probe is not None:
-        comp_meas = [comp.clopen_image_exact(m).level_measure() for m in levels]
-        lower = 1 - min(comp_meas)
-        lower_certified = True
+    # clopen_image_exact is None at every level or at none
+    comp_imgs = [comp.clopen_image_exact(m) for m in levels]
+    lower_certified = comp_imgs[0] is not None
+    if lower_certified:
         notes.append("lower bound from exact complement images")
     else:
-        comp_meas = [comp.residue_image(m, truncation).level_measure() for m in levels]
-        lower = 1 - min(comp_meas)
+        comp_imgs = [comp.residue_image(m, truncation) for m in levels]
         notes.append("UNCERTIFIED lower: complement images are truncated")
+    lower = 1 - min(img.level_measure() for img in comp_imgs)
     certified = trace.mode == EXACT
     if not certified:
         notes.append("UNCERTIFIED upper: set images are truncated")
@@ -436,14 +422,7 @@ def _weighted_ratio(cset: CompiledSet, steps, r: int) -> float:
             u, v = max(u, 1), min(v, r)
             return v - u + 1 if u <= v else 0
     else:
-        from .setdsl import _contains, _mask_raw
-
-        neg = _mask_raw(cset.expr, r, -1)
-        neg[0] = False
-        full = np.concatenate([
-            neg[::-1][:-1], np.array([_contains(cset.expr, (0,))]), cset.mask_upto(r)[1:]
-        ])
-        cum = np.concatenate([[0], np.cumsum(full.astype(np.int64))])
+        cum = np.concatenate([[0], np.cumsum(cset.mask_symmetric(r).astype(np.int64))])
 
         def count_member(u, v):
             u, v = max(u, -r), min(v, r)
@@ -680,8 +659,6 @@ def axiom_suite(case_count: int, seed: int, pair: str = "exact",
 
 
 def _estimator_convergence(ps: PeriodicSet, r: int = 10**6) -> list[EstimatorCheck]:
-    from .setdsl import to_text
-
     target = float(ps.density())
     cs = compile_set(ps.to_expr(), positive_only=True)
     txt = f"periodic mod {ps.modulus}, {len(ps.residues)} classes"

@@ -25,9 +25,8 @@ from .setdsl import (
     BudgetExceeded,
     CompiledSet,
     DslValueError,
+    _ie_measure,
 )
-
-LCM_GUARD = 10**24
 
 # widen float-evaluated brackets so rounding in long sums and products cannot
 # push a true value across an endpoint; numpy reduces pairwise, so relative
@@ -234,19 +233,7 @@ def multiples_measure_ie(moduli, dim: int = 1) -> Fraction:
         raise DslValueError("need at least one modulus")
     if any(a < 1 for a in mods):
         raise DslValueError("moduli must be positive")
-    if math.lcm(*mods) > LCM_GUARD:
-        raise OverflowError(
-            f"lcm {math.lcm(*mods)} exceeds guard {LCM_GUARD}; reduce to a subset of moduli"
-        )
-    t = len(mods)
-    lcms = [1] * (1 << t)
-    total = Fraction(0)
-    for bits in range(1 << t):
-        if bits:
-            low = bits & -bits
-            lcms[bits] = math.lcm(lcms[bits ^ low], mods[low.bit_length() - 1])
-        total += Fraction((-1) ** bits.bit_count(), lcms[bits] ** dim)
-    return total
+    return _ie_measure(mods, dim)
 
 
 def euler_product(local_factor: str, prime_cutoff: int, tail_exponent: int | None = None) -> Bracket:

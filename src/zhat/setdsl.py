@@ -734,18 +734,18 @@ class CompiledSet:
         m[0] = False
         return m
 
+    def mask_symmetric(self, n: int) -> np.ndarray:
+        """Dimension-1 membership table for -n..n: index i holds i - n."""
+        pos = self.mask_upto(n)
+        neg = _mask_raw(self.expr, n, -1)
+        return np.concatenate([neg[:0:-1], np.array([_contains(self.expr, (0,))]), pos[1:]])
+
     def members_in_box(self, n: int) -> list:
         """X ∩ [1,N] in positive mode, X ∩ [-N,N]^dim otherwise; sorted."""
         if self.dim == 1:
-            pos = self.mask_upto(n)
-            out = np.nonzero(pos)[0].tolist()
             if self.positive_only:
-                return out
-            negm = _mask_raw(self.expr, n, -1)
-            negm[0] = False
-            neg = (-np.nonzero(negm)[0][::-1]).tolist()
-            mid = [0] if _contains(self.expr, (0,)) else []
-            return neg + mid + out
+                return np.nonzero(self.mask_upto(n))[0].tolist()
+            return (np.nonzero(self.mask_symmetric(n))[0] - n).tolist()
         lo = 1 if self.positive_only else -n
         if (n - lo + 1) ** self.dim > self.box_budget:
             raise BudgetExceeded(f"box [{lo},{n}]^{self.dim} exceeds box budget {self.box_budget}")
@@ -1159,6 +1159,70 @@ def _powmod(base: np.ndarray, e: int, q: int) -> np.ndarray:
     return out
 
 
+# ------------------------------------------------------------- inclusion-exclusion
+
+# most distinct-lcm terms one kernel call may hold: as many as 20 moduli
+# have subsets
+IE_TERM_BUDGET = 2**20
+
+
+def _ie_coefficients(moduli, bound: int | None = None) -> dict[int, int]:
+    """Inclusion-exclusion over the subsets J of the moduli, collected per
+    distinct lcm: {l: c} with c the sum of (-1)^|J| over the J with
+    lcm(J) = l, zero coefficients dropped. Then the sum over subsets of
+    (-1)^|J| f(lcm J) is the sum of c * f(l). Moduli fold in one at a
+    time. With a bound, lcms above it are dropped as they appear; their
+    later multiples would exceed it too."""
+    coeffs = {1: 1}
+    for a in moduli:
+        nxt = dict(coeffs)
+        for l, c in coeffs.items():
+            k = math.lcm(l, a)
+            if bound is not None and k > bound:
+                continue
+            v = nxt.get(k, 0) - c
+            if v:
+                nxt[k] = v
+            else:
+                del nxt[k]
+        coeffs = nxt
+        if len(coeffs) > IE_TERM_BUDGET:
+            raise BudgetExceeded(
+                f"inclusion-exclusion over {len(moduli)} moduli needs more than "
+                f"{IE_TERM_BUDGET} distinct lcm terms"
+            )
+    return coeffs
+
+
+def _ie_components(moduli) -> list[list[int]]:
+    """The moduli grouped so that any two sharing a prime factor sit in one
+    group; moduli in different groups are coprime. A sum over subsets of a
+    term multiplicative in the lcm factors as a product over the groups."""
+    groups: list[tuple[int, list[int]]] = []  # (lcm of the group, its moduli)
+    for a in moduli:
+        top, members, rest = a, [a], []
+        for g_top, g in groups:
+            if math.gcd(g_top, a) > 1:
+                top, members = math.lcm(top, g_top), g + members
+            else:
+                rest.append((g_top, g))
+        groups = rest + [(top, members)]
+    return [g for _, g in groups]
+
+
+def _ie_measure(moduli, dim: int = 1) -> Fraction:
+    """Sum over subsets J of the moduli of (-1)^|J| / lcm(J)^dim: the Haar
+    measure of the closure of the integers (in dimension dim) that are
+    multiples of none of them. Exact, one factor per coprime group."""
+    num, den = 1, 1
+    for group in _ie_components(moduli):
+        coeffs = _ie_coefficients(group)
+        top = math.lcm(*coeffs)
+        num *= sum(c * (top // l) ** dim for l, c in coeffs.items())
+        den *= top**dim
+    return Fraction(num, den)
+
+
 def _exact_count(expr: SetExpr, m: int, dim: int, budget: int) -> int | None:
     """Closed-form |pi_m(expr)| where available, None to fall back on
     enumeration. The CRT combination is a bijection, so product-of-local
@@ -1166,15 +1230,10 @@ def _exact_count(expr: SetExpr, m: int, dim: int, budget: int) -> int | None:
     if isinstance(expr, Cong):
         return (m // math.gcd(m, expr.m0)) ** dim
     if isinstance(expr, Multiples):
-        mods = expr.moduli
-        if len(mods) > 20:
-            return None
-        total = 0
-        for bits in range(1, 1 << len(mods)):
-            sel = [mods[i] for i in range(len(mods)) if bits >> i & 1]
-            g = math.gcd(m, math.lcm(*sel))
-            total += (-1) ** (len(sel) + 1) * (m // g) ** dim
-        return total
+        # gcd(m, lcm J) = lcm of gcd(m, a) over J, so the complement of the
+        # image is the complement of the multiples of the gcds, read mod m
+        free = m**dim * _ie_measure([math.gcd(m, a) for a in expr.moduli], dim)
+        return m**dim - int(free)
     if isinstance(expr, KFree):
         c = 1
         for p, j, q in _primes.prime_powers_of(m):

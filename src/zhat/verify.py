@@ -11,7 +11,7 @@ tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,7 +25,7 @@ from .analytic import (
     de_delta_bracket,
     de_delta_exact,
 )
-from .density import density_alpha, harmonic
+from .density import density_alpha
 from .measure import Bracket, ModulusChain, euler_product, multiples_measure_ie
 from .setdsl import (
     EXACT,
@@ -105,8 +105,6 @@ def davenport_erdos(moduli, s_grid=None, r_max: int = 10**7, tol: float = 5e-3,
     mods = tuple(int(a) for a in moduli)
     if not mods:
         raise DslValueError("empty modulus family")
-    if len(mods) > 20:
-        raise BudgetExceeded("inclusion-exclusion over more than 20 moduli")
     narrative = []
     quantities: dict = {}
 

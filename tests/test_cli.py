@@ -1,8 +1,10 @@
 """Command-line interface: pinned outputs, exit codes, reproducibility."""
 
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -120,6 +122,16 @@ def test_exhausted_budget_is_inconclusive():
     # the first level already exceeds the residue budget: 1000^3 tuples
     proc = run_cli("measure", "--set", "image(x*y*z)", "--chain", "explicit:1000", expect=3)
     assert "exceeds budget" in proc.stderr
+
+
+def test_davenport_erdos_past_the_old_lcm_cap():
+    # the p^2 family up to 37 has lcm ~5.5e25; IE factors over the 12 primes
+    rep = run_json("verify", "davenport-erdos", "--family", "p^2", "--pmax", "37")["report"]
+    assert rep["verdict"] == "PASS"
+    ps = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    want = math.prod(1 - Fraction(1, p * p) for p in ps)
+    at_one = rep["quantities"]["delta_at_1"]
+    assert Fraction(at_one["num"], at_one["den"]) == want
 
 
 def test_verify_unknown_theorem_usage_error():

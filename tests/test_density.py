@@ -230,6 +230,26 @@ def test_weighted_benford_tail_window_vanishes():
     assert rep.values[0] == pytest.approx(0.0, abs=1e-5)
 
 
+@pytest.mark.parametrize("text", ["kfree(2)", "cong(0,3)", "!multiples(4,6)", "finite(0,-7,5)"])
+def test_symmetric_mode_matches_membership(text):
+    # the [-r, r] table feeds members_in_box and the alpha, uniform and
+    # weighted estimators; each is checked against plain membership
+    cs = compile_set(text, positive_only=False)
+    r = 300
+    box = [x for x in range(-r, r + 1) if cs.contains(x)]
+    assert cs.members_in_box(r) == box
+    assert (np.nonzero(cs.mask_symmetric(r))[0] - r).tolist() == box
+    assert density_alpha(cs, 0.0, [r]).values == (len(box) / (2 * r + 1),)
+    weight = math.fsum(abs(x) ** -0.5 for x in box if x)
+    whole = 2 * math.fsum(k ** -0.5 for k in range(1, r + 1))
+    assert density_alpha(cs, -0.5, [r]).values[0] == pytest.approx(weight / whole, rel=1e-12)
+    windows = [sum(1 for x in box if a <= x < a + 50) for a in range(-r, r - 48)]
+    assert density_uniform(cs, [50], r).values == ((min(windows) / 50, max(windows) / 50),)
+    front = sum(1 for x in box if x <= r // 2)
+    got = density_weighted(cs, [((-1.0, 0.5), 1.0)], [r]).values[0]
+    assert got == pytest.approx(front / (r + r // 2 + 1), rel=1e-12)
+
+
 def test_weighted_validation():
     cset = compile_set("cong(0,2)")
     with pytest.raises(ValueError):

@@ -120,10 +120,11 @@ def test_multiples_ie_dim2_against_enumeration():
         assert got == Fraction(free, L * L), mods
 
 
-def test_multiples_ie_overflow_guard():
-    big = [p**2 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)]
-    with pytest.raises(OverflowError):
-        multiples_measure_ie(big)
+def test_multiples_ie_fourteen_prime_squares():
+    # lcm ~ 1.2e32: past any fixed lcm cap, exact through the coprime factoring
+    ps = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+    want = math.prod(1 - Fraction(1, p * p) for p in ps)
+    assert multiples_measure_ie([p**2 for p in ps]) == want
 
 
 def test_clopen_level_equals_ie():

@@ -222,6 +222,18 @@ def test_residue_count_matches_image():
             assert cs.residue_count(m) == cs.residue_image(m).count, (text, m)
 
 
+def test_residue_count_many_moduli_matches_mask():
+    # more moduli than subset enumeration ever served (2^21 and 2^25 subsets)
+    for mods in (list(range(2, 23)), [6 * k + 1 for k in range(1, 26)]):
+        cs = compile_set("multiples(" + ",".join(map(str, mods)) + ")")
+        for m in (1, 30, 720, 27720, 360360):
+            count = cs.residue_count(m)
+            assert count == int(np.count_nonzero(cs.residue_image(m).mask)), (mods, m)
+            if m <= 27720:  # a multiple of a is a multiple of gcd(m, a) mod m
+                gs = [math.gcd(m, a) for a in mods]
+                assert count == sum(1 for x in range(m) if any(x % g == 0 for g in gs))
+
+
 def test_truncated_image_modes():
     cs = compile_set("kfree(2) & cong(1,4)")
     img = cs.residue_image(12, truncation=10**5)
