@@ -122,9 +122,14 @@ def prime_powers_of(m: int) -> list[tuple[int, int, int]]:
 def smallest_factor_table(n: int) -> np.ndarray:
     """spf[2..n] = smallest prime factor (spf[0]=spf[1]=0)."""
     spf = np.zeros(n + 1, dtype=np.int64)
-    for p in range(2, n + 1):
+    for p in range(2, math.isqrt(n) + 1):
         if spf[p] == 0:
-            spf[p::p][spf[p::p] == 0] = p
+            multiples = spf[p * p:: p]
+            multiples[multiples == 0] = p
+    # what is still unmarked from 2 on has no factor up to sqrt(n): a prime
+    rest = np.flatnonzero(spf == 0)
+    rest = rest[rest >= 2]
+    spf[rest] = rest
     return spf
 
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import supernatural as sn
 from .analytic import FAIL, INCONCLUSIVE, PASS
@@ -27,7 +27,7 @@ from .density import (
     density_uniform,
 )
 from .measure import ModulusChain, closure_measure_trace, euler_product, multiples_measure_ie
-from .setdsl import BudgetExceeded, DslError, DslSyntaxError, compile_set
+from .setdsl import BudgetExceeded, DslError, DslSyntaxError, compile_set, sequence_terms
 from .verify import (
     VerificationReport,
     asdmltp_verify,
@@ -59,30 +59,23 @@ class RunConfig:
 
     command: str
     set_text: str | None = None
-    positive_only: bool | None = None
-    dimension: int | None = None
-    residue_budget: int | None = None
     truncation: int | None = None
     r_max: int | None = None
     prime_bound: int | None = None
     chain: str | None = None
-    s_grid: tuple[float, ...] | None = None
     output: str = "json"
     seed: int = 0
     threads: int = 1
     extra: dict | None = None
 
     def validate(self) -> None:
-        for name in ("residue_budget", "truncation", "r_max", "prime_bound", "threads"):
+        for name in ("truncation", "r_max", "prime_bound", "threads"):
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ValueError(f"{name} must be positive, got {v}")
 
     def to_json(self) -> dict:
-        d = {k: v for k, v in asdict(self).items() if v is not None}
-        if "s_grid" in d:
-            d["s_grid"] = list(d["s_grid"])
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _num(text: str) -> int:
@@ -394,22 +387,12 @@ def _cmd_verify(res: _Resolver) -> int:
     return _verdict_exit(rep.verdict)
 
 
-_SEQ_TERMS = {
-    "factorial": lambda k: math.factorial(k),
-    "factorial_shift": lambda k: math.factorial(k) + k,
-    "primorial": lambda k: math.prod(_nth_primes(k)),
+# sn limit names of the setdsl sequences
+_SN_SEQUENCES = {
+    "factorial": "factorials",
+    "factorial_shift": "factorial_shift",
+    "primorial": "primorials",
 }
-
-
-def _nth_primes(k: int) -> list[int]:
-    from . import _primes
-
-    out = []
-    for p in _primes.iter_primes():
-        out.append(int(p))
-        if len(out) == k:
-            return out
-    return out
 
 
 def _cmd_sn(res: _Resolver) -> int:
@@ -430,12 +413,12 @@ def _cmd_sn(res: _Resolver) -> int:
         return EXIT_OK
     # limit: valuation trajectories of a named sequence
     name = res.get("seq", str, "factorial")
-    if name not in _SEQ_TERMS:
-        raise ValueError(f"unknown sequence {name!r}; choose from {', '.join(sorted(_SEQ_TERMS))}")
+    if name not in _SN_SEQUENCES:
+        raise ValueError(f"unknown sequence {name!r}; choose from {', '.join(sorted(_SN_SEQUENCES))}")
     terms = res.get("terms", _num, 30)
     pmax = res.get("pmax", _num, 7)
     window = res.get("window", _num, 5)
-    seq = [_SEQ_TERMS[name](k) for k in range(1, terms + 1)]
+    seq = list(islice(sequence_terms(_SN_SEQUENCES[name]), max(terms, 0)))
     prof = sn.limit_profile(seq, pmax, window)
     rows = ["prime,last_valuation,status"]
     table = {}

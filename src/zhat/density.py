@@ -24,7 +24,6 @@ from .analytic import delta_ratio, zeta_set
 from .measure import ModulusChain, closure_measure_trace
 from .setdsl import (
     EXACT,
-    BudgetExceeded,
     CompiledSet,
     Complement,
     Cong,
@@ -33,7 +32,6 @@ from .setdsl import (
     SetExpr,
     Union,
     _ie_coefficients,
-    _mask_nd,
     compile_set,
 )
 
@@ -189,19 +187,22 @@ def _range_weight_sum(r: int, alpha: float) -> float:
 
 
 def _alpha_ratio_mask(cset: CompiledSet, alpha: float, r: int) -> float:
-    if cset.positive_only:
-        idx = np.nonzero(cset.mask_upto(r))[0]
+    lo, table = cset.box(r)
+    if lo == 1:
+        idx = np.flatnonzero(table)
+        del table  # the weight sums need idx only
+        idx += 1  # in place: idx may hold one int64 per integer up to r
         num = _weight_sum(idx, alpha)
         den = _range_weight_sum(r, alpha)
         return num / den
-    full = cset.mask_symmetric(r)
-    idx = np.nonzero(full[r + 1:])[0] + 1
-    nidx = np.nonzero(full[:r][::-1])[0] + 1
+    # each side of [-r, r] is summed outward from 0
+    idx = np.nonzero(table[r + 1:])[0] + 1
+    nidx = np.nonzero(table[:r][::-1])[0] + 1
     num = _weight_sum(idx, alpha) + _weight_sum(nidx, alpha)
     den = 2.0 * _range_weight_sum(r, alpha)
     if alpha == 0.0:
         den += 1.0
-        if full[r]:
+        if table[r]:
             num += 1.0
     return num / den
 
@@ -233,11 +234,8 @@ def log_density_window(cset: CompiledSet, r_lo: int, r_hi: int) -> float:
 
 
 def _alpha_ratio_grid(cset: CompiledSet, alpha: float, r: int) -> float:
-    lo = 1 if cset.positive_only else -r
+    lo, grid = cset.box(r)
     side = r - lo + 1
-    if side**cset.dim > cset.box_budget:
-        raise BudgetExceeded(f"box radius {r} in dimension {cset.dim} exceeds budget")
-    grid = _mask_nd(cset.expr, r, cset.dim, lo)
     ax = np.abs(np.arange(lo, r + 1, dtype=np.int64))
     norm = ax.reshape([side] + [1] * (cset.dim - 1))
     for i in range(1, cset.dim):
@@ -267,10 +265,7 @@ def density_uniform(cset: CompiledSet, l_grid, scan_radius: int,
         raise DslValueError("window lengths must be positive, strictly increasing")
     if lengths[-1] > 2 * scan_radius:
         raise DslValueError(f"window length {lengths[-1]} exceeds scan range {2 * scan_radius}")
-    if cset.positive_only:
-        arr = cset.mask_upto(scan_radius)[1:].astype(np.int64)
-    else:
-        arr = cset.mask_symmetric(scan_radius).astype(np.int64)
+    arr = cset.box(scan_radius)[1].astype(np.int64)
     if lengths[-1] > arr.size:
         raise DslValueError("window length exceeds available range")
     cum = np.concatenate([[0], np.cumsum(arr)])
@@ -410,36 +405,17 @@ def density_weighted(cset: CompiledSet, step_fn, r_grid,
 
 
 def _weighted_ratio(cset: CompiledSet, steps, r: int) -> float:
-    if cset.positive_only:
-        mask = cset.mask_upto(r)
-        cum = np.concatenate([[0], np.cumsum(mask.astype(np.int64))])
-
-        def count_member(u, v):  # members within [u,v] ∩ [1,r]
-            u, v = max(u, 1), min(v, r)
-            return int(cum[v + 1] - cum[u]) if u <= v else 0
-
-        def count_all(u, v):
-            u, v = max(u, 1), min(v, r)
-            return v - u + 1 if u <= v else 0
-    else:
-        cum = np.concatenate([[0], np.cumsum(cset.mask_symmetric(r).astype(np.int64))])
-
-        def count_member(u, v):
-            u, v = max(u, -r), min(v, r)
-            return int(cum[v + r + 1] - cum[u + r]) if u <= v else 0
-
-        def count_all(u, v):
-            u, v = max(u, -r), min(v, r)
-            return v - u + 1 if u <= v else 0
-
+    lo, table = cset.box(r)
+    cum = np.concatenate([[0], np.cumsum(table.astype(np.int64))])
     num = 0.0
     den = 0.0
     for (a, b), w in steps:
         if w == 0:
             continue
-        u, v = math.ceil(a * r), math.floor(b * r)
-        num += w * count_member(u, v)
-        den += w * count_all(u, v)
+        u, v = max(math.ceil(a * r), lo), min(math.floor(b * r), r)
+        if u <= v:  # members and all points within [u, v] ∩ [lo, r]
+            num += w * int(cum[v - lo + 1] - cum[u - lo])
+            den += w * (v - u + 1)
     if den == 0:
         raise DslValueError("degenerate step function: no weight on the box")
     return num / den

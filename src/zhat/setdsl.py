@@ -23,10 +23,12 @@ powers.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from itertools import accumulate, count, takewhile
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -299,53 +301,43 @@ def expr_dim(expr: SetExpr) -> int:
 
 # ------------------------------------------------------------- sequences
 
-_SEQUENCES: dict[str, Callable[[int], list[int]]] = {}
+_SEQUENCES: dict[str, Callable[[], Iterator[int]]] = {}
 
 
-def register_sequence(name: str, members_upto: Callable[[int], list[int]]) -> None:
-    """Register a named positive integer sequence; the callable returns the
-    ascending members <= N."""
-    _SEQUENCES[name] = members_upto
+def register_sequence(name: str, terms: Callable[[], Iterator[int]]) -> None:
+    """Register a named positive integer sequence; the callable returns a
+    fresh iterator over its terms in ascending order."""
+    _SEQUENCES[name] = terms
 
 
 def registered_sequences() -> tuple[str, ...]:
     return tuple(sorted(_SEQUENCES))
 
 
-def _factorial_shift_upto(n: int) -> list[int]:
-    out, k, fact = [], 1, 1
-    while True:
-        fact *= k
-        v = fact + k
-        if v > n:
-            return out
-        out.append(v)
-        k += 1
+def sequence_terms(name: str) -> Iterator[int]:
+    """The terms of a registered sequence, ascending."""
+    return _SEQUENCES[name]()
 
 
-def _factorials_upto(n: int) -> list[int]:
-    out, k, fact = [], 1, 1
-    while True:
-        fact *= k
-        if fact > n:
-            return out
-        if not out or fact != out[-1]:
-            out.append(fact)
-        k += 1
+def _sequence_upto(name: str, n: int) -> list[int]:
+    return list(takewhile(lambda v: v <= n, _SEQUENCES[name]()))
 
 
-def _primorials_upto(n: int) -> list[int]:
-    out, acc = [], 1
-    for p in _primes.iter_primes():
-        acc *= p
-        if acc > n:
-            return out
-        out.append(acc)
+def _factorials() -> Iterator[int]:
+    return accumulate(count(1), operator.mul)
 
 
-register_sequence("factorial_shift", _factorial_shift_upto)
-register_sequence("factorials", _factorials_upto)
-register_sequence("primorials", _primorials_upto)
+def _factorial_shift() -> Iterator[int]:
+    return (f + k for k, f in enumerate(_factorials(), 1))
+
+
+def _primorials() -> Iterator[int]:
+    return accumulate(_primes.iter_primes(), operator.mul)
+
+
+register_sequence("factorial_shift", _factorial_shift)
+register_sequence("factorials", _factorials)
+register_sequence("primorials", _primorials)
 
 
 # ------------------------------------------------------------- tokenizer
@@ -724,34 +716,33 @@ class CompiledSet:
     __contains__ = contains
 
     # -- enumeration ------------------------------------------------------
+    def box(self, n: int) -> tuple[int, np.ndarray]:
+        """(lo, table) for the mode's box [lo, n]^dim: lo = 1 in positive
+        mode, -n in symmetric mode. table[i_1, ..., i_dim] holds the point
+        (lo + i_1, ..., lo + i_dim)."""
+        lo = 1 if self.positive_only else -n
+        cells = (n - lo + 1) ** self.dim
+        if cells > self.box_budget:
+            raise BudgetExceeded(
+                f"box [{lo},{n}]^{self.dim} has {cells} cells, over the box budget {self.box_budget}"
+            )
+        return lo, _box_mask(self.expr, lo, n, self.dim)
+
     def mask_upto(self, n: int) -> np.ndarray:
         """Dimension-1 membership table for 1..n (index 0 is always False)."""
         if self.dim != 1:
             raise DslValueError("mask_upto is dimension-1 only")
         if n + 1 > self.box_budget:
             raise BudgetExceeded(f"box [1,{n}] exceeds box budget {self.box_budget}")
-        m = _mask_raw(self.expr, n, +1)
+        m = _box_mask(self.expr, 0, n, 1)
         m[0] = False
         return m
 
-    def mask_symmetric(self, n: int) -> np.ndarray:
-        """Dimension-1 membership table for -n..n: index i holds i - n."""
-        pos = self.mask_upto(n)
-        neg = _mask_raw(self.expr, n, -1)
-        return np.concatenate([neg[:0:-1], np.array([_contains(self.expr, (0,))]), pos[1:]])
-
     def members_in_box(self, n: int) -> list:
-        """X ∩ [1,N] in positive mode, X ∩ [-N,N]^dim otherwise; sorted."""
-        if self.dim == 1:
-            if self.positive_only:
-                return np.nonzero(self.mask_upto(n))[0].tolist()
-            return (np.nonzero(self.mask_symmetric(n))[0] - n).tolist()
-        lo = 1 if self.positive_only else -n
-        if (n - lo + 1) ** self.dim > self.box_budget:
-            raise BudgetExceeded(f"box [{lo},{n}]^{self.dim} exceeds box budget {self.box_budget}")
-        grid = _mask_nd(self.expr, n, self.dim, lo)
-        pts = np.argwhere(grid) + lo
-        return sorted(map(tuple, pts.tolist()))
+        """X ∩ [1,N]^dim in positive mode, X ∩ [-N,N]^dim otherwise; sorted."""
+        lo, table = self.box(n)
+        pts = np.argwhere(table) + lo
+        return pts[:, 0].tolist() if self.dim == 1 else list(map(tuple, pts.tolist()))
 
     # -- residue images ---------------------------------------------------
     def _check_level(self, m: int) -> None:
@@ -770,9 +761,10 @@ class CompiledSet:
         n = truncation if truncation is not None else max(m, 10**6)
         if n < m:
             raise DslValueError(f"truncation bound {n} < modulus {m}")
-        pts = np.asarray(self.members_in_box(n), dtype=np.int64).reshape(-1, self.dim) % m
+        lo, table = self.box(n)
+        pts = (np.argwhere(table) + lo) % m
         mask = np.zeros(m**self.dim, dtype=bool)
-        mask[np.ravel_multi_index(pts.T, (m,) * self.dim)] = True
+        mask[np.ravel_multi_index(tuple(pts.T), (m,) * self.dim)] = True
         return ResidueImage(m, self.dim, mask, TRUNCATED, n, self.assumptions)
 
     def clopen_image_exact(self, m: int) -> ResidueImage | None:
@@ -789,7 +781,7 @@ class CompiledSet:
         big = math.lcm(m, level)
         if big > self.residue_budget:
             raise BudgetExceeded(f"clopen evaluation at lcm({m},{level})={big} exceeds budget")
-        period = _mask_raw(self.expr, big - 1, +1)
+        period = _box_mask(self.expr, 0, big - 1, 1)
         return ResidueImage(m, 1, _project(period, big, m, 1), EXACT, None, self.assumptions)
 
     def residue_count(self, m: int) -> int:
@@ -882,7 +874,7 @@ def _contains(expr: SetExpr, x: tuple[int, ...]) -> bool:
         return v == expr.d
     if isinstance(expr, Seq):
         v = x[0]
-        return v > 0 and v in _SEQUENCES[expr.name](v)
+        return v > 0 and v in _sequence_upto(expr.name, v)
     if isinstance(expr, FiniteSet):
         return x[0] in expr.values
     if isinstance(expr, Union):
@@ -920,121 +912,91 @@ def _poly_image_contains(poly: Polynomial, v: int) -> bool:
     )
 
 
-# ------------------------------------------------------------- masks
+# ------------------------------------------------------------- box masks
 
 
-def _mask_raw(expr: SetExpr, n: int, sign: int) -> np.ndarray:
-    """Membership table of sign*k for k in 0..n (dimension 1)."""
-    z = np.zeros(n + 1, dtype=bool)
-    if isinstance(expr, Cong):
-        start = (sign * expr.r) % expr.m0
-        if start <= n:
-            z[start:: expr.m0] = True
-        return z
-    if isinstance(expr, KFree):
-        z[:] = True
-        z[0] = False
-        k = expr.k
-        top = int(round(n ** (1.0 / k))) + 2
-        for p in _primes.primes_upto(top):
-            q = int(p) ** k
-            if q <= n:
-                z[q::q] = False
-        return z
-    if isinstance(expr, Primes):
-        if sign > 0:
-            return _primes.prime_mask_upto(n)
-        return z
+def _box_mask(expr: SetExpr, lo: int, hi: int, dim: int) -> np.ndarray:
+    """Membership over the box [lo, hi]^dim (hi >= 0) as a dense boolean
+    table: cell (i_1, ..., i_dim) holds the point (lo + i_1, ..., lo + i_dim).
+    Every table is freshly allocated, so callers may change it in place."""
+    side = hi - lo + 1
+    if isinstance(expr, Cong):  # every coordinate in the class r mod m0
+        line = np.zeros(side, dtype=bool)
+        line[(expr.r - lo) % expr.m0:: expr.m0] = True
+        out = line
+        for _ in range(dim - 1):
+            out = np.logical_and.outer(out, line)
+        return out
+    if isinstance(expr, Multiples):
+        out = _box_mask(Cong(0, expr.moduli[0]), lo, hi, dim)
+        for a in expr.moduli[1:]:
+            out |= _box_mask(Cong(0, a), lo, hi, dim)
+        return out
+    if isinstance(expr, (KFree, LeadingDigit)):
+        # membership depends on |k| only: one table over 0..max(|lo|, hi),
+        # read outward from 0 in both directions
+        table = _abs_table(expr, max(-lo, hi))
+        pos = table[max(lo, 0): hi + 1]
+        return np.concatenate([table[-lo:0:-1], pos]) if lo < 0 else pos
+    if isinstance(expr, Primes):  # members are positive only
+        table = _primes.prime_mask_upto(hi)
+        return table[lo:] if lo >= 0 else np.concatenate([np.zeros(-lo, dtype=bool), table])
+    if isinstance(expr, Seq):
+        return _cells_at(_sequence_upto(expr.name, hi), lo, hi)
+    if isinstance(expr, FiniteSet):
+        return _cells_at(expr.values, lo, hi)
     if isinstance(expr, PolyImage):
         poly = expr.poly
         if max(poly.arity, 1) != 1:
             raise DslValueError("multivariate polynomial images have no box enumeration")
         coeffs = poly.univariate_coeffs()
         if len(coeffs) == 1:
-            v = coeffs[0]
-            if v * sign >= 0 and abs(v) <= n:
-                z[abs(v)] = True
-            return z
-        t = _univariate_preimage_bound(coeffs, n)
-        for s in range(-t, t + 1):
-            v = poly.evaluate((s,))
-            if abs(v) <= n and (v >= 0) == (sign > 0 or v == 0):
-                z[abs(v)] = True
-        return z
-    if isinstance(expr, Multiples):
-        z[0] = True
-        for a in expr.moduli:
-            if a <= n:
-                z[a::a] = True
-        return z
-    if isinstance(expr, LeadingDigit):
-        lo = expr.d
-        while lo <= n:
-            hi = min(lo + lo // expr.d - 1, n)
-            z[lo: hi + 1] = True
-            lo *= expr.base
-        return z
-    if isinstance(expr, Seq):
-        if sign > 0:
-            for v in _SEQUENCES[expr.name](n):
-                z[v] = True
-        return z
-    if isinstance(expr, FiniteSet):
-        for v in expr.values:
-            if v * sign >= 0 and abs(v) <= n:
-                z[abs(v)] = True
-        return z
-    if isinstance(expr, Union):
-        return _mask_raw(expr.a, n, sign) | _mask_raw(expr.b, n, sign)
-    if isinstance(expr, Intersection):
-        return _mask_raw(expr.a, n, sign) & _mask_raw(expr.b, n, sign)
-    if isinstance(expr, Difference):
-        return _mask_raw(expr.a, n, sign) & ~_mask_raw(expr.b, n, sign)
+            return _cells_at(coeffs, lo, hi)
+        t = _univariate_preimage_bound(coeffs, max(-lo, hi))
+        return _cells_at([poly.evaluate((s,)) for s in range(-t, t + 1)], lo, hi)
+    if isinstance(expr, Coprime):  # gcd of the coordinates is 1
+        mag = np.abs(np.arange(lo, hi + 1, dtype=np.int64))
+        g = mag.reshape((side,) + (1,) * (dim - 1))
+        for i in range(1, dim):
+            g = np.gcd(g, mag.reshape((1,) * i + (side,) + (1,) * (dim - 1 - i)))
+        return g == 1
     if isinstance(expr, Complement):
-        return ~_mask_raw(expr.a, n, sign)
-    if isinstance(expr, Coprime):
-        raise DslValueError("coprime sets live in dimension >= 2")
+        out = _box_mask(expr.a, lo, hi, dim)
+        return np.logical_not(out, out=out)
+    if isinstance(expr, (Union, Intersection, Difference)):
+        out, other = _box_mask(expr.a, lo, hi, dim), _box_mask(expr.b, lo, hi, dim)
+        if isinstance(expr, Union):
+            return np.logical_or(out, other, out=out)
+        if isinstance(expr, Difference):
+            np.logical_not(other, out=other)
+        return np.logical_and(out, other, out=out)
     raise TypeError(f"unknown node {expr!r}")
 
 
-def _mask_nd(expr: SetExpr, n: int, dim: int, lo: int) -> np.ndarray:
-    """Membership over the box [lo,n]^dim as a dense boolean grid."""
-    ax = np.arange(lo, n + 1, dtype=np.int64)
-    side = len(ax)
-    mag = np.abs(ax)
+def _abs_table(expr: SetExpr, n: int) -> np.ndarray:
+    """Membership of k for k in 0..n, for the atoms that only see |k|."""
+    if isinstance(expr, KFree):
+        z = np.ones(n + 1, dtype=bool)
+        z[0] = False
+        top = int(round(n ** (1.0 / expr.k))) + 2
+        for p in _primes.primes_upto(top):
+            q = int(p) ** expr.k
+            if q <= n:
+                z[q::q] = False
+        return z
+    z = np.zeros(n + 1, dtype=bool)
+    lead = expr.d
+    while lead <= n:
+        z[lead: min(lead + lead // expr.d - 1, n) + 1] = True
+        lead *= expr.base
+    return z
 
-    def axis(i: int, arr: np.ndarray) -> np.ndarray:
-        shape = [1] * dim
-        shape[i] = side
-        return arr.reshape(shape)
 
-    if isinstance(expr, Coprime):
-        g = axis(0, mag)
-        for i in range(1, dim):
-            g = np.gcd(g, axis(i, mag))
-        return g == 1
-    if isinstance(expr, Multiples):
-        out = np.zeros((side,) * dim, dtype=bool)
-        for a in expr.moduli:
-            hit = axis(0, ax) % a == 0
-            for i in range(1, dim):
-                hit = hit & (axis(i, ax) % a == 0)
-            out |= hit
-        return out
-    if isinstance(expr, Cong):
-        hit = axis(0, ax) % expr.m0 == expr.r % expr.m0
-        for i in range(1, dim):
-            hit = hit & (axis(i, ax) % expr.m0 == expr.r % expr.m0)
-        return np.broadcast_to(hit, (side,) * dim).copy()
-    if isinstance(expr, Union):
-        return _mask_nd(expr.a, n, dim, lo) | _mask_nd(expr.b, n, dim, lo)
-    if isinstance(expr, Intersection):
-        return _mask_nd(expr.a, n, dim, lo) & _mask_nd(expr.b, n, dim, lo)
-    if isinstance(expr, Difference):
-        return _mask_nd(expr.a, n, dim, lo) & ~_mask_nd(expr.b, n, dim, lo)
-    if isinstance(expr, Complement):
-        return ~_mask_nd(expr.a, n, dim, lo)
-    raise DslValueError(f"no box enumeration for {type(expr).__name__} in dimension {dim}")
+def _cells_at(values, lo: int, hi: int) -> np.ndarray:
+    """The table over [lo, hi] set at the given values that fall inside."""
+    z = np.zeros(hi - lo + 1, dtype=bool)
+    z[[v - lo for v in values if lo <= v <= hi]] = True
+    return z
 
 
 def _interval_view(expr: SetExpr, r: int) -> list[tuple[int, int]] | None:

@@ -178,6 +178,23 @@ def test_sn_limit_factorial_divergence():
     assert table[7] == (4, "diverging")
 
 
+def test_sn_limit_named_sequences():
+    # primorials p_1 * ... * p_k: every prime up to 7 divides from its own
+    # term on, once
+    payload = run_json("sn", "limit", "--seq", "primorial", "--terms", "6", "--pmax", "7",
+                       "--window", "3")
+    assert payload["profile"]["7"] == {"last_valuation": 1, "status": "stabilized",
+                                       "trajectory_tail": [1, 1, 1]}
+    # k! + k for k = 1..5 is 2, 4, 9, 28, 125
+    payload = run_json("sn", "limit", "--seq", "factorial_shift", "--terms", "5", "--pmax", "5",
+                       "--window", "5")
+    assert payload["profile"]["2"]["trajectory_tail"] == [1, 2, 0, 2, 0]
+    assert payload["profile"]["5"]["trajectory_tail"] == [0, 0, 0, 0, 3]
+    proc = run_cli("sn", "limit", "--seq", "factorials", expect=2)
+    assert proc.stderr == ("usage: unknown sequence 'factorials'; "
+                           "choose from factorial, factorial_shift, primorial\n")
+
+
 def test_sn_parse_error_is_usage():
     run_cli("sn", "rho", "0", expect=2)
 

@@ -238,7 +238,7 @@ def test_symmetric_mode_matches_membership(text):
     r = 300
     box = [x for x in range(-r, r + 1) if cs.contains(x)]
     assert cs.members_in_box(r) == box
-    assert (np.nonzero(cs.mask_symmetric(r))[0] - r).tolist() == box
+    assert (np.nonzero(cs.box(r)[1])[0] - r).tolist() == box
     assert density_alpha(cs, 0.0, [r]).values == (len(box) / (2 * r + 1),)
     weight = math.fsum(abs(x) ** -0.5 for x in box if x)
     whole = 2 * math.fsum(k ** -0.5 for k in range(1, r + 1))

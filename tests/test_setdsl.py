@@ -183,6 +183,30 @@ def test_dim2_box_example():
     sym = set(compile_set("coprime(2)").members_in_box(3))
     oracle_sym = {(a, b) for a in range(-3, 4) for b in range(-3, 4) if math.gcd(a, b) == 1}
     assert sym == oracle_sym
+    # dim-2/3 boxes under combinators, positive [1, 7]^n and symmetric [-4, 4]^n
+    cases = [
+        ("coprime(2) | multiples(4,6)", 2,
+         lambda p: math.gcd(*p) == 1 or all(c % 4 == 0 for c in p) or all(c % 6 == 0 for c in p)),
+        ("!multiples(2) & !coprime(3)", 3,
+         lambda p: math.gcd(*p) != 1 and any(c % 2 for c in p)),
+        ("coprime(3) \\ multiples(5)", 3, lambda p: math.gcd(*p) == 1),
+    ]
+    for text, dim, pred in cases:
+        for positive, n in ((True, 7), (False, 4)):
+            cs = compile_set(text, positive_only=positive)
+            lo = 1 if positive else -n
+            oracle = [p for p in product(range(lo, n + 1), repeat=dim) if pred(p)]
+            assert cs.dim == dim and cs.members_in_box(n) == oracle, (text, positive)
+
+
+def test_symmetric_box_budget_counts_every_cell():
+    # [-100, 100] allocates 201 cells, over a budget of 150
+    cs = compile_set("kfree(2)", positive_only=False, box_budget=150)
+    with pytest.raises(BudgetExceeded):
+        cs.members_in_box(100)
+    assert cs.box(74)[1].size == 149
+    with pytest.raises(BudgetExceeded):
+        compile_set("coprime(2)", box_budget=80).members_in_box(4)  # 9^2 cells
 
 
 # ---------------------------------------------------------------- images
@@ -313,6 +337,11 @@ def test_mask_agrees_with_contains(text, n):
     mask = cs.mask_upto(n)
     for x in range(1, n + 1):
         assert bool(mask[x]) == (x in cs), (text, x)
+    # the symmetric box [-n, n]: cell i holds i - n
+    lo, table = compile_set(text, positive_only=False).box(n)
+    assert lo == -n and table.shape == (2 * n + 1,)
+    for x in range(-n, n + 1):
+        assert bool(table[x + n]) == (x in cs), (text, x)
 
 
 @settings(max_examples=30, deadline=None)

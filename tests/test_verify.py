@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from zhat import setdsl
 from zhat.measure import ModulusChain
 from zhat.setdsl import DslValueError, compile_set
 from zhat.verify import (
@@ -75,6 +76,20 @@ def test_de_primes_have_divergent_tail():
     lo, hi = rep.quantities["limit_bracket"]
     assert lo == 0.0
     assert any("DIVERGENT-TAIL" in line for line in rep.narrative)
+
+
+def test_de_exhausted_log_budget_is_inconclusive(monkeypatch):
+    # the logarithmic estimate at r = 10^65 needs all 2^11 lcms of the
+    # family; the exact parts factor into groups of one modulus each
+    monkeypatch.setattr(setdsl, "IE_TERM_BUDGET", 64)
+    rep = davenport_erdos(prime_power_family(2, 31), r_max=100, tail_exponent=2)
+    assert rep.verdict == "INCONCLUSIVE"
+    assert rep.quantities["log_estimate"] is None
+    assert rep.quantities["delta_at_1"] == math.prod(1 - Fraction(1, p * p) for p in
+                                                     (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+    assert any("logarithmic estimate skipped" in line and "64 distinct lcm terms" in line
+               for line in rep.narrative)
+    json.dumps(rep.to_json())
 
 
 def test_de_rejects_empty_family():
