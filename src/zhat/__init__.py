@@ -47,6 +47,7 @@ from .measure import (
     euler_product,
     haar_ideal,
     multiples_measure_ie,
+    multiples_measure_prefixes,
     zeta_bracket,
 )
 from .analytic import (
@@ -103,7 +104,7 @@ __all__ = [
     "register_sequence", "registered_sequences", "to_text",
     "Bracket", "ChainError", "LevelMeasure", "MeasureTrace", "ModulusChain",
     "closure_measure_trace", "euler_product", "haar_ideal",
-    "multiples_measure_ie", "zeta_bracket",
+    "multiples_measure_ie", "multiples_measure_prefixes", "zeta_bracket",
     "FAIL", "INCONCLUSIVE", "PASS", "DirichletTruncation",
     "de_delta_bracket", "de_delta_exact", "de_delta_table", "delta_ratio",
     "dlog_zeta_check", "vm_identity_check", "vm_identity_scan",

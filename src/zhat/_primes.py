@@ -11,16 +11,21 @@ from typing import Iterator
 
 import numpy as np
 
+# primes below this divide out by trial; a cofactor without such a factor
+# that is below its square is prime
+_TRIAL_BOUND = 1 << 10
+
 _SIEVE_BOUND = 0
 _IS_PRIME: np.ndarray = np.zeros(1, dtype=bool)
 _PRIMES: np.ndarray = np.zeros(0, dtype=np.int64)
+_SMALL_PRIMES: list[int] = []
 
 
 def _ensure_sieve(n: int) -> None:
-    global _SIEVE_BOUND, _IS_PRIME, _PRIMES
+    global _SIEVE_BOUND, _IS_PRIME, _PRIMES, _SMALL_PRIMES
     if n <= _SIEVE_BOUND:
         return
-    n = max(n, 2 * _SIEVE_BOUND, 1 << 10)
+    n = max(n, 2 * _SIEVE_BOUND, _TRIAL_BOUND)
     mask = np.ones(n + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, math.isqrt(n) + 1):
@@ -28,6 +33,7 @@ def _ensure_sieve(n: int) -> None:
             mask[p * p :: p] = False
     _IS_PRIME = mask
     _PRIMES = np.nonzero(mask)[0].astype(np.int64)
+    _SMALL_PRIMES = _PRIMES[_PRIMES < _TRIAL_BOUND].tolist()
     _SIEVE_BOUND = n
 
 
@@ -45,39 +51,140 @@ def prime_mask_upto(n: int) -> np.ndarray:
     return _IS_PRIME[: n + 1].copy()
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n <= _SIEVE_BOUND:
-        return bool(_IS_PRIME[n])
-    r = math.isqrt(n)
-    _ensure_sieve(min(max(r, 2), 1 << 22))
-    for p in _PRIMES:
-        p = int(p)
-        if p > r:
-            return True
-        if n % p == 0:
+# Sorenson and Webster (2015): no composite below 3317044064679887385961981
+# (3.317 * 10^24) passes the strong test to all of these bases
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# most Pollard-Brent iterations one factorization may spend (2-2.5 s
+# on a 2-vCPU Xeon); rho takes about sqrt(p) iterations to split off the
+# prime p, so this reaches prime factors up to about 2^40
+RHO_BUDGET = 1 << 22
+
+
+def _trial_primes() -> list[int]:
+    _ensure_sieve(_TRIAL_BOUND)
+    return _SMALL_PRIMES
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Strong (Miller-Rabin) test of the odd n > 41 to every base in
+    _MR_BASES."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-    # sieve capped out; finish by trial division
-    q = int(_PRIMES[-1]) + 2
-    while q <= r:
-        if n % q == 0:
-            return False
-        q += 2
     return True
 
 
+def is_prime(n: int) -> bool:
+    """Primality of n: a table lookup inside the shared sieve, trial
+    division by the primes below 2^10, then the strong test to the bases
+    2..41, which is a proof below 3.317 * 10^24 (Sorenson-Webster). Above
+    that bound True means n is a strong probable prime to those bases."""
+    if n < 2:
+        return False
+    small = _trial_primes()
+    if n <= _SIEVE_BOUND:
+        return bool(_IS_PRIME[n])
+    for p in small:
+        if n % p == 0:
+            return False
+    return n < _TRIAL_BOUND**2 or _strong_probable_prime(n)
+
+
+def _iroot(x: int, k: int) -> int:
+    """floor(x ** (1/k)) for nonnegative integers. Even parts of k peel off
+    as integer square roots (iterated floor-sqrt is the floor of the
+    iterated root); any odd remainder falls back to Newton iteration."""
+    if x < 0:
+        raise ValueError("negative radicand")
+    if x == 0:
+        return 0
+    while k % 2 == 0:
+        x = math.isqrt(x)
+        k //= 2
+    if k == 1:
+        return x
+    r = 1 << ((x.bit_length() + k - 1) // k)
+    while True:
+        nr = ((k - 1) * r + x // r ** (k - 1)) // k
+        if nr >= r:
+            return r
+        r = nr
+
+
+def _perfect_power(k: int) -> tuple[int, int] | None:
+    """(b, j) with k = b^j for a prime j, when k is such a power; k has no
+    prime factor below _TRIAL_BOUND, so b >= _TRIAL_BOUND and only
+    exponents j <= log2(k) / 10 need a look. Pollard's rho would find b
+    only after about sqrt(b) steps."""
+    for j in _SMALL_PRIMES:
+        if 10 * j > k.bit_length():
+            return None
+        b = _iroot(k, j)
+        if b**j == k:
+            return b, j
+    return None
+
+
+def _brent(n: int, c: int, steps: int) -> tuple[int, int]:
+    """Brent's cycle search (1980) for Pollard's rho on x -> x^2 + c mod
+    the odd composite n: a divisor of n (n itself when this c fails) and
+    the iteration count so far. Differences are multiplied up in batches
+    so that one gcd serves many steps; an overshooting batch is replayed
+    one step at a time."""
+    y, r, q, g = 2, 1, 1, 1
+    batch = 128
+    while g == 1:
+        # a round costs 2r iterations: r to move x, r to compare
+        if steps + 2 * r > RHO_BUDGET:
+            from .setdsl import BudgetExceeded  # setdsl imports this module
+
+            raise BudgetExceeded(
+                f"factorization of a {n.bit_length()}-bit cofactor needs more than "
+                f"{RHO_BUDGET} Pollard-Brent iterations"
+            )
+        steps += 2 * r
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(batch, r - k)):
+                y = (y * y + c) % n
+                q = q * abs(x - y) % n
+            g = math.gcd(q, n)
+            k += batch
+        r *= 2
+    if g == n:
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = math.gcd(abs(x - ys), n)
+    return g, steps
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}; n must be nonzero."""
+    """Prime factorization of |n| as {prime: exponent}; n must be nonzero.
+    Trial division by the primes below 2^10, then Pollard-Brent on what
+    is left, with the strong test of is_prime deciding when a part is
+    prime; more than RHO_BUDGET iterations raise BudgetExceeded."""
     if n == 0:
         raise ValueError("cannot factorize 0")
     n = abs(n)
     out: dict[int, int] = {}
-    if n == 1:
-        return out
-    _ensure_sieve(min(max(math.isqrt(n), 2), 1 << 22))
-    for p in _PRIMES:
-        p = int(p)
+    for p in _trial_primes():
         if p * p > n:
             break
         if n % p == 0:
@@ -86,19 +193,22 @@ def factorize(n: int) -> dict[int, int]:
                 n //= p
                 e += 1
             out[p] = e
-    if n > 1:
-        if p * p <= n:  # sieve exhausted before sqrt; rare, finish by hand
-            q = int(_PRIMES[-1]) + 2
-            while q * q <= n:
-                if n % q == 0:
-                    e = 0
-                    while n % q == 0:
-                        n //= q
-                        e += 1
-                    out[q] = e
-                q += 2
-        if n > 1:
-            out[n] = out.get(n, 0) + 1
+    parts, steps = ([n] if n > 1 else []), 0
+    while parts:
+        k = parts.pop()
+        if k < _TRIAL_BOUND**2 or _strong_probable_prime(k):
+            out[k] = out.get(k, 0) + 1
+            continue
+        power = _perfect_power(k)
+        if power is not None:
+            b, j = power
+            parts += [b] * j
+            continue
+        c, d = 0, k
+        while d == k:
+            c += 1
+            d, steps = _brent(k, c, steps)
+        parts += [d, k // d]
     return dict(sorted(out.items()))
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _primes
+from ._primes import _iroot
 from .measure import Bracket, multiples_measure_ie, zeta_bracket
 from .setdsl import CompiledSet, DslValueError, _ie_coefficients, _ie_components
 
@@ -103,37 +104,38 @@ def vm_identity_check(n: int, tol: float) -> bool:
 
 
 def vm_identity_scan(n_max: int, tol: float) -> bool:
-    """The divisor-sum identity over all 1 <= n <= n_max, via a smallest
-    prime factor table instead of per-n divisor enumeration."""
+    """The divisor-sum identity over all 1 <= n <= n_max: with p the
+    smallest prime factor of n, the sum of Lambda(d) over d | n is
+    total(n) = total(n / p) + log p. Each n in [lo, 2 lo) depends on
+    n / p <= n / 2 < lo only, so doubling blocks fill the table in about
+    log2(n_max) array steps."""
+    if n_max < 2:
+        return True
     spf = _primes.smallest_factor_table(n_max)
-    logs = np.log(np.arange(0, n_max + 1, dtype=np.float64), where=np.arange(n_max + 1) > 0,
-                  out=np.zeros(n_max + 1))
-    worst = 0.0
-    for n in range(2, n_max + 1):
-        total = 0.0
-        m = n
-        while m > 1:
-            p = int(spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            total += e * math.log(p)
-        worst = max(worst, abs(logs[n] - total))
-        if worst >= tol:
-            return False
-    return True
+    lam = _von_mangoldt_table(n_max)  # log p at every prime p
+    total = np.zeros(n_max + 1)
+    lo = 2
+    while lo <= n_max:
+        hi = min(2 * lo, n_max + 1)
+        p = spf[lo:hi]
+        total[lo:hi] = total[np.arange(lo, hi) // p] + lam[p]
+        lo = hi
+    logs = np.log(np.arange(2, n_max + 1, dtype=np.float64))
+    worst = float(np.max(np.abs(logs - total[2:])))
+    return not worst >= tol
 
 
 def _von_mangoldt_table(n: int) -> np.ndarray:
+    """Lambda(k) for 0 <= k <= n: every prime power q = p^j <= n gets
+    log p, one array round per exponent j."""
     lam = np.zeros(n + 1, dtype=np.float64)
-    for p in _primes.primes_upto(n):
-        p = int(p)
-        q = p
-        lp = math.log(p)
-        while q <= n:
-            lam[q] = lp
-            q *= p
+    p = _primes.primes_upto(n)
+    log_p = np.array(list(map(math.log, p.tolist())))
+    q = p
+    while q.size:
+        lam[q] = log_p
+        keep = q <= n // p  # q * p <= n
+        p, log_p, q = p[keep], log_p[keep], q[keep] * p[keep]
     return lam
 
 
@@ -167,13 +169,17 @@ def dlog_zeta_check(s: float, cutoff: int, tol: float) -> DlogReport:
         raise DslValueError("logarithmic-derivative check needs s > 1.2")
     if cutoff < 10**4:
         raise DslValueError("cutoff must be at least 10^4")
+    # in place: each array holds one float per integer up to the cutoff
     ns = np.arange(1, cutoff + 1, dtype=np.float64)
     weights = ns ** (-float(s))
     den = float(weights.sum())
-    num = float((np.log(ns) * weights).sum())
-    ratio_side = num / den
+    np.log(ns, out=ns)
+    ns *= weights
+    ratio_side = float(ns.sum()) / den
+    del ns
     lam = _von_mangoldt_table(cutoff)
-    series_side = float((lam[1:] * weights).sum())
+    lam[1:] *= weights
+    series_side = float(lam[1:].sum())
     # integral comparison: sum_{n>N} log(n)/n^s <= N^(1-s)(log N/(s-1)+1/(s-1)^2)
     tail_log = cutoff ** (1.0 - s) * (math.log(cutoff) / (s - 1.0) + (s - 1.0) ** -2)
     tail_plain = cutoff ** (1.0 - s) / (s - 1.0)
@@ -208,27 +214,6 @@ def de_delta_exact(moduli, s) -> "Fraction | float":
         math.fsum(c * l**-sf for l, c in _ie_coefficients(group).items())
         for group in _ie_components(mods)
     )
-
-
-def _iroot(x: int, k: int) -> int:
-    """floor(x ** (1/k)) for nonnegative integers. Even parts of k peel off
-    as integer square roots (iterated floor-sqrt is the floor of the
-    iterated root); any odd remainder falls back to Newton iteration."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x == 0:
-        return 0
-    while k % 2 == 0:
-        x = math.isqrt(x)
-        k //= 2
-    if k == 1:
-        return x
-    r = 1 << ((x.bit_length() + k - 1) // k)
-    while True:
-        nr = ((k - 1) * r + x // r ** (k - 1)) // k
-        if nr >= r:
-            return r
-        r = nr
 
 
 def de_delta_bracket(moduli, s: Fraction, digits: int = 30) -> tuple[Fraction, Fraction]:

@@ -167,8 +167,6 @@ def _ie_weight(kind: str, mods, r: int, alpha: float) -> int | float:
 
 
 def _weight_sum(idx: np.ndarray, alpha: float) -> float:
-    if alpha == 0.0:
-        return float(idx.size)
     total = 0.0
     for start in range(0, idx.size, 10**6):
         chunk = idx[start: start + 10**6].astype(np.float64)
@@ -177,8 +175,6 @@ def _weight_sum(idx: np.ndarray, alpha: float) -> float:
 
 
 def _range_weight_sum(r: int, alpha: float) -> float:
-    if alpha == 0.0:
-        return float(r)
     total = 0.0
     for start in range(1, r + 1, 10**6):
         chunk = np.arange(start, min(start + 10**6, r + 1), dtype=np.float64)
@@ -188,6 +184,8 @@ def _range_weight_sum(r: int, alpha: float) -> float:
 
 def _alpha_ratio_mask(cset: CompiledSet, alpha: float, r: int) -> float:
     lo, table = cset.box(r)
+    if alpha == 0.0:  # a count: no member index needed
+        return float(np.count_nonzero(table)) / float(table.size)
     if lo == 1:
         idx = np.flatnonzero(table)
         del table  # the weight sums need idx only
@@ -199,12 +197,7 @@ def _alpha_ratio_mask(cset: CompiledSet, alpha: float, r: int) -> float:
     idx = np.nonzero(table[r + 1:])[0] + 1
     nidx = np.nonzero(table[:r][::-1])[0] + 1
     num = _weight_sum(idx, alpha) + _weight_sum(nidx, alpha)
-    den = 2.0 * _range_weight_sum(r, alpha)
-    if alpha == 0.0:
-        den += 1.0
-        if table[r]:
-            num += 1.0
-    return num / den
+    return num / (2.0 * _range_weight_sum(r, alpha))
 
 
 def _log_weight_numerator(cset: CompiledSet, r: int) -> float:

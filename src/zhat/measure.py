@@ -26,6 +26,7 @@ from .setdsl import (
     CompiledSet,
     DslValueError,
     _ie_measure,
+    _ie_prefix_measures,
 )
 
 # widen float-evaluated brackets so rounding in long sums and products cannot
@@ -224,16 +225,28 @@ def closure_measure_trace(cset: CompiledSet, chain: ModulusChain, cutoff: int,
     return MeasureTrace(chain, cset.dim, tuple(records), cset.mode, tuple(notes))
 
 
-def multiples_measure_ie(moduli, dim: int = 1) -> Fraction:
-    """Exact measure of the closure of the complement of a finite union of
-    multiple-sets, by inclusion-exclusion: sum over subsets J of
-    (-1)^|J| / lcm(J)^dim, the empty subset contributing 1."""
+def _positive_moduli(moduli) -> tuple[int, ...]:
     mods = tuple(moduli)
     if not mods:
         raise DslValueError("need at least one modulus")
     if any(a < 1 for a in mods):
         raise DslValueError("moduli must be positive")
-    return _ie_measure(mods, dim)
+    return mods
+
+
+def multiples_measure_ie(moduli, dim: int = 1) -> Fraction:
+    """Exact measure of the closure of the complement of a finite union of
+    multiple-sets, by inclusion-exclusion: sum over subsets J of
+    (-1)^|J| / lcm(J)^dim, the empty subset contributing 1."""
+    return _ie_measure(_positive_moduli(moduli), dim)
+
+
+def multiples_measure_prefixes(moduli, dim: int = 1) -> list[Fraction]:
+    """multiples_measure_ie of moduli[:1], moduli[:2], ..., built one
+    coprime-group update per modulus instead of one kernel call each."""
+    prefixes = _ie_prefix_measures(_positive_moduli(moduli), dim)
+    next(prefixes)  # the empty family
+    return [Fraction(num, den) for num, den in prefixes]
 
 
 def euler_product(local_factor: str, prime_cutoff: int, tail_exponent: int | None = None) -> Bracket:

@@ -1137,23 +1137,31 @@ def _ie_coefficients(moduli, bound: int | None = None) -> dict[int, int]:
     later multiples would exceed it too."""
     coeffs = {1: 1}
     for a in moduli:
-        nxt = dict(coeffs)
-        for l, c in coeffs.items():
-            k = math.lcm(l, a)
-            if bound is not None and k > bound:
-                continue
-            v = nxt.get(k, 0) - c
-            if v:
-                nxt[k] = v
-            else:
-                del nxt[k]
-        coeffs = nxt
-        if len(coeffs) > IE_TERM_BUDGET:
-            raise BudgetExceeded(
-                f"inclusion-exclusion over {len(moduli)} moduli needs more than "
-                f"{IE_TERM_BUDGET} distinct lcm terms"
-            )
+        coeffs = _ie_fold(coeffs, a, bound, len(moduli))
     return coeffs
+
+
+def _ie_fold(coeffs: dict[int, int], a: int, bound: int | None, family_size: int) -> dict[int, int]:
+    """The coefficients with one more modulus a: each term l gains the
+    term lcm(l, a) with the opposite sign. Raises BudgetExceeded as soon
+    as the new dict holds more than IE_TERM_BUDGET terms; family_size only
+    goes into the message."""
+    nxt = dict(coeffs)
+    for l, c in coeffs.items():
+        k = math.lcm(l, a)
+        if bound is not None and k > bound:
+            continue
+        v = nxt.get(k, 0) - c
+        if v:
+            nxt[k] = v
+            if len(nxt) > IE_TERM_BUDGET:
+                raise BudgetExceeded(
+                    f"inclusion-exclusion over {family_size} moduli needs more than "
+                    f"{IE_TERM_BUDGET} distinct lcm terms"
+                )
+        else:
+            del nxt[k]
+    return nxt
 
 
 def _ie_components(moduli) -> list[list[int]]:
@@ -1176,13 +1184,38 @@ def _ie_measure(moduli, dim: int = 1) -> Fraction:
     """Sum over subsets J of the moduli of (-1)^|J| / lcm(J)^dim: the Haar
     measure of the closure of the integers (in dimension dim) that are
     multiples of none of them. Exact, one factor per coprime group."""
-    num, den = 1, 1
-    for group in _ie_components(moduli):
-        coeffs = _ie_coefficients(group)
-        top = math.lcm(*coeffs)
-        num *= sum(c * (top // l) ** dim for l, c in coeffs.items())
-        den *= top**dim
+    *_, (num, den) = _ie_prefix_measures(moduli, dim)
     return Fraction(num, den)
+
+
+def _ie_prefix_measures(moduli, dim: int = 1) -> Iterator[tuple[int, int]]:
+    """(numerator, denominator) of _ie_measure for every prefix of the
+    moduli, the empty one first, at one group update per modulus: the new
+    modulus merges the coprime groups it shares a prime with, the largest
+    merged coefficient dict takes the other moduli by folding, and the
+    running product swaps the merged groups' factors for the new one. A
+    factor is zero only for the group of the modulus 1, which never
+    merges, so the exact divisions never meet a zero."""
+    groups: list[tuple[int, list[int], dict[int, int], int]] = []  # (lcm, moduli, coefficients, numerator)
+    num, den = 1, 1
+    yield num, den
+    for a in moduli:
+        merged = sorted((g for g in groups if math.gcd(g[0], a) > 1), key=lambda g: -len(g[2]))
+        merged = merged or [(1, [], {1: 1}, 1)]  # the empty group
+        groups = [g for g in groups if math.gcd(g[0], a) == 1]
+        members = [b for g in merged for b in g[1]] + [a]
+        coeffs = merged[0][2]
+        for b in members[len(merged[0][1]):]:
+            coeffs = _ie_fold(coeffs, b, None, len(members))
+        for top, _, _, g_num in merged:
+            num //= g_num
+            den //= top**dim
+        top = math.lcm(a, *(g[0] for g in merged))
+        g_num = sum(c * (top // l) ** dim for l, c in coeffs.items())
+        groups.append((top, members, coeffs, g_num))
+        num *= g_num
+        den *= top**dim
+        yield num, den
 
 
 def _exact_count(expr: SetExpr, m: int, dim: int, budget: int) -> int | None:

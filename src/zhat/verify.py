@@ -26,7 +26,13 @@ from .analytic import (
     de_delta_exact,
 )
 from .density import density_alpha
-from .measure import Bracket, ModulusChain, euler_product, multiples_measure_ie
+from .measure import (
+    Bracket,
+    ModulusChain,
+    euler_product,
+    multiples_measure_ie,
+    multiples_measure_prefixes,
+)
 from .setdsl import (
     EXACT,
     BudgetExceeded,
@@ -108,7 +114,7 @@ def davenport_erdos(moduli, s_grid=None, r_max: int = 10**7, tol: float = 5e-3,
     narrative = []
     quantities: dict = {}
 
-    prefix = [multiples_measure_ie(mods[: i + 1]) for i in range(len(mods))]
+    prefix = multiples_measure_prefixes(mods)
     nonincreasing = all(a >= b for a, b in zip(prefix, prefix[1:]))
     quantities["measure_prefix"] = prefix
     narrative.append(
@@ -205,12 +211,11 @@ def dirichlet_coverage(m_max: int, prime_bound: int) -> VerificationReport:
     missing: list[tuple[int, int]] = []
     extra: list[tuple[int, int]] = []
     for m in range(2, m_max + 1):
-        observed = set(np.unique(ps % m).tolist())
-        ar = np.arange(m, dtype=np.int64)
-        expected = set(np.nonzero(np.gcd(ar, m) == 1)[0].tolist())
-        expected.update(p % m for p in _primes.factorize(m))
-        missing.extend((m, c) for c in sorted(expected - observed))
-        extra.extend((m, c) for c in sorted(observed - expected))
+        hit = np.bincount(ps % m, minlength=m) > 0
+        expected = np.gcd(np.arange(m), m) == 1
+        expected[[p % m for p in _primes.factorize(m)]] = True
+        missing.extend((m, int(c)) for c in np.flatnonzero(expected & ~hit))
+        extra.extend((m, int(c)) for c in np.flatnonzero(hit & ~expected))
     narrative = [f"checked all moduli up to {m_max} against primes up to {prime_bound}"]
     quantities = {"missing": missing[:20], "missing_count": len(missing)}
     if extra:

@@ -4,13 +4,16 @@ certified inclusion-exclusion values."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zhat import _primes
 from zhat.analytic import (
     DirichletTruncation,
     _iroot,
+    _von_mangoldt_table,
     de_delta_bracket,
     de_delta_exact,
     de_delta_table,
@@ -64,6 +67,50 @@ def test_vm_identity_scan_oracle_small():
                 acc[m] += w
     worst = max(abs(acc[n] - math.log(n)) for n in range(1, n_max + 1))
     assert worst < 1e-10
+
+
+def per_n_scan(n_max, tol):
+    """The scan as a per-n loop: strip the smallest prime factor of n one
+    prime at a time, adding e * log p."""
+    spf = _primes.smallest_factor_table(n_max)
+    logs = np.log(np.arange(0, n_max + 1, dtype=np.float64), where=np.arange(n_max + 1) > 0,
+                  out=np.zeros(n_max + 1))
+    worst = 0.0
+    for n in range(2, n_max + 1):
+        total = 0.0
+        m = n
+        while m > 1:
+            p = int(spf[m])
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            total += e * math.log(p)
+        worst = max(worst, abs(logs[n] - total))
+        if worst >= tol:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 64, 10**4])
+@pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-30, 0.0])
+def test_vm_identity_scan_matches_per_n_loop(n_max, tol):
+    assert vm_identity_scan(n_max, tol) == per_n_scan(n_max, tol)
+
+
+def test_vm_identity_scan_fails_below_rounding():
+    # for some n <= 10^4 rounding parts log n from the sum of its prime
+    # logs, so a tolerance below float rounding must report a failure
+    assert not vm_identity_scan(10**4, 1e-30)
+    assert not vm_identity_scan(10**4, 0.0)
+    assert vm_identity_scan(10**4, 1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 3125, 10**4])  # prime powers end some tables
+def test_von_mangoldt_table_matches_pointwise(n):
+    lam = _von_mangoldt_table(n)
+    assert lam.shape == (n + 1,) and lam[0] == 0.0
+    assert lam[1:].tolist() == [von_mangoldt(k) for k in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ import json
 import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
+
+from zhat import _primes, cli
 
 CLI = [sys.executable, "-m", "zhat.cli"]
 
@@ -164,6 +167,28 @@ def test_sn_mul():
 def test_sn_rho_negative_argument():
     payload = run_json("sn", "rho", "-12")
     assert payload["result"] == "2^2*3"
+
+
+def test_sn_rho_large_prime_is_quick():
+    # a 31-digit prime: Miller-Rabin, where trial division would not finish
+    n = "1000000000000000000000000000057"
+    start = time.perf_counter()
+    payload = run_json("sn", "rho", n)
+    assert payload["result"] == n
+    assert time.perf_counter() - start < 3.0  # interpreter start-up included
+
+
+def test_sn_mul_accepts_a_large_prime_literal():
+    payload = run_json("sn", "mul", "2305843009213693951", "3")
+    assert payload["result"] == "3*2305843009213693951"
+
+
+def test_exhausted_rho_budget_is_inconclusive(monkeypatch, capsys):
+    monkeypatch.setattr(_primes, "RHO_BUDGET", 64)
+    assert cli.main(["sn", "rho", str(33554383 * 33554393)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("inconclusive: ") and "Pollard-Brent" in err
 
 
 def test_sn_limit_factorial_divergence():

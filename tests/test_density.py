@@ -72,6 +72,17 @@ def test_alpha0_squarefree_tracks_direct_sieve():
     assert rep.values[-1] == pytest.approx(6.0 / math.pi**2, abs=2e-3)
 
 
+@pytest.mark.parametrize("positive_only", [True, False])
+def test_alpha0_mask_count_matches_membership(positive_only):
+    # neither an interval nor a multiple-set view: the mask count path
+    cset = compile_set("kfree(2) \\ primes", positive_only=positive_only)
+    grid = [1, 7, 100, 999]
+    rep = density_alpha(cset, 0.0, grid)
+    for r, val in zip(grid, rep.values):
+        box = range(1, r + 1) if positive_only else range(-r, r + 1)
+        assert val == sum(1 for k in box if cset.contains(k)) / len(box)
+
+
 def test_alpha0_periodic_is_exact_at_multiple_radii():
     cset = compile_set("cong(2,5)")
     rep = density_alpha(cset, 0.0, [10**4])

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from zhat import setdsl
 from zhat.analytic import de_delta_bracket, de_delta_exact
 from zhat.density import _ie_weight, harmonic
-from zhat.measure import multiples_measure_ie
+from zhat.measure import multiples_measure_ie, multiples_measure_prefixes
 from zhat.setdsl import BudgetExceeded, _ie_coefficients, _ie_components
 
 
@@ -115,3 +115,38 @@ def test_term_budget_raises(monkeypatch):
     assert len(_ie_coefficients(primes, bound=100)) < 64
     # coprime groups each stay small, so the factored measure is unaffected
     assert multiples_measure_ie(primes) == math.prod(Fraction(p - 1, p) for p in primes)
+
+
+def test_term_budget_stops_inside_the_fold(monkeypatch):
+    monkeypatch.setattr(setdsl, "IE_TERM_BUDGET", 64)
+    primes = [2, 3, 5, 7, 11, 13, 17, 19]  # the seventh prime would double 64 terms
+    with pytest.raises(BudgetExceeded) as exc:
+        _ie_coefficients(primes)
+    assert str(exc.value) == "inclusion-exclusion over 8 moduli needs more than 64 distinct lcm terms"
+    sizes = [len(e.frame.f_locals["nxt"]) for e in exc.traceback
+             if e.frame.code.name == "_ie_fold"]
+    assert sizes == [64 + 1]
+
+
+@settings(max_examples=120, deadline=None)
+@given(families, st.sampled_from([1, 2]))
+def test_prefix_measures_match_per_prefix_calls(mods, dim):
+    prefixes = [mods[: i + 1] for i in range(len(mods))]
+    got = multiples_measure_prefixes(mods, dim)
+    assert got == [multiples_measure_ie(pre, dim) for pre in prefixes]
+    assert got == [sum(Fraction(sign, lcm**dim) for sign, lcm in subset_terms(pre))
+                   for pre in prefixes]
+
+
+def test_prefix_measures_of_prime_squares():
+    ps = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+    mods = [p * p for p in ps]
+    want, acc = [], Fraction(1)
+    for p in ps:
+        acc *= 1 - Fraction(1, p * p)
+        want.append(acc)
+    assert multiples_measure_prefixes(mods) == want
+    with pytest.raises(ValueError):
+        multiples_measure_prefixes([])
+    with pytest.raises(ValueError):
+        multiples_measure_prefixes([4, 0])

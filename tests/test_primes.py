@@ -1,8 +1,20 @@
-"""The shared sieve tables against factorization."""
+"""The shared sieve tables, primality and factorization.
+
+Below 2 * 10^5 the sieve is the oracle. Past the sieve, is_prime is the
+strong test to the bases 2..41 and factorize splits cofactors by
+Pollard-Brent; products of known primes and known strong pseudoprimes
+check those paths.
+"""
+
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zhat._primes import factorize, smallest_factor_table
+from zhat import _primes
+from zhat._primes import factorize, is_prime, prime_mask_upto, smallest_factor_table
+from zhat.setdsl import BudgetExceeded
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 10**4])
@@ -11,3 +23,63 @@ def test_smallest_factor_table_matches_factorize(n):
     assert spf.shape == (n + 1,)
     assert spf[:2].tolist() == [0] * min(n + 1, 2)
     assert [int(spf[k]) for k in range(2, n + 1)] == [min(factorize(k)) for k in range(2, n + 1)]
+
+
+SIEVE_N = 2 * 10**5
+
+
+def test_is_prime_and_factorize_match_the_sieve():
+    mask = prime_mask_upto(SIEVE_N)
+    assert [k for k in range(-3, SIEVE_N + 1) if is_prime(k)] == mask.nonzero()[0].tolist()
+    for k in range(1, SIEVE_N + 1):
+        fac = factorize(k)
+        assert list(fac) == sorted(fac) and all(mask[p] for p in fac), k
+        assert math.prod(p**e for p, e in fac.items()) == k
+        assert factorize(-k) == fac
+
+
+def test_factorize_rejects_zero():
+    with pytest.raises(ValueError):
+        factorize(0)
+
+
+# primes on both sides of the old 2^22 sieve cap and of 2^32
+KNOWN_PRIMES = [2, 3, 1031, 65537, 4194301, 4194319, 33554383, 33554393,
+                4294967291, 4294967311, 1000000007, 2**31 - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(KNOWN_PRIMES), st.integers(1, 3), min_size=1, max_size=4))
+def test_factorize_recovers_products_of_primes(exps):
+    n = math.prod(p**e for p, e in exps.items())
+    assert factorize(n) == dict(sorted(exps.items()))
+    assert is_prime(n) == (sum(exps.values()) == 1)
+
+
+@pytest.mark.parametrize("n, factors", [
+    (3215031751, {151: 1, 751: 1, 28351: 1}),  # strong pseudoprime to 2, 3, 5, 7
+    (3825123056546413051, {149491: 1, 747451: 1, 34233211: 1}),  # to the bases 2..23
+])
+def test_strong_pseudoprimes_are_composite(n, factors):
+    assert not is_prime(n)
+    assert factorize(n) == factors
+
+
+def test_large_primes_and_prime_powers():
+    is_prime(2)
+    sieve_bound = _primes._SIEVE_BOUND
+    m61 = 2**61 - 1
+    assert is_prime(m61)
+    assert factorize(m61) == {m61: 1}
+    assert factorize(m61**3 * 9) == {3: 2, m61: 3}
+    assert factorize(m61 * (2**31 - 1)) == {2**31 - 1: 1, m61: 1}
+    assert is_prime(2**89 - 1) and not is_prime(2**89 + 1)
+    # none of this grows the shared sieve
+    assert _primes._SIEVE_BOUND == sieve_bound
+
+
+def test_rho_budget_raises(monkeypatch):
+    monkeypatch.setattr(_primes, "RHO_BUDGET", 64)
+    with pytest.raises(BudgetExceeded, match="more than 64 Pollard-Brent iterations"):
+        factorize(33554383 * 33554393)
+    assert factorize(33554383 * 101) == {101: 1, 33554383: 1}  # trial division only

@@ -4,9 +4,10 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from zhat import setdsl
+from zhat import _primes, setdsl
 from zhat.measure import ModulusChain
 from zhat.setdsl import DslValueError, compile_set
 from zhat.verify import (
@@ -116,6 +117,29 @@ def test_dirichlet_coverage_reports_first_witness():
 def test_dirichlet_coverage_recovers_with_larger_bound():
     rep = dirichlet_coverage(100, 10**5)
     assert rep.verdict == "PASS"
+
+
+def unique_coverage(m_max, prime_bound):
+    """(missing, extra) class lists with the hit classes read off np.unique."""
+    ps = _primes.primes_upto(prime_bound)
+    missing, extra = [], []
+    for m in range(2, m_max + 1):
+        observed = set(np.unique(ps % m).tolist())
+        expected = {c for c in range(m) if math.gcd(c, m) == 1}
+        expected.update(p % m for p in _primes.factorize(m))
+        missing.extend((m, c) for c in sorted(expected - observed))
+        extra.extend((m, c) for c in sorted(observed - expected))
+    return missing, extra
+
+
+@pytest.mark.parametrize("m_max, prime_bound", [(2, 2), (30, 3), (60, 200), (100, 100), (120, 5000)])
+def test_dirichlet_coverage_matches_unique_classes(m_max, prime_bound):
+    missing, extra = unique_coverage(m_max, prime_bound)
+    assert not extra
+    rep = dirichlet_coverage(m_max, prime_bound)
+    assert rep.quantities == {"missing": missing[:20], "missing_count": len(missing)}
+    assert rep.verdict == ("INCONCLUSIVE" if missing else "PASS")
+    assert all(type(c) is int for _, c in rep.quantities["missing"])
 
 
 # ---------------------------------------------------------------------------
