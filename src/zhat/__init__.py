@@ -46,9 +46,11 @@ from .measure import (
     closure_measure_trace,
     euler_product,
     haar_ideal,
+    masked_power_sums,
     multiples_measure_ie,
     multiples_measure_prefixes,
     zeta_bracket,
+    zeta_partial,
 )
 from .analytic import (
     FAIL,
@@ -64,6 +66,7 @@ from .analytic import (
     vm_identity_scan,
     von_mangoldt,
     zeta_set,
+    zeta_sets,
 )
 from .density import (
     DensityReport,
@@ -103,12 +106,12 @@ __all__ = [
     "Polynomial", "ResidueImage", "compile_set", "crt_split", "parse",
     "register_sequence", "registered_sequences", "to_text",
     "Bracket", "ChainError", "LevelMeasure", "MeasureTrace", "ModulusChain",
-    "closure_measure_trace", "euler_product", "haar_ideal",
-    "multiples_measure_ie", "multiples_measure_prefixes", "zeta_bracket",
+    "closure_measure_trace", "euler_product", "haar_ideal", "masked_power_sums",
+    "multiples_measure_ie", "multiples_measure_prefixes", "zeta_bracket", "zeta_partial",
     "FAIL", "INCONCLUSIVE", "PASS", "DirichletTruncation",
     "de_delta_bracket", "de_delta_exact", "de_delta_table", "delta_ratio",
     "dlog_zeta_check", "vm_identity_check", "vm_identity_scan",
-    "von_mangoldt", "zeta_set",
+    "von_mangoldt", "zeta_set", "zeta_sets",
     "DensityReport", "PeriodicSet", "axiom_suite", "deformed_pair",
     "density_alpha", "density_analytic", "density_buck", "density_uniform",
     "density_weighted", "exact_pair", "harmonic", "log_density_window",

@@ -230,9 +230,10 @@ def prime_powers_of(m: int) -> list[tuple[int, int, int]]:
 
 
 def smallest_factor_table(n: int) -> np.ndarray:
-    """spf[2..n] = smallest prime factor (spf[0]=spf[1]=0)."""
-    spf = np.zeros(n + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(n) + 1):
+    """spf[2..n] = smallest prime factor (spf[0]=spf[1]=0); empty for
+    n < 0."""
+    spf = np.zeros(max(n + 1, 0), dtype=np.int64)
+    for p in range(2, math.isqrt(max(n, 0)) + 1):
         if spf[p] == 0:
             multiples = spf[p * p:: p]
             multiples[multiples == 0] = p

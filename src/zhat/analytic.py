@@ -17,7 +17,15 @@ import numpy as np
 
 from . import _primes
 from ._primes import _iroot
-from .measure import Bracket, multiples_measure_ie, zeta_bracket
+from .measure import (
+    Bracket,
+    _down,
+    _tail_integral,
+    _up,
+    masked_power_sums,
+    multiples_measure_ie,
+    zeta_bracket,
+)
 from .setdsl import CompiledSet, DslValueError, _ie_coefficients, _ie_components
 
 PASS = "PASS"
@@ -30,13 +38,15 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 @dataclass(frozen=True)
 class DirichletTruncation:
-    """Partial sum of a subset zeta series plus a certified tail range.
-    Subset terms are positive, so the partial sum itself is the lower
-    endpoint and the full-series tail bounds the rest."""
+    """Partial sum of a subset zeta series, a bound on its rounding error,
+    and a certified tail range. Subset terms are positive, so the partial
+    sum less its rounding bound is the lower endpoint and the full-series
+    tail bounds the rest."""
 
     cutoff: int
     s: float
     partial: float
+    bound: float
     tail_hi: float
     notes: tuple[str, ...] = ()
 
@@ -45,33 +55,47 @@ class DirichletTruncation:
         return 0.0
 
     def bracket(self) -> Bracket:
-        return Bracket(self.partial, self.partial + self.tail_hi, True, self.cutoff, self.notes)
+        return Bracket(max(0.0, _down(self.partial - self.bound)),
+                       _up(_up(self.partial + self.bound) + self.tail_hi),
+                       True, self.cutoff, self.notes)
+
+    def ratio_bracket(self) -> Bracket:
+        """Certified bracket for zeta_X(s) / zeta(s), clipped to [0,1], with
+        the quotients rounded outward."""
+        zx = self.bracket()
+        z = zeta_bracket(self.s, self.cutoff)
+        return Bracket(max(0.0, _down(zx.lo / z.hi)), min(1.0, _up(zx.hi / z.lo)),
+                       True, self.cutoff)
 
 
-def zeta_set(cset: CompiledSet, s: float, cutoff: int) -> DirichletTruncation:
-    """Truncation of sum over positive members of X of k^(-s). The tail is
-    bounded by the full-series integral tail since X cuts out a subset."""
-    if s <= 1:
-        raise DslValueError(f"subset zeta needs s > 1, got {s}")
+def zeta_sets(cset: CompiledSet, s_grid, cutoff: int) -> list[DirichletTruncation]:
+    """Truncations of sum over positive members of X of k^(-s) at every s
+    of the grid, from one membership mask and one pass of the power-sum
+    kernel. The tail is bounded by the full-series integral tail since X
+    cuts out a subset."""
+    ss = [float(s) for s in s_grid]
+    for s in ss:
+        if not s > 1:
+            raise DslValueError(f"subset zeta needs s > 1, got {s}")
     if cutoff < 1:
         raise DslValueError(f"subset zeta needs cutoff >= 1, got {cutoff}")
     if cset.dim != 1:
         raise DslValueError("subset zeta is defined for dimension-1 sets")
     mask = cset.mask_upto(cutoff)
-    idx = np.nonzero(mask)[0]
-    partial = float(np.sum(idx.astype(np.float64) ** (-float(s)))) if idx.size else 0.0
-    tail_hi = cutoff ** (1.0 - s) / (s - 1.0)
-    notes = ("empty-truncation",) if idx.size == 0 else ()
-    return DirichletTruncation(cutoff, float(s), partial, tail_hi, notes)
+    notes = () if mask.any() else ("empty-truncation",)
+    sums, bounds = masked_power_sums(mask, ss)
+    return [DirichletTruncation(cutoff, s, float(t), float(b), _tail_integral(cutoff, s)[1], notes)
+            for s, t, b in zip(ss, sums, bounds)]
+
+
+def zeta_set(cset: CompiledSet, s: float, cutoff: int) -> DirichletTruncation:
+    """zeta_sets at the single point s."""
+    return zeta_sets(cset, [s], cutoff)[0]
 
 
 def delta_ratio(cset: CompiledSet, s: float, cutoff: int) -> Bracket:
     """Certified bracket for zeta_X(s) / zeta(s), clipped to [0,1]."""
-    zx = zeta_set(cset, s, cutoff).bracket()
-    z = zeta_bracket(s, cutoff)
-    lo = max(0.0, zx.lo / z.hi)
-    hi = min(1.0, zx.hi / z.lo)
-    return Bracket(lo, hi, True, cutoff)
+    return zeta_set(cset, s, cutoff).ratio_bracket()
 
 
 # ------------------------------------------------------------- von Mangoldt

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analytic import delta_ratio, zeta_set
-from .measure import ModulusChain, closure_measure_trace
+from .analytic import zeta_sets
+from .measure import ModulusChain, closure_measure_trace, zeta_partial
 from .setdsl import (
     EXACT,
     CompiledSet,
@@ -291,14 +291,11 @@ def density_analytic(cset: CompiledSet, s_grid, cutoff: int,
     ss = [float(s) for s in s_grid]
     if not ss or any(b >= a for a, b in zip(ss, ss[1:])) or ss[-1] <= 1:
         raise DslValueError("s_grid must strictly decrease toward 1 and stay > 1")
-    brackets = [delta_ratio(cset, s, cutoff) for s in ss]
+    truncations = zeta_sets(cset, ss, cutoff)
+    brackets = [t.ratio_bracket() for t in truncations]
     # point estimates are ratios of the partial sums; the clamped bracket
     # mid degenerates toward 1/2 whenever the tail budget blows up
-    ar = np.arange(1, cutoff + 1, dtype=np.float64)
-    values = []
-    for s in ss:
-        zx = zeta_set(cset, s, cutoff)
-        values.append(zx.partial / float(np.sum(ar ** (-s))))
+    values = [t.partial / zeta_partial(t.s, cutoff)[0] for t in truncations]
     tail_brackets = _tail(brackets, tail_window)
     # the report grid must increase; s values decrease, so present reversed
     return DensityReport(

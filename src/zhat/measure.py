@@ -29,10 +29,51 @@ from .setdsl import (
     _ie_prefix_measures,
 )
 
-# widen float-evaluated brackets so rounding in long sums and products cannot
-# push a true value across an endpoint; numpy reduces pairwise, so relative
-# error stays within a few hundred ulp even at 10^8 terms
-_FLOAT_GUARD = 1e-12
+# Float brackets carry a-priori rounding bounds in the style of Higham,
+# "Accuracy and Stability of Numerical Algorithms" (2002), ch. 3-4: a value
+# computed through k roundings is x(1 + theta_k) with |theta_k| <= gamma_k,
+# so |x - computed| <= gamma_2k |computed|. Endpoints are then moved one
+# float outward with nextafter, which also absorbs the rounding of the
+# bounds themselves (they sit far below an ulp of the endpoint).
+_U = 2.0**-53  # unit roundoff of float64
+# pow, exp, log1p and expm1 (numpy and libm) are taken to be within 4 ulp,
+# i.e. 8 unit roundoffs; np.power measures under 0.6 ulp on x86-64 AVX-512
+_LIB_UNITS = 8
+# absolute error of one library result in the subnormal range (4 ulp of
+# 2^-1074), where the relative model above does not hold
+_TINY = 2.0**-1072
+# power sums read the mask this many integers at a time: each term then
+# passes through fewer than _BLOCK additions (numpy's sum of one block, any
+# order, then one correctly rounded math.fsum over the block sums)
+_BLOCK = 1 << 16
+
+
+def _gamma(k: int) -> float:
+    return k * _U / (1.0 - k * _U)
+
+
+def _err(x: float, units: int) -> float:
+    """Bound on |exact - x| for x computed through `units` roundings."""
+    return abs(x) * _gamma(2 * units)
+
+
+def _down(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+def _sum_error(total: float, term_rel: float, depth: int, tiny: float) -> float:
+    """Bound on |exact - total| for a float sum of same-sign terms, each
+    computed with relative error at most term_rel and passed through at
+    most `depth` additions: every term is perturbed by a factor within
+    eta = term_rel + gamma_depth (1 + term_rel) of 1, whatever the order
+    (Higham 2002, section 4.2), and same signs make the perturbations add
+    to at most eta |exact|. `tiny` is the absolute underflow allowance."""
+    eta = term_rel + _gamma(depth) * (1.0 + term_rel)
+    return eta * abs(total) / (1.0 - eta) + tiny
 
 
 class ChainError(ValueError):
@@ -254,10 +295,11 @@ def euler_product(local_factor: str, prime_cutoff: int, tail_exponent: int | Non
     text like "1-1/p^2" or "1" (c defaults to 1, k to 1).
 
     The partial product over p <= cutoff is an upper bound since every
-    factor lies in [0,1]. For k >= 2 the tail is bounded below through
-    log(1-x) >= -2x and an integral comparison, giving a certified bracket.
-    k = 1 has a divergent tail: the bracket is [0, partial] with a
-    DIVERGENT-TAIL note."""
+    factor lies in [0,1]. It is evaluated as exp of the sum of
+    log1p(-c/p^k), with a rounding bound on that sum, and rounded outward.
+    For k >= 2 the tail is bounded below through log(1-x) >= -2x and an
+    integral comparison, giving a certified bracket. k = 1 has a divergent
+    tail: the bracket is [0, partial] with a DIVERGENT-TAIL note."""
     c, k = _parse_local_factor(local_factor)
     if tail_exponent is not None and tail_exponent != k:
         raise DslValueError(f"tail exponent {tail_exponent} does not match factor {local_factor!r}")
@@ -265,21 +307,49 @@ def euler_product(local_factor: str, prime_cutoff: int, tail_exponent: int | Non
         raise DslValueError("prime cutoff must be >= 2")
     if c == 0:
         return Bracket(1.0, 1.0, True, prime_cutoff)
-    if c * 1.0 > 2.0**k:
+    if k < 1:
+        raise DslValueError(f"factor {local_factor!r} needs an exponent >= 1")
+    if c > 2**k:
         raise DslValueError(f"factor {local_factor!r} is negative at p=2")
-    ps = _primes.primes_upto(prime_cutoff).astype(np.float64)
-    factors = 1.0 - c * ps ** (-float(k))
-    partial = float(np.prod(factors))
+    if c == 2**k:  # the factor at p=2 vanishes
+        return Bracket(0.0, 0.0, True, prime_cutoff)
+    # -c/p^k takes a pow, the conversion of c and a product: 10 roundings.
+    # Every |x| is at most xm < 1, and |x| <= |log1p(x)| on (-1, 0], so
+    # log1p moves a relative error of x by at most a factor 1/(1 - xm)
+    xm = c / 2**k * (1.0 + _gamma(_LIB_UNITS + 3))
+    if xm >= 1.0:
+        raise DslValueError(f"factor {local_factor!r} is too close to 0 at p=2 for a float bracket")
+    ps = _primes.primes_upto(prime_cutoff)
+    parts = []
+    for lo in range(0, ps.size, _BLOCK):
+        x = ps[lo:lo + _BLOCK].astype(np.float64)
+        np.power(x, -float(k), out=x)
+        x *= -float(c)
+        np.log1p(x, out=x)
+        parts.append(float(x.sum()))
+    log_partial = math.fsum(parts)
+    a, b = _gamma(_LIB_UNITS + 2) / (1.0 - xm), _gamma(_LIB_UNITS)
+    err = _sum_error(log_partial, a + b + a * b, min(ps.size, _BLOCK), ps.size * (c + 1) * _TINY)
+    hi = _exp_up(_up(log_partial + err))
     if k == 1:
-        return Bracket(0.0, partial * (1.0 + _FLOAT_GUARD), True, prime_cutoff,
-                       notes=("DIVERGENT-TAIL",))
+        return Bracket(0.0, hi, True, prime_cutoff, notes=("DIVERGENT-TAIL",))
     # need c/p^k <= 1/2 beyond the cutoff for the log(1-x) >= -2x step
     if 2 * c > prime_cutoff**k:
         raise DslValueError("cutoff too small for the tail bound with this factor")
-    tail_log_lo = -2.0 * c * prime_cutoff ** (1 - k) / (k - 1)
-    lo = partial * math.exp(tail_log_lo) * (1.0 - _FLOAT_GUARD)
-    hi = partial * (1.0 + _FLOAT_GUARD)
+    # 2c P^(1-k) / (k-1) as one correctly rounded integer quotient
+    tail = _up(2 * c / ((k - 1) * prime_cutoff ** (k - 1)))
+    lo = _exp_down(_down(_down(log_partial - err) - tail))
     return Bracket(lo, hi, True, prime_cutoff)
+
+
+def _exp_up(y: float) -> float:
+    v = math.exp(y)
+    return _up(v + _err(v, _LIB_UNITS) + _TINY)
+
+
+def _exp_down(y: float) -> float:
+    v = math.exp(y)
+    return max(0.0, _down(v - _err(v, _LIB_UNITS)))
 
 
 def _parse_local_factor(text: str) -> tuple[int, int]:
@@ -298,16 +368,102 @@ def _parse_local_factor(text: str) -> tuple[int, int]:
     return c, k
 
 
+# ------------------------------------------------------------- power sums
+
+
+def masked_power_sums(mask: np.ndarray, s_grid) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of k^(-s) over the k >= 1 with mask[k] set, for every s of the
+    grid, each with a bound on its rounding error. One pass over the mask
+    in blocks of _BLOCK integers: the block's member indices are converted
+    once and raised to every s, so extra memory stays a few blocks wide."""
+    ss = [float(s) for s in s_grid]
+    parts: list[list[float]] = [[] for _ in ss]
+    count = 0
+    buf = np.empty(_BLOCK)
+    for lo in range(1, mask.size, _BLOCK):
+        k = np.flatnonzero(mask[lo:lo + _BLOCK]).astype(np.float64)
+        if not k.size:
+            continue
+        count += k.size
+        k += lo
+        out = buf[:k.size]
+        for part, s in zip(parts, ss):
+            np.power(k, -s, out=out)
+            part.append(float(out.sum()))
+    sums = np.array([math.fsum(part) for part in parts])
+    depth = min(count, _BLOCK)
+    bounds = np.array([_sum_error(t, _gamma(_LIB_UNITS), depth, count * _TINY) for t in sums])
+    return sums, bounds
+
+
+# Euler-Maclaurin for sum_{k <= n} k^-s: terms k < _EM_HEAD directly, then
+# the integral, the end-point halves and Bernoulli corrections at _EM_HEAD
+# and n. x^-s is completely monotone, so the remainder has the sign of the
+# first omitted correction and is at most its size.
+_EM_HEAD = 20
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)  # B_2 .. B_12
+_BERNOULLI_NEXT = 7 / 6  # B_14, the first omitted
+# most roundings behind one evaluated piece (library calls count 8): a_7,
+# which bounds the remainder, takes 52; a correction at most 48, the
+# integral 31
+_EM_UNITS = 52
+
+
+def zeta_partial(s: float, n: int) -> tuple[float, float]:
+    """sum_{k <= n} k^-s for real s > 1 and 0 <= n < 2^53, and a bound on
+    its distance from the exact sum (rounding plus Euler-Maclaurin
+    remainder). Costs the same for every n."""
+    if not 1 < s < math.inf:
+        raise DslValueError(f"zeta partial sum needs finite s > 1, got {s}")
+    if not 0 <= n < 2**53:
+        raise DslValueError(f"zeta partial sum needs 0 <= n < 2^53, got {n}")
+    s = float(s)
+    pieces = [k ** -s for k in range(1, min(n, _EM_HEAD - 1) + 1)]
+    size = math.fsum(pieces)  # sum of the magnitudes the pieces carry
+    remainder = 0.0
+    if n >= _EM_HEAD:
+        m = _EM_HEAD
+        fm, fn = m ** -s, n ** -s
+        # integral of x^-s over [m, n] = m^(1-s) (1 - (n/m)^(1-s)) / (s-1)
+        integral = m * fm * -math.expm1((1.0 - s) * math.log1p((n - m) / m)) / (s - 1.0)
+        ends = 0.5 * (fm + fn)
+        pieces += [integral, ends]
+        size += integral + ends
+        # a_j(x) = (s)_(2j-1) x^(1-s-2j) / (2j)!, the j-th correction being
+        # B_2j (a_j(m) - a_j(n))
+        am, an = 0.5 * s * fm / m, 0.5 * s * fn / n
+        for j, b in enumerate(_BERNOULLI, start=1):
+            pieces.append(b * (am - an))
+            size += abs(b) * (am + an)
+            r = (s + 2 * j - 1) * (s + 2 * j) / ((2 * j + 1) * (2 * j + 2))
+            am *= r / (m * m)
+            an *= r / (n * n)
+        remainder = _BERNOULLI_NEXT * am
+    total = math.fsum(pieces)
+    bound = _gamma(2 * _EM_UNITS) * (size + remainder) + remainder + _err(total, 1) + _TINY
+    if not math.isfinite(total + bound):
+        raise DslValueError(f"zeta partial sum overflows at s = {s}")
+    return total, bound
+
+
+def _tail_integral(x: int, s: float) -> tuple[float, float]:
+    """Enclosure of x^(1-s) / (s-1), evaluated as x * x^-s / (s-1) (11
+    roundings) for integers 1 <= x <= 2^53."""
+    v = x * x ** -s / (s - 1.0)
+    e = _err(v, _LIB_UNITS + 3)
+    return _down(v - e), _up(v + e)
+
+
 def zeta_bracket(s: float, cutoff: int) -> Bracket:
     """Certified bracket for the zeta value at real s > 1 from the partial
-    sum to the cutoff plus integral-comparison tail bounds."""
+    sum to the cutoff plus integral-comparison tail bounds. The partial sum
+    comes from Euler-Maclaurin, so the cost does not grow with the cutoff."""
     if s <= 1:
         raise DslValueError(f"zeta bracket needs s > 1, got {s}")
     if cutoff < 2:
         raise DslValueError("cutoff must be >= 2")
-    terms = np.arange(1, cutoff + 1, dtype=np.float64) ** (-float(s))
-    partial = float(terms.sum())
-    lo = partial + (cutoff + 1) ** (1.0 - s) / (s - 1.0)
-    hi = partial + cutoff ** (1.0 - s) / (s - 1.0)
-    guard = _FLOAT_GUARD * max(1.0, abs(hi))
-    return Bracket(lo - guard, hi + guard, True, cutoff)
+    partial, err = zeta_partial(s, cutoff)
+    tail_lo = _tail_integral(cutoff + 1, s)[0]
+    tail_hi = _tail_integral(cutoff, s)[1]
+    return Bracket(_down(_down(partial - err) + tail_lo), _up(_up(partial + err) + tail_hi),
+                   True, cutoff)

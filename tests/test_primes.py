@@ -8,6 +8,7 @@ check those paths.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,13 @@ def test_smallest_factor_table_matches_factorize(n):
     assert spf.shape == (n + 1,)
     assert spf[:2].tolist() == [0] * min(n + 1, 2)
     assert [int(spf[k]) for k in range(2, n + 1)] == [min(factorize(k)) for k in range(2, n + 1)]
+
+
+@pytest.mark.parametrize("n", [-5, -1, 0, 1])
+def test_smallest_factor_table_below_two_has_no_factors(n):
+    spf = smallest_factor_table(n)
+    assert spf.dtype == np.int64
+    assert spf.tolist() == [0] * max(n + 1, 0)
 
 
 SIEVE_N = 2 * 10**5
