@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -65,11 +66,10 @@ class RunConfig:
     chain: str | None = None
     output: str = "json"
     seed: int = 0
-    threads: int = 1
     extra: dict | None = None
 
     def validate(self) -> None:
-        for name in ("truncation", "r_max", "prime_bound", "threads"):
+        for name in ("truncation", "r_max", "prime_bound"):
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ValueError(f"{name} must be positive, got {v}")
@@ -84,6 +84,8 @@ def _num(text: str) -> int:
         v = int(text)
     except ValueError:
         f = float(text)
+        if not math.isfinite(f):
+            raise argparse.ArgumentTypeError(f"not a finite number: {text!r}") from None
         v = int(round(f))
         if abs(f - v) > 1e-9 * max(1.0, abs(f)):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
@@ -195,7 +197,6 @@ def _cmd_density(res: _Resolver) -> int:
     cfg = RunConfig(
         command="density", set_text=set_text, r_max=r_max,
         chain=res.get("chain", str), output=fmt, seed=res.get("seed", _num, 0),
-        threads=res.get("threads", _num, 1),
         extra={"method": method},
     )
     cfg.validate()
@@ -239,7 +240,6 @@ def _cmd_measure(res: _Resolver) -> int:
     euler = res.get("euler", str)
     if multiples:
         cfg = RunConfig(command="measure", output=fmt, seed=seed,
-                        threads=res.get("threads", _num, 1),
                         extra={"multiples": multiples})
         cfg.validate()
         v = multiples_measure_ie(multiples)
@@ -249,7 +249,6 @@ def _cmd_measure(res: _Resolver) -> int:
     if euler:
         cutoff = res.get("cutoff", _num, 10**4)
         cfg = RunConfig(command="measure", prime_bound=cutoff, output=fmt, seed=seed,
-                        threads=res.get("threads", _num, 1),
                         extra={"euler": euler})
         cfg.validate()
         br = euler_product(euler, cutoff)
@@ -266,7 +265,6 @@ def _cmd_measure(res: _Resolver) -> int:
     truncation = res.get("truncation", _num)
     cfg = RunConfig(command="measure", set_text=set_text, chain=chain_text,
                     truncation=truncation, output=fmt, seed=seed,
-                    threads=res.get("threads", _num, 1),
                     extra={"levels": level_cap, "cutoff": cutoff})
     cfg.validate()
     cs = compile_set(set_text)
@@ -379,7 +377,6 @@ def _cmd_verify(res: _Resolver) -> int:
         rep = _axioms_report(res, seed)
 
     cfg = RunConfig(command="verify", output=fmt, seed=seed,
-                    threads=res.get("threads", _num, 1),
                     extra={"theorem": theorem})
     cfg.validate()
     _emit({"report": rep.to_json(),
@@ -399,7 +396,6 @@ def _cmd_sn(res: _Resolver) -> int:
     op = res.get("sn_op", str)
     fmt = res.get("output", str, "json")
     cfg = RunConfig(command="sn", output=fmt, seed=res.get("seed", _num, 0),
-                    threads=res.get("threads", _num, 1),
                     extra={"op": op})
     if op == "mul":
         a, b = res.args.operands
@@ -445,8 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("json", "csv", "table"), default=None)
     common.add_argument("--seed", type=_num, default=None)
-    common.add_argument("--threads", type=_num, default=None,
-                        help="upper bound on library parallelism; results do not depend on it")
     sub = p.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("density", parents=[common], help="density estimates for a DSL set")
@@ -541,8 +535,9 @@ def main(argv=None) -> int:
     except (BudgetExceeded, OverflowError) as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (DslError, ValueError) as e:
-        usage = isinstance(e, ValueError)
+    except (DslError, ValueError, argparse.ArgumentTypeError) as e:
+        # a config-file value fails _num outside argparse
+        usage = isinstance(e, (ValueError, argparse.ArgumentTypeError))
         print(f"{'usage' if usage else 'error'}: {e}", file=sys.stderr)
         return EXIT_USAGE if usage else EXIT_FAIL
 

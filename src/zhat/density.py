@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .analytic import zeta_sets
-from .measure import ModulusChain, closure_measure_trace, zeta_partial
+from .measure import ModulusChain, closure_measure_trace, masked_power_sums, zeta_partial
 from .setdsl import (
     EXACT,
     CompiledSet,
@@ -41,22 +41,14 @@ DEFAULT_TAIL_WINDOW = 5
 
 
 def harmonic(n: int) -> float:
-    """H(n) = sum of 1/k for k <= n; asymptotic expansion beyond 100 keeps
-    this accurate to ~1e-15 even for astronomically large n."""
+    """H(n) = sum of 1/k for k <= n (0 for n < 1): Euler-Maclaurin through
+    zeta_partial below 2^53, log n + Euler's constant from there on, where
+    the next term 1/(2n) is below float resolution."""
     if n < 1:
         return 0.0
-    if n <= 100:
-        return math.fsum(1.0 / k for k in range(1, n + 1))
-    if n > 10**17:
-        # correction terms are below float resolution; log of a big int is fine
-        return math.log(n) + _EULER_GAMMA
-    return (
-        math.log(n)
-        + _EULER_GAMMA
-        + 1.0 / (2 * n)
-        - 1.0 / (12 * n * n)
-        + 1.0 / (120 * n**4)
-    )
+    if n < 2**53:
+        return zeta_partial(1.0, n)[0]
+    return math.log(n) + _EULER_GAMMA
 
 
 # ------------------------------------------------------------- reports
@@ -133,23 +125,35 @@ def density_alpha(cset: CompiledSet, alpha: float, r_grid, tail_window: int = DE
 
 
 def _alpha_ratio(cset: CompiledSet, alpha: float, r: int) -> tuple[float, str | None]:
-    if cset.dim == 1 and cset.positive_only and alpha in (0.0, -1.0):
+    if cset.dim != 1:
+        return _alpha_ratio_grid(cset, alpha, r), None
+    if not cset.positive_only:
+        return _alpha_ratio_symmetric(cset, alpha, r), None
+    num, note = _member_weight(cset, alpha, r)
+    if alpha == 0.0:
+        return num / float(r), note
+    return num / (harmonic(r) if alpha == -1.0 else zeta_partial(-alpha, r)[0]), note
+
+
+def _member_weight(cset: CompiledSet, alpha: float, r: int) -> tuple[float, str | None]:
+    """Sum of k^alpha over the members k of X in [1, r], for a dimension-1
+    positive set: closed forms for interval-structured sets and
+    (complements of) multiple-sets at alpha in {0, -1}, else the power-sum
+    kernel over the membership mask (a plain count at alpha 0)."""
+    if alpha in (0.0, -1.0):
         iv = cset.interval_view(r)
         if iv is not None:
             if alpha == 0.0:
                 num = float(sum(b - a + 1 for a, b in iv))
-                return num / r, "closed-form interval counts"
-            num = math.fsum(harmonic(b) - harmonic(a - 1) for a, b in iv)
-            return num / harmonic(r), "closed-form interval counts"
+            else:
+                num = math.fsum(harmonic(b) - harmonic(a - 1) for a, b in iv)
+            return num, "closed-form interval counts"
         ie = cset.ie_view()
         if ie is not None:
-            num = _ie_weight(*ie, r, alpha)
-            den = float(r) if alpha == 0.0 else harmonic(r)
-            return float(num) / den, "closed-form multiple-set sums"
-        return _alpha_ratio_mask(cset, alpha, r), None
-    if cset.dim == 1:
-        return _alpha_ratio_mask(cset, alpha, r), None
-    return _alpha_ratio_grid(cset, alpha, r), None
+            return float(_ie_weight(*ie, r, alpha)), "closed-form multiple-set sums"
+    if alpha == 0.0:
+        return float(np.count_nonzero(cset.box(r)[1])), None
+    return float(masked_power_sums(cset.mask_upto(r), [-alpha])[0][0]), None
 
 
 def _ie_weight(kind: str, mods, r: int, alpha: float) -> int | float:
@@ -166,49 +170,15 @@ def _ie_weight(kind: str, mods, r: int, alpha: float) -> int | float:
     return whole - comp if kind == "multiples" else comp
 
 
-def _weight_sum(idx: np.ndarray, alpha: float) -> float:
-    total = 0.0
-    for start in range(0, idx.size, 10**6):
-        chunk = idx[start: start + 10**6].astype(np.float64)
-        total += float((chunk**alpha).sum())
-    return total
-
-
-def _range_weight_sum(r: int, alpha: float) -> float:
-    total = 0.0
-    for start in range(1, r + 1, 10**6):
-        chunk = np.arange(start, min(start + 10**6, r + 1), dtype=np.float64)
-        total += float((chunk**alpha).sum())
-    return total
-
-
-def _alpha_ratio_mask(cset: CompiledSet, alpha: float, r: int) -> float:
-    lo, table = cset.box(r)
-    if alpha == 0.0:  # a count: no member index needed
+def _alpha_ratio_symmetric(cset: CompiledSet, alpha: float, r: int) -> float:
+    """The ratio over the box [-r, r]: at alpha 0 the exact count with the
+    origin, else each half summed outward from 0 by the power-sum kernel
+    (index k of a half is the point +k or -k; the kernel skips index 0)."""
+    table = cset.box(r)[1]
+    if alpha == 0.0:
         return float(np.count_nonzero(table)) / float(table.size)
-    if lo == 1:
-        idx = np.flatnonzero(table)
-        del table  # the weight sums need idx only
-        idx += 1  # in place: idx may hold one int64 per integer up to r
-        num = _weight_sum(idx, alpha)
-        den = _range_weight_sum(r, alpha)
-        return num / den
-    # each side of [-r, r] is summed outward from 0
-    idx = np.nonzero(table[r + 1:])[0] + 1
-    nidx = np.nonzero(table[:r][::-1])[0] + 1
-    num = _weight_sum(idx, alpha) + _weight_sum(nidx, alpha)
-    return num / (2.0 * _range_weight_sum(r, alpha))
-
-
-def _log_weight_numerator(cset: CompiledSet, r: int) -> float:
-    iv = cset.interval_view(r)
-    if iv is not None:
-        return math.fsum(harmonic(b) - harmonic(a - 1) for a, b in iv)
-    ie = cset.ie_view()
-    if ie is not None:
-        return _ie_weight(*ie, r, -1.0)
-    idx = np.nonzero(cset.mask_upto(r))[0]
-    return _weight_sum(idx, -1.0)
+    num = sum(masked_power_sums(half, [-alpha])[0][0] for half in (table[r:], table[r::-1]))
+    return float(num) / (2.0 * zeta_partial(-alpha, r)[0])
 
 
 def log_density_window(cset: CompiledSet, r_lo: int, r_hi: int) -> float:
@@ -220,9 +190,9 @@ def log_density_window(cset: CompiledSet, r_lo: int, r_hi: int) -> float:
         raise DslValueError("window needs 0 <= r_lo < r_hi")
     if cset.dim != 1 or not cset.positive_only:
         raise DslValueError("window estimate needs a dimension-1 positive set")
-    num = _log_weight_numerator(cset, r_hi)
+    num = _member_weight(cset, -1.0, r_hi)[0]
     if r_lo > 0:
-        num -= _log_weight_numerator(cset, r_lo)
+        num -= _member_weight(cset, -1.0, r_lo)[0]
     return num / (harmonic(r_hi) - harmonic(r_lo))
 
 

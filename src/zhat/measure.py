@@ -405,16 +405,18 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)  # B_2 .. B_
 _BERNOULLI_NEXT = 7 / 6  # B_14, the first omitted
 # most roundings behind one evaluated piece (library calls count 8): a_7,
 # which bounds the remainder, takes 52; a correction at most 48, the
-# integral 31
+# integral 32 (at s = 1 it is log1p of a correctly rounded quotient: 9).
+# For s < 1 expm1 takes y = (1-s) log(n/m) > 0 and multiplies the relative
+# error of y by at most 1 + y, so the integral's size counts 1 + y times
 _EM_UNITS = 52
 
 
 def zeta_partial(s: float, n: int) -> tuple[float, float]:
-    """sum_{k <= n} k^-s for real s > 1 and 0 <= n < 2^53, and a bound on
+    """sum_{k <= n} k^-s for real s > 0 and 0 <= n < 2^53, and a bound on
     its distance from the exact sum (rounding plus Euler-Maclaurin
     remainder). Costs the same for every n."""
-    if not 1 < s < math.inf:
-        raise DslValueError(f"zeta partial sum needs finite s > 1, got {s}")
+    if not 0 < s < math.inf:
+        raise DslValueError(f"zeta partial sum needs finite s > 0, got {s}")
     if not 0 <= n < 2**53:
         raise DslValueError(f"zeta partial sum needs 0 <= n < 2^53, got {n}")
     s = float(s)
@@ -424,11 +426,14 @@ def zeta_partial(s: float, n: int) -> tuple[float, float]:
     if n >= _EM_HEAD:
         m = _EM_HEAD
         fm, fn = m ** -s, n ** -s
-        # integral of x^-s over [m, n] = m^(1-s) (1 - (n/m)^(1-s)) / (s-1)
-        integral = m * fm * -math.expm1((1.0 - s) * math.log1p((n - m) / m)) / (s - 1.0)
+        # integral of x^-s over [m, n] = m^(1-s) (1 - (n/m)^(1-s)) / (s-1),
+        # or log(n/m) at s = 1
+        log_ratio = math.log1p((n - m) / m)
+        y = (1.0 - s) * log_ratio
+        integral = log_ratio if s == 1.0 else m * fm * -math.expm1(y) / (s - 1.0)
         ends = 0.5 * (fm + fn)
         pieces += [integral, ends]
-        size += integral + ends
+        size += integral * (1.0 + max(y, 0.0)) + ends
         # a_j(x) = (s)_(2j-1) x^(1-s-2j) / (2j)!, the j-th correction being
         # B_2j (a_j(m) - a_j(n))
         am, an = 0.5 * s * fm / m, 0.5 * s * fn / n

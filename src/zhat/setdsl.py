@@ -732,7 +732,7 @@ class CompiledSet:
         """Dimension-1 membership table for 1..n (index 0 is always False)."""
         if self.dim != 1:
             raise DslValueError("mask_upto is dimension-1 only")
-        if n + 1 > self.box_budget:
+        if n > self.box_budget:  # the box [1, n] of box(); index 0 is padding
             raise BudgetExceeded(f"box [1,{n}] exceeds box budget {self.box_budget}")
         m = _box_mask(self.expr, 0, n, 1)
         m[0] = False

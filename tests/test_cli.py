@@ -236,12 +236,14 @@ def test_identical_invocations_are_byte_identical():
     assert out1 == out2
 
 
-def test_threads_flag_recorded_but_inert():
-    base = ["measure", "--multiples", "4,6"]
-    out1 = json.loads(run_cli(*base).stdout)
-    out4 = json.loads(run_cli(*base, "--threads", "4").stdout)
-    assert out1["measure"] == out4["measure"]
-    assert out4["config"]["threads"] == 4
+@pytest.mark.parametrize("value", ["1e400", "inf", "nan"])
+def test_non_finite_number_is_usage_error(value, tmp_path, capsys):
+    assert cli.main(["density", "--set", "primes", "--r", value]) == 2
+    assert f"not a finite number: '{value}'" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"r = {value}\n")
+    assert cli.main(["--config", str(cfg), "density", "--set", "primes"]) == 2
+    assert capsys.readouterr().err == f"usage: not a finite number: '{value}'\n"
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):

@@ -19,9 +19,10 @@ from zhat.density import (
     density_uniform,
     density_weighted,
     harmonic,
+    log_density_window,
 )
-from zhat.measure import ModulusChain
-from zhat.setdsl import compile_set
+from zhat.measure import ModulusChain, zeta_partial
+from zhat.setdsl import BudgetExceeded, compile_set
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +35,14 @@ def test_harmonic_small_values_match_fsum():
         assert harmonic(n) == pytest.approx(exact, abs=1e-12)
 
 
+def test_harmonic_matches_exact_sums_within_bound():
+    # below 2^53 harmonic is zeta_partial at s = 1, which bounds its error
+    exact = Fraction(0)
+    for n in range(1, 201):
+        exact += Fraction(1, n)
+        assert abs(Fraction(harmonic(n)) - exact) <= Fraction(zeta_partial(1.0, n)[1]), n
+
+
 def test_harmonic_zero_and_validation():
     # empty-sum convention for nonpositive arguments
     assert harmonic(0) == 0.0
@@ -41,19 +50,24 @@ def test_harmonic_zero_and_validation():
 
 
 def test_harmonic_large_arguments_stay_finite_and_monotone():
-    # beyond the exact-summation window the asymptotic expansion takes over
+    # from 2^53 on harmonic is log n + Euler's constant
     vals = [harmonic(10**k) for k in (6, 12, 18, 30, 65)]
     assert all(math.isfinite(v) for v in vals)
     assert vals == sorted(vals)
     # H_n - ln n -> Euler-Mascheroni
     assert vals[-1] - math.log(10**65) == pytest.approx(0.5772156649, abs=1e-9)
+    # below 2^53 it sums by Euler-Maclaurin; the asymptotic series through
+    # 1/(12 n^2) is within 1e-25 of H_n there, an independent check
+    for n in (10**6, 10**9, 10**12, 2**53 - 1):
+        series = math.log(n) + 0.5772156649015329 + 1 / (2 * n) - 1 / (12 * n * n)
+        assert harmonic(n) == pytest.approx(series, rel=5e-16), n
 
 
 # ---------------------------------------------------------------------------
 # counting estimators (alpha weights)
 
 
-def _sieve_squarefree_count(r: int) -> int:
+def _sieve_squarefree(r: int) -> np.ndarray:
     # independent of the set DSL: mark multiples of p^2 directly
     alive = np.ones(r + 1, dtype=bool)
     alive[0] = False
@@ -61,7 +75,11 @@ def _sieve_squarefree_count(r: int) -> int:
     while p * p <= r:
         alive[p * p :: p * p] = False
         p += 1
-    return int(np.count_nonzero(alive))
+    return alive
+
+
+def _sieve_squarefree_count(r: int) -> int:
+    return int(np.count_nonzero(_sieve_squarefree(r)))
 
 def test_alpha0_squarefree_tracks_direct_sieve():
     cset = compile_set("kfree(2)")
@@ -115,12 +133,33 @@ def test_benford_fast_path_handles_huge_radii():
 
 
 def test_log_weight_agrees_with_partial_sums_oracle():
-    cset = compile_set("cong(0,4)")
+    # cong(0,4) and kfree(2) have no closed form: both take the mask path
     r = 10**5
-    rep = density_alpha(cset, -1.0, [r])
-    num = math.fsum(1.0 / n for n in range(4, r + 1, 4))
-    den = math.fsum(1.0 / n for n in range(1, r + 1))
-    assert rep.values[0] == pytest.approx(num / den, abs=1e-9)
+    for text, members in (("cong(0,4)", range(4, r + 1, 4)),
+                          ("kfree(2)", np.flatnonzero(_sieve_squarefree(r)).tolist())):
+        for alpha in (-1.0, -0.5):
+            rep = density_alpha(compile_set(text), alpha, [r])
+            num = math.fsum(n**alpha for n in members)
+            den = math.fsum(n**alpha for n in range(1, r + 1))
+            assert rep.values[0] == pytest.approx(num / den, abs=1e-9), (text, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.5, -1.0])
+def test_alpha_mask_paths_share_the_box_budget(alpha):
+    # the count reads box(r), the weights mask_upto(r): one budget of r cells
+    cset = compile_set("kfree(2)", box_budget=100)
+    assert density_alpha(cset, alpha, [100]).values[0] > 0
+    with pytest.raises(BudgetExceeded):
+        density_alpha(cset, alpha, [101])
+
+
+def test_log_density_window_mask_path_matches_fsum():
+    cset = compile_set("kfree(2)")  # neither an interval nor a multiple-set view
+    lo, hi = 10**4, 10**5
+    members = np.flatnonzero(_sieve_squarefree(hi)[lo + 1:]) + lo + 1
+    num = math.fsum(1.0 / n for n in members.tolist())
+    den = math.fsum(1.0 / n for n in range(lo + 1, hi + 1))
+    assert log_density_window(cset, lo, hi) == pytest.approx(num / den, rel=1e-13)
 
 
 def test_ie_fast_path_matches_mask_counts():
