@@ -35,9 +35,13 @@ def main() -> int:
         print(f"  s={s:<7s} {rep.quantities['delta_values'][s]:.10f}")
     lo, hi = rep.quantities["limit_bracket"]
     print(f"limit bracket: [{lo:.10f}, {hi:.10f}]")
-    print("harmonic-weight estimates at astronomical radii")
-    for e, v in zip(rep.inputs["log_exponents"], rep.quantities["log_estimate"]):
-        print(f"  r=10^{e}: {v:.10f}")
+    exps = rep.inputs["log_exponents"]
+    band = rep.quantities["log_estimate"]
+    radii = f"r = 10^{exps[0]}..10^{exps[-1]}"
+    if band is None:
+        print(f"harmonic-weight estimate at {radii}: not computed")
+    else:
+        print(f"harmonic-weight estimate band at {radii}: [{band[0]:.10f}, {band[1]:.10f}]")
     print(f"verdict: {rep.verdict}")
     for line in rep.narrative:
         print(f"  {line}")

@@ -23,7 +23,7 @@ def main() -> int:
         print(f"  first {i:>2d} primes: {v}  = {float(v):.10f}")
     cf = rep.quantities["closed_form"]
     print(f"closed form at the full cutoff: {cf[-1]} = {float(cf[-1]):.10f}")
-    if rep.quantities["direct_count"] is not None:
+    if "direct_count" in rep.quantities:
         print(f"direct residue count: {rep.quantities['direct_count']}")
     print(f"verdict: {rep.verdict}")
     return 0

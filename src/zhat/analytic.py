@@ -18,13 +18,16 @@ import numpy as np
 from . import _primes
 from ._primes import _iroot
 from .measure import (
+    _LIB_UNITS,
     Bracket,
     _down,
+    _err,
     _tail_integral,
     _up,
     masked_power_sums,
     multiples_measure_ie,
     zeta_bracket,
+    zeta_partial,
 )
 from .setdsl import CompiledSet, DslValueError, _ie_coefficients, _ie_components
 
@@ -49,10 +52,6 @@ class DirichletTruncation:
     bound: float
     tail_hi: float
     notes: tuple[str, ...] = ()
-
-    @property
-    def tail_lo(self) -> float:
-        return 0.0
 
     def bracket(self) -> Bracket:
         return Bracket(max(0.0, _down(self.partial - self.bound)),
@@ -187,27 +186,30 @@ def dlog_zeta_check(s: float, cutoff: int, tol: float) -> DlogReport:
     """Compare the logarithmic derivative of zeta computed two ways at
     truncation: as (-sum log n / n^s) / (sum 1/n^s) and as
     -sum Lambda(n)/n^s. PASS when the observed difference fits inside
-    tol plus the certified truncation budget; when the budget alone
-    exceeds tol the comparison is INCONCLUSIVE rather than failed."""
+    tol plus the certified budget, which covers the truncation of both
+    series and the rounding of every sum; when the budget alone exceeds
+    tol the comparison is INCONCLUSIVE rather than failed."""
     if s <= 1.2:
         raise DslValueError("logarithmic-derivative check needs s > 1.2")
     if cutoff < 10**4:
         raise DslValueError("cutoff must be at least 10^4")
-    # in place: each array holds one float per integer up to the cutoff
-    ns = np.arange(1, cutoff + 1, dtype=np.float64)
-    weights = ns ** (-float(s))
-    den = float(weights.sum())
-    np.log(ns, out=ns)
-    ns *= weights
-    ratio_side = float(ns.sum()) / den
-    del ns
-    lam = _von_mangoldt_table(cutoff)
-    lam[1:] *= weights
-    series_side = float(lam[1:].sum())
+    den, den_err = zeta_partial(s, cutoff)
+    # log n summed directly: from Lambda it would use log = Lambda * 1, the identity under test
+    logs = np.arange(cutoff + 1, dtype=np.float64)
+    np.log(logs[1:], out=logs[1:])
+    (num,), (num_err,) = masked_power_sums(logs, [s])
+    del logs  # one table of cutoff + 1 floats alive at a time
+    (series,), (series_err,) = masked_power_sums(_von_mangoldt_table(cutoff), [s])
+    # the kernel takes its weights as exact; each log is within _LIB_UNITS
+    num_err += _err(num + num_err, _LIB_UNITS)
+    series_err += _err(series + series_err, _LIB_UNITS)
+    ratio_side, series_side = float(num / den), float(series)
     # integral comparison: sum_{n>N} log(n)/n^s <= N^(1-s)(log N/(s-1)+1/(s-1)^2)
     tail_log = cutoff ** (1.0 - s) * (math.log(cutoff) / (s - 1.0) + (s - 1.0) ** -2)
     tail_plain = cutoff ** (1.0 - s) / (s - 1.0)
-    budget = (tail_log + ratio_side * tail_plain) / den + tail_log
+    # each full series is within tail plus rounding of its partial sum
+    budget = float((tail_log + num_err + ratio_side * (tail_plain + den_err)) / (den - den_err)
+                   + _err(ratio_side, 1) + tail_log + series_err)
     diff = abs(ratio_side - series_side)
     if budget > tol:
         verdict = INCONCLUSIVE

@@ -100,6 +100,14 @@ def _float_list(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t.strip()]
 
 
+def _bool(text: str) -> bool:
+    """A true/false config-file value: true/false, yes/no or 1/0."""
+    t = text.strip().lower()
+    if t not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError(f"not a true/false value: {text!r}")
+    return t in ("true", "yes", "1")
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -372,7 +380,7 @@ def _cmd_verify(res: _Resolver) -> int:
         if not raw:
             raise DslSyntaxError("verify union-dense needs --supports", 0, "prime sets")
         sups = [_int_list(part) for part in raw.split(";") if part.strip()]
-        rep = union_dense_check(sups, family_flag=bool(res.get("family_flag", None, False)))
+        rep = union_dense_check(sups, family_flag=res.get("family_flag", _bool, False))
     else:
         rep = _axioms_report(res, seed)
 

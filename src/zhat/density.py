@@ -13,6 +13,7 @@ report explicitly says so.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -103,13 +104,10 @@ def density_alpha(cset: CompiledSet, alpha: float, r_grid, tail_window: int = DE
     grid = [int(r) for r in r_grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
         raise DslValueError("r_grid must be nonempty, positive, strictly increasing")
-    notes = []
-    values = []
-    for r in grid:
-        v, note = _alpha_ratio(cset, alpha, r)
-        values.append(v)
-        if note and note not in notes:
-            notes.append(note)
+    # largest radius first: the shared prime sieve is then built once
+    results = [_alpha_ratio(cset, alpha, r) for r in reversed(grid)][::-1]
+    values = [v for v, _ in results]
+    notes = list(dict.fromkeys(note for _, note in results if note))
     tail = _tail(values, tail_window)
     return DensityReport(
         method="alpha",
@@ -125,14 +123,29 @@ def density_alpha(cset: CompiledSet, alpha: float, r_grid, tail_window: int = DE
 
 
 def _alpha_ratio(cset: CompiledSet, alpha: float, r: int) -> tuple[float, str | None]:
-    if cset.dim != 1:
-        return _alpha_ratio_grid(cset, alpha, r), None
-    if not cset.positive_only:
-        return _alpha_ratio_symmetric(cset, alpha, r), None
-    num, note = _member_weight(cset, alpha, r)
-    if alpha == 0.0:
-        return num / float(r), note
-    return num / (harmonic(r) if alpha == -1.0 else zeta_partial(-alpha, r)[0]), note
+    """The ratio at radius r. Boxes other than [1, r] read their table: the
+    exact count at alpha 0, else the power-sum kernel over the halves of
+    [-r, r] in dimension 1, or over members against points per shell
+    |x| = k, |x| the largest |coordinate|. The origin has no weight."""
+    if cset.dim == 1 and cset.positive_only:
+        num, note = _member_weight(cset, alpha, r)
+        if alpha == 0.0:
+            return num / float(r), note
+        return num / (harmonic(r) if alpha == -1.0 else zeta_partial(-alpha, r)[0]), note
+    table = cset.box(r)[1]
+    if alpha == 0.0:  # the exact count over the whole box, origin included
+        return float(np.count_nonzero(table)) / float(table.size), None
+    if cset.dim == 1:  # each half summed outward from 0: index k of a half is +k or -k
+        num = sum(masked_power_sums(half, [-alpha])[0][0] for half in (table[r:], table[r::-1]))
+        return float(num) / (2.0 * zeta_partial(-alpha, r)[0]), None
+    ax = np.abs(np.arange(1 if cset.positive_only else -r, r + 1)).astype(np.min_scalar_type(r))
+    norm = functools.reduce(np.maximum, np.ix_(*[ax] * cset.dim))
+    members = np.bincount(norm[table], minlength=r + 1)
+    k = np.arange(r + 1, dtype=np.int64)
+    outer, inner = (k, k - 1) if cset.positive_only else (2 * k + 1, 2 * k - 1)
+    points = outer**cset.dim - inner**cset.dim
+    num = masked_power_sums(members, [-alpha])[0][0]
+    return float(num / masked_power_sums(points, [-alpha])[0][0]), None
 
 
 def _member_weight(cset: CompiledSet, alpha: float, r: int) -> tuple[float, str | None]:
@@ -170,17 +183,6 @@ def _ie_weight(kind: str, mods, r: int, alpha: float) -> int | float:
     return whole - comp if kind == "multiples" else comp
 
 
-def _alpha_ratio_symmetric(cset: CompiledSet, alpha: float, r: int) -> float:
-    """The ratio over the box [-r, r]: at alpha 0 the exact count with the
-    origin, else each half summed outward from 0 by the power-sum kernel
-    (index k of a half is the point +k or -k; the kernel skips index 0)."""
-    table = cset.box(r)[1]
-    if alpha == 0.0:
-        return float(np.count_nonzero(table)) / float(table.size)
-    num = sum(masked_power_sums(half, [-alpha])[0][0] for half in (table[r:], table[r::-1]))
-    return float(num) / (2.0 * zeta_partial(-alpha, r)[0])
-
-
 def log_density_window(cset: CompiledSet, r_lo: int, r_hi: int) -> float:
     """Logarithmic density over the window (r_lo, r_hi]: the harmonic mass
     of members divided by the harmonic length. The cumulative ratio carries
@@ -196,23 +198,15 @@ def log_density_window(cset: CompiledSet, r_lo: int, r_hi: int) -> float:
     return num / (harmonic(r_hi) - harmonic(r_lo))
 
 
-def _alpha_ratio_grid(cset: CompiledSet, alpha: float, r: int) -> float:
-    lo, grid = cset.box(r)
-    side = r - lo + 1
-    ax = np.abs(np.arange(lo, r + 1, dtype=np.int64))
-    norm = ax.reshape([side] + [1] * (cset.dim - 1))
-    for i in range(1, cset.dim):
-        shape = [1] * cset.dim
-        shape[i] = side
-        norm = np.maximum(norm, ax.reshape(shape))
-    if alpha == 0.0:
-        return float(grid.sum()) / float(side**cset.dim)
-    w = np.where(norm > 0, norm.astype(np.float64), 1.0) ** alpha
-    w[norm == 0] = 0.0  # origin omitted for negative exponents
-    return float((grid * w).sum()) / float(w.sum())
-
-
 # ------------------------------------------------------------- uniform
+
+
+def _prefix_counts(table: np.ndarray) -> np.ndarray:
+    """cum[i] = number of members among table[:i], for 0 <= i <= table.size."""
+    cum = np.zeros(table.size + 1, dtype=np.int64)
+    cum[1:] = table  # widened in place: a casting cumsum buffers a second table
+    np.cumsum(cum[1:], out=cum[1:])
+    return cum
 
 
 def density_uniform(cset: CompiledSet, l_grid, scan_radius: int,
@@ -228,14 +222,14 @@ def density_uniform(cset: CompiledSet, l_grid, scan_radius: int,
         raise DslValueError("window lengths must be positive, strictly increasing")
     if lengths[-1] > 2 * scan_radius:
         raise DslValueError(f"window length {lengths[-1]} exceeds scan range {2 * scan_radius}")
-    arr = cset.box(scan_radius)[1].astype(np.int64)
-    if lengths[-1] > arr.size:
+    cum = _prefix_counts(cset.box(scan_radius)[1])
+    if lengths[-1] >= cum.size:
         raise DslValueError("window length exceeds available range")
-    cum = np.concatenate([[0], np.cumsum(arr)])
+    counts = np.empty(cum.size - 1, dtype=np.int64)  # one buffer for every length
     values = []
     for L in lengths:
-        counts = cum[L:] - cum[:-L]
-        values.append([float(counts.min()) / L, float(counts.max()) / L])
+        window = np.subtract(cum[L:], cum[:-L], out=counts[:cum.size - L])
+        values.append([float(window.min()) / L, float(window.max()) / L])
     tail = _tail(values, tail_window)
     return DensityReport(
         method="uniform",
@@ -348,9 +342,8 @@ def density_weighted(cset: CompiledSet, step_fn, r_grid,
     grid = [int(r) for r in r_grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
         raise DslValueError("r_grid must be nonempty, positive, strictly increasing")
-    values = []
-    for r in grid:
-        values.append(_weighted_ratio(cset, steps, r))
+    # largest radius first, as in density_alpha
+    values = [_weighted_ratio(cset, steps, r) for r in reversed(grid)][::-1]
     tail = _tail(values, tail_window)
     return DensityReport(
         method="weighted",
@@ -366,7 +359,7 @@ def density_weighted(cset: CompiledSet, step_fn, r_grid,
 
 def _weighted_ratio(cset: CompiledSet, steps, r: int) -> float:
     lo, table = cset.box(r)
-    cum = np.concatenate([[0], np.cumsum(table.astype(np.int64))])
+    cum = _prefix_counts(table)
     num = 0.0
     den = 0.0
     for (a, b), w in steps:

@@ -212,12 +212,6 @@ class MeasureTrace:
     def values(self) -> list[Fraction]:
         return [r.measure for r in self.records]
 
-    def floats(self) -> list[float]:
-        return [float(r.measure) for r in self.records]
-
-    def last(self) -> Fraction:
-        return self.records[-1].measure
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("level_index,modulus,residue_count,measure_num,measure_den,measure_float,mode\n")
@@ -373,26 +367,45 @@ def _parse_local_factor(text: str) -> tuple[int, int]:
 
 def masked_power_sums(mask: np.ndarray, s_grid) -> tuple[np.ndarray, np.ndarray]:
     """Sums of k^(-s) over the k >= 1 with mask[k] set, for every s of the
-    grid, each with a bound on its rounding error. One pass over the mask
-    in blocks of _BLOCK integers: the block's member indices are converted
+    grid, each with a bound on its rounding error. A numeric (non-boolean)
+    array is a table of nonnegative weights instead: the sums are then of
+    mask[k] k^(-s), the weights are taken as exact and each product counts
+    one more rounding. Index 0 is never read. One pass over the table in
+    blocks of _BLOCK integers: the block's nonzero indices are converted
     once and raised to every s, so extra memory stays a few blocks wide."""
     ss = [float(s) for s in s_grid]
+    weighted = mask.dtype != np.bool_
     parts: list[list[float]] = [[] for _ in ss]
     count = 0
+    mass = 0.0  # sum of the weights, which scales the underflow allowance
     buf = np.empty(_BLOCK)
     for lo in range(1, mask.size, _BLOCK):
-        k = np.flatnonzero(mask[lo:lo + _BLOCK]).astype(np.float64)
-        if not k.size:
+        block = mask[lo:lo + _BLOCK]
+        # nonzero runs several times faster on booleans than on numbers
+        idx = np.flatnonzero(block.astype(bool, copy=False))
+        if not idx.size:
             continue
-        count += k.size
+        count += idx.size
+        if weighted:
+            w = block[idx].astype(np.float64, copy=False)
+            # the order-independent bound needs terms of one sign; NaN fails both
+            if not (w.min() >= 0.0 and w.max() < math.inf):
+                raise DslValueError("power-sum weights must be finite and nonnegative")
+            mass += float(w.sum())
+        k = idx.astype(np.float64)
         k += lo
         out = buf[:k.size]
         for part, s in zip(parts, ss):
             np.power(k, -s, out=out)
+            if weighted:
+                out *= w
             part.append(float(out.sum()))
     sums = np.array([math.fsum(part) for part in parts])
     depth = min(count, _BLOCK)
-    bounds = np.array([_sum_error(t, _gamma(_LIB_UNITS), depth, count * _TINY) for t in sums])
+    # a product in the subnormal range errs by at most half of 2^-1074
+    tiny = (mass + count if weighted else count) * _TINY
+    term_rel = _gamma(_LIB_UNITS + weighted)
+    bounds = np.array([_sum_error(t, term_rel, depth, tiny) for t in sums])
     return sums, bounds
 
 

@@ -163,6 +163,24 @@ def test_dlog_zeta_passes_at_s2():
     assert rep.difference < rep.tol
 
 
+@pytest.mark.parametrize("s", [1.3, 2.0, 3.5])
+def test_dlog_zeta_sides_within_rounding_budget_of_fsum(s):
+    # the budget is the truncation budget plus the rounding of both sides
+    n = 10**4
+    rep = dlog_zeta_check(s, n, 1e-3)
+    den = math.fsum(k ** -s for k in range(1, n + 1))
+    ratio = math.fsum(math.log(k) * k ** -s for k in range(2, n + 1)) / den
+    prime_powers = [(p, p**j) for p in _primes.primes_upto(n).tolist()
+                    for j in range(1, n.bit_length()) if p**j <= n]
+    series = math.fsum(math.log(p) * q ** -s for p, q in prime_powers)
+    tail_log = n ** (1 - s) * (math.log(n) / (s - 1) + (s - 1) ** -2)
+    truncation = (tail_log + rep.ratio_side * n ** (1 - s) / (s - 1)) / den + tail_log
+    rounding = rep.tail_budget - truncation
+    assert rounding > 0
+    assert abs(rep.ratio_side - ratio) <= rounding
+    assert abs(rep.series_side - series) <= rounding
+
+
 def test_dlog_zeta_inconclusive_near_pole():
     rep = dlog_zeta_check(1.21, 10**5, 1e-3)
     assert rep.verdict == "INCONCLUSIVE"

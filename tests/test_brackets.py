@@ -26,14 +26,16 @@ SCALE = 10**30
 SETS = ["primes", "kfree(2)", "cong(1,4)", "kfree(2) & cong(1,4)", "!multiples(4,6)", "cong(0,4)"]
 
 
-def power_bracket(ks, a: int, b: int) -> tuple[Fraction, Fraction]:
-    """Exact enclosure of sum of k^(-a/b) over ks: with r = floor(k^(a/b) S),
-    k^(-a/b) lies in [S/(r+1), S/r], summed at resolution 1/S^2."""
+def power_bracket(ks, a: int, b: int, weights=None) -> tuple[Fraction, Fraction]:
+    """Exact enclosure of sum of w_k k^(-a/b) over ks (w_k = 1 unless integer
+    weights are given): with r = floor(k^(a/b) S), k^(-a/b) lies in
+    [S/(r+1), S/r], summed at resolution 1/S^2."""
     lo = hi = 0
     for k in ks:
+        w = 1 if weights is None else int(weights[k])
         r = _iroot(k**a * SCALE**b, b)
-        lo += SCALE**3 // (r + 1)
-        hi += -(-(SCALE**3) // r)
+        lo += w * (SCALE**3 // (r + 1))
+        hi += w * -(-(SCALE**3) // r)
     return Fraction(lo, SCALE**2), Fraction(hi, SCALE**2)
 
 
@@ -196,5 +198,46 @@ def test_brackets_enclose_exact_with_tiny_blocks(monkeypatch, text):
 
 
 def test_empty_mask_sums_to_zero():
-    sums, bounds = masked_power_sums(np.zeros(50, dtype=bool), [2.0])
-    assert sums.tolist() == [0.0] and bounds.tolist() == [0.0]
+    for table in (np.zeros(50, dtype=bool), np.zeros(50, dtype=np.int64), np.zeros(50)):
+        sums, bounds = masked_power_sums(table, [2.0])
+        assert sums.tolist() == [0.0] and bounds.tolist() == [0.0]
+
+
+# ---------------------------------------------------------------- weighted sums
+
+
+@pytest.mark.parametrize("block", [measure._BLOCK, 7])
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.float64])
+def test_weighted_power_sums_enclose_exact(monkeypatch, block, dtype):
+    # shell counts of the dimension-n alpha ratio are such integer weights;
+    # index 0 is never read, so its negative weight is harmless
+    monkeypatch.setattr(measure, "_BLOCK", block)
+    weights = np.random.default_rng(5).integers(0, 40, 2001)
+    weights[::3] = 0
+    weights = weights.astype(dtype)
+    if dtype != np.uint16:
+        weights[0] = -3
+    grid = [(1, 2), (1, 1), (5, 4), (3, 1)]
+    sums, bounds = masked_power_sums(weights, [a / b for a, b in grid])
+    for (a, b), t, e in zip(grid, sums, bounds):
+        lo, hi = measure._down(t - e), measure._up(t + e)
+        assert encloses(lo, hi, power_bracket(range(1, weights.size), a, b, weights))
+
+
+def test_zero_one_weights_sum_like_the_mask():
+    mask = compile_set("kfree(2) & cong(1,4)").mask_upto(5000)
+    ss = [2.0, 1.0, 0.5]
+    sums, bounds = masked_power_sums(mask, ss)
+    wsums, wbounds = masked_power_sums(mask.astype(np.uint8), ss)
+    assert wsums.tolist() == sums.tolist()
+    assert np.all(wbounds > bounds)  # the product counts one more rounding
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+def test_weights_must_be_finite_and_nonnegative(bad):
+    weights = np.ones(200)
+    weights[150] = bad
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        masked_power_sums(weights, [2.0])
+    with pytest.raises(ValueError):
+        masked_power_sums(np.array([0, 1, -2]), [2.0])

@@ -256,6 +256,24 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     assert p2["config"]["r_max"] == 2 * 10**4
 
 
+@pytest.mark.parametrize("value, dense", [("false", False), ("no", False), ("0", False),
+                                          ("true", True), ("Yes", True), ("1", True)])
+def test_config_file_family_flag_is_parsed(value, dense, tmp_path, capsys):
+    # the smallest hitting set of these supports has 4 primes, above the
+    # default max hitting size, so only the flag makes the union dense
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"family_flag = {value}\n")
+    assert cli.main(["--config", str(cfg), "verify", "union-dense", "--supports", "2;3;5;7"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["quantities"]["dense"] is dense
+
+
+def test_config_file_family_flag_rejects_other_values(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family_flag = maybe\n")
+    assert cli.main(["--config", str(cfg), "verify", "union-dense", "--supports", "2;3;5;7"]) == 2
+    assert capsys.readouterr().err == "usage: not a true/false value: 'maybe'\n"
+
+
 def test_table_output_renders_key_value_lines():
     proc = run_cli("measure", "--multiples", "4,6", "--output", "table")
     assert "measure" in proc.stdout

@@ -1,5 +1,6 @@
 """Counting estimators, window densities, and the finitely-additive axiom suite."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zhat import _primes
 from zhat.density import (
     AxiomSuiteReport,
     DensityReport,
@@ -151,6 +153,52 @@ def test_alpha_mask_paths_share_the_box_budget(alpha):
     assert density_alpha(cset, alpha, [100]).values[0] > 0
     with pytest.raises(BudgetExceeded):
         density_alpha(cset, alpha, [101])
+
+
+@pytest.mark.parametrize("positive_only", [True, False])
+@pytest.mark.parametrize("text", ["coprime(2)", "coprime(2) | multiples(4,6)", "coprime(3)"])
+def test_alpha_dimension_n_matches_max_norm_fsum(text, positive_only):
+    # the weight of a point is its largest |coordinate| to the alpha; the
+    # origin of the symmetric box carries none
+    cs = compile_set(text, positive_only=positive_only)
+    for r in (1, 2, 7, 30):
+        axis = range(1, r + 1) if positive_only else range(-r, r + 1)
+        points = [p for p in itertools.product(axis, repeat=cs.dim) if any(p)]
+        members = [p for p in points if cs.contains(p)]
+        for alpha in (-1.0, -0.5):
+            weight = math.fsum(max(map(abs, p)) ** alpha for p in members)
+            whole = math.fsum(max(map(abs, p)) ** alpha for p in points)
+            got = density_alpha(cs, alpha, [r]).values[0]
+            assert got == pytest.approx(weight / whole, rel=1e-14), (r, alpha)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda cs, grid: density_alpha(cs, 0.0, grid),
+    lambda cs, grid: density_alpha(cs, -1.0, grid),
+    lambda cs, grid: density_weighted(cs, [((0.0, 0.5), 1.0), ((0.5, 1.0), 2.0)], grid),
+], ids=["asymptotic", "logarithmic", "weighted"])
+def test_density_grids_build_the_prime_sieve_once(monkeypatch, estimate):
+    # a halving grid evaluated from the smallest radius up outgrows the
+    # shared sieve at every radius; from the largest down it is built once
+    cs = compile_set("kfree(2) \\ primes")
+    grid = [5000, 10000, 20000, 40000]
+    single = [estimate(cs, [r]).values[0] for r in grid]
+    builds = []
+    ensure = _primes._ensure_sieve
+
+    def counting(n):
+        if n > _primes._SIEVE_BOUND:
+            builds.append(n)
+        ensure(n)
+
+    for name in ("_SIEVE_BOUND", "_IS_PRIME", "_PRIMES", "_SMALL_PRIMES"):
+        monkeypatch.setattr(_primes, name, getattr(_primes, name))
+    monkeypatch.setattr(_primes, "_SIEVE_BOUND", 0)
+    ensure(math.isqrt(grid[-1]))  # the small primes kfree(2) reads
+    monkeypatch.setattr(_primes, "_ensure_sieve", counting)
+    rep = estimate(cs, grid)
+    assert builds == [grid[-1]]
+    assert list(rep.values) == single
 
 
 def test_log_density_window_mask_path_matches_fsum():
