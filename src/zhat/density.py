@@ -283,23 +283,18 @@ def density_buck(cset: CompiledSet, chain: ModulusChain, cutoff: int,
     """Finite-level density: the upper value is the least level measure
     along the chain (a certified upper bound for exact sets); the lower
     value is one minus the same quantity for the complement, certified only
-    when the complement's images are exact (clopen structure), else
-    computed from truncated complement images and flagged."""
+    when the complement is exact-mode, else computed from truncated
+    complement images and flagged."""
     trace = closure_measure_trace(cset, chain, cutoff, truncation)
     upper = min(trace.values())
     notes = list(trace.notes)
     comp = compile_set(Complement(cset.expr), positive_only=cset.positive_only,
                        residue_budget=cset.residue_budget, box_budget=cset.box_budget)
     levels = [r.modulus for r in trace.records]
-    # clopen_image_exact is None at every level or at none
-    comp_imgs = [comp.clopen_image_exact(m) for m in levels]
-    lower_certified = comp_imgs[0] is not None
-    if lower_certified:
-        notes.append("lower bound from exact complement images")
-    else:
-        comp_imgs = [comp.residue_image(m, truncation) for m in levels]
-        notes.append("UNCERTIFIED lower: complement images are truncated")
-    lower = 1 - min(img.level_measure() for img in comp_imgs)
+    lower_certified = comp.mode == EXACT
+    notes.append("lower bound from exact complement images" if lower_certified
+                 else "UNCERTIFIED lower: complement images are truncated")
+    lower = 1 - min(comp.residue_image(m, truncation).level_measure() for m in levels)
     certified = trace.mode == EXACT
     if not certified:
         notes.append("UNCERTIFIED upper: set images are truncated")

@@ -662,15 +662,16 @@ class CrtSplit:
 # ------------------------------------------------------------- compiled set
 
 
-def _rule_exact(expr: SetExpr) -> bool:
+def _rule_exact(expr: SetExpr, dim: int, budget: int) -> bool:
+    """Whether _exact_mask has a rule: &, \\ and ! need a clopen period L with L^dim <= budget."""
     if isinstance(expr, (Cong, KFree, Primes, Coprime, PolyImage, Multiples, FiniteSet)):
         return True
     if isinstance(expr, (LeadingDigit, Seq)):
         return False
     if isinstance(expr, Union):
-        return _rule_exact(expr.a) and _rule_exact(expr.b)
-    # intersection/difference/complement: pi_m does not commute with them
-    return False
+        return _rule_exact(expr.a, dim, budget) and _rule_exact(expr.b, dim, budget)
+    level = clopen_modulus(expr)
+    return level is not None and level**dim <= budget
 
 
 def clopen_modulus(expr: SetExpr) -> Optional[int]:
@@ -768,21 +769,15 @@ class CompiledSet:
         return ResidueImage(m, self.dim, mask, TRUNCATED, n, self.assumptions)
 
     def clopen_image_exact(self, m: int) -> ResidueImage | None:
-        """Exact pi_m(X) for clopen-structured expressions (Cong/Multiples
-        trees under any combinators), at any level m: membership is decided
-        by the residue mod L, so the image is the projection to Z/m of one
-        period mod lcm(m, L). Returns None when the structure is not clopen
-        or the set is not one-dimensional."""
-        if self.dim != 1:
-            return None
+        """Exact pi_m(X) of a Cong/Multiples tree under any combinators, read
+        from residue_image. None when the structure is not clopen;
+        BudgetExceeded when its period is over the residue budget."""
         level = clopen_modulus(self.expr)
         if level is None:
             return None
-        big = math.lcm(m, level)
-        if big > self.residue_budget:
-            raise BudgetExceeded(f"clopen evaluation at lcm({m},{level})={big} exceeds budget")
-        period = _box_mask(self.expr, 0, big - 1, 1)
-        return ResidueImage(m, 1, _project(period, big, m, 1), EXACT, None, self.assumptions)
+        if self.mode != EXACT:
+            raise BudgetExceeded(f"clopen period {level} exceeds the residue budget {self.residue_budget}")
+        return self.residue_image(m)
 
     def residue_count(self, m: int) -> int:
         """|pi_m(X)| using closed-form per-prime counts where the structure
@@ -823,7 +818,7 @@ def compile_set(expr: SetExpr | str, positive_only: bool | None = None,
     dim = expr_dim(expr)
     if positive_only is None:
         positive_only = dim == 1
-    mode = EXACT if _rule_exact(expr) else TRUNCATED
+    mode = EXACT if _rule_exact(expr, dim, residue_budget) else TRUNCATED
     assumptions = frozenset([ASSUMES_DIRICHLET]) if _mentions_primes(expr) else frozenset()
     return CompiledSet(expr, dim, mode, positive_only, residue_budget, box_budget, assumptions)
 
@@ -1030,7 +1025,12 @@ def _interval_view(expr: SetExpr, r: int) -> list[tuple[int, int]] | None:
 def _exact_mask(expr: SetExpr, m: int, dim: int, budget: int) -> np.ndarray:
     """pi_m(expr) as a flat row-major mask over (Z/m)^dim. Atoms given by
     local conditions build one mask per prime power q || m and meet in
-    _crt_and; the other atoms and Union are direct mask operations."""
+    _crt_and; the other atoms and Union are direct mask operations.
+
+    Any other node is clopen with period L (clopen_modulus): membership
+    depends only on x mod L in every coordinate. By CRT, x + mZ covers
+    exactly the classes x + gZ mod L, g = gcd(m, L), so pi_m is the
+    pull-back to Z/m of the projection of one period [0, L)^dim to Z/g."""
     pps = _primes.prime_powers_of(m)
     if isinstance(expr, Cong):  # every coordinate in the class r mod gcd(m, m0)
         g = math.gcd(m, expr.m0)
@@ -1068,7 +1068,9 @@ def _exact_mask(expr: SetExpr, m: int, dim: int, budget: int) -> np.ndarray:
         return out
     if isinstance(expr, Union):
         return _exact_mask(expr.a, m, dim, budget) | _exact_mask(expr.b, m, dim, budget)
-    raise ModeError(f"no exact residue rule for {type(expr).__name__}")
+    level = clopen_modulus(expr)  # _rule_exact admits only clopen nodes here
+    g = math.gcd(m, level)
+    return _crt_and(m, dim, [(g, _project(_box_mask(expr, 0, level - 1, dim).ravel(), level, g, dim))])
 
 
 def _crt_and(m: int, dim: int, locals_: list[tuple[int, np.ndarray]]) -> np.ndarray:

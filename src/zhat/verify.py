@@ -375,7 +375,7 @@ def asdmltp_verify(moduli, r_max: int = 10**6, m_check: int | None = None,
     cs = compile_set(Complement(Multiples(mods)), positive_only=True)
     level_ok = None
     if lcm <= 10**7:
-        img = cs.clopen_image_exact(lcm)
+        img = cs.residue_image(lcm)
         level_ok = img.level_measure() == target
         narrative.append(f"clopen level measure at lcm={lcm} equals target: {level_ok}")
 
@@ -385,11 +385,12 @@ def asdmltp_verify(moduli, r_max: int = 10**6, m_check: int | None = None,
 
     trunc_ok = None
     if m_check is not None:
-        exact_img = cs.clopen_image_exact(m_check)
-        trunc_img = cs.residue_image(m_check, truncation=max(10**6, 4 * lcm, 2 * m_check))
-        trunc_ok = bool(np.array_equal(trunc_img.mask, exact_img.mask))
+        # classes of the members up to N >= 4 lcm: over the box budget unless cs is exact
+        seen = np.bincount(np.flatnonzero(cs.mask_upto(max(10**6, 4 * lcm, 2 * m_check))) % m_check,
+                           minlength=m_check) > 0
+        trunc_ok = bool(np.array_equal(seen, cs.residue_image(m_check).mask))
         narrative.append(
-            f"truncated image at m={m_check} ({trunc_img.count} classes) matches the "
+            f"truncated image at m={m_check} ({np.count_nonzero(seen)} classes) matches the "
             f"exact local conditions: {trunc_ok}"
         )
 
@@ -421,6 +422,8 @@ def poonen_stoll_tail(spec: str = "kfree", k: int = 2, prime_cutoffs=(10, 100, 1
     uses the nonzero classes mod p (whose complement sum diverges: the
     condition genuinely fails), 'trivial' imposes nothing."""
     cutoffs = sorted(int(c) for c in prime_cutoffs)
+    if not cutoffs or cutoffs[0] < 1:
+        raise DslValueError(f"prime cutoffs must be a nonempty list of integers >= 1, got {cutoffs}")
     narrative = []
     quantities: dict = {"tail_bounds": []}
     if spec == "trivial":
@@ -481,19 +484,19 @@ def mt_criterion(cset: CompiledSet, chain: ModulusChain, cutoff: int,
     trace is an estimate, not a certified quantity."""
     if cset.dim != 1:
         raise DslValueError("gap trace implemented for dimension 1")
+    if r_max < 1:
+        raise DslValueError(f"r_max must be >= 1, got {r_max}")
     levels = chain.levels(cutoff)
     member = cset.mask_upto(r_max)
+    radii = sorted({max(1, r_max // 4), max(1, r_max // 2), r_max})
     trace: list[float] = []
     narrative = []
     for m in levels:
-        looks = cset.residue_image(m, truncation).mask[np.arange(r_max + 1) % m]
+        looks = np.tile(cset.residue_image(m, truncation).mask, r_max // m + 1)[: r_max + 1]
         gap = looks & ~member
         gap[0] = False
-        best = 0.0
-        for r in (r_max // 4, r_max // 2, r_max):
-            best = max(best, float(gap[: r + 1].sum()) / r)
-        trace.append(best)
-        narrative.append(f"level {m}: gap density estimate {best:.6f}")
+        trace.append(max(float(gap[: r + 1].sum()) / r for r in radii))
+        narrative.append(f"level {m}: gap density estimate {trace[-1]:.6f}")
     vanishing = trace[-1] <= tol
     narrative.append(f"trace tends below {tol}: {vanishing}")
     return VerificationReport(
@@ -560,8 +563,8 @@ def union_dense_check(supports, family_flag: bool = False,
     union; an infinite family that escapes every finite prime set must be
     declared through family_flag."""
     sups = [frozenset(int(p) for p in s) for s in supports]
-    if any(not s for s in sups):
-        raise DslValueError("supports must be nonempty prime sets")
+    if any(not s or not all(map(_primes.is_prime, s)) for s in sups):
+        raise DslValueError(f"supports must be nonempty prime sets, got {[sorted(s) for s in sups]}")
     if not sups:
         if not family_flag:
             raise DslValueError("supports must be nonempty prime sets")

@@ -79,6 +79,13 @@ def test_measure_multiples_exact():
     assert payload["measure"]["num"] == 2
     assert payload["measure"]["den"] == 3
     assert payload["certified"] is True
+    # the same set through the DSL: a clopen complement is exact-mode
+    payload = run_json("measure", "--set", "!multiples(4,6)", "--chain", "primorial^2",
+                       "--cutoff", "1000")
+    assert [lv["mode"] for lv in payload["levels"]] == ["exact"] * 3
+    assert [(lv["measure"]["num"], lv["measure"]["den"]) for lv in payload["levels"]] == [
+        (3, 4), (2, 3), (2, 3)]
+    assert payload["certified"] is True
 
 
 def test_measure_trace_csv_ends_at_pinned_fraction():
@@ -244,6 +251,21 @@ def test_non_finite_number_is_usage_error(value, tmp_path, capsys):
     cfg.write_text(f"r = {value}\n")
     assert cli.main(["--config", str(cfg), "density", "--set", "primes"]) == 2
     assert capsys.readouterr().err == f"usage: not a finite number: '{value}'\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "mt", "--set", "kfree(2)", "--rmax", "0"],
+    ["verify", "mt", "--set", "kfree(2)", "--rmax=-1"],
+    ["verify", "poonen-stoll", "--cutoffs=-5"],
+    ["verify", "poonen-stoll", "--cutoffs", "0"],
+    ["verify", "poonen-stoll", "--cutoffs", ","],
+    ["verify", "union-dense", "--supports", "4;6"],
+])
+def test_bad_verify_input_is_usage_error(args, capsys):
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: ") and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):

@@ -301,6 +301,7 @@ def test_buck_bounds_clopen_set_are_tight_and_certified():
     assert rep.lower_est == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert rep.upper_est == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert rep.params["lower_certified"] is True
+    assert rep.certified
 
 
 # ---------------------------------------------------------------------------

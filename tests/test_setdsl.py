@@ -280,8 +280,14 @@ def test_clopen_engine_exact_and_declines_gracefully():
     img = cs.clopen_image_exact(12)
     oracle = frozenset(r for r in range(12) if r % 4 and r % 6)
     assert img.residues == oracle and img.mode == EXACT
+    assert cs.mode == EXACT
     # non-clopen structure: no exact shortcut exists
     assert compile_set("kfree(2)").clopen_image_exact(12) is None
+    # a period past the residue budget (L ~ 9e8) keeps the truncated engine
+    big = compile_set("!multiples(4,9,25,49,121,169)")
+    assert big.mode == TRUNCATED
+    with pytest.raises(BudgetExceeded):
+        big.clopen_image_exact(12)
 
 
 def test_crt_split_examples():
@@ -423,6 +429,39 @@ def test_exact_union_image_matches_brute_force(case, m):
     assert cs.residue_count(m) == len(oracle), (text, m)
 
 
+@st.composite
+def _clopen_tree(draw, depth=3):
+    """DSL text of a tree of cong/multiples atoms under | & \\ !, a numpy
+    membership predicate over Z, and a period of the tree."""
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        if draw(st.booleans()):
+            r, m0 = draw(st.integers(-20, 20)), draw(st.integers(1, 12))
+            return f"cong({r},{m0})", lambda x: (x - r) % m0 == 0, m0
+        mods = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)))
+        return (f"multiples({','.join(map(str, mods))})",
+                lambda x: np.logical_or.reduce([x % a == 0 for a in mods]), math.lcm(*mods))
+    op = draw(st.sampled_from(["|", "&", "\\", "!"]))
+    ta, pa, la = draw(_clopen_tree(depth=depth - 1))
+    if op == "!":
+        return f"!({ta})", lambda x: ~pa(x), la
+    tb, pb, lb = draw(_clopen_tree(depth=depth - 1))
+    combine = {"|": np.logical_or, "&": np.logical_and, "\\": lambda u, v: u & ~v}[op]
+    return f"({ta}) {op} ({tb})", lambda x: combine(pa(x), pb(x)), math.lcm(la, lb)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_clopen_tree(), st.integers(min_value=1, max_value=210))
+def test_clopen_tree_image_matches_brute_force(case, m):
+    text, pred, period = case
+    cs = compile_set(text)
+    x = np.arange(math.lcm(m, period))
+    oracle = frozenset((x[pred(x)] % m).tolist())
+    assert cs.mode == EXACT
+    assert cs.residue_image(m).residues == oracle, (text, m)
+    assert cs.residue_count(m) == len(oracle), (text, m)
+    assert cs.clopen_image_exact(m).residues == oracle, (text, m)
+
+
 @pytest.mark.parametrize("arity,m_max", [(1, 80), (2, 30)])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -436,10 +475,17 @@ def test_poly_image_matches_evaluation(arity, m_max, data):
 @pytest.mark.parametrize("n,levels", [(2, (1, 2, 4, 12, 18, 30)), (3, (1, 4, 6, 12))])
 def test_coprime_image_matches_gcd(n, levels):
     cs = compile_set(f"coprime({n})")
+    # a dimension-n union with a clopen subtree: tuples not all even
+    union = compile_set(f"!multiples(2) | coprime({n})")
+    assert union.mode == EXACT
     for m in levels:
         img = cs.residue_image(m)
         assert img.residues == brute_coprime_image(n, m), (n, m)
         assert img.count == cs.residue_count(m)
+        period = product(range(math.lcm(m, 2)), repeat=n)
+        odd = {tuple(c % m for c in x) for x in period if any(c % 2 for c in x)}
+        assert union.residue_image(m).residues == img.residues | odd, (n, m)
+        assert union.residue_count(m) == len(img.residues | odd)
 
 
 @settings(max_examples=40, deadline=None)

@@ -273,6 +273,10 @@ def test_mt_gap_exactly_zero_for_periodic():
     assert all(g == pytest.approx(0.0, abs=1e-3) for g in rep.quantities["gap_trace"])
     assert rep.quantities["vanishing"] is True
     assert rep.verdict == "PASS"
+    # radii below 4 collapse to distinct radii >= 1
+    for r_max in (1, 3):
+        small = mt_criterion(compile_set("cong(0,5)"), ModulusChain.explicit([5]), 5, r_max=r_max)
+        assert small.quantities["gap_trace"] == [0.0] and small.verdict == "PASS"
 
 
 def test_mt_gap_stays_large_for_primes():
