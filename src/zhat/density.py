@@ -294,7 +294,9 @@ def density_buck(cset: CompiledSet, chain: ModulusChain, cutoff: int,
     lower_certified = comp.mode == EXACT
     notes.append("lower bound from exact complement images" if lower_certified
                  else "UNCERTIFIED lower: complement images are truncated")
-    lower = 1 - min(comp.residue_image(m, truncation).level_measure() for m in levels)
+    comp_trace = closure_measure_trace(comp, chain, cutoff, truncation)
+    notes += [f"complement: {n}" for n in comp_trace.notes if n.startswith("stopped before")]
+    lower = 1 - min(comp_trace.values())
     certified = trace.mode == EXACT
     if not certified:
         notes.append("UNCERTIFIED upper: set images are truncated")

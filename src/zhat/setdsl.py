@@ -762,11 +762,7 @@ class CompiledSet:
         n = truncation if truncation is not None else max(m, 10**6)
         if n < m:
             raise DslValueError(f"truncation bound {n} < modulus {m}")
-        lo, table = self.box(n)
-        pts = (np.argwhere(table) + lo) % m
-        mask = np.zeros(m**self.dim, dtype=bool)
-        mask[np.ravel_multi_index(tuple(pts.T), (m,) * self.dim)] = True
-        return ResidueImage(m, self.dim, mask, TRUNCATED, n, self.assumptions)
+        return ResidueImage(m, self.dim, _table_image(*self.box(n), m), TRUNCATED, n, self.assumptions)
 
     def clopen_image_exact(self, m: int) -> ResidueImage | None:
         """Exact pi_m(X) of a Cong/Multiples tree under any combinators, read
@@ -915,22 +911,27 @@ def _box_mask(expr: SetExpr, lo: int, hi: int, dim: int) -> np.ndarray:
     table: cell (i_1, ..., i_dim) holds the point (lo + i_1, ..., lo + i_dim).
     Every table is freshly allocated, so callers may change it in place."""
     side = hi - lo + 1
-    if isinstance(expr, Cong):  # every coordinate in the class r mod m0
-        line = np.zeros(side, dtype=bool)
-        line[(expr.r - lo) % expr.m0:: expr.m0] = True
-        out = line
-        for _ in range(dim - 1):
-            out = np.logical_and.outer(out, line)
-        return out
-    if isinstance(expr, Multiples):
-        out = _box_mask(Cong(0, expr.moduli[0]), lo, hi, dim)
-        for a in expr.moduli[1:]:
-            out |= _box_mask(Cong(0, a), lo, hi, dim)
-        return out
-    if isinstance(expr, (KFree, LeadingDigit)):
+    if isinstance(expr, (Cong, Multiples)):  # a union of classes r + aZ^dim
+        classes = [(expr.r, expr.m0)] if isinstance(expr, Cong) else [(0, a) for a in expr.moduli]
+        return _mark_classes(np.zeros((side,) * dim, dtype=bool), lo, classes, True)
+    if isinstance(expr, Coprime) and dim == 1:  # gcd(x) = |x|
+        return _cells_at((-1, 1), lo, hi)
+    if isinstance(expr, (Coprime, KFree)):
+        # outside 0 + p^kZ^dim for every prime p (k = 1 for coprime); primes
+        # p <= |x|^(1/k) suffice, and p = 2, always listed, keeps 0 out
+        k = expr.k if isinstance(expr, KFree) else 1
+        top = int(round(max(-lo, hi) ** (1.0 / k))) + 2
+        classes = [(0, int(p) ** k) for p in _primes.primes_upto(top)]
+        return _mark_classes(np.ones((side,) * dim, dtype=bool), lo, classes, False)
+    if isinstance(expr, LeadingDigit):
         # membership depends on |k| only: one table over 0..max(|lo|, hi),
         # read outward from 0 in both directions
-        table = _abs_table(expr, max(-lo, hi))
+        n = max(-lo, hi)
+        table = np.zeros(n + 1, dtype=bool)
+        lead = expr.d
+        while lead <= n:
+            table[lead: min(lead + lead // expr.d - 1, n) + 1] = True
+            lead *= expr.base
         pos = table[max(lo, 0): hi + 1]
         return np.concatenate([table[-lo:0:-1], pos]) if lo < 0 else pos
     if isinstance(expr, Primes):  # members are positive only
@@ -949,12 +950,6 @@ def _box_mask(expr: SetExpr, lo: int, hi: int, dim: int) -> np.ndarray:
             return _cells_at(coeffs, lo, hi)
         t = _univariate_preimage_bound(coeffs, max(-lo, hi))
         return _cells_at([poly.evaluate((s,)) for s in range(-t, t + 1)], lo, hi)
-    if isinstance(expr, Coprime):  # gcd of the coordinates is 1
-        mag = np.abs(np.arange(lo, hi + 1, dtype=np.int64))
-        g = mag.reshape((side,) + (1,) * (dim - 1))
-        for i in range(1, dim):
-            g = np.gcd(g, mag.reshape((1,) * i + (side,) + (1,) * (dim - 1 - i)))
-        return g == 1
     if isinstance(expr, Complement):
         out = _box_mask(expr.a, lo, hi, dim)
         return np.logical_not(out, out=out)
@@ -968,23 +963,14 @@ def _box_mask(expr: SetExpr, lo: int, hi: int, dim: int) -> np.ndarray:
     raise TypeError(f"unknown node {expr!r}")
 
 
-def _abs_table(expr: SetExpr, n: int) -> np.ndarray:
-    """Membership of k for k in 0..n, for the atoms that only see |k|."""
-    if isinstance(expr, KFree):
-        z = np.ones(n + 1, dtype=bool)
-        z[0] = False
-        top = int(round(n ** (1.0 / expr.k))) + 2
-        for p in _primes.primes_upto(top):
-            q = int(p) ** expr.k
-            if q <= n:
-                z[q::q] = False
-        return z
-    z = np.zeros(n + 1, dtype=bool)
-    lead = expr.d
-    while lead <= n:
-        z[lead: min(lead + lead // expr.d - 1, n) + 1] = True
-        lead *= expr.base
-    return z
+def _mark_classes(out: np.ndarray, lo: int, classes, value: bool) -> np.ndarray:
+    """The one class-marking kernel: set to value every cell of the box
+    table out (cell i holds lo + i) whose coordinates are all = r mod a for
+    some (r, a) in classes. Each class r + aZ^dim is a strided slice along
+    every axis."""
+    for r, a in classes:
+        out[(slice((r - lo) % a, None, a),) * out.ndim] = value
+    return out
 
 
 def _cells_at(values, lo: int, hi: int) -> np.ndarray:
@@ -1027,35 +1013,29 @@ def _exact_mask(expr: SetExpr, m: int, dim: int, budget: int) -> np.ndarray:
     local conditions build one mask per prime power q || m and meet in
     _crt_and; the other atoms and Union are direct mask operations.
 
+    Cong and Multiples are classes r + aZ, read off the box [0, m)^dim with
+    each a reduced to gcd(m, a): x + mZ meets r + aZ exactly when
+    x = r mod gcd(m, a).
+
     Any other node is clopen with period L (clopen_modulus): membership
     depends only on x mod L in every coordinate. By CRT, x + mZ covers
     exactly the classes x + gZ mod L, g = gcd(m, L), so pi_m is the
     pull-back to Z/m of the projection of one period [0, L)^dim to Z/g."""
     pps = _primes.prime_powers_of(m)
-    if isinstance(expr, Cong):  # every coordinate in the class r mod gcd(m, m0)
-        g = math.gcd(m, expr.m0)
-        line = np.zeros(m, dtype=bool)
-        line[expr.r % g:: g] = True
-        out = line
-        for _ in range(dim - 1):
-            out = np.logical_and.outer(out, line)
-        return out.ravel()
+    if isinstance(expr, Cong):
+        return _box_mask(Cong(expr.r, math.gcd(m, expr.m0)), 0, m - 1, dim).ravel()
     if isinstance(expr, Multiples):
-        out = np.zeros(m**dim, dtype=bool)
-        for a in expr.moduli:
-            out |= _exact_mask(Cong(0, a), m, dim, budget)
+        return _box_mask(Multiples(tuple(math.gcd(m, a) for a in expr.moduli)), 0, m - 1, dim).ravel()
+    if isinstance(expr, (KFree, Primes, Coprime)):
+        # locally: not every coordinate divisible by p^k (k = 1 but for kfree)
+        k = expr.k if isinstance(expr, KFree) else 1
+        locals_ = [(q, ~_box_mask(Cong(0, p**k), 0, q - 1, dim).ravel()) for p, j, q in pps if j >= k]
+        out = _crt_and(m, dim, locals_)
+        if isinstance(expr, Primes):
+            # every prime not dividing m is a unit mod m (assumes-dirichlet: each
+            # unit class is actually hit); primes dividing m contribute themselves
+            out[[p % m for p, _, _ in pps]] = True
         return out
-    if isinstance(expr, KFree):
-        return _crt_and(m, dim, [(q, np.arange(q) % p**expr.k != 0) for p, j, q in pps if j >= expr.k])
-    if isinstance(expr, Primes):
-        # every prime not dividing m is a unit mod m (assumes-dirichlet: each
-        # unit class is actually hit); primes dividing m contribute themselves
-        out = _crt_and(m, dim, [(q, np.arange(q) % p != 0) for p, _, q in pps])
-        out[[p % m for p, _, _ in pps]] = True
-        return out
-    if isinstance(expr, Coprime):
-        # locally: not every coordinate divisible by p
-        return _crt_and(m, dim, [(q, ~_exact_mask(Cong(0, p), q, dim, budget)) for p, _, q in pps])
     if isinstance(expr, PolyImage):
         # f commutes with Z/m = prod Z/q, so the image is the CRT product of
         # the local images: sum q^arity evaluations instead of m^arity
@@ -1089,6 +1069,16 @@ def _project(mask: np.ndarray, m: int, q: int, dim: int) -> np.ndarray:
     as r_i = a_i*q + b_i, and the image keeps every b found for some a."""
     blocks = mask.reshape((m // q, q) * dim)
     return blocks.any(axis=tuple(range(0, 2 * dim, 2))).ravel()
+
+
+def _table_image(lo: int, table: np.ndarray, m: int) -> np.ndarray:
+    """Flat mask over (Z/m)^dim of the classes of the points of a box table
+    (cell i holds lo + i). Padding each axis in front by lo mod m puts the
+    class of every cell at its index mod m; padding at the back to whole
+    periods makes the table a mask over (Z/L)^dim with m | L to _project."""
+    front = lo % m
+    padded = np.pad(table, [(front, -(front + side) % m) for side in table.shape])
+    return _project(padded.ravel(), padded.shape[0], m, table.ndim)
 
 
 def _poly_values_mod(poly: Polynomial, q: int, arity: int) -> np.ndarray:

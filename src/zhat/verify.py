@@ -40,6 +40,7 @@ from .setdsl import (
     Complement,
     DslValueError,
     Multiples,
+    _table_image,
     compile_set,
     crt_split,
     to_text,
@@ -386,8 +387,7 @@ def asdmltp_verify(moduli, r_max: int = 10**6, m_check: int | None = None,
     trunc_ok = None
     if m_check is not None:
         # classes of the members up to N >= 4 lcm: over the box budget unless cs is exact
-        seen = np.bincount(np.flatnonzero(cs.mask_upto(max(10**6, 4 * lcm, 2 * m_check))) % m_check,
-                           minlength=m_check) > 0
+        seen = _table_image(0, cs.mask_upto(max(10**6, 4 * lcm, 2 * m_check)), m_check)
         trunc_ok = bool(np.array_equal(seen, cs.residue_image(m_check).mask))
         narrative.append(
             f"truncated image at m={m_check} ({np.count_nonzero(seen)} classes) matches the "
@@ -481,7 +481,8 @@ def mt_criterion(cset: CompiledSet, chain: ModulusChain, cutoff: int,
     image) but are not members. The density-equals-measure situation is the
     one where this trace tends to zero. The verdict is PASS when the last
     trace value is within tol and INCONCLUSIVE otherwise, never FAIL: the
-    trace is an estimate, not a certified quantity."""
+    trace is an estimate, not a certified quantity. The trace stops with a
+    note at the first level whose image is over the budget."""
     if cset.dim != 1:
         raise DslValueError("gap trace implemented for dimension 1")
     if r_max < 1:
@@ -491,8 +492,14 @@ def mt_criterion(cset: CompiledSet, chain: ModulusChain, cutoff: int,
     radii = sorted({max(1, r_max // 4), max(1, r_max // 2), r_max})
     trace: list[float] = []
     narrative = []
-    for m in levels:
-        looks = np.tile(cset.residue_image(m, truncation).mask, r_max // m + 1)[: r_max + 1]
+    for idx, m in enumerate(levels, start=1):
+        try:
+            looks = np.tile(cset.residue_image(m, truncation).mask, r_max // m + 1)[: r_max + 1]
+        except BudgetExceeded as e:
+            if not trace:
+                raise
+            narrative.append(f"stopped before level {idx} (m={m}): {e}")
+            break
         gap = looks & ~member
         gap[0] = False
         trace.append(max(float(gap[: r + 1].sum()) / r for r in radii))
@@ -502,7 +509,7 @@ def mt_criterion(cset: CompiledSet, chain: ModulusChain, cutoff: int,
     return VerificationReport(
         "mt", {"set": to_text(cset.expr), "chain": chain.kind, "cutoff": cutoff,
                "r_max": r_max, "tol": tol},
-        {"levels": levels, "gap_trace": trace, "vanishing": vanishing},
+        {"levels": levels[: len(trace)], "gap_trace": trace, "vanishing": vanishing},
         PASS if vanishing else INCONCLUSIVE, tuple(narrative),
     )
 

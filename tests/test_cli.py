@@ -134,6 +134,23 @@ def test_exhausted_budget_is_inconclusive():
     assert "exceeds budget" in proc.stderr
 
 
+def test_budget_stop_keeps_the_levels_computed(capsys):
+    # primorial level 9 (m = 223092870) is over the residue budget of 1e8
+    note = "stopped before level 9 (m=223092870): residue enumeration at level m=223092870"
+    assert cli.main(["density", "--set", "multiples(4,6)", "--method", "buck",
+                     "--chain", "primorial", "--level-cutoff", "1e9"]) == 0
+    rep = json.loads(capsys.readouterr().out)["reports"]["buck"]
+    assert rep["notes"][-1].startswith(f"complement: {note}")
+    assert rep["lower_est"] == pytest.approx(1 / 6) and rep["upper_est"] == pytest.approx(1 / 2)
+    # the gap trace of kfree(2) stays near 1 - 6/pi^2 on squarefree levels
+    assert cli.main(["verify", "mt", "--set", "kfree(2)", "--chain", "primorial",
+                     "--cutoff", "1e9", "--rmax", "1000"]) == 3
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert rep["narrative"][-2].startswith(note)
+    assert rep["quantities"]["levels"] == [2, 6, 30, 210, 2310, 30030, 510510, 9699690]
+    assert len(rep["quantities"]["gap_trace"]) == 8 and rep["verdict"] == "INCONCLUSIVE"
+
+
 def test_davenport_erdos_past_the_old_lcm_cap():
     # the p^2 family up to 37 has lcm ~5.5e25; IE factors over the 12 primes
     rep = run_json("verify", "davenport-erdos", "--family", "p^2", "--pmax", "37")["report"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -22,8 +23,11 @@ from zhat.setdsl import (
     Polynomial,
     PolyImage,
     Union,
+    _box_mask,
+    _contains,
     compile_set,
     crt_split,
+    expr_dim,
     parse,
     to_text,
 )
@@ -199,6 +203,24 @@ def test_dim2_box_example():
             assert cs.dim == dim and cs.members_in_box(n) == oracle, (text, positive)
 
 
+@pytest.mark.parametrize("text", [
+    "coprime(1)", "coprime(2)", "coprime(3)", "cong(-3,4)", "cong(2,1)",
+    "multiples(1)", "multiples(4,6)", "kfree(2)", "kfree(3)", "!multiples(2) | coprime(2)",
+])
+def test_box_tables_match_contains(text):
+    # every box [lo, hi]^dim with lo in -4..1 and hi in 0..6, the empty
+    # [1, 0] included; cong and multiples also as classes in dims 2 and 3,
+    # as the exact engine reads them
+    expr = parse(text)
+    for dim in (1, 2, 3) if isinstance(expr, (Cong, Multiples)) else (expr_dim(expr),):
+        for lo, hi in product(range(-4, 2), range(0, 7)):
+            table = _box_mask(expr, lo, hi, dim)
+            assert table.shape == (hi - lo + 1,) * dim and table.dtype == bool
+            for idx in product(range(hi - lo + 1), repeat=dim):
+                point = tuple(lo + i for i in idx)
+                assert bool(table[idx]) == _contains(expr, point), (text, lo, hi, point)
+
+
 def test_symmetric_box_budget_counts_every_cell():
     # [-100, 100] allocates 201 cells, over a budget of 150
     cs = compile_set("kfree(2)", positive_only=False, box_budget=150)
@@ -266,6 +288,22 @@ def test_truncated_image_modes():
     assert img.residues == oracle
     with pytest.raises(DslValueError):
         cs.residue_image(100, truncation=50)  # N below the level
+
+
+def test_truncated_image_memory_per_box_cell():
+    # the image is the projection of the box table: about one padded copy of
+    # the table, against three int64 coordinates per member when scattered
+    cs = compile_set("coprime(2) & coprime(2)")
+    assert cs.mode == TRUNCATED
+    cells = 1001**2  # the box [-500, 500]^2
+    tracemalloc.start()
+    try:
+        img = cs.residue_image(30, truncation=500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * cells, peak / cells
+    assert img.residues == brute_coprime_image(2, 30)
 
 
 def test_budget_guard():

@@ -4,6 +4,7 @@ rename that the rest of the suite would not notice."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -39,10 +40,23 @@ def test_per_element_names_resolve(name):
     assert callable(resolve(name))
 
 
+# the arguments _counts reads by name; a rename would only surface as a
+# KeyError in a traced run
+COUNTED_PARAMETERS = {
+    "setdsl.residue_image": "m",
+    "setdsl.mask_upto": "n",
+    "measure.multiples_measure_ie": "moduli",
+    "analytic.de_delta_bracket": "moduli",
+}
+
+
 @pytest.mark.parametrize("name", sorted(tracer.COUNTED))
 def test_counted_names_resolve(name):
     label, attr = name.split(".")
     if label == "setdsl" and attr in tracer.COMPILED_SET_METHODS:
-        assert callable(getattr(CompiledSet, attr))
+        fn = getattr(CompiledSet, attr)
     else:
-        assert callable(resolve(name))
+        fn = resolve(name)
+    assert callable(fn)
+    if name in COUNTED_PARAMETERS:
+        assert COUNTED_PARAMETERS[name] in inspect.signature(fn).parameters
