@@ -29,7 +29,7 @@ from .measure import (
     zeta_bracket,
     zeta_partial,
 )
-from .setdsl import CompiledSet, DslValueError, _ie_coefficients, _ie_components
+from .setdsl import CompiledSet, DslValueError, _ie_groups
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -237,8 +237,7 @@ def de_delta_exact(moduli, s) -> "Fraction | float":
         return multiples_measure_ie(mods, dim=int(s))
     sf = float(s)
     return math.prod(
-        math.fsum(c * l**-sf for l, c in _ie_coefficients(group).items())
-        for group in _ie_components(mods)
+        math.fsum(c * l**-sf for l, c in coeffs.items()) for coeffs in _ie_groups(mods).values()
     )
 
 
@@ -262,9 +261,9 @@ def de_delta_bracket(moduli, s: Fraction, digits: int = 30) -> tuple[Fraction, F
     scale = 10**digits
     num, den = s.numerator, s.denominator
     lo_acc, hi_acc = res, res
-    for group in _ie_components(mods):
+    for coeffs in _ie_groups(mods).values():
         g_lo, g_hi = 0, 0
-        for lcm, c in _ie_coefficients(group).items():
+        for lcm, c in coeffs.items():
             if lcm == 1:
                 t_lo, t_hi = res, res
             else:

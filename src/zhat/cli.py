@@ -275,14 +275,17 @@ def _cmd_measure(res: _Resolver) -> int:
                     truncation=truncation, output=fmt, seed=seed,
                     extra={"levels": level_cap, "cutoff": cutoff})
     cfg.validate()
+    if level_cap < 1:
+        raise ValueError(f"levels must be >= 1, got {level_cap}")
     cs = compile_set(set_text)
     chain = _parse_chain(chain_text)
+    # the first level_cap levels only: cut the chain at the last one kept
+    cutoff = chain.levels(cutoff)[:level_cap][-1]
     trace = closure_measure_trace(cs, chain, cutoff, truncation=truncation)
-    records = trace.records[:level_cap]
     payload = {
         "levels": [
             {"modulus": r.modulus, "measure": _fraction_json(r.measure), "mode": r.mode}
-            for r in records
+            for r in trace.records
         ],
         "certified": trace.certified,
         "notes": list(trace.notes),

@@ -138,9 +138,13 @@ def _alpha_ratio(cset: CompiledSet, alpha: float, r: int) -> tuple[float, str | 
     if cset.dim == 1:  # each half summed outward from 0: index k of a half is +k or -k
         num = sum(masked_power_sums(half, [-alpha])[0][0] for half in (table[r:], table[r::-1]))
         return float(num) / (2.0 * zeta_partial(-alpha, r)[0]), None
+    # members per shell, one first-axis slice at a time: rest is the norm
+    # table of the other axes, so no whole-box norm table is built
     ax = np.abs(np.arange(1 if cset.positive_only else -r, r + 1)).astype(np.min_scalar_type(r))
-    norm = functools.reduce(np.maximum, np.ix_(*[ax] * cset.dim))
-    members = np.bincount(norm[table], minlength=r + 1)
+    rest = functools.reduce(np.maximum, np.ix_(*[ax] * (cset.dim - 1)))
+    members = np.zeros(r + 1, dtype=np.int64)
+    for a, row in zip(ax, table):
+        members += np.bincount(np.maximum(rest, a)[row], minlength=r + 1)
     k = np.arange(r + 1, dtype=np.int64)
     outer, inner = (k, k - 1) if cset.positive_only else (2 * k + 1, 2 * k - 1)
     points = outer**cset.dim - inner**cset.dim
@@ -284,12 +288,12 @@ def density_buck(cset: CompiledSet, chain: ModulusChain, cutoff: int,
     along the chain (a certified upper bound for exact sets); the lower
     value is one minus the same quantity for the complement, certified only
     when the complement is exact-mode, else computed from truncated
-    complement images and flagged."""
+    complement images and flagged. The report is certified when both sides
+    are."""
     trace = closure_measure_trace(cset, chain, cutoff, truncation)
     upper = min(trace.values())
     notes = list(trace.notes)
-    comp = compile_set(Complement(cset.expr), positive_only=cset.positive_only,
-                       residue_budget=cset.residue_budget, box_budget=cset.box_budget)
+    comp = compile_set(Complement(cset.expr), positive_only=cset.positive_only)
     levels = [r.modulus for r in trace.records]
     lower_certified = comp.mode == EXACT
     notes.append("lower bound from exact complement images" if lower_certified
@@ -297,8 +301,7 @@ def density_buck(cset: CompiledSet, chain: ModulusChain, cutoff: int,
     comp_trace = closure_measure_trace(comp, chain, cutoff, truncation)
     notes += [f"complement: {n}" for n in comp_trace.notes if n.startswith("stopped before")]
     lower = 1 - min(comp_trace.values())
-    certified = trace.mode == EXACT
-    if not certified:
+    if trace.mode != EXACT:
         notes.append("UNCERTIFIED upper: set images are truncated")
     lower = min(Fraction(lower), Fraction(upper))
     return DensityReport(
@@ -311,7 +314,7 @@ def density_buck(cset: CompiledSet, chain: ModulusChain, cutoff: int,
         values=tuple(float(v) for v in trace.values()),
         lower_est=float(lower),
         upper_est=float(upper),
-        certified=certified,
+        certified=trace.mode == EXACT and lower_certified,
         notes=tuple(notes),
     )
 
@@ -420,10 +423,6 @@ class PeriodicSet:
         m = math.lcm(self.modulus, other.modulus)
         a, b = self.refine(m), other.refine(m)
         return PeriodicSet(m, a.residues | b.residues)
-
-    def is_subset(self, other: "PeriodicSet") -> bool:
-        m = math.lcm(self.modulus, other.modulus)
-        return self.refine(m).residues <= other.refine(m).residues
 
     def contains(self, x: int) -> bool:
         return x % self.modulus in self.residues

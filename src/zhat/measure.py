@@ -284,7 +284,7 @@ def multiples_measure_prefixes(moduli, dim: int = 1) -> list[Fraction]:
     return [Fraction(num, den) for num, den in prefixes]
 
 
-def euler_product(local_factor: str, prime_cutoff: int, tail_exponent: int | None = None) -> Bracket:
+def euler_product(local_factor: str, prime_cutoff: int) -> Bracket:
     """Bracket for a product over all primes of factors 1 - c/p^k, given as
     text like "1-1/p^2" or "1" (c defaults to 1, k to 1).
 
@@ -295,8 +295,6 @@ def euler_product(local_factor: str, prime_cutoff: int, tail_exponent: int | Non
     integral comparison, giving a certified bracket. k = 1 has a divergent
     tail: the bracket is [0, partial] with a DIVERGENT-TAIL note."""
     c, k = _parse_local_factor(local_factor)
-    if tail_exponent is not None and tail_exponent != k:
-        raise DslValueError(f"tail exponent {tail_exponent} does not match factor {local_factor!r}")
     if prime_cutoff < 2:
         raise DslValueError("prime cutoff must be >= 2")
     if c == 0:

@@ -39,8 +39,10 @@ TRUNCATED = "truncated"
 
 ASSUMES_DIRICHLET = "assumes-dirichlet"
 
-DEFAULT_RESIDUE_BUDGET = 10**8
-DEFAULT_BOX_BUDGET = 2 * 10**8
+# most classes m^dim one residue image may enumerate, and most cells one
+# box table may hold
+RESIDUE_BUDGET = 10**8
+BOX_BUDGET = 2 * 10**8
 
 
 class DslError(Exception):
@@ -662,16 +664,17 @@ class CrtSplit:
 # ------------------------------------------------------------- compiled set
 
 
-def _rule_exact(expr: SetExpr, dim: int, budget: int) -> bool:
-    """Whether _exact_mask has a rule: &, \\ and ! need a clopen period L with L^dim <= budget."""
+def _rule_exact(expr: SetExpr, dim: int) -> bool:
+    """Whether _exact_mask has a rule: &, \\ and ! need a clopen period L
+    with L^dim <= RESIDUE_BUDGET."""
     if isinstance(expr, (Cong, KFree, Primes, Coprime, PolyImage, Multiples, FiniteSet)):
         return True
     if isinstance(expr, (LeadingDigit, Seq)):
         return False
     if isinstance(expr, Union):
-        return _rule_exact(expr.a, dim, budget) and _rule_exact(expr.b, dim, budget)
+        return _rule_exact(expr.a, dim) and _rule_exact(expr.b, dim)
     level = clopen_modulus(expr)
-    return level is not None and level**dim <= budget
+    return level is not None and level**dim <= RESIDUE_BUDGET
 
 
 def clopen_modulus(expr: SetExpr) -> Optional[int]:
@@ -699,8 +702,6 @@ class CompiledSet:
     dim: int
     mode: str
     positive_only: bool
-    residue_budget: int = DEFAULT_RESIDUE_BUDGET
-    box_budget: int = DEFAULT_BOX_BUDGET
     assumptions: frozenset = frozenset()
 
     # -- membership -------------------------------------------------------
@@ -723,9 +724,9 @@ class CompiledSet:
         (lo + i_1, ..., lo + i_dim)."""
         lo = 1 if self.positive_only else -n
         cells = (n - lo + 1) ** self.dim
-        if cells > self.box_budget:
+        if cells > BOX_BUDGET:
             raise BudgetExceeded(
-                f"box [{lo},{n}]^{self.dim} has {cells} cells, over the box budget {self.box_budget}"
+                f"box [{lo},{n}]^{self.dim} has {cells} cells, over the box budget {BOX_BUDGET}"
             )
         return lo, _box_mask(self.expr, lo, n, self.dim)
 
@@ -733,8 +734,8 @@ class CompiledSet:
         """Dimension-1 membership table for 1..n (index 0 is always False)."""
         if self.dim != 1:
             raise DslValueError("mask_upto is dimension-1 only")
-        if n > self.box_budget:  # the box [1, n] of box(); index 0 is padding
-            raise BudgetExceeded(f"box [1,{n}] exceeds box budget {self.box_budget}")
+        if n > BOX_BUDGET:  # the box [1, n] of box(); index 0 is padding
+            raise BudgetExceeded(f"box [1,{n}] exceeds box budget {BOX_BUDGET}")
         m = _box_mask(self.expr, 0, n, 1)
         m[0] = False
         return m
@@ -749,15 +750,15 @@ class CompiledSet:
     def _check_level(self, m: int) -> None:
         if m < 1:
             raise DslValueError("modulus must be >= 1")
-        if m**self.dim > self.residue_budget:
+        if m**self.dim > RESIDUE_BUDGET:
             raise BudgetExceeded(
-                f"residue enumeration at level m={m}, dim={self.dim} exceeds budget {self.residue_budget}"
+                f"residue enumeration at level m={m}, dim={self.dim} exceeds budget {RESIDUE_BUDGET}"
             )
 
     def residue_image(self, m: int, truncation: int | None = None) -> ResidueImage:
         self._check_level(m)
         if self.mode == EXACT:
-            mask = _exact_mask(self.expr, m, self.dim, self.residue_budget)
+            mask = _exact_mask(self.expr, m, self.dim)
             return ResidueImage(m, self.dim, mask, EXACT, None, self.assumptions)
         n = truncation if truncation is not None else max(m, 10**6)
         if n < m:
@@ -772,7 +773,7 @@ class CompiledSet:
         if level is None:
             return None
         if self.mode != EXACT:
-            raise BudgetExceeded(f"clopen period {level} exceeds the residue budget {self.residue_budget}")
+            raise BudgetExceeded(f"clopen period {level} exceeds the residue budget {RESIDUE_BUDGET}")
         return self.residue_image(m)
 
     def residue_count(self, m: int) -> int:
@@ -782,11 +783,11 @@ class CompiledSet:
         cells of the exact image mask."""
         if self.mode != EXACT:
             raise ModeError("residue_count needs an exact-mode set")
-        c = _exact_count(self.expr, m, self.dim, self.residue_budget)
+        c = _exact_count(self.expr, m, self.dim)
         if c is not None:
             return c
         self._check_level(m)
-        return int(np.count_nonzero(_exact_mask(self.expr, m, self.dim, self.residue_budget)))
+        return int(np.count_nonzero(_exact_mask(self.expr, m, self.dim)))
 
     # -- structure views for estimator fast paths ------------------------
     def interval_view(self, r: int) -> list[tuple[int, int]] | None:
@@ -804,9 +805,7 @@ class CompiledSet:
         return None
 
 
-def compile_set(expr: SetExpr | str, positive_only: bool | None = None,
-                residue_budget: int = DEFAULT_RESIDUE_BUDGET,
-                box_budget: int = DEFAULT_BOX_BUDGET) -> CompiledSet:
+def compile_set(expr: SetExpr | str, positive_only: bool | None = None) -> CompiledSet:
     """Compile an expression (or source text) to a CompiledSet."""
     if isinstance(expr, str):
         expr = parse(expr)
@@ -814,9 +813,9 @@ def compile_set(expr: SetExpr | str, positive_only: bool | None = None,
     dim = expr_dim(expr)
     if positive_only is None:
         positive_only = dim == 1
-    mode = EXACT if _rule_exact(expr, dim, residue_budget) else TRUNCATED
+    mode = EXACT if _rule_exact(expr, dim) else TRUNCATED
     assumptions = frozenset([ASSUMES_DIRICHLET]) if _mentions_primes(expr) else frozenset()
-    return CompiledSet(expr, dim, mode, positive_only, residue_budget, box_budget, assumptions)
+    return CompiledSet(expr, dim, mode, positive_only, assumptions)
 
 
 def _check_sequences(expr: SetExpr) -> None:
@@ -917,9 +916,9 @@ def _box_mask(expr: SetExpr, lo: int, hi: int, dim: int) -> np.ndarray:
     if isinstance(expr, Coprime) and dim == 1:  # gcd(x) = |x|
         return _cells_at((-1, 1), lo, hi)
     if isinstance(expr, (Coprime, KFree)):
-        # outside 0 + p^kZ^dim for every prime p (k = 1 for coprime); primes
+        # outside 0 + p^kZ^dim for every prime p (_local_exponent); primes
         # p <= |x|^(1/k) suffice, and p = 2, always listed, keeps 0 out
-        k = expr.k if isinstance(expr, KFree) else 1
+        k = _local_exponent(expr)
         top = int(round(max(-lo, hi) ** (1.0 / k))) + 2
         classes = [(0, int(p) ** k) for p in _primes.primes_upto(top)]
         return _mark_classes(np.ones((side,) * dim, dtype=bool), lo, classes, False)
@@ -961,6 +960,13 @@ def _box_mask(expr: SetExpr, lo: int, hi: int, dim: int) -> np.ndarray:
             np.logical_not(other, out=other)
         return np.logical_and(out, other, out=out)
     raise TypeError(f"unknown node {expr!r}")
+
+
+def _local_exponent(expr: SetExpr) -> int:
+    """The k of the local condition at p that kfree(k), coprime(n) and
+    primes share: not every coordinate divisible by p^k (k = 1 but for
+    kfree)."""
+    return expr.k if isinstance(expr, KFree) else 1
 
 
 def _mark_classes(out: np.ndarray, lo: int, classes, value: bool) -> np.ndarray:
@@ -1008,7 +1014,7 @@ def _interval_view(expr: SetExpr, r: int) -> list[tuple[int, int]] | None:
 # ------------------------------------------------------------- exact engine
 
 
-def _exact_mask(expr: SetExpr, m: int, dim: int, budget: int) -> np.ndarray:
+def _exact_mask(expr: SetExpr, m: int, dim: int) -> np.ndarray:
     """pi_m(expr) as a flat row-major mask over (Z/m)^dim. Atoms given by
     local conditions build one mask per prime power q || m and meet in
     _crt_and; the other atoms and Union are direct mask operations.
@@ -1027,8 +1033,7 @@ def _exact_mask(expr: SetExpr, m: int, dim: int, budget: int) -> np.ndarray:
     if isinstance(expr, Multiples):
         return _box_mask(Multiples(tuple(math.gcd(m, a) for a in expr.moduli)), 0, m - 1, dim).ravel()
     if isinstance(expr, (KFree, Primes, Coprime)):
-        # locally: not every coordinate divisible by p^k (k = 1 but for kfree)
-        k = expr.k if isinstance(expr, KFree) else 1
+        k = _local_exponent(expr)
         locals_ = [(q, ~_box_mask(Cong(0, p**k), 0, q - 1, dim).ravel()) for p, j, q in pps if j >= k]
         out = _crt_and(m, dim, locals_)
         if isinstance(expr, Primes):
@@ -1039,7 +1044,7 @@ def _exact_mask(expr: SetExpr, m: int, dim: int, budget: int) -> np.ndarray:
     if isinstance(expr, PolyImage):
         # f commutes with Z/m = prod Z/q, so the image is the CRT product of
         # the local images: sum q^arity evaluations instead of m^arity
-        if m**expr.arity > budget:
+        if sum(q**expr.arity for _, _, q in pps) > RESIDUE_BUDGET:
             raise BudgetExceeded(f"polynomial image at m={m} arity={expr.arity} exceeds budget")
         return _crt_and(m, dim, [(q, _poly_values_mod(expr.poly, q, expr.arity)) for _, _, q in pps])
     if isinstance(expr, FiniteSet):
@@ -1047,7 +1052,7 @@ def _exact_mask(expr: SetExpr, m: int, dim: int, budget: int) -> np.ndarray:
         out[[v % m for v in expr.values]] = True
         return out
     if isinstance(expr, Union):
-        return _exact_mask(expr.a, m, dim, budget) | _exact_mask(expr.b, m, dim, budget)
+        return _exact_mask(expr.a, m, dim) | _exact_mask(expr.b, m, dim)
     level = clopen_modulus(expr)  # _rule_exact admits only clopen nodes here
     g = math.gcd(m, level)
     return _crt_and(m, dim, [(g, _project(_box_mask(expr, 0, level - 1, dim).ravel(), level, g, dim))])
@@ -1147,29 +1152,46 @@ def _ie_fold(coeffs: dict[int, int], a: int, bound: int | None, family_size: int
         if v:
             nxt[k] = v
             if len(nxt) > IE_TERM_BUDGET:
-                raise BudgetExceeded(
-                    f"inclusion-exclusion over {family_size} moduli needs more than "
-                    f"{IE_TERM_BUDGET} distinct lcm terms"
-                )
+                raise _ie_over_budget(family_size)
         else:
             del nxt[k]
     return nxt
 
 
-def _ie_components(moduli) -> list[list[int]]:
-    """The moduli grouped so that any two sharing a prime factor sit in one
-    group; moduli in different groups are coprime. A sum over subsets of a
-    term multiplicative in the lcm factors as a product over the groups."""
-    groups: list[tuple[int, list[int]]] = []  # (lcm of the group, its moduli)
+def _ie_over_budget(family_size: int) -> BudgetExceeded:
+    return BudgetExceeded(f"inclusion-exclusion over {family_size} moduli needs more than "
+                          f"{IE_TERM_BUDGET} distinct lcm terms")
+
+
+def _ie_join(groups: dict[int, dict[int, int]], a: int, family_size: int) -> list[int]:
+    """Add the modulus a to the coprime groups {group lcm: _ie_coefficients
+    of the group's moduli}, in place, and return the lcms of the groups it
+    merged: those whose lcm shares a prime with a (the group keyed 1 takes
+    every modulus 1). Moduli in different groups are coprime, so a subset's
+    lcm is the product of its parts' lcms and the merged coefficient dicts
+    convolve, l*l' taking c*c', with no two products equal. Then a folds
+    in and the new group goes last, after the groups that keep their
+    places. A sum over subsets of a term multiplicative in the lcm is the
+    product of one sum per group. Raises BudgetExceeded before a
+    convolution of more than IE_TERM_BUDGET terms."""
+    merged = [top for top in groups if math.gcd(top, a) > 1 or top == a]
+    coeffs = {1: 1}
+    for top in merged:
+        part = groups.pop(top)
+        if len(coeffs) * len(part) > IE_TERM_BUDGET:
+            raise _ie_over_budget(family_size)
+        coeffs = {l * k: c * d for l, c in coeffs.items() for k, d in part.items()}
+    groups[math.lcm(a, *merged)] = _ie_fold(coeffs, a, None, family_size)
+    return merged
+
+
+def _ie_groups(moduli) -> dict[int, dict[int, int]]:
+    """The coprime groups of the moduli, built by _ie_join one modulus at a
+    time: {group lcm: inclusion-exclusion coefficients of its moduli}."""
+    groups: dict[int, dict[int, int]] = {}
     for a in moduli:
-        top, members, rest = a, [a], []
-        for g_top, g in groups:
-            if math.gcd(g_top, a) > 1:
-                top, members = math.lcm(top, g_top), g + members
-            else:
-                rest.append((g_top, g))
-        groups = rest + [(top, members)]
-    return [g for _, g in groups]
+        _ie_join(groups, a, len(moduli))
+    return groups
 
 
 def _ie_measure(moduli, dim: int = 1) -> Fraction:
@@ -1182,35 +1204,28 @@ def _ie_measure(moduli, dim: int = 1) -> Fraction:
 
 def _ie_prefix_measures(moduli, dim: int = 1) -> Iterator[tuple[int, int]]:
     """(numerator, denominator) of _ie_measure for every prefix of the
-    moduli, the empty one first, at one group update per modulus: the new
-    modulus merges the coprime groups it shares a prime with, the largest
-    merged coefficient dict takes the other moduli by folding, and the
-    running product swaps the merged groups' factors for the new one. A
-    factor is zero only for the group of the modulus 1, which never
-    merges, so the exact divisions never meet a zero."""
-    groups: list[tuple[int, list[int], dict[int, int], int]] = []  # (lcm, moduli, coefficients, numerator)
+    moduli, the empty one first, at one _ie_join per modulus: the running
+    product swaps the merged groups' factors for the new group's. The only
+    zero factor is the group keyed 1's, which merges with nothing but
+    moduli 1; it stays out of the running product, so the exact divisions
+    never meet a zero, and every prefix holding a 1 measures 0."""
+    groups: dict[int, dict[int, int]] = {}
+    factors: dict[int, int] = {}  # numerator of each group's factor, but the group keyed 1
     num, den = 1, 1
     yield num, den
     for a in moduli:
-        merged = sorted((g for g in groups if math.gcd(g[0], a) > 1), key=lambda g: -len(g[2]))
-        merged = merged or [(1, [], {1: 1}, 1)]  # the empty group
-        groups = [g for g in groups if math.gcd(g[0], a) == 1]
-        members = [b for g in merged for b in g[1]] + [a]
-        coeffs = merged[0][2]
-        for b in members[len(merged[0][1]):]:
-            coeffs = _ie_fold(coeffs, b, None, len(members))
-        for top, _, _, g_num in merged:
-            num //= g_num
+        for top in _ie_join(groups, a, len(moduli)):
+            num //= factors.pop(top, 1)
             den //= top**dim
-        top = math.lcm(a, *(g[0] for g in merged))
-        g_num = sum(c * (top // l) ** dim for l, c in coeffs.items())
-        groups.append((top, members, coeffs, g_num))
-        num *= g_num
+        top, coeffs = next(reversed(groups.items()))
+        if top > 1:
+            factors[top] = sum(c * (top // l) ** dim for l, c in coeffs.items())
+            num *= factors[top]
         den *= top**dim
-        yield num, den
+        yield (0 if 1 in groups else num), den
 
 
-def _exact_count(expr: SetExpr, m: int, dim: int, budget: int) -> int | None:
+def _exact_count(expr: SetExpr, m: int, dim: int) -> int | None:
     """Closed-form |pi_m(expr)| where available, None to fall back on
     enumeration. The CRT combination is a bijection, so product-of-local
     sizes is exact."""
@@ -1221,24 +1236,14 @@ def _exact_count(expr: SetExpr, m: int, dim: int, budget: int) -> int | None:
         # image is the complement of the multiples of the gcds, read mod m
         free = m**dim * _ie_measure([math.gcd(m, a) for a in expr.moduli], dim)
         return m**dim - int(free)
-    if isinstance(expr, KFree):
-        c = 1
-        for p, j, q in _primes.prime_powers_of(m):
-            c *= q - q // p**expr.k if j >= expr.k else q
-        return c
-    if isinstance(expr, Primes):
-        if m == 1:
-            return 1
-        fac = _primes.factorize(m)
-        phi = m
-        for p in fac:
-            phi = phi // p * (p - 1)
-        return phi + len(fac)
-    if isinstance(expr, Coprime):
-        c = 1
-        for p, j, q in _primes.prime_powers_of(m):
-            c *= q**dim - (q // p) ** dim
-        return c
+    if isinstance(expr, (KFree, Primes, Coprime)):
+        # the cells of _exact_mask's local masks: at q = p^j || m, the q^dim
+        # classes less the (q / p^k)^dim all divisible by p^k when k <= j;
+        # for primes, the primes dividing m besides
+        k = _local_exponent(expr)
+        pps = _primes.prime_powers_of(m)
+        c = math.prod(q**dim - (q // p**k) ** dim if j >= k else q**dim for p, j, q in pps)
+        return c + len(pps) if isinstance(expr, Primes) else c
     if isinstance(expr, FiniteSet):
         return len({v % m for v in expr.values})
     return None

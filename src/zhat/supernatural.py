@@ -37,10 +37,6 @@ class ExtNat:
         return cls(None)
 
     @property
-    def is_inf(self) -> bool:
-        return self._v is None
-
-    @property
     def is_zero(self) -> bool:
         return self._v == 0
 
@@ -190,14 +186,6 @@ def omega(sigma: SupernaturalNumber) -> ExtNat:
     return ExtNat(len(sigma._exp))
 
 
-def Omega(sigma: SupernaturalNumber) -> ExtNat:
-    """Sum of all exponents in N ∪ {inf}."""
-    total = ExtNat(0)
-    for _, e in sigma._exp:
-        total = total + e
-    return total
-
-
 # ---------------------------------------------------------------- text form
 
 _FACTOR_RE = re.compile(r"^(\d+)(?:\^(inf|\d+))?$")
@@ -255,9 +243,6 @@ class ValuationProfile:
     window: int
     valuations: dict[int, tuple[int, ...]] = field(default_factory=dict)
     status: dict[int, str] = field(default_factory=dict)
-
-    def last_values(self) -> dict[int, int]:
-        return {p: vals[-1] for p, vals in self.valuations.items()}
 
 
 def limit_profile(seq: Sequence[int] | Iterable[int], prime_bound: int, window: int) -> ValuationProfile:

@@ -94,8 +94,13 @@ def prime_power_family(k: int, prime_bound: int) -> list[int]:
 # ------------------------------------------------------------- main theorem
 
 
-def davenport_erdos(moduli, s_grid=None, r_max: int = 10**7, tol: float = 5e-3,
-                    log_exponents=(65, 70, 75, 80, 85),
+# the s grid of the closed form and the radii 10^e of the logarithmic
+# estimate in davenport_erdos
+DE_S_GRID = (2.0, 1.5, 1.25, 1.1, 1.02, 1.005, 1.001)
+DE_LOG_EXPONENTS = (65, 70, 75, 80, 85)
+
+
+def davenport_erdos(moduli, r_max: int = 10**7, tol: float = 5e-3,
                     tail_exponent: int | None = None,
                     certified_grid_points: int = 0) -> VerificationReport:
     """Existence of the logarithmic/analytic density for complements of
@@ -122,10 +127,7 @@ def davenport_erdos(moduli, s_grid=None, r_max: int = 10**7, tol: float = 5e-3,
         f"exact measures along the family prefix: {[float(v) for v in prefix]}"
     )
 
-    ss = list(s_grid) if s_grid is not None else [2.0, 1.5, 1.25, 1.1, 1.02, 1.005, 1.001]
-    if any(s < 1 for s in ss):
-        raise DslValueError("s grid must stay >= 1")
-    ss = sorted(set(float(s) for s in ss), reverse=True)
+    ss = list(DE_S_GRID)
     dvals = [float(de_delta_exact(mods, s)) for s in ss]
     monotone = all(a >= b - 1e-12 for a, b in zip(dvals, dvals[1:]))
     at_one = de_delta_exact(mods, 1)
@@ -162,7 +164,8 @@ def davenport_erdos(moduli, s_grid=None, r_max: int = 10**7, tol: float = 5e-3,
     r_grid = sorted({max(1, r_max // 4**i) for i in range(3)})
     das = density_alpha(cs, 0, r_grid, tail_window=3)
     try:
-        dlog = density_alpha(cs, -1, [10**e for e in log_exponents], tail_window=len(log_exponents))
+        dlog = density_alpha(cs, -1, [10**e for e in DE_LOG_EXPONENTS],
+                             tail_window=len(DE_LOG_EXPONENTS))
     except BudgetExceeded as e:
         # the floor sums at huge radii need every lcm below the radius as a
         # term; the exact parts above do not depend on them
@@ -191,7 +194,7 @@ def davenport_erdos(moduli, s_grid=None, r_max: int = 10**7, tol: float = 5e-3,
     return VerificationReport(
         "davenport-erdos",
         {"moduli": list(mods), "s_grid": ss, "r_max": r_max, "tol": tol,
-         "tail_exponent": tail_exponent, "log_exponents": list(log_exponents)},
+         "tail_exponent": tail_exponent, "log_exponents": list(DE_LOG_EXPONENTS)},
         quantities, verdict, tuple(narrative),
     )
 
@@ -562,8 +565,13 @@ def counterexample_cover(a: int, terms: int) -> VerificationReport:
 # ------------------------------------------------------------- dense union
 
 
-def union_dense_check(supports, family_flag: bool = False,
-                      max_hitting_size: int = 3, budget: int = 10**5) -> VerificationReport:
+# largest hitting set union_dense_check tries exhaustively, and most
+# candidate sets it tries
+HITTING_SIZE = 3
+HITTING_BUDGET = 10**5
+
+
+def union_dense_check(supports, family_flag: bool = False) -> VerificationReport:
     """Density of a union of multiple-sets in the profinite completion is
     equivalent to no finite prime set meeting every term's support. The
     search tries singletons, then small combinations from the support
@@ -584,10 +592,10 @@ def union_dense_check(supports, family_flag: bool = False,
     narrative = [f"{len(sups)} supports over primes {universe[:12]}"]
     tried = 0
     hit: tuple[int, ...] | None = None
-    for size in range(1, max_hitting_size + 1):
+    for size in range(1, HITTING_SIZE + 1):
         for combo in combinations(universe, size):
             tried += 1
-            if tried > budget:
+            if tried > HITTING_BUDGET:
                 narrative.append("hitting-set budget exhausted")
                 return VerificationReport(
                     "union-dense", {"supports": [sorted(s) for s in sups],

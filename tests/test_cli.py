@@ -100,6 +100,37 @@ def test_measure_trace_csv_ends_at_pinned_fraction():
     assert (last[3], last[4]) == ("768", "1225")
 
 
+@pytest.mark.parametrize("cap", [3, 10])
+def test_measure_levels_cap_json_and_csv_agree(cap, capsys):
+    args = ["measure", "--set", "primes", "--levels", str(cap)]
+    assert cli.main(args) == 0
+    payload = json.loads(capsys.readouterr().out)
+    moduli = [lv["modulus"] for lv in payload["levels"]]
+    assert moduli == [2, 6, 30, 210, 2310, 30030, 510510][:cap]
+    rows = payload["csv"].splitlines()[1:]
+    assert [int(row.split(",")[1]) for row in rows] == moduli
+    assert cli.main(args + ["--output", "csv"]) == 0
+    assert capsys.readouterr().out == payload["csv"]
+
+
+@pytest.mark.parametrize("cap", ["0", "-2"])
+def test_measure_levels_cap_below_one_is_usage_error(cap, capsys):
+    assert cli.main(["measure", "--set", "primes", f"--levels={cap}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage: levels must be >= 1, got {cap}\n" and captured.out == ""
+
+
+def test_measure_sum_of_two_squares_reaches_the_fifth_square_primorial(capsys):
+    # the local work at 5336100 is 4^2 + 9^2 + 25^2 + 49^2 + 121^2 points
+    assert cli.main(["measure", "--set", "image(x^2+y^2)", "--chain", "primorial^2",
+                     "--cutoff", "1e8"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [lv["modulus"] for lv in payload["levels"]] == [4, 36, 900, 44100, 5336100]
+    at_44100 = payload["levels"][3]["measure"]
+    assert (at_44100["num"], at_44100["den"]) == (43, 84)
+    assert payload["notes"] == []
+
+
 def test_measure_euler_bracket():
     payload = run_json("measure", "--euler", "1-1/p^2", "--cutoff", "1e4")
     lo, hi = payload["bracket"]["lo"], payload["bracket"]["hi"]
@@ -129,8 +160,8 @@ def test_verify_poonen_stoll_units_inconclusive():
 def test_exhausted_budget_is_inconclusive():
     proc = run_cli("verify", "omega", "--pbound", "100", expect=3)
     assert proc.stdout == "" and "more than 20 primes" in proc.stderr
-    # the first level already exceeds the residue budget: 1000^3 tuples
-    proc = run_cli("measure", "--set", "image(x*y*z)", "--chain", "explicit:1000", expect=3)
+    # the first level already exceeds the residue budget: 479^3 local points
+    proc = run_cli("measure", "--set", "image(x*y*z)", "--chain", "explicit:479", expect=3)
     assert "exceeds budget" in proc.stderr
 
 

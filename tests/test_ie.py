@@ -20,7 +20,7 @@ from zhat import setdsl
 from zhat.analytic import de_delta_bracket, de_delta_exact
 from zhat.density import _ie_weight, harmonic
 from zhat.measure import multiples_measure_ie, multiples_measure_prefixes
-from zhat.setdsl import BudgetExceeded, _ie_coefficients, _ie_components
+from zhat.setdsl import BudgetExceeded, _ie_coefficients, _ie_groups
 
 
 def subset_terms(mods):
@@ -92,16 +92,27 @@ def test_floor_sum_counts_non_multiples(mods):
 
 @settings(max_examples=120, deadline=None)
 @given(families)
-def test_components_partition_into_coprime_groups(mods):
-    groups = _ie_components(mods)
-    assert sorted(a for g in groups for a in g) == sorted(mods)
-    for g, h in combinations(groups, 2):
-        assert math.gcd(math.lcm(*g), math.lcm(*h)) == 1
-    for g in groups:  # no group splits further into coprime parts
-        for k in range(1, len(g)):
-            for part in combinations(range(len(g)), k):
-                a = math.lcm(*(g[i] for i in part))
-                b = math.lcm(*(g[i] for i in range(len(g)) if i not in part))
+def test_groups_are_the_coprime_components(mods):
+    groups = _ie_groups(mods)
+    for top, other in combinations(groups, 2):
+        assert math.gcd(top, other) == 1
+
+    def group_of(a):  # 1 divides every lcm: it sits in the group keyed 1
+        (top,) = [top for top in groups if (top == 1 if a == 1 else top % a == 0)]
+        return top
+
+    last = {group_of(a): i for i, a in enumerate(mods)}
+    assert list(groups) == sorted(last, key=last.get)  # a group goes last as its last modulus joins
+    for top, coeffs in groups.items():
+        members = [a for a in mods if group_of(a) == top]
+        assert math.lcm(*members) == top
+        assert coeffs == _ie_coefficients(members)
+        if top == 1:
+            continue
+        for k in range(1, len(members)):  # no group splits into coprime parts
+            for part in combinations(range(len(members)), k):
+                a = math.lcm(*(members[i] for i in part))
+                b = math.lcm(*(members[i] for i in range(len(members)) if i not in part))
                 assert math.gcd(a, b) > 1
 
 
@@ -126,6 +137,20 @@ def test_term_budget_stops_inside_the_fold(monkeypatch):
     sizes = [len(e.frame.f_locals["nxt"]) for e in exc.traceback
              if e.frame.code.name == "_ie_fold"]
     assert sizes == [64 + 1]
+
+
+def test_term_budget_checked_before_a_convolution(monkeypatch):
+    monkeypatch.setattr(setdsl, "IE_TERM_BUDGET", 64)
+    # two coprime groups of 32 terms each; 2*17 merges them into 32*32
+    mods = [2 * p for p in (3, 5, 7, 11, 13)] + [17 * p for p in (19, 23, 29, 31, 37)]
+    assert [len(c) for c in _ie_groups(mods).values()] == [32, 32]
+    message = "inclusion-exclusion over 11 moduli needs more than 64 distinct lcm terms"
+    for kernel in (_ie_groups, multiples_measure_ie, lambda m: de_delta_exact(m, 1.5),
+                   lambda m: de_delta_bracket(m, Fraction(3, 2))):
+        with pytest.raises(BudgetExceeded) as exc:
+            kernel(mods + [2 * 17])
+        assert str(exc.value) == message
+        assert exc.traceback[-1].frame.code.name == "_ie_join"
 
 
 @settings(max_examples=120, deadline=None)

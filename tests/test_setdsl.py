@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zhat import setdsl
 from zhat.setdsl import (
     EXACT,
     TRUNCATED,
@@ -221,14 +222,16 @@ def test_box_tables_match_contains(text):
                 assert bool(table[idx]) == _contains(expr, point), (text, lo, hi, point)
 
 
-def test_symmetric_box_budget_counts_every_cell():
+def test_symmetric_box_budget_counts_every_cell(monkeypatch):
     # [-100, 100] allocates 201 cells, over a budget of 150
-    cs = compile_set("kfree(2)", positive_only=False, box_budget=150)
+    monkeypatch.setattr(setdsl, "BOX_BUDGET", 150)
+    cs = compile_set("kfree(2)", positive_only=False)
     with pytest.raises(BudgetExceeded):
         cs.members_in_box(100)
     assert cs.box(74)[1].size == 149
+    monkeypatch.setattr(setdsl, "BOX_BUDGET", 80)
     with pytest.raises(BudgetExceeded):
-        compile_set("coprime(2)", box_budget=80).members_in_box(4)  # 9^2 cells
+        compile_set("coprime(2)").members_in_box(4)  # 9^2 cells
 
 
 # ---------------------------------------------------------------- images
@@ -262,10 +265,14 @@ def test_residue_image_matches_enumeration():
 
 
 def test_residue_count_matches_image():
-    for text in ("kfree(2)", "multiples(4,6)", "cong(2,6)", "primes", "finite(3,5)"):
+    # the closed forms against the cells of the image mask, at prime-power
+    # levels too; levels with over 10^6 classes are left out
+    for text in ("kfree(2)", "kfree(3)", "multiples(4,6)", "cong(2,6)", "primes", "finite(3,5)",
+                 "coprime(1)", "coprime(2)", "coprime(3)"):
         cs = compile_set(text)
-        for m in (8, 12, 90):
-            assert cs.residue_count(m) == cs.residue_image(m).count, (text, m)
+        for m in (1, 8, 12, 27, 90, 200, 44100):
+            if m**cs.dim <= 10**6:
+                assert cs.residue_count(m) == cs.residue_image(m).count, (text, m)
 
 
 def test_residue_count_many_moduli_matches_mask():
@@ -308,9 +315,32 @@ def test_truncated_image_memory_per_box_cell():
 
 def test_budget_guard():
     cs = compile_set("image(x^2)")
+    # the local work is the sum of q^arity over q || m: 479^3 ~ 1.1e8 points
     with pytest.raises(BudgetExceeded):
-        compile_set("image(x*y*z)").residue_image(1000)  # 1e9 tuples
+        compile_set("image(x*y*z)").residue_image(479)
+    # 8^3 + 125^3 ~ 2e6 points at m = 1000, and x*1*1 hits every class
+    assert compile_set("image(x*y*z)").residue_image(1000).count == 1000
     assert cs.residue_image(1000).mode == EXACT
+
+
+def brute_local_image_count(poly, m):
+    """|image of poly mod m| as the product over q || m of the number of
+    values of poly on (Z/q)^2, each found by brute force."""
+    count, p = 1, 2
+    while m > 1:
+        q = 1
+        while m % p == 0:
+            m, q = m // p, q * p
+        count *= len({poly(x, y) % q for x in range(q) for y in range(q)})
+        p += 1
+    return count
+
+
+@pytest.mark.parametrize("m", [44100, 5336100])
+def test_sum_of_two_squares_past_the_old_budget(m):
+    # m^2 is over the residue budget, the local work 4^2 + ... + 121^2 is not
+    cs = compile_set("image(x^2+y^2)")
+    assert cs.residue_count(m) == brute_local_image_count(lambda x, y: x * x + y * y, m)
 
 
 def test_clopen_engine_exact_and_declines_gracefully():
