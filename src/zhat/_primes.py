@@ -6,6 +6,7 @@ afterwards, so every consumer shares one table.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator
 
@@ -20,19 +21,86 @@ _IS_PRIME: np.ndarray = np.zeros(1, dtype=bool)
 _PRIMES: np.ndarray = np.zeros(0, dtype=np.int64)
 _SMALL_PRIMES: list[int] = []
 
+# cells per sieve segment and per membership block: 256 KiB of booleans
+# stay in cache while every base prime marks them
+_SEGMENT = 1 << 18
+
+
+def _segments(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """[start, end] pieces of _SEGMENT integers covering [lo, hi] from lo
+    on, the last one shorter: the one block layout of sieve segments and
+    membership streams."""
+    return ((a, min(a + _SEGMENT - 1, hi)) for a in range(lo, hi + 1, _SEGMENT))
+
+
+def _mark_classes(out: np.ndarray, lo: int, classes, value: bool) -> np.ndarray:
+    """The one class-marking kernel: set to value every cell of the box
+    table out (cell i holds lo + i) whose coordinates are all = r mod a for
+    some (r, a) in classes. Each class r + aZ^dim is a strided slice along
+    every axis."""
+    for r, a in classes:
+        out[(slice((r - lo) % a, None, a),) * out.ndim] = value
+    return out
+
+
+# the primes up to 13 clear their classes in every segment at once, as a
+# copy out of one pattern of period 2*3*5*7*11*13 tiled past a segment's
+# length (the wheel), instead of six strided passes
+_WHEEL_PRIMES = np.array([2, 3, 5, 7, 11, 13])
+_WHEEL_PERIOD = 30030
+
+
+@functools.cache
+def _wheel() -> np.ndarray:
+    wheel = _mark_classes(np.ones(_WHEEL_PERIOD + _SEGMENT, dtype=bool), 0,
+                          [(0, p) for p in _WHEEL_PRIMES.tolist()], False)
+    wheel.flags.writeable = False
+    return wheel
+
+
+def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+    """Primality table over [lo, hi], 0 <= lo <= hi + 1, by the segmented
+    sieve of Bays and Hudson (BIT 17, 1977). Each _SEGMENT-cell segment
+    starts from the wheel and clears 0 mod p for the other base primes p
+    up to the square root of its top; then the base primes inside [lo, hi]
+    are restored and 1 is cleared. base lists the primes up to sqrt(hi),
+    ascending."""
+    out = np.empty(hi - lo + 1, dtype=bool)
+    first = int(np.searchsorted(base, _WHEEL_PRIMES[-1], side="right"))
+    for start, end in _segments(lo, hi):
+        seg = out[start - lo:end - lo + 1]
+        phase = start % _WHEEL_PERIOD
+        seg[:] = _wheel()[phase:phase + seg.size]
+        top = int(np.searchsorted(base, math.isqrt(end), side="right"))
+        _mark_classes(seg, start, [(0, p) for p in base[first:top].tolist()], False)
+    small = np.concatenate([_WHEEL_PRIMES, base])
+    out[small[(small >= lo) & (small <= hi)] - lo] = True
+    out[:max(0, 2 - lo)] = False
+    return out
+
+
+def _prime_segment(lo: int, hi: int) -> np.ndarray:
+    """Primality table over [lo, hi] for 0 <= lo <= hi + 1 (or the empty
+    table for lo = hi + 1 < 0). The base primes up to sqrt(hi) come from
+    the shared sieve, which grows to that size only."""
+    return _sieve_segment(lo, hi, primes_upto(math.isqrt(max(hi, 0))))
+
+
+def _sieve_upto(n: int) -> np.ndarray:
+    """Primality table for 0..n, segment by segment; its base primes are
+    this table for 0..sqrt(n), a few levels of recursion."""
+    root = math.isqrt(n)
+    base = np.flatnonzero(_sieve_upto(root)) if root >= 2 else np.zeros(0, dtype=np.int64)
+    return _sieve_segment(0, n, base)
+
 
 def _ensure_sieve(n: int) -> None:
     global _SIEVE_BOUND, _IS_PRIME, _PRIMES, _SMALL_PRIMES
     if n <= _SIEVE_BOUND:
         return
     n = max(n, 2 * _SIEVE_BOUND, _TRIAL_BOUND)
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    _IS_PRIME = mask
-    _PRIMES = np.nonzero(mask)[0].astype(np.int64)
+    _IS_PRIME = _sieve_upto(n)
+    _PRIMES = np.flatnonzero(_IS_PRIME).astype(np.int64)
     _SMALL_PRIMES = _PRIMES[_PRIMES < _TRIAL_BOUND].tolist()
     _SIEVE_BOUND = n
 

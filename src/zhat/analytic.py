@@ -10,7 +10,7 @@ integer is the integer itself, so ideal-indexed sums become ordinary series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -69,9 +69,9 @@ class DirichletTruncation:
 
 def zeta_sets(cset: CompiledSet, s_grid, cutoff: int) -> list[DirichletTruncation]:
     """Truncations of sum over positive members of X of k^(-s) at every s
-    of the grid, from one membership mask and one pass of the power-sum
-    kernel. The tail is bounded by the full-series integral tail since X
-    cuts out a subset."""
+    of the grid, from one stream of membership blocks over [1, cutoff] and
+    one pass of the power-sum kernel. The tail is bounded by the
+    full-series integral tail since X cuts out a subset."""
     ss = [float(s) for s in s_grid]
     for s in ss:
         if not s > 1:
@@ -80,9 +80,16 @@ def zeta_sets(cset: CompiledSet, s_grid, cutoff: int) -> list[DirichletTruncatio
         raise DslValueError(f"subset zeta needs cutoff >= 1, got {cutoff}")
     if cset.dim != 1:
         raise DslValueError("subset zeta is defined for dimension-1 sets")
-    mask = cset.mask_upto(cutoff)
-    notes = () if mask.any() else ("empty-truncation",)
-    sums, bounds = masked_power_sums(mask, ss)
+    empty = True
+
+    def blocks():
+        nonlocal empty
+        for lo, table in replace(cset, positive_only=True).blocks(cutoff):
+            empty = empty and not table.any()
+            yield lo, table
+
+    sums, bounds = masked_power_sums(blocks(), ss)
+    notes = ("empty-truncation",) if empty else ()
     return [DirichletTruncation(cutoff, s, float(t), float(b), _tail_integral(cutoff, s)[1], notes)
             for s, t, b in zip(ss, sums, bounds)]
 
@@ -148,18 +155,41 @@ def vm_identity_scan(n_max: int, tol: float) -> bool:
     return not worst >= tol
 
 
-def _von_mangoldt_table(n: int) -> np.ndarray:
-    """Lambda(k) for 0 <= k <= n: every prime power q = p^j <= n gets
-    log p, one array round per exponent j."""
-    lam = np.zeros(n + 1, dtype=np.float64)
-    p = _primes.primes_upto(n)
+def _von_mangoldt_block(lo: int, hi: int) -> np.ndarray:
+    """Lambda(k) for lo <= k <= hi, 0 <= lo: log p at every prime power
+    p^j in the block, the primes from one sieve segment and the higher
+    powers from the base primes up to sqrt(hi)."""
+    lam = np.zeros(hi - lo + 1, dtype=np.float64)
+    p = np.flatnonzero(_primes._prime_segment(lo, hi)) + lo
+    lam[p - lo] = list(map(math.log, p.tolist()))
+    p = _primes.primes_upto(math.isqrt(max(hi, 0)))
     log_p = np.array(list(map(math.log, p.tolist())))
-    q = p
+    q = p * p
     while q.size:
-        lam[q] = log_p
-        keep = q <= n // p  # q * p <= n
+        inside = q >= lo
+        lam[q[inside] - lo] = log_p[inside]
+        keep = q <= hi // p  # q * p <= hi
         p, log_p, q = p[keep], log_p[keep], q[keep] * p[keep]
     return lam
+
+
+def _blocks(n: int, build):
+    """(lo, build(lo, hi)) over the blocks [lo, hi] that cover [1, n], laid
+    out as CompiledSet.blocks lays out [1, n]."""
+    return ((lo, build(lo, hi)) for lo, hi in _primes._segments(1, n))
+
+
+def _von_mangoldt_table(n: int) -> np.ndarray:
+    """Lambda(k) for 0 <= k <= n, filled block by block."""
+    lam = np.zeros(n + 1, dtype=np.float64)
+    for lo, block in _blocks(n, _von_mangoldt_block):
+        lam[lo:lo + block.size] = block
+    return lam
+
+
+def _log_block(lo: int, hi: int) -> np.ndarray:
+    logs = np.arange(lo, hi + 1, dtype=np.float64)
+    return np.log(logs, out=logs)
 
 
 @dataclass(frozen=True)
@@ -195,11 +225,8 @@ def dlog_zeta_check(s: float, cutoff: int, tol: float) -> DlogReport:
         raise DslValueError("cutoff must be at least 10^4")
     den, den_err = zeta_partial(s, cutoff)
     # log n summed directly: from Lambda it would use log = Lambda * 1, the identity under test
-    logs = np.arange(cutoff + 1, dtype=np.float64)
-    np.log(logs[1:], out=logs[1:])
-    (num,), (num_err,) = masked_power_sums(logs, [s])
-    del logs  # one table of cutoff + 1 floats alive at a time
-    (series,), (series_err,) = masked_power_sums(_von_mangoldt_table(cutoff), [s])
+    (num,), (num_err,) = masked_power_sums(_blocks(cutoff, _log_block), [s])
+    (series,), (series_err,) = masked_power_sums(_blocks(cutoff, _von_mangoldt_block), [s])
     # the kernel takes its weights as exact; each log is within _LIB_UNITS
     num_err += _err(num + num_err, _LIB_UNITS)
     series_err += _err(series + series_err, _LIB_UNITS)

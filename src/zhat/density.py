@@ -104,10 +104,12 @@ def density_alpha(cset: CompiledSet, alpha: float, r_grid, tail_window: int = DE
     grid = [int(r) for r in r_grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
         raise DslValueError("r_grid must be nonempty, positive, strictly increasing")
-    # largest radius first: the shared prime sieve is then built once
-    results = [_alpha_ratio(cset, alpha, r) for r in reversed(grid)][::-1]
-    values = [v for v, _ in results]
-    notes = list(dict.fromkeys(note for _, note in results if note))
+    if cset.dim == 1 and cset.positive_only:
+        nums, note = _member_weights(cset, alpha, grid)
+        values = [num / _whole_weight(alpha, r) for num, r in zip(nums, grid)]
+        notes = [note] if note else []
+    else:
+        values, notes = [_box_ratio(cset, alpha, r) for r in grid], []
     tail = _tail(values, tail_window)
     return DensityReport(
         method="alpha",
@@ -122,22 +124,25 @@ def density_alpha(cset: CompiledSet, alpha: float, r_grid, tail_window: int = DE
     )
 
 
-def _alpha_ratio(cset: CompiledSet, alpha: float, r: int) -> tuple[float, str | None]:
-    """The ratio at radius r. Boxes other than [1, r] read their table: the
-    exact count at alpha 0, else the power-sum kernel over the halves of
-    [-r, r] in dimension 1, or over members against points per shell
-    |x| = k, |x| the largest |coordinate|. The origin has no weight."""
-    if cset.dim == 1 and cset.positive_only:
-        num, note = _member_weight(cset, alpha, r)
-        if alpha == 0.0:
-            return num / float(r), note
-        return num / (harmonic(r) if alpha == -1.0 else zeta_partial(-alpha, r)[0]), note
+def _whole_weight(alpha: float, r: int) -> float:
+    """Sum of k^alpha over 1 <= k <= r."""
+    if alpha == 0.0:
+        return float(r)
+    return harmonic(r) if alpha == -1.0 else zeta_partial(-alpha, r)[0]
+
+
+def _box_ratio(cset: CompiledSet, alpha: float, r: int) -> float:
+    """The ratio at radius r for boxes other than [1, r], read from the
+    box table: the exact count at alpha 0, else the power-sum kernel over
+    the halves of [-r, r] in dimension 1, or over members against points
+    per shell |x| = k, |x| the largest |coordinate|. The origin has no
+    weight."""
     table = cset.box(r)[1]
     if alpha == 0.0:  # the exact count over the whole box, origin included
-        return float(np.count_nonzero(table)) / float(table.size), None
+        return float(np.count_nonzero(table)) / float(table.size)
     if cset.dim == 1:  # each half summed outward from 0: index k of a half is +k or -k
         num = sum(masked_power_sums(half, [-alpha])[0][0] for half in (table[r:], table[r::-1]))
-        return float(num) / (2.0 * zeta_partial(-alpha, r)[0]), None
+        return float(num) / (2.0 * zeta_partial(-alpha, r)[0])
     # members per shell, one first-axis slice at a time: rest is the norm
     # table of the other axes, so no whole-box norm table is built
     ax = np.abs(np.arange(1 if cset.positive_only else -r, r + 1)).astype(np.min_scalar_type(r))
@@ -149,28 +154,43 @@ def _alpha_ratio(cset: CompiledSet, alpha: float, r: int) -> tuple[float, str | 
     outer, inner = (k, k - 1) if cset.positive_only else (2 * k + 1, 2 * k - 1)
     points = outer**cset.dim - inner**cset.dim
     num = masked_power_sums(members, [-alpha])[0][0]
-    return float(num / masked_power_sums(points, [-alpha])[0][0]), None
+    return float(num / masked_power_sums(points, [-alpha])[0][0])
 
 
-def _member_weight(cset: CompiledSet, alpha: float, r: int) -> tuple[float, str | None]:
-    """Sum of k^alpha over the members k of X in [1, r], for a dimension-1
-    positive set: closed forms for interval-structured sets and
-    (complements of) multiple-sets at alpha in {0, -1}, else the power-sum
-    kernel over the membership mask (a plain count at alpha 0)."""
+def _member_weights(cset: CompiledSet, alpha: float, grid: list[int]) -> tuple[list[float], str | None]:
+    """Sums of k^alpha over the members k of X in [1, r] for every radius r
+    of the increasing grid, for a dimension-1 positive set: closed forms
+    for interval-structured sets and (complements of) multiple-sets at
+    alpha in {0, -1}; else a count of every radius in one stream of
+    membership blocks at alpha 0, and the power-sum kernel over one stream
+    per radius otherwise."""
     if alpha in (0.0, -1.0):
-        iv = cset.interval_view(r)
-        if iv is not None:
+        views = [cset.interval_view(r) for r in grid]
+        if views[0] is not None:
             if alpha == 0.0:
-                num = float(sum(b - a + 1 for a, b in iv))
+                nums = [float(sum(b - a + 1 for a, b in iv)) for iv in views]
             else:
-                num = math.fsum(harmonic(b) - harmonic(a - 1) for a, b in iv)
-            return num, "closed-form interval counts"
+                nums = [math.fsum(harmonic(b) - harmonic(a - 1) for a, b in iv) for iv in views]
+            return nums, "closed-form interval counts"
         ie = cset.ie_view()
         if ie is not None:
-            return float(_ie_weight(*ie, r, alpha)), "closed-form multiple-set sums"
+            return [float(_ie_weight(*ie, r, alpha)) for r in grid], "closed-form multiple-set sums"
     if alpha == 0.0:
-        return float(np.count_nonzero(cset.box(r)[1])), None
-    return float(masked_power_sums(cset.mask_upto(r), [-alpha])[0][0]), None
+        return [float(c) for c in _member_counts(cset, grid)], None
+    return [float(masked_power_sums(cset.blocks(r), [-alpha])[0][0]) for r in grid], None
+
+
+def _member_counts(cset: CompiledSet, grid: list[int]) -> list[int]:
+    """Members of X in the box [lo, r] for every radius r of the increasing
+    grid, from one stream of blocks over the largest box."""
+    counts, radii, total = [], iter(grid), 0
+    r = next(radii)
+    for lo, table in cset.blocks(grid[-1]):
+        while r is not None and r < lo + table.size:
+            counts.append(total + int(np.count_nonzero(table[:r - lo + 1])))
+            r = next(radii, None)
+        total += int(np.count_nonzero(table))
+    return counts
 
 
 def _ie_weight(kind: str, mods, r: int, alpha: float) -> int | float:
@@ -196,21 +216,13 @@ def log_density_window(cset: CompiledSet, r_lo: int, r_hi: int) -> float:
         raise DslValueError("window needs 0 <= r_lo < r_hi")
     if cset.dim != 1 or not cset.positive_only:
         raise DslValueError("window estimate needs a dimension-1 positive set")
-    num = _member_weight(cset, -1.0, r_hi)[0]
+    num = _member_weights(cset, -1.0, [r_hi])[0][0]
     if r_lo > 0:
-        num -= _member_weight(cset, -1.0, r_lo)[0]
+        num -= _member_weights(cset, -1.0, [r_lo])[0][0]
     return num / (harmonic(r_hi) - harmonic(r_lo))
 
 
 # ------------------------------------------------------------- uniform
-
-
-def _prefix_counts(table: np.ndarray) -> np.ndarray:
-    """cum[i] = number of members among table[:i], for 0 <= i <= table.size."""
-    cum = np.zeros(table.size + 1, dtype=np.int64)
-    cum[1:] = table  # widened in place: a casting cumsum buffers a second table
-    np.cumsum(cum[1:], out=cum[1:])
-    return cum
 
 
 def density_uniform(cset: CompiledSet, l_grid, scan_radius: int,
@@ -224,16 +236,11 @@ def density_uniform(cset: CompiledSet, l_grid, scan_radius: int,
     lengths = [int(v) for v in l_grid]
     if not lengths or any(b <= a for a, b in zip(lengths, lengths[1:])) or lengths[0] < 1:
         raise DslValueError("window lengths must be positive, strictly increasing")
-    if lengths[-1] > 2 * scan_radius:
-        raise DslValueError(f"window length {lengths[-1]} exceeds scan range {2 * scan_radius}")
-    cum = _prefix_counts(cset.box(scan_radius)[1])
-    if lengths[-1] >= cum.size:
-        raise DslValueError("window length exceeds available range")
-    counts = np.empty(cum.size - 1, dtype=np.int64)  # one buffer for every length
-    values = []
-    for L in lengths:
-        window = np.subtract(cum[L:], cum[:-L], out=counts[:cum.size - L])
-        values.append([float(window.min()) / L, float(window.max()) / L])
+    size = scan_radius if cset.positive_only else 2 * scan_radius + 1
+    if lengths[-1] > size:
+        raise DslValueError(f"window length {lengths[-1]} exceeds the {size} points of the scan box")
+    values = [[float(low) / L, float(high) / L]
+              for (low, high), L in zip(_window_extremes(cset.blocks(scan_radius), lengths), lengths)]
     tail = _tail(values, tail_window)
     return DensityReport(
         method="uniform",
@@ -246,6 +253,34 @@ def density_uniform(cset: CompiledSet, l_grid, scan_radius: int,
         certified=False,
         notes=("values are (window-inf, window-sup) pairs per length",),
     )
+
+
+def _window_extremes(blocks, lengths: list[int]) -> list[tuple[int, int]]:
+    """(min, max) over every window of L consecutive points of the number
+    of members in it, for each L of the increasing lengths, from a stream
+    of blocks with at least lengths[-1] points. A running int32 count c(e)
+    of the members among the first e points gives the window ending at e
+    as c(e) - c(e - L); only the last lengths[-1] + 1 counts are kept."""
+    longest = lengths[-1]
+    extremes = [(math.inf, -math.inf)] * len(lengths)
+    # c(e) for the last hist.size values of e, up to done; int32 holds
+    # every count, as the box budget is below 2^31
+    hist = np.zeros(1, dtype=np.int32)
+    done = 0  # points read
+    for _, table in blocks:
+        new = np.cumsum(table, dtype=np.int32)
+        new += hist[-1]
+        cum = np.concatenate([hist, new])  # c(e) from e = base on
+        base = done + 1 - hist.size
+        done += table.size
+        for i, L in enumerate(lengths):
+            first = max(done - table.size + 1, L)  # the windows ending in this block
+            if first <= done:
+                w = cum[first - base:] - cum[first - base - L:done - base + 1 - L]
+                low, high = extremes[i]
+                extremes[i] = (min(low, int(w.min())), max(high, int(w.max())))
+        hist = cum[-min(done, longest) - 1:]
+    return extremes
 
 
 # ------------------------------------------------------------- analytic
@@ -342,8 +377,7 @@ def density_weighted(cset: CompiledSet, step_fn, r_grid,
     grid = [int(r) for r in r_grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
         raise DslValueError("r_grid must be nonempty, positive, strictly increasing")
-    # largest radius first, as in density_alpha
-    values = [_weighted_ratio(cset, steps, r) for r in reversed(grid)][::-1]
+    values = [_weighted_ratio(cset, steps, r) for r in grid]
     tail = _tail(values, tail_window)
     return DensityReport(
         method="weighted",
@@ -358,17 +392,25 @@ def density_weighted(cset: CompiledSet, step_fn, r_grid,
 
 
 def _weighted_ratio(cset: CompiledSet, steps, r: int) -> float:
-    lo, table = cset.box(r)
-    cum = _prefix_counts(table)
+    """The ratio at radius r: members and points of the box in each step's
+    [u, v], the members counted in one stream of membership blocks."""
+    lo = 1 if cset.positive_only else -r
+    spans = []
+    for (a, b), w in steps:
+        u, v = max(math.ceil(a * r), lo), min(math.floor(b * r), r)
+        if w != 0 and u <= v:
+            spans.append((u, v, w))
+    members = [0] * len(spans)
+    for start, table in cset.blocks(r):
+        end = start + table.size - 1
+        for i, (u, v, _) in enumerate(spans):
+            if u <= end and v >= start:
+                members[i] += int(np.count_nonzero(table[max(u, start) - start:min(v, end) - start + 1]))
     num = 0.0
     den = 0.0
-    for (a, b), w in steps:
-        if w == 0:
-            continue
-        u, v = max(math.ceil(a * r), lo), min(math.floor(b * r), r)
-        if u <= v:  # members and all points within [u, v] ∩ [lo, r]
-            num += w * int(cum[v - lo + 1] - cum[u - lo])
-            den += w * (v - u + 1)
+    for (u, v, w), m in zip(spans, members):
+        num += w * m
+        den += w * (v - u + 1)
     if den == 0:
         raise DslValueError("degenerate step function: no weight on the box")
     return num / den

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import _primes
 from .setdsl import (
+    ASSUMES_DIRICHLET,
     EXACT,
     TRUNCATED,
     BudgetExceeded,
@@ -238,7 +239,8 @@ def closure_measure_trace(cset: CompiledSet, chain: ModulusChain, cutoff: int,
     """Level measures |pi_m(X)| / m^n along the chain. Exact-mode values
     are certified upper bounds for the closure measure and nonincreasing;
     truncated-mode values are uncertified lower bounds for the level
-    measure. Running out of budget yields a partial trace plus a note."""
+    measure. Running out of budget yields a partial trace plus a note; so
+    does a set whose exact images rest on Dirichlet's theorem (primes)."""
     records: list[LevelMeasure] = []
     notes: list[str] = []
     for idx, m in enumerate(chain.levels(cutoff), start=1):
@@ -257,6 +259,9 @@ def closure_measure_trace(cset: CompiledSet, chain: ModulusChain, cutoff: int,
         raise BudgetExceeded(notes[0] if notes else "no level computed")
     if cset.mode == TRUNCATED:
         notes.append("UNCERTIFIED: truncated images give lower bounds for level measures")
+    if cset.mode == EXACT and ASSUMES_DIRICHLET in cset.assumptions:
+        notes.append("ASSUMES Dirichlet's theorem: the exact images count every unit class "
+                     "mod m as holding a prime")
     return MeasureTrace(chain, cset.dim, tuple(records), cset.mode, tuple(notes))
 
 
@@ -363,41 +368,50 @@ def _parse_local_factor(text: str) -> tuple[int, int]:
 # ------------------------------------------------------------- power sums
 
 
-def masked_power_sums(mask: np.ndarray, s_grid) -> tuple[np.ndarray, np.ndarray]:
+def masked_power_sums(mask, s_grid) -> tuple[np.ndarray, np.ndarray]:
     """Sums of k^(-s) over the k >= 1 with mask[k] set, for every s of the
     grid, each with a bound on its rounding error. A numeric (non-boolean)
     array is a table of nonnegative weights instead: the sums are then of
     mask[k] k^(-s), the weights are taken as exact and each product counts
-    one more rounding. Index 0 is never read. One pass over the table in
-    blocks of _BLOCK integers: the block's nonzero indices are converted
-    once and raised to every s, so extra memory stays a few blocks wide."""
+    one more rounding. Index 0 is never read.
+
+    mask may also be an iterable of (lo, table) blocks, table[i] holding
+    the integer lo + i (CompiledSet.blocks), read as one table; cells
+    below 1 are skipped. One pass in chunks of at most _BLOCK integers,
+    from index 1 of an array and from the start of each block: a chunk's
+    nonzero indices are converted once and raised to every s, so extra
+    memory stays a few chunks wide. Blocks that start at 1 + j * _BLOCK
+    chunk exactly like the array, so their sums are the same floats."""
     ss = [float(s) for s in s_grid]
-    weighted = mask.dtype != np.bool_
+    blocks = [(0, mask)] if isinstance(mask, np.ndarray) else mask
+    weighted = False
     parts: list[list[float]] = [[] for _ in ss]
     count = 0
     mass = 0.0  # sum of the weights, which scales the underflow allowance
     buf = np.empty(_BLOCK)
-    for lo in range(1, mask.size, _BLOCK):
-        block = mask[lo:lo + _BLOCK]
-        # nonzero runs several times faster on booleans than on numbers
-        idx = np.flatnonzero(block.astype(bool, copy=False))
-        if not idx.size:
-            continue
-        count += idx.size
-        if weighted:
-            w = block[idx].astype(np.float64, copy=False)
-            # the order-independent bound needs terms of one sign; NaN fails both
-            if not (w.min() >= 0.0 and w.max() < math.inf):
-                raise DslValueError("power-sum weights must be finite and nonnegative")
-            mass += float(w.sum())
-        k = idx.astype(np.float64)
-        k += lo
-        out = buf[:k.size]
-        for part, s in zip(parts, ss):
-            np.power(k, -s, out=out)
+    for base, table in blocks:
+        weighted = weighted or table.dtype != np.bool_
+        for lo in range(max(0, 1 - base), table.size, _BLOCK):
+            chunk = table[lo:lo + _BLOCK]
+            # nonzero runs several times faster on booleans than on numbers
+            idx = np.flatnonzero(chunk.astype(bool, copy=False))
+            if not idx.size:
+                continue
+            count += idx.size
             if weighted:
-                out *= w
-            part.append(float(out.sum()))
+                w = chunk[idx].astype(np.float64, copy=False)
+                # the order-independent bound needs terms of one sign; NaN fails both
+                if not (w.min() >= 0.0 and w.max() < math.inf):
+                    raise DslValueError("power-sum weights must be finite and nonnegative")
+                mass += float(w.sum())
+            k = idx.astype(np.float64)
+            k += base + lo
+            out = buf[:k.size]
+            for part, s in zip(parts, ss):
+                np.power(k, -s, out=out)
+                if weighted:
+                    out *= w
+                part.append(float(out.sum()))
     sums = np.array([math.fsum(part) for part in parts])
     depth = min(count, _BLOCK)
     # a product in the subnormal range errs by at most half of 2^-1074

@@ -33,6 +33,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import _primes
+from ._primes import _mark_classes, _segments
 
 EXACT = "exact"
 TRUNCATED = "truncated"
@@ -718,17 +719,34 @@ class CompiledSet:
     __contains__ = contains
 
     # -- enumeration ------------------------------------------------------
-    def box(self, n: int) -> tuple[int, np.ndarray]:
-        """(lo, table) for the mode's box [lo, n]^dim: lo = 1 in positive
-        mode, -n in symmetric mode. table[i_1, ..., i_dim] holds the point
-        (lo + i_1, ..., lo + i_dim)."""
+    def _box_lo(self, n: int) -> int:
+        """lo of the mode's box [lo, n]^dim, once its cells fit the box
+        budget: 1 in positive mode, -n in symmetric mode."""
         lo = 1 if self.positive_only else -n
         cells = (n - lo + 1) ** self.dim
         if cells > BOX_BUDGET:
             raise BudgetExceeded(
                 f"box [{lo},{n}]^{self.dim} has {cells} cells, over the box budget {BOX_BUDGET}"
             )
+        return lo
+
+    def box(self, n: int) -> tuple[int, np.ndarray]:
+        """(lo, table) for the mode's box [lo, n]^dim: lo = 1 in positive
+        mode, -n in symmetric mode. table[i_1, ..., i_dim] holds the point
+        (lo + i_1, ..., lo + i_dim)."""
+        lo = self._box_lo(n)
         return lo, _box_mask(self.expr, lo, n, self.dim)
+
+    def blocks(self, n: int) -> Iterator[tuple[int, np.ndarray]]:
+        """The dimension-1 box(n) as a stream of (lo, table) blocks laid out
+        by _primes._segments, 2^18 cells from the box's first point on:
+        their tables laid end to end are box(n)[1], at the memory of one
+        block. Sparse atoms are evaluated once for the whole stream."""
+        if self.dim != 1:
+            raise DslValueError("blocks is dimension-1 only")
+        lo = self._box_lo(n)
+        expr = _stream_expr(self.expr, lo, n)
+        return ((a, _box_mask(expr, a, b, 1)) for a, b in _segments(lo, n))
 
     def mask_upto(self, n: int) -> np.ndarray:
         """Dimension-1 membership table for 1..n (index 0 is always False)."""
@@ -906,15 +924,15 @@ def _poly_image_contains(poly: Polynomial, v: int) -> bool:
 
 
 def _box_mask(expr: SetExpr, lo: int, hi: int, dim: int) -> np.ndarray:
-    """Membership over the box [lo, hi]^dim (hi >= 0) as a dense boolean
+    """Membership over the box [lo, hi]^dim as a dense boolean
     table: cell (i_1, ..., i_dim) holds the point (lo + i_1, ..., lo + i_dim).
     Every table is freshly allocated, so callers may change it in place."""
     side = hi - lo + 1
     if isinstance(expr, (Cong, Multiples)):  # a union of classes r + aZ^dim
         classes = [(expr.r, expr.m0)] if isinstance(expr, Cong) else [(0, a) for a in expr.moduli]
         return _mark_classes(np.zeros((side,) * dim, dtype=bool), lo, classes, True)
-    if isinstance(expr, Coprime) and dim == 1:  # gcd(x) = |x|
-        return _cells_at((-1, 1), lo, hi)
+    if isinstance(expr, (Seq, FiniteSet, PolyImage, _Members)) or isinstance(expr, Coprime) and dim == 1:
+        return _cells_at(_sparse_values(expr, lo, hi), lo, hi)
     if isinstance(expr, (Coprime, KFree)):
         # outside 0 + p^kZ^dim for every prime p (_local_exponent); primes
         # p <= |x|^(1/k) suffice, and p = 2, always listed, keeps 0 out
@@ -923,32 +941,18 @@ def _box_mask(expr: SetExpr, lo: int, hi: int, dim: int) -> np.ndarray:
         classes = [(0, int(p) ** k) for p in _primes.primes_upto(top)]
         return _mark_classes(np.ones((side,) * dim, dtype=bool), lo, classes, False)
     if isinstance(expr, LeadingDigit):
-        # membership depends on |k| only: one table over 0..max(|lo|, hi),
-        # read outward from 0 in both directions
-        n = max(-lo, hi)
-        table = np.zeros(n + 1, dtype=bool)
-        lead = expr.d
-        while lead <= n:
-            table[lead: min(lead + lead // expr.d - 1, n) + 1] = True
-            lead *= expr.base
-        pos = table[max(lo, 0): hi + 1]
-        return np.concatenate([table[-lo:0:-1], pos]) if lo < 0 else pos
+        # membership depends on |k| only: the member intervals [a, b] and
+        # [-b, -a] that meet [lo, hi]
+        out = np.zeros(side, dtype=bool)
+        for a, b in _interval_view(expr, max(-lo, hi)):
+            for u, v in ((a, b), (-b, -a)):
+                if u <= hi and v >= lo:
+                    out[max(u, lo) - lo:min(v, hi) - lo + 1] = True
+        return out
     if isinstance(expr, Primes):  # members are positive only
-        table = _primes.prime_mask_upto(hi)
-        return table[lo:] if lo >= 0 else np.concatenate([np.zeros(-lo, dtype=bool), table])
-    if isinstance(expr, Seq):
-        return _cells_at(_sequence_upto(expr.name, hi), lo, hi)
-    if isinstance(expr, FiniteSet):
-        return _cells_at(expr.values, lo, hi)
-    if isinstance(expr, PolyImage):
-        poly = expr.poly
-        if max(poly.arity, 1) != 1:
-            raise DslValueError("multivariate polynomial images have no box enumeration")
-        coeffs = poly.univariate_coeffs()
-        if len(coeffs) == 1:
-            return _cells_at(coeffs, lo, hi)
-        t = _univariate_preimage_bound(coeffs, max(-lo, hi))
-        return _cells_at([poly.evaluate((s,)) for s in range(-t, t + 1)], lo, hi)
+        start = min(max(lo, 0), hi + 1)  # the first cell >= 0, if any
+        table = _primes._prime_segment(start, hi)
+        return table if start == lo else np.concatenate([np.zeros(start - lo, dtype=bool), table])
     if isinstance(expr, Complement):
         out = _box_mask(expr.a, lo, hi, dim)
         return np.logical_not(out, out=out)
@@ -969,20 +973,54 @@ def _local_exponent(expr: SetExpr) -> int:
     return expr.k if isinstance(expr, KFree) else 1
 
 
-def _mark_classes(out: np.ndarray, lo: int, classes, value: bool) -> np.ndarray:
-    """The one class-marking kernel: set to value every cell of the box
-    table out (cell i holds lo + i) whose coordinates are all = r mod a for
-    some (r, a) in classes. Each class r + aZ^dim is a strided slice along
-    every axis."""
-    for r, a in classes:
-        out[(slice((r - lo) % a, None, a),) * out.ndim] = value
-    return out
+@dataclass(frozen=True, eq=False)
+class _Members(SetExpr):
+    """A stream's stand-in for a sparse atom: the atom's members inside the
+    stream's range, as a sorted int64 array computed once (_stream_expr)."""
+
+    values: np.ndarray
 
 
-def _cells_at(values, lo: int, hi: int) -> np.ndarray:
-    """The table over [lo, hi] set at the given values that fall inside."""
+def _stream_expr(expr: SetExpr, lo: int, hi: int) -> SetExpr:
+    """expr with every sparse atom (image, seq, finite, coprime(1))
+    replaced by its members in [lo, hi], so that a stream of blocks over
+    [lo, hi] evaluates each atom once and every block slices its values."""
+    if isinstance(expr, (Seq, FiniteSet, PolyImage)) or isinstance(expr, Coprime) and expr.n == 1:
+        return _Members(_sparse_values(expr, lo, hi))
+    if isinstance(expr, Complement):
+        return Complement(_stream_expr(expr.a, lo, hi))
+    if isinstance(expr, (Union, Intersection, Difference)):
+        return type(expr)(_stream_expr(expr.a, lo, hi), _stream_expr(expr.b, lo, hi))
+    return expr
+
+
+def _sparse_values(expr: SetExpr, lo: int, hi: int) -> np.ndarray:
+    """The members in [lo, hi] of an atom given by a short list of values,
+    as a sorted int64 array (a _Members node returns all of its own)."""
+    if isinstance(expr, _Members):
+        return expr.values
+    if isinstance(expr, Coprime):  # dimension 1: gcd(x) = |x|
+        values = (-1, 1)
+    elif isinstance(expr, Seq):
+        values = _sequence_upto(expr.name, hi)
+    elif isinstance(expr, FiniteSet):
+        values = expr.values
+    else:
+        poly = expr.poly
+        if max(poly.arity, 1) != 1:
+            raise DslValueError("multivariate polynomial images have no box enumeration")
+        values = poly.univariate_coeffs()
+        if len(values) > 1:
+            t = _univariate_preimage_bound(values, max(-lo, hi))
+            values = [poly.evaluate((s,)) for s in range(-t, t + 1)]
+    return np.array(sorted({v for v in values if lo <= v <= hi}), dtype=np.int64)
+
+
+def _cells_at(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The table over [lo, hi] set at the values of the sorted int64 array
+    that fall inside."""
     z = np.zeros(hi - lo + 1, dtype=bool)
-    z[[v - lo for v in values if lo <= v <= hi]] = True
+    z[values[np.searchsorted(values, lo):np.searchsorted(values, hi, side="right")] - lo] = True
     return z
 
 

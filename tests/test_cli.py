@@ -131,6 +131,20 @@ def test_measure_sum_of_two_squares_reaches_the_fifth_square_primorial(capsys):
     assert payload["notes"] == []
 
 
+@pytest.mark.parametrize("args, notes", [
+    (["measure", "--set", "primes", "--levels", "3"], lambda doc: doc["notes"]),
+    (["density", "--set", "primes", "--method", "buck", "--level-cutoff", "1e3"],
+     lambda doc: doc["reports"]["buck"]["notes"]),
+])
+def test_prime_level_measures_state_the_dirichlet_assumption(args, notes, capsys):
+    # pi_m(primes) counts every unit class mod m, which takes Dirichlet's
+    # theorem; sets without primes carry no such note
+    assert cli.main(args) == 0
+    assert any("Dirichlet" in n for n in notes(json.loads(capsys.readouterr().out)))
+    assert cli.main([a if a != "primes" else "kfree(2)" for a in args]) == 0
+    assert not any("Dirichlet" in n for n in notes(json.loads(capsys.readouterr().out)))
+
+
 def test_measure_euler_bracket():
     payload = run_json("measure", "--euler", "1-1/p^2", "--cutoff", "1e4")
     lo, hi = payload["bracket"]["lo"], payload["bracket"]["hi"]

@@ -25,7 +25,7 @@ from zhat.density import (
     log_density_window,
 )
 from zhat.measure import ModulusChain, zeta_partial
-from zhat.setdsl import BudgetExceeded, compile_set
+from zhat.setdsl import BudgetExceeded, DslValueError, compile_set
 
 
 # ---------------------------------------------------------------------------
@@ -195,27 +195,18 @@ def test_alpha_dimension_2_memory_per_box_cell(positive_only, r):
     lambda cs, grid: density_alpha(cs, -1.0, grid),
     lambda cs, grid: density_weighted(cs, [((0.0, 0.5), 1.0), ((0.5, 1.0), 2.0)], grid),
 ], ids=["asymptotic", "logarithmic", "weighted"])
-def test_density_grids_build_the_prime_sieve_once(monkeypatch, estimate):
-    # a halving grid evaluated from the smallest radius up outgrows the
-    # shared sieve at every radius; from the largest down it is built once
+def test_density_grids_grow_the_prime_sieve_to_sqrt_r(monkeypatch, estimate):
+    # a streamed grid sieves [1, r] one segment at a time: the shared sieve
+    # grows only to the base primes up to about sqrt(r), never to r, and
+    # the grid's values are the single-radius values
     cs = compile_set("kfree(2) \\ primes")
-    grid = [5000, 10000, 20000, 40000]
+    grid = [250000, 500000, 1000000, 2000000]
     single = [estimate(cs, [r]).values[0] for r in grid]
-    builds = []
-    ensure = _primes._ensure_sieve
-
-    def counting(n):
-        if n > _primes._SIEVE_BOUND:
-            builds.append(n)
-        ensure(n)
-
     for name in ("_SIEVE_BOUND", "_IS_PRIME", "_PRIMES", "_SMALL_PRIMES"):
         monkeypatch.setattr(_primes, name, getattr(_primes, name))
     monkeypatch.setattr(_primes, "_SIEVE_BOUND", 0)
-    ensure(math.isqrt(grid[-1]))  # the small primes kfree(2) reads
-    monkeypatch.setattr(_primes, "_ensure_sieve", counting)
     rep = estimate(cs, grid)
-    assert builds == [grid[-1]]
+    assert 0 < _primes._SIEVE_BOUND <= 2 * math.isqrt(grid[-1])
     assert list(rep.values) == single
 
 
@@ -259,6 +250,30 @@ def test_uniform_window_brute_oracle_small():
     lo, hi = rep.values[0]
     assert lo == pytest.approx(min(counts) / L, abs=1e-12)
     assert hi == pytest.approx(max(counts) / L, abs=1e-12)
+
+
+@pytest.mark.parametrize("positive_only", [True, False])
+def test_uniform_windows_across_blocks_match_prefix_counts(positive_only):
+    # boxes of several membership blocks and windows longer than a block:
+    # the running count and its window history against whole-box prefix
+    # counts
+    cs = compile_set("kfree(2) | cong(1,4)", positive_only=positive_only)
+    r, lengths = 393223, [5, 2**18 - 1, 2**18 + 3, 300001]
+    cum = np.concatenate([[0], np.cumsum(cs.box(r)[1], dtype=np.int64)])
+    want = tuple((int((cum[L:] - cum[:-L]).min()) / L, int((cum[L:] - cum[:-L]).max()) / L)
+                 for L in lengths)
+    assert density_uniform(cs, lengths, r).values == want
+
+
+@pytest.mark.parametrize("positive_only, size", [(True, 300), (False, 601)])
+def test_uniform_window_length_is_checked_against_the_box_size(positive_only, size):
+    # the scan box of radius 300 has 300 points in positive mode and 601
+    # in symmetric mode; the one window of full length counts every member
+    cs = compile_set("cong(0,3)", positive_only=positive_only)
+    members = sum(1 for x in (range(1, 301) if positive_only else range(-300, 301)) if x % 3 == 0)
+    assert density_uniform(cs, [size], 300).values == ((members / size, members / size),)
+    with pytest.raises(DslValueError, match=f"exceeds the {size} points of the scan box"):
+        density_uniform(cs, [size + 1], 300)
 
 
 def test_uniform_window_benford_spreads_to_unit_interval():

@@ -1,0 +1,162 @@
+"""Streamed membership: CompiledSet.blocks against the box table, sieve
+segments against a brute-force sieve, the power-sum kernel over a block
+stream against the array call, and the memory the streamed estimators
+keep as the radius grows."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zhat import _primes, setdsl
+from zhat.analytic import dlog_zeta_check
+from zhat.density import density_alpha, density_analytic, density_uniform
+from zhat.measure import _BLOCK, masked_power_sums
+from zhat.setdsl import compile_set
+
+SEGMENT = _primes._SEGMENT
+
+ATOMS = ["cong(1,4)", "cong(-2,7)", "kfree(2)", "kfree(3)", "primes", "coprime(1)",
+         "image(x^2+1)", "image(-x^3+5)", "image(7)", "multiples(6,10)",
+         "leadingdigit(1,10)", "leadingdigit(2,3)", "seq(factorials)",
+         "seq(factorial_shift)", "finite(-3,0,5,262144,262145,10^30)"]
+
+
+def _expressions():
+    atom = st.sampled_from([a.replace("10^30", str(10**30)) for a in ATOMS])
+    return st.recursive(
+        atom,
+        lambda inner: st.one_of(
+            inner.map(lambda a: f"!({a})"),
+            st.tuples(inner, st.sampled_from("|&\\"), inner).map(lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+        ),
+        max_leaves=4,
+    )
+
+
+# box sizes 1, at the block edges +-1 (in cells: n in positive mode,
+# 2n + 1 in symmetric mode) and in between
+EDGES = [1, SEGMENT - 1, SEGMENT, SEGMENT + 1, 2 * SEGMENT + 1,
+         SEGMENT // 2 - 1, SEGMENT // 2, SEGMENT // 2 + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_expressions(), positive=st.booleans(),
+       n=st.one_of(st.sampled_from(EDGES), st.integers(1, 3 * SEGMENT)))
+def test_blocks_concatenate_to_the_box(text, positive, n):
+    cs = compile_set(text, positive_only=positive)
+    lo, table = cs.box(n)
+    starts, parts = zip(*cs.blocks(n))
+    assert starts == tuple(range(lo, n + 1, SEGMENT))
+    assert all(p.size == SEGMENT for p in parts[:-1])
+    assert np.array_equal(np.concatenate(parts), table)
+    # box and blocks share _box_mask: check the cells at every block edge
+    # against the membership oracle too
+    for a, part in zip(starts, parts):
+        for x in {a, a + 1, a + part.size - 2, a + part.size - 1} & set(range(a, a + part.size)):
+            assert part[x - a] == cs.contains(x), x
+
+
+def test_blocks_check_the_box_budget(monkeypatch):
+    monkeypatch.setattr(setdsl, "BOX_BUDGET", 100)
+    assert sum(t.size for _, t in compile_set("primes").blocks(100)) == 100
+    with pytest.raises(setdsl.BudgetExceeded):
+        compile_set("primes").blocks(101)  # raised before the first block
+    with pytest.raises(setdsl.BudgetExceeded):
+        compile_set("primes", positive_only=False).blocks(50)  # 101 cells
+
+
+def test_blocks_chunk_like_the_power_sum_kernel():
+    # positive-mode blocks start at 1 + j * SEGMENT, on the kernel's chunk
+    # grid 1 + j * _BLOCK, which makes streamed sums the array call's floats
+    assert SEGMENT % _BLOCK == 0
+
+
+REFERENCE_N = 3 * SEGMENT
+
+
+def _brute_sieve(n):
+    """Eratosthenes over 0..n, one Python-level prime at a time."""
+    table = [True] * (n + 1)
+    table[:2] = [False] * min(2, n + 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if table[p]:
+            table[p * p::p] = [False] * len(range(p * p, n + 1, p))
+    return np.array(table)
+
+
+BRUTE = _brute_sieve(REFERENCE_N)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lo=st.one_of(st.sampled_from([0, 1, 2, 3, 4, 25, 48, 120, 168]), st.integers(0, REFERENCE_N)),
+       width=st.one_of(st.integers(-1, 400), st.integers(0, 2 * SEGMENT + 5)))
+def test_sieve_segments_match_a_brute_force_sieve(lo, width):
+    hi = min(lo + width, REFERENCE_N)
+    assert np.array_equal(_primes._prime_segment(lo, hi), BRUTE[lo:hi + 1])
+
+
+def test_whole_range_sieve_matches_a_brute_force_sieve():
+    assert np.array_equal(_primes._sieve_upto(REFERENCE_N), BRUTE)
+    assert np.array_equal(_primes.prime_mask_upto(REFERENCE_N), BRUTE)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 5 * _BLOCK),
+       chunks=st.integers(1, 4), kind=st.sampled_from(["mask", "weights", "sparse"]))
+def test_stream_power_sums_equal_the_array_call(seed, size, chunks, kind):
+    # blocks from 1 + j * (a multiple of _BLOCK) chunk exactly like the array
+    rng = np.random.default_rng(seed)
+    if kind == "weights":
+        table = rng.exponential(size=size + 1)
+        table[rng.random(size + 1) < 0.3] = 0.0
+    else:
+        table = rng.random(size + 1) < (0.5 if kind == "mask" else 0.001)
+    s_grid = [0.5, 1.0, 1.7, 3.0]
+    step = chunks * _BLOCK
+    stream = ((lo, table[lo:lo + step]) for lo in range(1, size + 1, step))
+    sums, bounds = masked_power_sums(table, s_grid)
+    got_sums, got_bounds = masked_power_sums(stream, s_grid)
+    assert got_sums.tobytes() == sums.tobytes()
+    assert got_bounds.tobytes() == bounds.tobytes()
+
+
+def test_stream_power_sums_skip_cells_below_one():
+    table = np.ones(11, dtype=bool)  # the integers -5..5
+    sums, _ = masked_power_sums([(-5, table)], [1.0])
+    assert sums[0] == math.fsum(1.0 / k for k in range(1, 6))
+
+
+# ---------------------------------------------------------------- memory
+
+PATHS = {
+    "asymptotic": lambda r: density_alpha(compile_set("kfree(2) \\ primes"), 0.0, [r // 4, r // 2, r]),
+    "logarithmic": lambda r: density_alpha(compile_set("kfree(2) \\ primes"), -1.0, [r // 2, r]),
+    "analytic": lambda r: density_analytic(compile_set("primes"), [1.5, 1.1], r),
+    "uniform": lambda r: density_uniform(compile_set("kfree(3) | cong(1,4)"), [r // 40, r // 20], r),
+    "dlog": lambda r: dlog_zeta_check(2.0, r, 1e-6),
+}
+
+
+def _peak(run, r):
+    tracemalloc.start()
+    try:
+        run(r)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_streamed_paths_keep_memory_flat_in_r(path):
+    # memory is O(block): quadrupling r adds under 1 MB, besides the
+    # uniform estimator's int32 history of its longest window (r/20
+    # points, r/5 bytes); whole-range tables would add 8-64 MB here
+    run = PATHS[path]
+    run(10**6)  # the small shared sieve and the sieve wheel, once
+    small, large = _peak(run, 10**6), _peak(run, 4 * 10**6)
+    allowance = 2**20 + (4 * 10**6 // 5 if path == "uniform" else 0)
+    assert large - small <= allowance, (small, large)
