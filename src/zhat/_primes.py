@@ -1,7 +1,7 @@
 """Shared sieve and factorization utilities.
 
-A single module-level sieve cache is grown on demand and read-only
-afterwards, so every consumer shares one table.
+A single module-level cache, the sorted primes up to a bound, is grown on
+demand and read-only afterwards, so every consumer shares one array.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 _TRIAL_BOUND = 1 << 10
 
 _SIEVE_BOUND = 0
-_IS_PRIME: np.ndarray = np.zeros(1, dtype=bool)
 _PRIMES: np.ndarray = np.zeros(0, dtype=np.int64)
 _SMALL_PRIMES: list[int] = []
 
@@ -86,21 +85,18 @@ def _prime_segment(lo: int, hi: int) -> np.ndarray:
     return _sieve_segment(lo, hi, primes_upto(math.isqrt(max(hi, 0))))
 
 
-def _sieve_upto(n: int) -> np.ndarray:
-    """Primality table for 0..n, segment by segment; its base primes are
-    this table for 0..sqrt(n), a few levels of recursion."""
-    root = math.isqrt(n)
-    base = np.flatnonzero(_sieve_upto(root)) if root >= 2 else np.zeros(0, dtype=np.int64)
-    return _sieve_segment(0, n, base)
-
-
 def _ensure_sieve(n: int) -> None:
-    global _SIEVE_BOUND, _IS_PRIME, _PRIMES, _SMALL_PRIMES
+    """Grow _PRIMES to every prime up to max(n, 2 * _SIEVE_BOUND), one
+    segment past the old bound at a time; the base primes up to the square
+    root come from the cache itself, grown first."""
+    global _SIEVE_BOUND, _PRIMES, _SMALL_PRIMES
     if n <= _SIEVE_BOUND:
         return
-    n = max(n, 2 * _SIEVE_BOUND, _TRIAL_BOUND)
-    _IS_PRIME = _sieve_upto(n)
-    _PRIMES = np.flatnonzero(_IS_PRIME).astype(np.int64)
+    n = max(n, 2 * _SIEVE_BOUND)
+    base = primes_upto(math.isqrt(n))
+    _PRIMES = np.concatenate([primes_upto(_SIEVE_BOUND)] + [
+        np.flatnonzero(_sieve_segment(lo, hi, base)) + lo
+        for lo, hi in _segments(_SIEVE_BOUND + 1, n)])
     _SMALL_PRIMES = _PRIMES[_PRIMES < _TRIAL_BOUND].tolist()
     _SIEVE_BOUND = n
 
@@ -111,12 +107,6 @@ def primes_upto(n: int) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     _ensure_sieve(n)
     return _PRIMES[: int(np.searchsorted(_PRIMES, n, side="right"))]
-
-
-def prime_mask_upto(n: int) -> np.ndarray:
-    """Boolean primality table for 0..n (a copy, safe to mutate)."""
-    _ensure_sieve(max(n, 2))
-    return _IS_PRIME[: n + 1].copy()
 
 
 # Sorenson and Webster (2015): no composite below 3317044064679887385961981
@@ -155,15 +145,17 @@ def _strong_probable_prime(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Primality of n: a table lookup inside the shared sieve, trial
-    division by the primes below 2^10, then the strong test to the bases
-    2..41, which is a proof below 3.317 * 10^24 (Sorenson-Webster). Above
-    that bound True means n is a strong probable prime to those bases."""
+    """Primality of n: a binary search of the shared sorted primes up to
+    the sieve bound; past it, trial division by the primes below 2^10, then
+    the strong test to the bases 2..41, which is a proof below
+    3.317 * 10^24 (Sorenson-Webster). Above that bound True means n is a
+    strong probable prime to those bases."""
     if n < 2:
         return False
     small = _trial_primes()
     if n <= _SIEVE_BOUND:
-        return bool(_IS_PRIME[n])
+        i = int(np.searchsorted(_PRIMES, n))
+        return i < _PRIMES.size and int(_PRIMES[i]) == n
     for p in small:
         if n % p == 0:
             return False
@@ -295,21 +287,6 @@ def valuation(n: int, p: int) -> int:
 def prime_powers_of(m: int) -> list[tuple[int, int, int]]:
     """[(p, j, p**j)] over the prime powers exactly dividing m >= 1."""
     return [(p, j, p**j) for p, j in factorize(m).items()] if m > 1 else []
-
-
-def smallest_factor_table(n: int) -> np.ndarray:
-    """spf[2..n] = smallest prime factor (spf[0]=spf[1]=0); empty for
-    n < 0."""
-    spf = np.zeros(max(n + 1, 0), dtype=np.int64)
-    for p in range(2, math.isqrt(max(n, 0)) + 1):
-        if spf[p] == 0:
-            multiples = spf[p * p:: p]
-            multiples[multiples == 0] = p
-    # what is still unmarked from 2 on has no factor up to sqrt(n): a prime
-    rest = np.flatnonzero(spf == 0)
-    rest = rest[rest >= 2]
-    spf[rest] = rest
-    return spf
 
 
 def iter_primes() -> Iterator[int]:

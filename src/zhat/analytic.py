@@ -134,24 +134,29 @@ def vm_identity_check(n: int, tol: float) -> bool:
 
 
 def vm_identity_scan(n_max: int, tol: float) -> bool:
-    """The divisor-sum identity over all 1 <= n <= n_max: with p the
-    smallest prime factor of n, the sum of Lambda(d) over d | n is
-    total(n) = total(n / p) + log p. Each n in [lo, 2 lo) depends on
-    n / p <= n / 2 < lo only, so doubling blocks fill the table in about
-    log2(n_max) array steps."""
+    """The divisor-sum identity over all 1 <= n <= n_max, one sieve block
+    at a time: each base prime p <= sqrt(hi) adds log p to the multiples
+    of each power p^j in [lo, hi] and divides them by p, which leaves 1 or
+    the one prime factor of n above sqrt(hi), adding its own log. A
+    remainder in (1, sqrt(hi)] would hold a factor the sieve missed: it
+    adds nothing, so the identity fails there."""
     if n_max < 2:
         return True
-    spf = _primes.smallest_factor_table(n_max)
-    lam = _von_mangoldt_table(n_max)  # log p at every prime p
-    total = np.zeros(n_max + 1)
-    lo = 2
-    while lo <= n_max:
-        hi = min(2 * lo, n_max + 1)
-        p = spf[lo:hi]
-        total[lo:hi] = total[np.arange(lo, hi) // p] + lam[p]
-        lo = hi
-    logs = np.log(np.arange(2, n_max + 1, dtype=np.float64))
-    worst = float(np.max(np.abs(logs - total[2:])))
+    worst = 0.0
+    for lo, hi in _primes._segments(2, n_max):
+        root = math.isqrt(hi)
+        rest = np.arange(lo, hi + 1, dtype=np.int64)
+        total = np.zeros(rest.size)
+        for p in _primes.primes_upto(root).tolist():
+            log_p, q = math.log(p), p
+            while q <= hi:
+                multiples = slice((-lo) % q, None, q)
+                total[multiples] += log_p
+                rest[multiples] //= p
+                q *= p
+        big = rest > root
+        total[big] += np.log(rest[big])
+        worst = max(worst, float(np.max(np.abs(_log_block(lo, hi) - total))))
     return not worst >= tol
 
 
@@ -177,14 +182,6 @@ def _blocks(n: int, build):
     """(lo, build(lo, hi)) over the blocks [lo, hi] that cover [1, n], laid
     out as CompiledSet.blocks lays out [1, n]."""
     return ((lo, build(lo, hi)) for lo, hi in _primes._segments(1, n))
-
-
-def _von_mangoldt_table(n: int) -> np.ndarray:
-    """Lambda(k) for 0 <= k <= n, filled block by block."""
-    lam = np.zeros(n + 1, dtype=np.float64)
-    for lo, block in _blocks(n, _von_mangoldt_block):
-        lam[lo:lo + block.size] = block
-    return lam
 
 
 def _log_block(lo: int, hi: int) -> np.ndarray:

@@ -92,6 +92,14 @@ def _num(text: str) -> int:
     return v
 
 
+def _tol(text: str) -> float:
+    """Tolerance argument: a finite number >= 0."""
+    v = float(text)
+    if not (math.isfinite(v) and v >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0: {text!r}")
+    return v
+
+
 def _int_list(text: str) -> list[int]:
     return [_num(t) for t in text.split(",") if t.strip()]
 
@@ -328,7 +336,6 @@ def _cmd_verify(res: _Resolver) -> int:
         )
     fmt = res.get("output", str, "json")
     seed = res.get("seed", _num, 0)
-    tol = res.get("tol", float)
 
     if theorem == "davenport-erdos":
         family = res.get("family", str, "p^2")
@@ -341,7 +348,7 @@ def _cmd_verify(res: _Resolver) -> int:
         else:
             mods, tail = _int_list(family), None
         rep = davenport_erdos(
-            mods, r_max=res.get("rmax", _num, 10**6), tol=tol or 5e-3,
+            mods, r_max=res.get("rmax", _num, 10**6), tol=res.get("tol", _tol, 5e-3),
             tail_exponent=tail,
             certified_grid_points=res.get("certified_points", _num, 0),
         )
@@ -360,12 +367,12 @@ def _cmd_verify(res: _Resolver) -> int:
         rep = asdmltp_verify(res.get("moduli", _int_list, [4, 9, 25]),
                              r_max=res.get("rmax", _num, 10**6),
                              m_check=res.get("mcheck", _num),
-                             tol=tol or 1e-2)
+                             tol=res.get("tol", _tol, 1e-2))
     elif theorem == "poonen-stoll":
         rep = poonen_stoll_tail(res.get("spec", str, "kfree"),
                                 k=res.get("k", _num, 2),
                                 prime_cutoffs=res.get("cutoffs", _int_list, [10, 100, 1000]),
-                                tol=tol or 1e-2)
+                                tol=res.get("tol", _tol, 1e-2))
     elif theorem == "mt":
         set_text = res.get("set", str)
         if not set_text:
@@ -374,7 +381,7 @@ def _cmd_verify(res: _Resolver) -> int:
                            _parse_chain(res.get("chain", str, "primorial")),
                            res.get("cutoff", _num, 10**4),
                            r_max=res.get("rmax", _num, 10**6),
-                           tol=tol or 1e-2,
+                           tol=res.get("tol", _tol, 1e-2),
                            truncation=res.get("truncation", _num))
     elif theorem == "counterexample":
         rep = counterexample_cover(res.get("base", _num, 4), res.get("terms", _num, 10))
@@ -480,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--family", default=None, help='"p^2", "p", or explicit "4,6"')
     v.add_argument("--pmax", type=_num, default=None)
     v.add_argument("--rmax", type=_num, default=None)
-    v.add_argument("--tol", type=float, default=None)
+    v.add_argument("--tol", type=_tol, default=None)
     v.add_argument("--certified-points", dest="certified_points", type=_num, default=None)
     v.add_argument("--mmax", type=_num, default=None)
     v.add_argument("--pbound", type=_num, default=None)

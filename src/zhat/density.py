@@ -594,7 +594,7 @@ def axiom_suite(case_count: int, seed: int, pair: str = "exact",
         blo, bup = fn(bigger)
         if not (lo <= blo and up <= bup):
             fails["monotonicity"].append(f"{ps} vs {bigger}")
-        clo, cup = fn(ps.complement())
+        clo, _ = fn(ps.complement())
         if up + clo != 1:
             fails["complement-duality"].append(f"{ps}: {up} + {clo} != 1")
         other = PeriodicSet(m, frozenset(rng.sample(

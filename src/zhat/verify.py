@@ -301,7 +301,6 @@ def omega_bound_measure(k: int, prime_bound: int) -> VerificationReport:
     quantities: dict = {"trace": trace, "closed_form": closed}
     m_final = math.prod(primes)
     if m_final <= 10**6:
-        ar = np.arange(m_final, dtype=np.int64)
         omega_ct = np.zeros(m_final, dtype=np.int64)
         for p in primes:
             omega_ct[::p] += 1
@@ -361,6 +360,8 @@ def asdmltp_verify(moduli, r_max: int = 10**6, m_check: int | None = None,
     each with at least two prime factors counted with multiplicity: the
     density exists and equals the product of (1 - 1/a)."""
     mods = tuple(int(a) for a in moduli)
+    if m_check is not None and m_check < 1:
+        raise DslValueError(f"m_check must be >= 1, got {m_check}")
     for a, b in combinations(mods, 2):
         if math.gcd(a, b) != 1:
             raise DslValueError(f"moduli must be pairwise coprime; gcd({a},{b}) > 1")

@@ -13,7 +13,7 @@ from zhat import _primes
 from zhat.analytic import (
     DirichletTruncation,
     _iroot,
-    _von_mangoldt_table,
+    _von_mangoldt_block,
     de_delta_bracket,
     de_delta_exact,
     de_delta_table,
@@ -25,6 +25,8 @@ from zhat.analytic import (
     zeta_set,
 )
 from zhat.setdsl import compile_set
+
+SEGMENT = _primes._SEGMENT
 
 
 # ---------------------------------------------------------------------------
@@ -70,21 +72,14 @@ def test_vm_identity_scan_oracle_small():
 
 
 def per_n_scan(n_max, tol):
-    """The scan as a per-n loop: strip the smallest prime factor of n one
-    prime at a time, adding e * log p."""
-    spf = _primes.smallest_factor_table(n_max)
+    """The scan as a per-n loop: add e * log p over the factorization of n,
+    smallest prime first."""
     logs = np.log(np.arange(0, n_max + 1, dtype=np.float64), where=np.arange(n_max + 1) > 0,
                   out=np.zeros(n_max + 1))
     worst = 0.0
     for n in range(2, n_max + 1):
         total = 0.0
-        m = n
-        while m > 1:
-            p = int(spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
+        for p, e in _primes.factorize(n).items():
             total += e * math.log(p)
         worst = max(worst, abs(logs[n] - total))
         if worst >= tol:
@@ -106,11 +101,20 @@ def test_vm_identity_scan_fails_below_rounding():
     assert vm_identity_scan(10**4, 1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 2, 8, 9, 3125, 10**4])  # prime powers end some tables
+def test_vm_identity_scan_spans_two_blocks():
+    # the second block [SEGMENT + 2, SEGMENT + 5] has its own base primes
+    n_max = SEGMENT + 5
+    assert [lo for lo, _ in _primes._segments(2, n_max)] == [2, SEGMENT + 2]
+    assert vm_identity_scan(n_max, 1e-12)
+    assert not vm_identity_scan(n_max, 0.0)
+
+
+# prime powers end some tables; SEGMENT = 2^18 and 2^19 end a block
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 3125, 10**4, SEGMENT, SEGMENT + 1, 2 * SEGMENT])
 def test_von_mangoldt_table_matches_pointwise(n):
-    lam = _von_mangoldt_table(n)
-    assert lam.shape == (n + 1,) and lam[0] == 0.0
-    assert lam[1:].tolist() == [von_mangoldt(k) for k in range(1, n + 1)]
+    # Lambda block by block over the layout of the power-sum streams
+    lam = np.concatenate([_von_mangoldt_block(lo, hi) for lo, hi in _primes._segments(1, n)])
+    assert lam.tolist() == [von_mangoldt(k) for k in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,38 @@ def test_bad_verify_input_is_usage_error(args, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_verify_asdmltp_rejects_a_check_modulus_below_one(value, capsys):
+    assert cli.main(["verify", "asdmltp", "--rmax", "1e4", "--mcheck", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage: m_check must be >= 1, got {value}\n"
+    assert captured.out == ""
+
+
+def test_verify_tol_zero_is_kept(tmp_path, capsys):
+    # 0 is a tolerance, not a request for the theorem's default
+    assert cli.main(["verify", "asdmltp", "--rmax", "1e4", "--tol", "0"]) == 3
+    assert json.loads(capsys.readouterr().out)["report"]["inputs"]["tol"] == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = 0\n")
+    assert cli.main(["--config", str(cfg), "verify", "asdmltp", "--rmax", "1e4"]) == 3
+    assert json.loads(capsys.readouterr().out)["report"]["inputs"]["tol"] == 0
+    assert cli.main(["verify", "asdmltp", "--rmax", "1e4"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["inputs"]["tol"] == 1e-2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_verify_tol_must_be_finite_and_nonnegative(value, tmp_path, capsys):
+    message = f"tolerance must be a finite number >= 0: '{value}'"
+    assert cli.main(["verify", "davenport-erdos", f"--tol={value}"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"tol = {value}\n")
+    assert cli.main(["--config", str(cfg), "verify", "davenport-erdos"]) == 2
+    assert capsys.readouterr().err == f"usage: {message}\n"
+
+
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# sample run\nset = cong(1,3)\nmethod = asymptotic\nr = 1e4\n")

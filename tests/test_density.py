@@ -202,7 +202,7 @@ def test_density_grids_grow_the_prime_sieve_to_sqrt_r(monkeypatch, estimate):
     cs = compile_set("kfree(2) \\ primes")
     grid = [250000, 500000, 1000000, 2000000]
     single = [estimate(cs, [r]).values[0] for r in grid]
-    for name in ("_SIEVE_BOUND", "_IS_PRIME", "_PRIMES", "_SMALL_PRIMES"):
+    for name in ("_SIEVE_BOUND", "_PRIMES", "_SMALL_PRIMES"):
         monkeypatch.setattr(_primes, name, getattr(_primes, name))
     monkeypatch.setattr(_primes, "_SIEVE_BOUND", 0)
     rep = estimate(cs, grid)

@@ -54,3 +54,24 @@ def test_no_unused_imports(path):
     used = referenced_names(tree) | exported_names(tree)
     unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def unread_locals(fn: ast.AST) -> set[str]:
+    """Names a function stores but never reads, nested scopes included;
+    _-prefixed names and global or nonlocal declarations are exempt."""
+    stored, read, declared = set(), set(), set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name):
+            (stored if isinstance(node.ctx, ast.Store) else read).add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+    return {n for n in stored - read - declared if not n.startswith("_")}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_locals(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = [f"{name} in {fn.name} (line {fn.lineno})"
+              for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for name in sorted(unread_locals(fn))]
+    assert not unread, f"{path.name} stores names it never reads: {', '.join(unread)}"

@@ -1,4 +1,4 @@
-"""The shared sieve tables, primality and factorization.
+"""The shared prime cache, primality and factorization.
 
 Below 2 * 10^5 the sieve is the oracle. Past the sieve, is_prime is the
 strong test to the bases 2..41 and factorize splits cofactors by
@@ -8,36 +8,19 @@ check those paths.
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zhat import _primes
-from zhat._primes import factorize, is_prime, prime_mask_upto, smallest_factor_table
+from zhat._primes import factorize, is_prime
 from zhat.setdsl import BudgetExceeded
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 10**4])
-def test_smallest_factor_table_matches_factorize(n):
-    spf = smallest_factor_table(n)
-    assert spf.shape == (n + 1,)
-    assert spf[:2].tolist() == [0] * min(n + 1, 2)
-    assert [int(spf[k]) for k in range(2, n + 1)] == [min(factorize(k)) for k in range(2, n + 1)]
-
-
-@pytest.mark.parametrize("n", [-5, -1, 0, 1])
-def test_smallest_factor_table_below_two_has_no_factors(n):
-    spf = smallest_factor_table(n)
-    assert spf.dtype == np.int64
-    assert spf.tolist() == [0] * max(n + 1, 0)
-
 
 SIEVE_N = 2 * 10**5
 
 
 def test_is_prime_and_factorize_match_the_sieve():
-    mask = prime_mask_upto(SIEVE_N)
+    mask = _primes._prime_segment(0, SIEVE_N)
     assert [k for k in range(-3, SIEVE_N + 1) if is_prime(k)] == mask.nonzero()[0].tolist()
     for k in range(1, SIEVE_N + 1):
         fac = factorize(k)

@@ -1,7 +1,7 @@
-"""Streamed membership: CompiledSet.blocks against the box table, sieve
-segments against a brute-force sieve, the power-sum kernel over a block
-stream against the array call, and the memory the streamed estimators
-keep as the radius grows."""
+"""Streamed membership: CompiledSet.blocks against the box table; sieve
+segments, the shared cache and is_prime against a brute-force sieve; the
+power-sum kernel over a block stream against the array call; and the
+memory the streamed estimators keep as the radius grows."""
 
 import math
 import tracemalloc
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zhat import _primes, setdsl
-from zhat.analytic import dlog_zeta_check
+from zhat.analytic import dlog_zeta_check, vm_identity_scan
 from zhat.density import density_alpha, density_analytic, density_uniform
 from zhat.measure import _BLOCK, masked_power_sums
 from zhat.setdsl import compile_set
@@ -100,8 +100,26 @@ def test_sieve_segments_match_a_brute_force_sieve(lo, width):
 
 
 def test_whole_range_sieve_matches_a_brute_force_sieve():
-    assert np.array_equal(_primes._sieve_upto(REFERENCE_N), BRUTE)
-    assert np.array_equal(_primes.prime_mask_upto(REFERENCE_N), BRUTE)
+    assert np.array_equal(_primes._prime_segment(0, REFERENCE_N), BRUTE)
+    assert np.array_equal(_primes.primes_upto(REFERENCE_N), np.flatnonzero(BRUTE))
+
+
+@pytest.mark.parametrize("bound", [30011, 30012, 2 * 10**4])  # a prime, its successor, a composite
+def test_is_prime_matches_a_brute_force_sieve_across_the_sieve_bound(monkeypatch, bound):
+    # a fresh cache sieved to exactly bound: below it is_prime searches the
+    # sorted primes (past the last one when bound is not prime), above it
+    # trial division decides
+    for name in ("_SIEVE_BOUND", "_PRIMES", "_SMALL_PRIMES"):
+        monkeypatch.setattr(_primes, name, getattr(_primes, name))
+    monkeypatch.setattr(_primes, "_SIEVE_BOUND", 0)
+    _primes.primes_upto(bound)
+    assert _primes._SIEVE_BOUND == bound
+    largest = int(_primes._PRIMES[-1])
+    got = [_primes.is_prime(k) for k in range(-3, 2 * bound + 1)]
+    assert got == [False] * 3 + BRUTE[:2 * bound + 1].tolist()
+    for k in (bound - 1, bound, bound + 1, largest, largest + 1):
+        assert _primes.is_prime(k) == BRUTE[k], k
+    assert _primes._SIEVE_BOUND == bound
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,6 +156,7 @@ PATHS = {
     "analytic": lambda r: density_analytic(compile_set("primes"), [1.5, 1.1], r),
     "uniform": lambda r: density_uniform(compile_set("kfree(3) | cong(1,4)"), [r // 40, r // 20], r),
     "dlog": lambda r: dlog_zeta_check(2.0, r, 1e-6),
+    "vm-scan": lambda r: vm_identity_scan(r, 1e-9),
 }
 
 
