@@ -86,13 +86,18 @@ def _prime_segment(lo: int, hi: int) -> np.ndarray:
 
 
 def _ensure_sieve(n: int) -> None:
-    """Grow _PRIMES to every prime up to max(n, 2 * _SIEVE_BOUND), one
-    segment past the old bound at a time; the base primes up to the square
-    root come from the cache itself, grown first."""
+    """Grow _PRIMES to every prime up to max(n, 2 * _SIEVE_BOUND), the
+    doubling capped at the box budget, one segment past the old bound at a
+    time; the base primes up to the square root come from the cache itself,
+    grown first. n past the box budget raises BudgetExceeded unsieved."""
     global _SIEVE_BOUND, _PRIMES, _SMALL_PRIMES
     if n <= _SIEVE_BOUND:
         return
-    n = max(n, 2 * _SIEVE_BOUND)
+    from .setdsl import BOX_BUDGET, BudgetExceeded  # setdsl imports this module
+
+    if n > BOX_BUDGET:
+        raise BudgetExceeded(f"sieve up to {n} exceeds box budget {BOX_BUDGET}")
+    n = max(n, min(2 * _SIEVE_BOUND, BOX_BUDGET))
     base = primes_upto(math.isqrt(n))
     _PRIMES = np.concatenate([primes_upto(_SIEVE_BOUND)] + [
         np.flatnonzero(_sieve_segment(lo, hi, base)) + lo

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import measure
 from .analytic import zeta_sets
 from .measure import ModulusChain, closure_measure_trace, masked_power_sums, zeta_partial
 from .setdsl import (
@@ -159,11 +160,9 @@ def _box_ratio(cset: CompiledSet, alpha: float, r: int) -> float:
 
 def _member_weights(cset: CompiledSet, alpha: float, grid: list[int]) -> tuple[list[float], str | None]:
     """Sums of k^alpha over the members k of X in [1, r] for every radius r
-    of the increasing grid, for a dimension-1 positive set: closed forms
-    for interval-structured sets and (complements of) multiple-sets at
-    alpha in {0, -1}; else a count of every radius in one stream of
-    membership blocks at alpha 0, and the power-sum kernel over one stream
-    per radius otherwise."""
+    of the increasing grid (dimension 1, positive): closed forms for interval
+    sets and (complements of) multiple-sets at alpha in {0, -1}, else the
+    prefix weights of one stream."""
     if alpha in (0.0, -1.0):
         views = [cset.interval_view(r) for r in grid]
         if views[0] is not None:
@@ -175,22 +174,32 @@ def _member_weights(cset: CompiledSet, alpha: float, grid: list[int]) -> tuple[l
         ie = cset.ie_view()
         if ie is not None:
             return [float(_ie_weight(*ie, r, alpha)) for r in grid], "closed-form multiple-set sums"
-    if alpha == 0.0:
-        return [float(c) for c in _member_counts(cset, grid)], None
-    return [float(masked_power_sums(cset.blocks(r), [-alpha])[0][0]) for r in grid], None
+    return [float(w) for w in _prefix_weights(cset, alpha, grid, grid[-1])], None
 
 
-def _member_counts(cset: CompiledSet, grid: list[int]) -> list[int]:
-    """Members of X in the box [lo, r] for every radius r of the increasing
-    grid, from one stream of blocks over the largest box."""
-    counts, radii, total = [], iter(grid), 0
-    r = next(radii)
-    for lo, table in cset.blocks(grid[-1]):
-        while r is not None and r < lo + table.size:
-            counts.append(total + int(np.count_nonzero(table[:r - lo + 1])))
-            r = next(radii, None)
-        total += int(np.count_nonzero(table))
-    return counts
+def _prefix_weights(cset: CompiledSet, alpha: float, cuts: list[int], n: int) -> list:
+    """Sums of k^alpha over the members k of X from the first cell of the
+    box of radius n up to x, for each increasing cut point x (0 below the
+    box), from one stream of blocks: exact integer counts of every cell at
+    alpha 0, else fsums of the power-sum kernel's chunk sums, so the weight
+    at x is the float of masked_power_sums(cset.blocks(x)) bit for bit."""
+    def weigh(k0: int, piece: np.ndarray) -> int | float:
+        return (int(np.count_nonzero(piece)) if alpha == 0.0
+                else float(masked_power_sums([(k0, piece)], [-alpha])[0][0]))
+
+    pieces = (((lo, table, [weigh(lo, table)]) for lo, table in cset.blocks(n)) if alpha == 0.0
+              else measure._chunk_power_sums(cset.blocks(n), [-alpha], measure._Tally()))
+    total = sum if alpha == 0.0 else math.fsum
+    out, parts, pending = [], [], iter(cuts)
+    x = next(pending, None)
+    for k0, piece, (whole,) in pieces:
+        while x is not None and x < k0 + piece.size:
+            out.append(total(parts + [weigh(k0, piece[:max(0, x - k0 + 1)])]))
+            x = next(pending, None)
+        if x is None:
+            return out
+        parts.append(whole)
+    return out + [total(parts)] * (len(cuts) - len(out))
 
 
 def _ie_weight(kind: str, mods, r: int, alpha: float) -> int | float:
@@ -216,10 +225,8 @@ def log_density_window(cset: CompiledSet, r_lo: int, r_hi: int) -> float:
         raise DslValueError("window needs 0 <= r_lo < r_hi")
     if cset.dim != 1 or not cset.positive_only:
         raise DslValueError("window estimate needs a dimension-1 positive set")
-    num = _member_weights(cset, -1.0, [r_hi])[0][0]
-    if r_lo > 0:
-        num -= _member_weights(cset, -1.0, [r_lo])[0][0]
-    return num / (harmonic(r_hi) - harmonic(r_lo))
+    *low, high = _member_weights(cset, -1.0, [r for r in (r_lo, r_hi) if r > 0])[0]
+    return (high - sum(low)) / (harmonic(r_hi) - harmonic(r_lo))
 
 
 # ------------------------------------------------------------- uniform
@@ -377,7 +384,22 @@ def density_weighted(cset: CompiledSet, step_fn, r_grid,
     grid = [int(r) for r in r_grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
         raise DslValueError("r_grid must be nonempty, positive, strictly increasing")
-    values = [_weighted_ratio(cset, steps, r) for r in grid]
+    rows = []  # per radius, the (u, v, w) of each weighted step [u, v] inside the box
+    for r in grid:
+        lo = 1 if cset.positive_only else -r
+        spans = [(max(math.ceil(a * r), lo), min(math.floor(b * r), r), w) for (a, b), w in steps if w != 0]
+        rows.append([(u, v, w) for u, v, w in spans if u <= v])
+        if not rows[-1]:
+            raise DslValueError("degenerate step function: no weight on the box")
+    cuts = sorted({x for row in rows for u, v, _ in row for x in (u - 1, v)})
+    count = dict(zip(cuts, _prefix_weights(cset, 0.0, cuts, grid[-1])))
+    values = []
+    for row in rows:
+        num = den = 0.0
+        for u, v, w in row:
+            num += w * (count[v] - count[u - 1])
+            den += w * (v - u + 1)
+        values.append(num / den)
     tail = _tail(values, tail_window)
     return DensityReport(
         method="weighted",
@@ -389,31 +411,6 @@ def density_weighted(cset: CompiledSet, step_fn, r_grid,
         certified=False,
         notes=(),
     )
-
-
-def _weighted_ratio(cset: CompiledSet, steps, r: int) -> float:
-    """The ratio at radius r: members and points of the box in each step's
-    [u, v], the members counted in one stream of membership blocks."""
-    lo = 1 if cset.positive_only else -r
-    spans = []
-    for (a, b), w in steps:
-        u, v = max(math.ceil(a * r), lo), min(math.floor(b * r), r)
-        if w != 0 and u <= v:
-            spans.append((u, v, w))
-    members = [0] * len(spans)
-    for start, table in cset.blocks(r):
-        end = start + table.size - 1
-        for i, (u, v, _) in enumerate(spans):
-            if u <= end and v >= start:
-                members[i] += int(np.count_nonzero(table[max(u, start) - start:min(v, end) - start + 1]))
-    num = 0.0
-    den = 0.0
-    for (u, v, w), m in zip(spans, members):
-        num += w * m
-        den += w * (v - u + 1)
-    if den == 0:
-        raise DslValueError("degenerate step function: no weight on the box")
-    return num / den
 
 
 # ------------------------------------------------------------- periodic sets
@@ -570,6 +567,8 @@ def axiom_suite(case_count: int, seed: int, pair: str = "exact",
     each estimator and compares against the exact density."""
     if pair not in _PAIRS:
         raise DslValueError(f"unknown pair {pair!r}; options: {sorted(_PAIRS)}")
+    if case_count < 1 or estimator_cases < 0:
+        raise DslValueError("axiom suite needs case_count >= 1 and estimator_cases >= 0")
     fn = _PAIRS[pair]
     rng = random.Random(seed)
     sets = [_random_periodic(rng) for _ in range(case_count)]

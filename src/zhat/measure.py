@@ -377,48 +377,68 @@ def masked_power_sums(mask, s_grid) -> tuple[np.ndarray, np.ndarray]:
 
     mask may also be an iterable of (lo, table) blocks, table[i] holding
     the integer lo + i (CompiledSet.blocks), read as one table; cells
-    below 1 are skipped. One pass in chunks of at most _BLOCK integers,
-    from index 1 of an array and from the start of each block: a chunk's
-    nonzero indices are converted once and raised to every s, so extra
-    memory stays a few chunks wide. Blocks that start at 1 + j * _BLOCK
-    chunk exactly like the array, so their sums are the same floats."""
+    below 1 are skipped. One pass of _chunk_power_sums, whose chunk sums
+    are added by math.fsum, so extra memory stays a few chunks wide.
+    Blocks that start at 1 + j * _BLOCK chunk exactly like the array, so
+    their sums are the same floats."""
     ss = [float(s) for s in s_grid]
     blocks = [(0, mask)] if isinstance(mask, np.ndarray) else mask
-    weighted = False
+    tally = _Tally()
     parts: list[list[float]] = [[] for _ in ss]
-    count = 0
-    mass = 0.0  # sum of the weights, which scales the underflow allowance
+    for _, _, chunk_sums in _chunk_power_sums(blocks, ss, tally):
+        for part, t in zip(parts, chunk_sums):
+            part.append(t)
+    sums = np.array([math.fsum(part) for part in parts])
+    depth = min(tally.count, _BLOCK)
+    # a product in the subnormal range errs by at most half of 2^-1074
+    tiny = (tally.mass + tally.count if tally.weighted else tally.count) * _TINY
+    term_rel = _gamma(_LIB_UNITS + tally.weighted)
+    bounds = np.array([_sum_error(t, term_rel, depth, tiny) for t in sums])
+    return sums, bounds
+
+
+@dataclass
+class _Tally:
+    """What a power-sum pass has read: the nonzero cells, the sum of their
+    weights, and whether any table held weights (not booleans)."""
+    count: int = 0
+    mass: float = 0.0
+    weighted: bool = False
+
+
+def _chunk_power_sums(blocks, ss: list[float], tally: _Tally):
+    """The power-sum kernel's one pass over (lo, table) blocks, in chunks
+    of at most _BLOCK integers from the first cell >= 1 of each block:
+    yields (k0, chunk, sums) for every chunk with a nonzero cell, chunk[i]
+    holding k0 + i and sums[j] its numpy sum of (weight times) k^(-ss[j]),
+    and adds what it read to tally. A chunk's nonzero indices are
+    converted once and raised to every s in one reused buffer."""
     buf = np.empty(_BLOCK)
     for base, table in blocks:
-        weighted = weighted or table.dtype != np.bool_
+        tally.weighted = tally.weighted or table.dtype != np.bool_
         for lo in range(max(0, 1 - base), table.size, _BLOCK):
             chunk = table[lo:lo + _BLOCK]
             # nonzero runs several times faster on booleans than on numbers
             idx = np.flatnonzero(chunk.astype(bool, copy=False))
             if not idx.size:
                 continue
-            count += idx.size
-            if weighted:
+            tally.count += idx.size
+            if tally.weighted:
                 w = chunk[idx].astype(np.float64, copy=False)
                 # the order-independent bound needs terms of one sign; NaN fails both
                 if not (w.min() >= 0.0 and w.max() < math.inf):
                     raise DslValueError("power-sum weights must be finite and nonnegative")
-                mass += float(w.sum())
+                tally.mass += float(w.sum())
             k = idx.astype(np.float64)
             k += base + lo
             out = buf[:k.size]
-            for part, s in zip(parts, ss):
+            sums = []
+            for s in ss:
                 np.power(k, -s, out=out)
-                if weighted:
+                if tally.weighted:
                     out *= w
-                part.append(float(out.sum()))
-    sums = np.array([math.fsum(part) for part in parts])
-    depth = min(count, _BLOCK)
-    # a product in the subnormal range errs by at most half of 2^-1074
-    tiny = (mass + count if weighted else count) * _TINY
-    term_rel = _gamma(_LIB_UNITS + weighted)
-    bounds = np.array([_sum_error(t, term_rel, depth, tiny) for t in sums])
-    return sums, bounds
+                sums.append(float(out.sum()))
+            yield base + lo, chunk, sums
 
 
 # Euler-Maclaurin for sum_{k <= n} k^-s: terms k < _EM_HEAD directly, then

@@ -35,6 +35,7 @@ from .measure import (
 )
 from .setdsl import (
     EXACT,
+    RESIDUE_BUDGET,
     BudgetExceeded,
     CompiledSet,
     Complement,
@@ -212,12 +213,17 @@ def dirichlet_coverage(m_max: int, prime_bound: int) -> VerificationReport:
     ps = _primes.primes_upto(prime_bound)
     if ps.size == 0:
         raise DslValueError("no primes under the bound")
+    # every level reads each prime and m classes
+    if (m_max - 1) * (ps.size + m_max) > RESIDUE_BUDGET:
+        raise BudgetExceeded(f"coverage of {ps.size} primes at levels up to {m_max} "
+                             f"exceeds residue budget {RESIDUE_BUDGET}")
+    # the classes the exact engine assumes for primes (Dirichlet's theorem)
+    primes = compile_set("primes")
     missing: list[tuple[int, int]] = []
     extra: list[tuple[int, int]] = []
     for m in range(2, m_max + 1):
         hit = np.bincount(ps % m, minlength=m) > 0
-        expected = np.gcd(np.arange(m), m) == 1
-        expected[[p % m for p in _primes.factorize(m)]] = True
+        expected = primes.residue_image(m).mask
         missing.extend((m, int(c)) for c in np.flatnonzero(expected & ~hit))
         extra.extend((m, int(c)) for c in np.flatnonzero(hit & ~expected))
     narrative = [f"checked all moduli up to {m_max} against primes up to {prime_bound}"]

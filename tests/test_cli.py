@@ -167,6 +167,20 @@ def test_verify_dirichlet_low_bound_is_inconclusive():
     run_cli("verify", "dirichlet", "--mmax", "100", "--pbound", "100", expect=3)
 
 
+def test_verify_dirichlet_past_the_residue_budget_exits_at_once():
+    # (m_max - 1) * (pi(P) + m_max) is about 10^18 here; the level loop
+    # would run for hours
+    start = time.monotonic()
+    proc = run_cli("verify", "dirichlet", "--mmax", "1e9", "--pbound", "1e6", expect=3)
+    assert time.monotonic() - start < 30
+    assert proc.stdout == "" and "exceeds residue budget" in proc.stderr
+
+
+def test_sieve_past_the_box_budget_is_inconclusive():
+    proc = run_cli("measure", "--euler", "1-1/p^2", "--cutoff", "1e10", expect=3)
+    assert proc.stdout == "" and "exceeds box budget" in proc.stderr
+
+
 def test_verify_poonen_stoll_units_inconclusive():
     run_cli("verify", "poonen-stoll", "--spec", "units", expect=3)
 
@@ -222,6 +236,13 @@ def test_verify_axioms_deformed():
     axioms = payload["report"]["quantities"]["axioms"]
     failed = [a["name"] for a in axioms if not a["passed"]]
     assert failed == ["ideal-scaling"]
+
+
+@pytest.mark.parametrize("args", [["--cases", "0"], ["--cases", "-3"],
+                                  ["--cases", "5", "--estimator-cases", "-1"]])
+def test_verify_axioms_rejects_empty_or_negative_case_counts(args):
+    proc = run_cli("verify", "axioms", *args, expect=2)
+    assert proc.stdout == "" and "usage:" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

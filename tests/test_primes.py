@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zhat import _primes
+from zhat import _primes, setdsl
 from zhat._primes import factorize, is_prime
 from zhat.setdsl import BudgetExceeded
 
@@ -74,3 +74,19 @@ def test_rho_budget_raises(monkeypatch):
     with pytest.raises(BudgetExceeded, match="more than 64 Pollard-Brent iterations"):
         factorize(33554383 * 33554393)
     assert factorize(33554383 * 101) == {101: 1, 33554383: 1}  # trial division only
+
+
+def test_sieve_past_the_box_budget_raises_before_sieving(monkeypatch):
+    # a fresh cache under a box budget of 1000: a larger bound raises with
+    # nothing sieved, and doubling the cache stops at the budget
+    for name in ("_SIEVE_BOUND", "_PRIMES", "_SMALL_PRIMES"):
+        monkeypatch.setattr(_primes, name, getattr(_primes, name))
+    monkeypatch.setattr(_primes, "_SIEVE_BOUND", 0)
+    monkeypatch.setattr(setdsl, "BOX_BUDGET", 1000)
+    with pytest.raises(BudgetExceeded, match="sieve up to 1001 exceeds box budget 1000"):
+        _primes.primes_upto(1001)
+    assert _primes._SIEVE_BOUND == 0
+    _primes.primes_upto(600)
+    _primes.primes_upto(700)  # would double to 1200
+    assert _primes._SIEVE_BOUND == 1000
+    assert _primes.primes_upto(1000)[-1] == 997

@@ -1,7 +1,9 @@
 """Streamed membership: CompiledSet.blocks against the box table; sieve
 segments, the shared cache and is_prime against a brute-force sieve; the
-power-sum kernel over a block stream against the array call; and the
-memory the streamed estimators keep as the radius grows."""
+power-sum kernel over a block stream against the array call; prefix
+weights at cut points against per-radius sums, and one stream per
+estimator call; and the memory the streamed estimators keep as the radius
+grows."""
 
 import math
 import tracemalloc
@@ -11,9 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zhat import _primes, setdsl
+from zhat import _primes, measure, setdsl
 from zhat.analytic import dlog_zeta_check, vm_identity_scan
-from zhat.density import density_alpha, density_analytic, density_uniform
+from zhat.density import (
+    _prefix_weights,
+    density_alpha,
+    density_analytic,
+    density_uniform,
+    density_weighted,
+    log_density_window,
+)
 from zhat.measure import _BLOCK, masked_power_sums
 from zhat.setdsl import compile_set
 
@@ -146,6 +155,76 @@ def test_stream_power_sums_skip_cells_below_one():
     table = np.ones(11, dtype=bool)  # the integers -5..5
     sums, _ = masked_power_sums([(-5, table)], [1.0])
     assert sums[0] == math.fsum(1.0 / k for k in range(1, 6))
+
+
+# ---------------------------------------------------------------- cut points
+
+
+def _kernel_prefix(cs, alpha, x, n):
+    """The weight up to x by the kernel alone: the blocks of the radius-n
+    stream cut at x, and in positive mode also the radius-x stream."""
+    cut = [(a, t[:x - a + 1]) for a, t in cs.blocks(n) if a <= x]
+    got = float(masked_power_sums(cut, [-alpha])[0][0])
+    if cs.positive_only:
+        assert got == (float(masked_power_sums(cs.blocks(x), [-alpha])[0][0]) if x >= 1 else 0.0)
+    return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=_expressions(), positive=st.booleans(), alpha=st.sampled_from([0.0, -1.0, -0.5, -0.25]),
+       n=st.one_of(st.sampled_from(EDGES), st.integers(1, 2 * SEGMENT + 5)), data=st.data())
+def test_prefix_weights_equal_per_radius_sums(text, positive, alpha, n, data):
+    # cut points below the stream, at chunk and block edges +-1, and random
+    cs = compile_set(text, positive_only=positive)
+    lo, table = cs.box(n)
+    edges = [lo - 3, lo - 1, lo, n] + [e + d for e in range(lo, n + 1, _BLOCK) for d in (-1, 0, 1)]
+    picked = data.draw(st.lists(st.sampled_from(edges) | st.integers(lo - 3, n), max_size=12))
+    cuts = sorted({x for x in picked if x <= n})
+    got = _prefix_weights(cs, alpha, cuts, n)
+    if alpha == 0.0:  # exact counts, below the stream too
+        assert got == [int(np.count_nonzero(table[:max(0, x - lo + 1)])) for x in cuts]
+        assert all(type(w) is int for w in got)
+    else:  # the kernel's floats bit for bit
+        assert [w.hex() for w in got] == [_kernel_prefix(cs, alpha, x, n).hex() for x in cuts]
+
+
+@pytest.mark.parametrize("text", ["kfree(2) \\ primes", "seq(factorials)"])
+def test_prefix_weights_read_the_chunk_grid_at_call_time(monkeypatch, text):
+    # 7-integer chunks do not divide 50-cell blocks, so each block's chunks
+    # restart at its first cell, in the kernel and in the cut points alike;
+    # the factorials leave chunks empty, and none after 120
+    monkeypatch.setattr(measure, "_BLOCK", 7)
+    monkeypatch.setattr(_primes, "_SEGMENT", 50)
+    cs, n = compile_set(text), 230
+    cuts = list(range(-1, n + 1))
+    got = _prefix_weights(cs, -0.5, cuts, n)
+    assert [w.hex() for w in got] == [_kernel_prefix(cs, -0.5, x, n).hex() for x in cuts]
+
+
+R = 10**6
+ONE_STREAM = {
+    "alpha": lambda cs: density_alpha(cs, -1.0, [R // 16, R // 8, R // 4, R // 2, R]),
+    "weighted": lambda cs: density_weighted(cs, [((0.0, 0.5), 1.0), ((0.25, 1.0), 2.0)], [R // 4, R // 2, R]),
+    "weighted-symmetric": lambda cs: density_weighted(
+        compile_set(cs.expr, positive_only=False), [((-1.0, -0.5), 1.0), ((-0.1, 0.7), 3.0)], [R // 4, R]),
+    "window": lambda cs: log_density_window(cs, R // 10, R),
+}
+
+
+@pytest.mark.parametrize("path", sorted(ONE_STREAM))
+def test_estimators_read_one_stream_per_call(monkeypatch, path):
+    # every radius, span end and window end is a cut point of one stream
+    # over the largest box
+    calls = []
+    blocks = setdsl.CompiledSet.blocks
+
+    def counted(self, n):
+        calls.append(n)
+        return blocks(self, n)
+
+    monkeypatch.setattr(setdsl.CompiledSet, "blocks", counted)
+    ONE_STREAM[path](compile_set("kfree(2) \\ primes"))
+    assert calls == [R]
 
 
 # ---------------------------------------------------------------- memory
