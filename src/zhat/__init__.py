@@ -70,7 +70,6 @@ from .analytic import (
 )
 from .density import (
     DensityReport,
-    PeriodicSet,
     axiom_suite,
     deformed_pair,
     density_alpha,
@@ -112,7 +111,7 @@ __all__ = [
     "de_delta_bracket", "de_delta_exact", "de_delta_table", "delta_ratio",
     "dlog_zeta_check", "vm_identity_check", "vm_identity_scan",
     "von_mangoldt", "zeta_set", "zeta_sets",
-    "DensityReport", "PeriodicSet", "axiom_suite", "deformed_pair",
+    "DensityReport", "axiom_suite", "deformed_pair",
     "density_alpha", "density_analytic", "density_buck", "density_uniform",
     "density_weighted", "exact_pair", "harmonic", "log_density_window",
     "VerificationReport", "asdmltp_verify", "counterexample_cover",

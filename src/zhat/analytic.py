@@ -10,7 +10,7 @@ integer is the integer itself, so ideal-indexed sums become ordinary series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -84,7 +84,7 @@ def zeta_sets(cset: CompiledSet, s_grid, cutoff: int) -> list[DirichletTruncatio
 
     def blocks():
         nonlocal empty
-        for lo, table in replace(cset, positive_only=True).blocks(cutoff):
+        for lo, table in cset.blocks(cutoff):
             empty = empty and not table.any()
             yield lo, table
 

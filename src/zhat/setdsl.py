@@ -702,7 +702,6 @@ class CompiledSet:
     expr: SetExpr
     dim: int
     mode: str
-    positive_only: bool
     assumptions: frozenset = frozenset()
 
     # -- membership -------------------------------------------------------
@@ -720,9 +719,10 @@ class CompiledSet:
 
     # -- enumeration ------------------------------------------------------
     def _box_lo(self, n: int) -> int:
-        """lo of the mode's box [lo, n]^dim, once its cells fit the box
-        budget: 1 in positive mode, -n in symmetric mode."""
-        lo = 1 if self.positive_only else -n
+        """lo of the box [lo, n]^dim of radius n, once its cells fit the box
+        budget: 1 in dimension 1, where the box is [1, n], and -n above,
+        where it is the max-norm ball [-n, n]^dim."""
+        lo = 1 if self.dim == 1 else -n
         cells = (n - lo + 1) ** self.dim
         if cells > BOX_BUDGET:
             raise BudgetExceeded(
@@ -731,17 +731,17 @@ class CompiledSet:
         return lo
 
     def box(self, n: int) -> tuple[int, np.ndarray]:
-        """(lo, table) for the mode's box [lo, n]^dim: lo = 1 in positive
-        mode, -n in symmetric mode. table[i_1, ..., i_dim] holds the point
-        (lo + i_1, ..., lo + i_dim)."""
+        """(lo, table) for the box [lo, n]^dim of radius n: [1, n] in
+        dimension 1, [-n, n]^dim above. table[i_1, ..., i_dim] holds the
+        point (lo + i_1, ..., lo + i_dim)."""
         lo = self._box_lo(n)
         return lo, _box_mask(self.expr, lo, n, self.dim)
 
     def blocks(self, n: int) -> Iterator[tuple[int, np.ndarray]]:
-        """The dimension-1 box(n) as a stream of (lo, table) blocks laid out
-        by _primes._segments, 2^18 cells from the box's first point on:
-        their tables laid end to end are box(n)[1], at the memory of one
-        block. Sparse atoms are evaluated once for the whole stream."""
+        """The dimension-1 box [1, n] as a stream of (lo, table) blocks laid
+        out by _primes._segments, 2^18 cells from 1 on: their tables laid
+        end to end are box(n)[1], at the memory of one block. Sparse atoms
+        are evaluated once for the whole stream."""
         if self.dim != 1:
             raise DslValueError("blocks is dimension-1 only")
         lo = self._box_lo(n)
@@ -752,14 +752,14 @@ class CompiledSet:
         """Dimension-1 membership table for 1..n (index 0 is always False)."""
         if self.dim != 1:
             raise DslValueError("mask_upto is dimension-1 only")
-        if n > BOX_BUDGET:  # the box [1, n] of box(); index 0 is padding
-            raise BudgetExceeded(f"box [1,{n}] exceeds box budget {BOX_BUDGET}")
+        self._box_lo(n)  # the box [1, n]; index 0 is padding
         m = _box_mask(self.expr, 0, n, 1)
         m[0] = False
         return m
 
     def members_in_box(self, n: int) -> list:
-        """X ∩ [1,N]^dim in positive mode, X ∩ [-N,N]^dim otherwise; sorted."""
+        """The members in the box of radius n, sorted: X ∩ [1, n] in
+        dimension 1, X ∩ [-n, n]^dim above."""
         lo, table = self.box(n)
         pts = np.argwhere(table) + lo
         return pts[:, 0].tolist() if self.dim == 1 else list(map(tuple, pts.tolist()))
@@ -823,17 +823,15 @@ class CompiledSet:
         return None
 
 
-def compile_set(expr: SetExpr | str, positive_only: bool | None = None) -> CompiledSet:
+def compile_set(expr: SetExpr | str) -> CompiledSet:
     """Compile an expression (or source text) to a CompiledSet."""
     if isinstance(expr, str):
         expr = parse(expr)
     _check_sequences(expr)
     dim = expr_dim(expr)
-    if positive_only is None:
-        positive_only = dim == 1
     mode = EXACT if _rule_exact(expr, dim) else TRUNCATED
     assumptions = frozenset([ASSUMES_DIRICHLET]) if _mentions_primes(expr) else frozenset()
-    return CompiledSet(expr, dim, mode, positive_only, assumptions)
+    return CompiledSet(expr, dim, mode, assumptions)
 
 
 def _check_sequences(expr: SetExpr) -> None:
@@ -926,7 +924,9 @@ def _poly_image_contains(poly: Polynomial, v: int) -> bool:
 def _box_mask(expr: SetExpr, lo: int, hi: int, dim: int) -> np.ndarray:
     """Membership over the box [lo, hi]^dim as a dense boolean
     table: cell (i_1, ..., i_dim) holds the point (lo + i_1, ..., lo + i_dim).
-    Every table is freshly allocated, so callers may change it in place."""
+    Every table is freshly allocated, so callers may change it in place.
+    The positive atoms primes and leadingdigit need lo >= 0, as every
+    dimension-1 box has."""
     side = hi - lo + 1
     if isinstance(expr, (Cong, Multiples)):  # a union of classes r + aZ^dim
         classes = [(expr.r, expr.m0)] if isinstance(expr, Cong) else [(0, a) for a in expr.moduli]
@@ -940,19 +940,14 @@ def _box_mask(expr: SetExpr, lo: int, hi: int, dim: int) -> np.ndarray:
         top = int(round(max(-lo, hi) ** (1.0 / k))) + 2
         classes = [(0, int(p) ** k) for p in _primes.primes_upto(top)]
         return _mark_classes(np.ones((side,) * dim, dtype=bool), lo, classes, False)
-    if isinstance(expr, LeadingDigit):
-        # membership depends on |k| only: the member intervals [a, b] and
-        # [-b, -a] that meet [lo, hi]
+    if isinstance(expr, LeadingDigit):  # the member intervals [a, b] that meet [lo, hi]
         out = np.zeros(side, dtype=bool)
-        for a, b in _interval_view(expr, max(-lo, hi)):
-            for u, v in ((a, b), (-b, -a)):
-                if u <= hi and v >= lo:
-                    out[max(u, lo) - lo:min(v, hi) - lo + 1] = True
+        for a, b in _interval_view(expr, hi):
+            if b >= lo:
+                out[max(a, lo) - lo:b - lo + 1] = True
         return out
-    if isinstance(expr, Primes):  # members are positive only
-        start = min(max(lo, 0), hi + 1)  # the first cell >= 0, if any
-        table = _primes._prime_segment(start, hi)
-        return table if start == lo else np.concatenate([np.zeros(start - lo, dtype=bool), table])
+    if isinstance(expr, Primes):
+        return _primes._prime_segment(lo, hi)
     if isinstance(expr, Complement):
         out = _box_mask(expr.a, lo, hi, dim)
         return np.logical_not(out, out=out)

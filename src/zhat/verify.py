@@ -118,6 +118,10 @@ def davenport_erdos(moduli, r_max: int = 10**7, tol: float = 5e-3,
     mods = tuple(int(a) for a in moduli)
     if not mods:
         raise DslValueError("empty modulus family")
+    if r_max < 1:
+        raise DslValueError(f"r_max must be >= 1, got {r_max}")
+    if certified_grid_points < 0:
+        raise DslValueError(f"certified_grid_points must be >= 0, got {certified_grid_points}")
     narrative = []
     quantities: dict = {}
 
@@ -161,7 +165,7 @@ def davenport_erdos(moduli, r_max: int = 10**7, tol: float = 5e-3,
         narrative.append("DIVERGENT-TAIL: the full family drives the measure to 0")
     quantities["limit_bracket"] = [float(limit_lo), float(limit_hi)]
 
-    cs = compile_set(Complement(Multiples(mods)), positive_only=True)
+    cs = compile_set(Complement(Multiples(mods)))
     r_grid = sorted({max(1, r_max // 4**i) for i in range(3)})
     das = density_alpha(cs, 0, r_grid, tail_window=3)
     try:
@@ -366,6 +370,8 @@ def asdmltp_verify(moduli, r_max: int = 10**6, m_check: int | None = None,
     each with at least two prime factors counted with multiplicity: the
     density exists and equals the product of (1 - 1/a)."""
     mods = tuple(int(a) for a in moduli)
+    if r_max < 1:
+        raise DslValueError(f"r_max must be >= 1, got {r_max}")
     if m_check is not None and m_check < 1:
         raise DslValueError(f"m_check must be >= 1, got {m_check}")
     for a, b in combinations(mods, 2):
@@ -383,7 +389,7 @@ def asdmltp_verify(moduli, r_max: int = 10**6, m_check: int | None = None,
     narrative = [f"product target {target} = {float(target):.6f}; IE factorization exact: {ie_ok}"]
 
     lcm = math.lcm(*mods)
-    cs = compile_set(Complement(Multiples(mods)), positive_only=True)
+    cs = compile_set(Complement(Multiples(mods)))
     level_ok = None
     if lcm <= 10**7:
         img = cs.residue_image(lcm)
@@ -424,8 +430,12 @@ def asdmltp_verify(moduli, r_max: int = 10**6, m_check: int | None = None,
 # ------------------------------------------------------------- local product
 
 
+# the largest radius of poonen_stoll_tail's empirical density
+PS_DENSITY_RADIUS = 10**6
+
+
 def poonen_stoll_tail(spec: str = "kfree", k: int = 2, prime_cutoffs=(10, 100, 1000),
-                      tol: float = 1e-2, emp_r: int = 10**6) -> VerificationReport:
+                      tol: float = 1e-2) -> VerificationReport:
     """Tail condition for local-conditions sieves: the summed densities of
     the per-prime complements beyond a growing prime cutoff must vanish.
     spec 'kfree' uses U_p = classes mod p^k not divisible by p^k, 'units'
@@ -465,8 +475,8 @@ def poonen_stoll_tail(spec: str = "kfree", k: int = 2, prime_cutoffs=(10, 100, 1
     narrative.append(f"certified tail bounds {['%.2e' % b for b in bounds]}; final below {tol}: {vanishes}")
     prod = euler_product(f"1-1/p^{k}", 10**4)
     quantities["product_measure"] = prod
-    cs = compile_set(f"kfree({k})", positive_only=True)
-    das = density_alpha(cs, 0, sorted({max(1, emp_r // 4**i) for i in range(3)}), tail_window=3)
+    cs = compile_set(f"kfree({k})")
+    das = density_alpha(cs, 0, sorted({max(1, PS_DENSITY_RADIUS // 4**i) for i in range(3)}), tail_window=3)
     emp = 0.5 * (das.lower_est + das.upper_est)
     quantities["empirical_density"] = emp
     emp_ok = prod.lo - tol <= emp <= prod.hi + tol

@@ -318,6 +318,17 @@ def test_sn_parse_error_is_usage():
 # reproducibility, config files, formats
 
 
+@pytest.mark.parametrize("args, method, mode", [
+    (["--set", "kfree(2)", "--method", "asymptotic", "--r", "1e4"], "asymptotic", "positive"),
+    (["--set", "kfree(2)", "--method", "uniform", "--r", "1e4"], "uniform", "positive"),
+    (["--set", "coprime(2)", "--method", "asymptotic", "--r", "50"], "asymptotic", "symmetric"),
+])
+def test_density_mode_follows_the_dimension(args, method, mode, capsys):
+    # the box is [1, r] in dimension 1 and [-r, r]^n above
+    assert cli.main(["density", *args]) == 0
+    assert json.loads(capsys.readouterr().out)["reports"][method]["params"]["mode"] == mode
+
+
 def test_identical_invocations_are_byte_identical():
     args = ["density", "--set", "cong(1,3)", "--method", "asymptotic",
             "--r", "1e4", "--seed", "9"]
@@ -343,6 +354,9 @@ def test_non_finite_number_is_usage_error(value, tmp_path, capsys):
     ["verify", "poonen-stoll", "--cutoffs", "0"],
     ["verify", "poonen-stoll", "--cutoffs", ","],
     ["verify", "union-dense", "--supports", "4;6"],
+    ["verify", "davenport-erdos", "--family", "p^2", "--pmax", "31", "--rmax", "-5"],
+    ["verify", "davenport-erdos", "--family", "p^2", "--pmax", "31", "--certified-points", "-3"],
+    ["verify", "asdmltp", "--moduli", "4,9,25", "--rmax", "0"],
 ])
 def test_bad_verify_input_is_usage_error(args, capsys):
     assert cli.main(args) == 2

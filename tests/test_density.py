@@ -14,7 +14,6 @@ from zhat import _primes, setdsl
 from zhat.density import (
     AxiomSuiteReport,
     DensityReport,
-    PeriodicSet,
     axiom_suite,
     density_alpha,
     density_analytic,
@@ -93,15 +92,13 @@ def test_alpha0_squarefree_tracks_direct_sieve():
     assert rep.values[-1] == pytest.approx(6.0 / math.pi**2, abs=2e-3)
 
 
-@pytest.mark.parametrize("positive_only", [True, False])
-def test_alpha0_mask_count_matches_membership(positive_only):
+def test_alpha0_mask_count_matches_membership():
     # neither an interval nor a multiple-set view: the mask count path
-    cset = compile_set("kfree(2) \\ primes", positive_only=positive_only)
+    cset = compile_set("kfree(2) \\ primes")
     grid = [1, 7, 100, 999]
     rep = density_alpha(cset, 0.0, grid)
     for r, val in zip(grid, rep.values):
-        box = range(1, r + 1) if positive_only else range(-r, r + 1)
-        assert val == sum(1 for k in box if cset.contains(k)) / len(box)
+        assert val == sum(1 for k in range(1, r + 1) if cset.contains(k)) / r
 
 
 def test_alpha0_periodic_is_exact_at_multiple_radii():
@@ -157,15 +154,13 @@ def test_alpha_mask_paths_share_the_box_budget(alpha, monkeypatch):
         density_alpha(cset, alpha, [101])
 
 
-@pytest.mark.parametrize("positive_only", [True, False])
 @pytest.mark.parametrize("text", ["coprime(2)", "coprime(2) | multiples(4,6)", "coprime(3)"])
-def test_alpha_dimension_n_matches_max_norm_fsum(text, positive_only):
+def test_alpha_dimension_n_matches_max_norm_fsum(text):
     # the weight of a point is its largest |coordinate| to the alpha; the
-    # origin of the symmetric box carries none
-    cs = compile_set(text, positive_only=positive_only)
+    # origin of the box [-r, r]^n carries none
+    cs = compile_set(text)
     for r in (1, 2, 7, 30):
-        axis = range(1, r + 1) if positive_only else range(-r, r + 1)
-        points = [p for p in itertools.product(axis, repeat=cs.dim) if any(p)]
+        points = [p for p in itertools.product(range(-r, r + 1), repeat=cs.dim) if any(p)]
         members = [p for p in points if cs.contains(p)]
         for alpha in (-1.0, -0.5):
             weight = math.fsum(max(map(abs, p)) ** alpha for p in members)
@@ -174,13 +169,12 @@ def test_alpha_dimension_n_matches_max_norm_fsum(text, positive_only):
             assert got == pytest.approx(weight / whole, rel=1e-14), (r, alpha)
 
 
-@pytest.mark.parametrize("positive_only, r", [(True, 1200), (False, 600)])
-def test_alpha_dimension_2_memory_per_box_cell(positive_only, r):
+def test_alpha_dimension_2_memory_per_box_cell():
     # the box table is one byte per cell; members per shell are counted one
     # slice at a time, with no norm table or gathered norms over the box.
     # About 1.4 million cells amortize the 0.5 MB power-sum block buffer
-    cs = compile_set("coprime(2)", positive_only=positive_only)
-    cells = (r if positive_only else 2 * r + 1) ** 2
+    cs, r = compile_set("coprime(2)"), 600
+    cells = (2 * r + 1) ** 2
     tracemalloc.start()
     try:
         density_alpha(cs, -1.0, [r])
@@ -252,12 +246,11 @@ def test_uniform_window_brute_oracle_small():
     assert hi == pytest.approx(max(counts) / L, abs=1e-12)
 
 
-@pytest.mark.parametrize("positive_only", [True, False])
-def test_uniform_windows_across_blocks_match_prefix_counts(positive_only):
+def test_uniform_windows_across_blocks_match_prefix_counts():
     # boxes of several membership blocks and windows longer than a block:
     # the running count and its window history against whole-box prefix
     # counts
-    cs = compile_set("kfree(2) | cong(1,4)", positive_only=positive_only)
+    cs = compile_set("kfree(2) | cong(1,4)")
     r, lengths = 393223, [5, 2**18 - 1, 2**18 + 3, 300001]
     cum = np.concatenate([[0], np.cumsum(cs.box(r)[1], dtype=np.int64)])
     want = tuple((int((cum[L:] - cum[:-L]).min()) / L, int((cum[L:] - cum[:-L]).max()) / L)
@@ -265,15 +258,13 @@ def test_uniform_windows_across_blocks_match_prefix_counts(positive_only):
     assert density_uniform(cs, lengths, r).values == want
 
 
-@pytest.mark.parametrize("positive_only, size", [(True, 300), (False, 601)])
-def test_uniform_window_length_is_checked_against_the_box_size(positive_only, size):
-    # the scan box of radius 300 has 300 points in positive mode and 601
-    # in symmetric mode; the one window of full length counts every member
-    cs = compile_set("cong(0,3)", positive_only=positive_only)
-    members = sum(1 for x in (range(1, 301) if positive_only else range(-300, 301)) if x % 3 == 0)
-    assert density_uniform(cs, [size], 300).values == ((members / size, members / size),)
-    with pytest.raises(DslValueError, match=f"exceeds the {size} points of the scan box"):
-        density_uniform(cs, [size + 1], 300)
+def test_uniform_window_length_is_checked_against_the_box_size():
+    # the scan box [1, 300] has 300 points; the one window of full length
+    # counts every member
+    cs = compile_set("cong(0,3)")
+    assert density_uniform(cs, [300], 300).values == ((100 / 300, 100 / 300),)
+    with pytest.raises(DslValueError, match="exceeds the 300 points of the scan box"):
+        density_uniform(cs, [301], 300)
 
 
 def test_uniform_window_benford_spreads_to_unit_interval():
@@ -364,23 +355,24 @@ def test_weighted_benford_tail_window_vanishes():
 
 
 @pytest.mark.parametrize("text", ["kfree(2)", "cong(0,3)", "!multiples(4,6)", "finite(0,-7,5)"])
-def test_symmetric_mode_matches_membership(text):
-    # the [-r, r] table feeds members_in_box and the alpha, uniform and
-    # weighted estimators; each is checked against plain membership
-    cs = compile_set(text, positive_only=False)
+def test_dimension_1_box_matches_membership(text):
+    # the [1, r] table feeds members_in_box and the alpha, uniform and
+    # weighted estimators; each is checked against plain membership, and
+    # steps reaching below 0 weigh only the box
+    cs = compile_set(text)
     r = 300
-    box = [x for x in range(-r, r + 1) if cs.contains(x)]
+    box = [x for x in range(1, r + 1) if cs.contains(x)]
     assert cs.members_in_box(r) == box
-    assert (np.nonzero(cs.box(r)[1])[0] - r).tolist() == box
-    assert density_alpha(cs, 0.0, [r]).values == (len(box) / (2 * r + 1),)
-    weight = math.fsum(abs(x) ** -0.5 for x in box if x)
-    whole = 2 * math.fsum(k ** -0.5 for k in range(1, r + 1))
+    assert (np.nonzero(cs.box(r)[1])[0] + 1).tolist() == box
+    assert density_alpha(cs, 0.0, [r]).values == (len(box) / r,)
+    weight = math.fsum(x ** -0.5 for x in box)
+    whole = math.fsum(k ** -0.5 for k in range(1, r + 1))
     assert density_alpha(cs, -0.5, [r]).values[0] == pytest.approx(weight / whole, rel=1e-12)
-    windows = [sum(1 for x in box if a <= x < a + 50) for a in range(-r, r - 48)]
+    windows = [sum(1 for x in box if a <= x < a + 50) for a in range(1, r - 48)]
     assert density_uniform(cs, [50], r).values == ((min(windows) / 50, max(windows) / 50),)
     front = sum(1 for x in box if x <= r // 2)
     got = density_weighted(cs, [((-1.0, 0.5), 1.0)], [r]).values[0]
-    assert got == pytest.approx(front / (r + r // 2 + 1), rel=1e-12)
+    assert got == pytest.approx(front / (r // 2), rel=1e-12)
 
 
 def test_weighted_validation():
@@ -394,26 +386,7 @@ def test_weighted_validation():
 
 
 # ---------------------------------------------------------------------------
-# periodic sets and the axiom suite
-
-
-def test_periodic_set_algebra():
-    a = PeriodicSet.of(6, [1, 3])
-    assert a.density() == Fraction(1, 3)
-    assert a.complement().density() == Fraction(2, 3)
-    assert a.translate(2).density() == Fraction(1, 3)
-    assert a.scale(2).density() == Fraction(1, 6)
-    b = PeriodicSet.of(4, [0])
-    inter = a.complement().union(b.complement()).complement()
-    assert a.union(b).density() == a.density() + b.density() - inter.density()
-    assert a.refine(12).density() == a.density()
-
-
-def test_periodic_set_membership_matches_expr():
-    a = PeriodicSet.of(10, [3, 7])
-    cset = compile_set(a.to_expr())
-    for n in range(-30, 31):
-        assert a.contains(n) == cset.contains((n,))
+# the axiom suite
 
 
 def test_axiom_suite_exact_pair_passes_everything():
@@ -497,20 +470,9 @@ def test_periodic_density_exact_at_aligned_radii(m, seed):
 
     rng = random.Random(seed)
     residues = sorted(rng.sample(range(m), rng.randint(0, m)))
-    ps = PeriodicSet.of(m, residues)
-    cset = compile_set(ps.to_expr())
+    # no class at all: finite(0), which has no member in [1, r]
+    text = " | ".join(f"cong({c},{m})" for c in residues) or "finite(0)"
+    cset = compile_set(text)
     r = m * rng.randint(1, 50)
     rep = density_alpha(cset, 0.0, [r])
-    assert rep.values[0] == pytest.approx(float(ps.density()), abs=1e-12)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    m=st.integers(min_value=2, max_value=24),
-    shift=st.integers(min_value=-100, max_value=100),
-    k=st.integers(min_value=1, max_value=5),
-)
-def test_periodic_translate_scale_laws(m, shift, k):
-    ps = PeriodicSet.of(m, range(0, m, 2))
-    assert ps.translate(shift).density() == ps.density()
-    assert ps.scale(k).density() == ps.density() / k
+    assert rep.values[0] == pytest.approx(len(residues) / m, abs=1e-12)

@@ -1,13 +1,16 @@
-"""Every name a zhat module imports is referenced in that module.
+"""Every name a zhat module imports is referenced in that module, and
+every name the package exports resolves.
 
 Names re-exported through ``__all__`` and ``from __future__`` imports are
-exempt. String annotations count as references.
+exempt from the first check. String annotations count as references.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import zhat
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "zhat"
 
@@ -75,3 +78,11 @@ def test_no_unread_locals(path):
               for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
               for name in sorted(unread_locals(fn))]
     assert not unread, f"{path.name} stores names it never reads: {', '.join(unread)}"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in zhat.__all__ if not hasattr(zhat, name)]
+    assert not missing, f"zhat.__all__ names missing from the package: {', '.join(missing)}"
+    namespace: dict = {}
+    exec("from zhat import *", namespace)
+    assert set(zhat.__all__) <= set(namespace)

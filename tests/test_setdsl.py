@@ -157,7 +157,7 @@ def test_membership_matches_oracles():
 def test_polynomial_image_membership():
     cs = compile_set("image(x^2 - 1)")
     assert 35 in cs and 34 not in cs
-    assert 0 in compile_set("image(x^2)", positive_only=False)
+    assert 0 in compile_set("image(x^2)")
     got = set(cs.members_in_box(100))
     oracle = {k * k - 1 for k in range(2, 12) if 1 <= k * k - 1 <= 100}
     assert got == oracle
@@ -172,23 +172,16 @@ def test_sequence_atom_members():
 
 
 def test_symmetric_boxes():
-    cs = compile_set("cong(2,6)", positive_only=False)
-    got = cs.members_in_box(20)
-    oracle = [x for x in range(-20, 21) if x % 6 == 2]
+    # above dimension 1 the box of radius n is [-n, n]^dim
+    cs = compile_set("coprime(2)")
+    assert cs.members_in_box(1) == [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+    got = set(cs.members_in_box(6))
+    oracle = {(a, b) for a in range(-6, 7) for b in range(-6, 7) if math.gcd(a, b) == 1}
     assert got == oracle
 
 
 def test_dim2_box_example():
-    cs = compile_set("coprime(2)", positive_only=True)
-    assert cs.members_in_box(2) == [(1, 1), (1, 2), (2, 1)]
-    # brute force positive box at n=6, then the symmetric default
-    got = set(cs.members_in_box(6))
-    oracle = {(a, b) for a in range(1, 7) for b in range(1, 7) if math.gcd(a, b) == 1}
-    assert got == oracle
-    sym = set(compile_set("coprime(2)").members_in_box(3))
-    oracle_sym = {(a, b) for a in range(-3, 4) for b in range(-3, 4) if math.gcd(a, b) == 1}
-    assert sym == oracle_sym
-    # dim-2/3 boxes under combinators, positive [1, 7]^n and symmetric [-4, 4]^n
+    # dim-2/3 boxes [-n, n]^dim under combinators
     cases = [
         ("coprime(2) | multiples(4,6)", 2,
          lambda p: math.gcd(*p) == 1 or all(c % 4 == 0 for c in p) or all(c % 6 == 0 for c in p)),
@@ -197,11 +190,10 @@ def test_dim2_box_example():
         ("coprime(3) \\ multiples(5)", 3, lambda p: math.gcd(*p) == 1),
     ]
     for text, dim, pred in cases:
-        for positive, n in ((True, 7), (False, 4)):
-            cs = compile_set(text, positive_only=positive)
-            lo = 1 if positive else -n
-            oracle = [p for p in product(range(lo, n + 1), repeat=dim) if pred(p)]
-            assert cs.dim == dim and cs.members_in_box(n) == oracle, (text, positive)
+        for n in (4, 5):
+            cs = compile_set(text)
+            oracle = [p for p in product(range(-n, n + 1), repeat=dim) if pred(p)]
+            assert cs.dim == dim and cs.members_in_box(n) == oracle, (text, n)
 
 
 @pytest.mark.parametrize("text", [
@@ -223,15 +215,15 @@ def test_box_tables_match_contains(text):
 
 
 def test_symmetric_box_budget_counts_every_cell(monkeypatch):
-    # [-100, 100] allocates 201 cells, over a budget of 150
+    # [-6, 6]^2 allocates 169 cells, over a budget of 150
     monkeypatch.setattr(setdsl, "BOX_BUDGET", 150)
-    cs = compile_set("kfree(2)", positive_only=False)
+    cs = compile_set("coprime(2)")
     with pytest.raises(BudgetExceeded):
-        cs.members_in_box(100)
-    assert cs.box(74)[1].size == 149
+        cs.members_in_box(6)
+    assert cs.box(5)[1].size == 121
     monkeypatch.setattr(setdsl, "BOX_BUDGET", 80)
     with pytest.raises(BudgetExceeded):
-        compile_set("coprime(2)").members_in_box(4)  # 9^2 cells
+        compile_set("coprime(3)").members_in_box(2)  # 5^3 cells
 
 
 # ---------------------------------------------------------------- images
@@ -411,11 +403,9 @@ def test_mask_agrees_with_contains(text, n):
     mask = cs.mask_upto(n)
     for x in range(1, n + 1):
         assert bool(mask[x]) == (x in cs), (text, x)
-    # the symmetric box [-n, n]: cell i holds i - n
-    lo, table = compile_set(text, positive_only=False).box(n)
-    assert lo == -n and table.shape == (2 * n + 1,)
-    for x in range(-n, n + 1):
-        assert bool(table[x + n]) == (x in cs), (text, x)
+    # the box [1, n] is the same table without the padding cell 0
+    lo, table = cs.box(n)
+    assert lo == 1 and np.array_equal(table, mask[1:])
 
 
 @settings(max_examples=30, deadline=None)

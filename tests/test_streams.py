@@ -46,20 +46,18 @@ def _expressions():
     )
 
 
-# box sizes 1, at the block edges +-1 (in cells: n in positive mode,
-# 2n + 1 in symmetric mode) and in between
+# box sizes 1, at the block edges +-1 and in between
 EDGES = [1, SEGMENT - 1, SEGMENT, SEGMENT + 1, 2 * SEGMENT + 1,
          SEGMENT // 2 - 1, SEGMENT // 2, SEGMENT // 2 + 1]
 
 
 @settings(max_examples=60, deadline=None)
-@given(text=_expressions(), positive=st.booleans(),
-       n=st.one_of(st.sampled_from(EDGES), st.integers(1, 3 * SEGMENT)))
-def test_blocks_concatenate_to_the_box(text, positive, n):
-    cs = compile_set(text, positive_only=positive)
+@given(text=_expressions(), n=st.one_of(st.sampled_from(EDGES), st.integers(1, 3 * SEGMENT)))
+def test_blocks_concatenate_to_the_box(text, n):
+    cs = compile_set(text)
     lo, table = cs.box(n)
     starts, parts = zip(*cs.blocks(n))
-    assert starts == tuple(range(lo, n + 1, SEGMENT))
+    assert lo == 1 and starts == tuple(range(1, n + 1, SEGMENT))
     assert all(p.size == SEGMENT for p in parts[:-1])
     assert np.array_equal(np.concatenate(parts), table)
     # box and blocks share _box_mask: check the cells at every block edge
@@ -74,12 +72,14 @@ def test_blocks_check_the_box_budget(monkeypatch):
     assert sum(t.size for _, t in compile_set("primes").blocks(100)) == 100
     with pytest.raises(setdsl.BudgetExceeded):
         compile_set("primes").blocks(101)  # raised before the first block
-    with pytest.raises(setdsl.BudgetExceeded):
-        compile_set("primes", positive_only=False).blocks(50)  # 101 cells
+    # mask_upto pads [1, n] with the cell 0 but checks the same budget
+    assert compile_set("primes").mask_upto(100).size == 101
+    with pytest.raises(setdsl.BudgetExceeded, match=r"box \[1,101\]\^1 has 101 cells"):
+        compile_set("primes").mask_upto(101)
 
 
 def test_blocks_chunk_like_the_power_sum_kernel():
-    # positive-mode blocks start at 1 + j * SEGMENT, on the kernel's chunk
+    # blocks start at 1 + j * SEGMENT, on the kernel's chunk
     # grid 1 + j * _BLOCK, which makes streamed sums the array call's floats
     assert SEGMENT % _BLOCK == 0
 
@@ -162,20 +162,19 @@ def test_stream_power_sums_skip_cells_below_one():
 
 def _kernel_prefix(cs, alpha, x, n):
     """The weight up to x by the kernel alone: the blocks of the radius-n
-    stream cut at x, and in positive mode also the radius-x stream."""
+    stream cut at x, and also the radius-x stream."""
     cut = [(a, t[:x - a + 1]) for a, t in cs.blocks(n) if a <= x]
     got = float(masked_power_sums(cut, [-alpha])[0][0])
-    if cs.positive_only:
-        assert got == (float(masked_power_sums(cs.blocks(x), [-alpha])[0][0]) if x >= 1 else 0.0)
+    assert got == (float(masked_power_sums(cs.blocks(x), [-alpha])[0][0]) if x >= 1 else 0.0)
     return got
 
 
 @settings(max_examples=40, deadline=None)
-@given(text=_expressions(), positive=st.booleans(), alpha=st.sampled_from([0.0, -1.0, -0.5, -0.25]),
+@given(text=_expressions(), alpha=st.sampled_from([0.0, -1.0, -0.5, -0.25]),
        n=st.one_of(st.sampled_from(EDGES), st.integers(1, 2 * SEGMENT + 5)), data=st.data())
-def test_prefix_weights_equal_per_radius_sums(text, positive, alpha, n, data):
+def test_prefix_weights_equal_per_radius_sums(text, alpha, n, data):
     # cut points below the stream, at chunk and block edges +-1, and random
-    cs = compile_set(text, positive_only=positive)
+    cs = compile_set(text)
     lo, table = cs.box(n)
     edges = [lo - 3, lo - 1, lo, n] + [e + d for e in range(lo, n + 1, _BLOCK) for d in (-1, 0, 1)]
     picked = data.draw(st.lists(st.sampled_from(edges) | st.integers(lo - 3, n), max_size=12))
@@ -205,8 +204,8 @@ R = 10**6
 ONE_STREAM = {
     "alpha": lambda cs: density_alpha(cs, -1.0, [R // 16, R // 8, R // 4, R // 2, R]),
     "weighted": lambda cs: density_weighted(cs, [((0.0, 0.5), 1.0), ((0.25, 1.0), 2.0)], [R // 4, R // 2, R]),
-    "weighted-symmetric": lambda cs: density_weighted(
-        compile_set(cs.expr, positive_only=False), [((-1.0, -0.5), 1.0), ((-0.1, 0.7), 3.0)], [R // 4, R]),
+    "weighted-clipped": lambda cs: density_weighted(
+        cs, [((-1.0, -0.5), 1.0), ((-0.1, 0.7), 3.0)], [R // 4, R]),
     "window": lambda cs: log_density_window(cs, R // 10, R),
 }
 

@@ -224,7 +224,7 @@ def test_asdmltp_rejects_prime_modulus():
 
 
 def test_poonen_stoll_squarefree_product():
-    rep = poonen_stoll_tail("kfree", k=2, prime_cutoffs=(10, 100, 1000), emp_r=10**6)
+    rep = poonen_stoll_tail("kfree", k=2, prime_cutoffs=(10, 100, 1000))
     assert rep.verdict == "PASS"
     br = rep.quantities["product_measure"]
     assert br.lo <= 6.0 / math.pi**2 <= br.hi
@@ -234,12 +234,12 @@ def test_poonen_stoll_squarefree_product():
 
 
 def test_poonen_stoll_units_tail_diverges():
-    rep = poonen_stoll_tail("units", prime_cutoffs=(10, 100), emp_r=10**5)
+    rep = poonen_stoll_tail("units", prime_cutoffs=(10, 100))
     assert rep.verdict == "INCONCLUSIVE"
 
 
 def test_poonen_stoll_trivial_spec():
-    rep = poonen_stoll_tail("trivial", prime_cutoffs=(10,), emp_r=10**4)
+    rep = poonen_stoll_tail("trivial", prime_cutoffs=(10,))
     assert rep.verdict == "PASS"
 
 
