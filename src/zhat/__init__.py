@@ -9,7 +9,6 @@ numbers (`supernatural`), and theorem-level verification harnesses
 """
 
 from .supernatural import (
-    ExtNat,
     SupernaturalNumber,
     divides,
     gcd_lcm,
@@ -33,8 +32,6 @@ from .setdsl import (
     compile_set,
     crt_split,
     parse,
-    register_sequence,
-    registered_sequences,
     to_text,
 )
 from .measure import (
@@ -98,12 +95,11 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExtNat", "SupernaturalNumber", "divides", "gcd_lcm", "limit_profile",
+    "SupernaturalNumber", "divides", "gcd_lcm", "limit_profile",
     "mul", "parse_supernatural", "rho", "supernatural_text",
     "EXACT", "TRUNCATED", "BudgetExceeded", "CompiledSet",
     "DimensionMismatch", "DslError", "DslSyntaxError", "DslValueError",
-    "Polynomial", "ResidueImage", "compile_set", "crt_split", "parse",
-    "register_sequence", "registered_sequences", "to_text",
+    "Polynomial", "ResidueImage", "compile_set", "crt_split", "parse", "to_text",
     "Bracket", "ChainError", "LevelMeasure", "MeasureTrace", "ModulusChain",
     "closure_measure_trace", "euler_product", "haar_ideal", "masked_power_sums",
     "multiples_measure_ie", "multiples_measure_prefixes", "zeta_bracket", "zeta_partial",

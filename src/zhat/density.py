@@ -111,7 +111,7 @@ def density_alpha(cset: CompiledSet, alpha: float, r_grid, tail_window: int = DE
         values = [num / _whole_weight(alpha, r) for num, r in zip(nums, grid)]
         notes = [note] if note else []
     else:
-        values, notes = [_box_ratio(cset, alpha, r) for r in grid], []
+        values, notes = _box_ratios(cset, alpha, grid), []
     tail = _tail(values, tail_window)
     return DensityReport(
         method="alpha",
@@ -133,25 +133,28 @@ def _whole_weight(alpha: float, r: int) -> float:
     return harmonic(r) if alpha == -1.0 else zeta_partial(-alpha, r)[0]
 
 
-def _box_ratio(cset: CompiledSet, alpha: float, r: int) -> float:
-    """The ratio at radius r in dimension >= 2, read from the table of the
-    box [-r, r]^dim: the exact count at alpha 0, else the power-sum kernel
-    over members against points per shell |x| = k, |x| the largest
-    |coordinate|. The origin has no weight."""
-    table = cset.box(r)[1]
-    if alpha == 0.0:  # the exact count over the whole box, origin included
-        return float(np.count_nonzero(table)) / float(table.size)
+def _box_ratios(cset: CompiledSet, alpha: float, grid: list[int]) -> list[float]:
+    """The ratios at every radius r of the grid in dimension >= 2, read from
+    the one table of the box [-R, R]^dim, R the largest radius: the exact
+    count of the central box [-r, r]^dim at alpha 0, else the power-sum
+    kernel over members against points per shell |x| = k <= r, |x| the
+    largest |coordinate|. The origin has no weight."""
+    big = grid[-1]
+    table = cset.box(big)[1]
+    if alpha == 0.0:  # the exact count over each central box, origin included
+        return [float(np.count_nonzero(table[(slice(big - r, big + r + 1),) * cset.dim]))
+                / float((2 * r + 1)**cset.dim) for r in grid]
     # members per shell, one first-axis slice at a time: rest is the norm
     # table of the other axes, so no whole-box norm table is built
-    ax = np.abs(np.arange(-r, r + 1)).astype(np.min_scalar_type(r))
+    ax = np.abs(np.arange(-big, big + 1)).astype(np.min_scalar_type(big))
     rest = functools.reduce(np.maximum, np.ix_(*[ax] * (cset.dim - 1)))
-    members = np.zeros(r + 1, dtype=np.int64)
+    members = np.zeros(big + 1, dtype=np.int64)
     for a, row in zip(ax, table):
-        members += np.bincount(np.maximum(rest, a)[row], minlength=r + 1)
-    k = np.arange(r + 1, dtype=np.int64)
+        members += np.bincount(np.maximum(rest, a)[row], minlength=big + 1)
+    k = np.arange(big + 1, dtype=np.int64)
     points = (2 * k + 1)**cset.dim - (2 * k - 1)**cset.dim
-    num = masked_power_sums(members, [-alpha])[0][0]
-    return float(num / masked_power_sums(points, [-alpha])[0][0])
+    return [float(masked_power_sums(members[:r + 1], [-alpha])[0][0]
+                  / masked_power_sums(points[:r + 1], [-alpha])[0][0]) for r in grid]
 
 
 def _member_weights(cset: CompiledSet, alpha: float, grid: list[int]) -> tuple[list[float], str | None]:

@@ -304,21 +304,8 @@ def expr_dim(expr: SetExpr) -> int:
 
 # ------------------------------------------------------------- sequences
 
-_SEQUENCES: dict[str, Callable[[], Iterator[int]]] = {}
-
-
-def register_sequence(name: str, terms: Callable[[], Iterator[int]]) -> None:
-    """Register a named positive integer sequence; the callable returns a
-    fresh iterator over its terms in ascending order."""
-    _SEQUENCES[name] = terms
-
-
-def registered_sequences() -> tuple[str, ...]:
-    return tuple(sorted(_SEQUENCES))
-
-
 def sequence_terms(name: str) -> Iterator[int]:
-    """The terms of a registered sequence, ascending."""
+    """The terms of a named sequence, ascending."""
     return _SEQUENCES[name]()
 
 
@@ -338,9 +325,12 @@ def _primorials() -> Iterator[int]:
     return accumulate(_primes.iter_primes(), operator.mul)
 
 
-register_sequence("factorial_shift", _factorial_shift)
-register_sequence("factorials", _factorials)
-register_sequence("primorials", _primorials)
+# each callable returns a fresh iterator over the terms in ascending order
+_SEQUENCES: dict[str, Callable[[], Iterator[int]]] = {
+    "factorial_shift": _factorial_shift,
+    "factorials": _factorials,
+    "primorials": _primorials,
+}
 
 
 # ------------------------------------------------------------- tokenizer
@@ -837,7 +827,7 @@ def compile_set(expr: SetExpr | str) -> CompiledSet:
 def _check_sequences(expr: SetExpr) -> None:
     if isinstance(expr, Seq) and expr.name not in _SEQUENCES:
         raise DslValueError(
-            f"unknown sequence {expr.name!r}; registered: {', '.join(registered_sequences())}"
+            f"unknown sequence {expr.name!r}; registered: {', '.join(sorted(_SEQUENCES))}"
         )
     for c in expr.children():
         _check_sequences(c)

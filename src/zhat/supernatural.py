@@ -2,14 +2,17 @@
 N ∪ {inf}, the factorization map from nonzero integers, and coordinatewise
 limit detection for integer sequences.
 
-Only finitely presented elements are representable: the exponent map is a
-finite dict and an absent prime means exponent 0. Canonical text form is
+An exponent is a plain Python value, an ``int >= 0`` or ``math.inf``, so
+order, sums, min and max are the built-in ones. Only finitely presented
+elements are representable: the exponent map is a finite dict and an absent
+prime means exponent 0. Canonical text form is
 ``2^inf*3^2*5`` (primes strictly increasing, ``^1`` omitted, empty
 product ``1``); parse/print round-trips exactly.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -17,98 +20,19 @@ from typing import Iterable, Mapping, Sequence
 from . import _primes
 
 
-class ExtNat:
-    """A natural number extended with infinity. Immutable, totally ordered;
-    infinity absorbs under addition and max."""
-
-    __slots__ = ("_v",)
-
-    def __init__(self, value: "int | ExtNat | None"):
-        if isinstance(value, ExtNat):
-            self._v = value._v
-            return
-        if value is not None:
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"ExtNat needs an integer >= 0 or None for inf, got {value!r}")
-        self._v = value  # None encodes infinity
-
-    @classmethod
-    def inf(cls) -> "ExtNat":
-        return cls(None)
-
-    @property
-    def is_zero(self) -> bool:
-        return self._v == 0
-
-    def to_int(self) -> int:
-        if self._v is None:
-            raise ValueError("infinite ExtNat has no integer value")
-        return self._v
-
-    def __add__(self, other: "ExtNat | int") -> "ExtNat":
-        other = other if isinstance(other, ExtNat) else ExtNat(other)
-        if self._v is None or other._v is None:
-            return ExtNat(None)
-        return ExtNat(self._v + other._v)
-
-    __radd__ = __add__
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = ExtNat(other)
-        if not isinstance(other, ExtNat):
-            return NotImplemented
-        return self._v == other._v
-
-    def __le__(self, other: "ExtNat | int") -> bool:
-        other = other if isinstance(other, ExtNat) else ExtNat(other)
-        if other._v is None:
-            return True
-        if self._v is None:
-            return False
-        return self._v <= other._v
-
-    def __lt__(self, other: "ExtNat | int") -> bool:
-        other = other if isinstance(other, ExtNat) else ExtNat(other)
-        return self <= other and self != other
-
-    def __ge__(self, other: "ExtNat | int") -> bool:
-        other = other if isinstance(other, ExtNat) else ExtNat(other)
-        return other <= self
-
-    def __gt__(self, other: "ExtNat | int") -> bool:
-        other = other if isinstance(other, ExtNat) else ExtNat(other)
-        return other < self
-
-    def __hash__(self) -> int:
-        return hash(("ExtNat", self._v))
-
-    def __repr__(self) -> str:
-        return "inf" if self._v is None else str(self._v)
-
-
-INF = ExtNat.inf()
-
-
-def _ext_min(a: ExtNat, b: ExtNat) -> ExtNat:
-    return a if a <= b else b
-
-
-def _ext_max(a: ExtNat, b: ExtNat) -> ExtNat:
-    return b if a <= b else a
-
-
 class SupernaturalNumber:
     """∏ p^{e_p} with e_p in N ∪ {inf}, finitely many nonzero exponents."""
 
     __slots__ = ("_exp",)
 
-    def __init__(self, exponents: Mapping[int, ExtNat | int] | Iterable[tuple[int, ExtNat | int]] = ()):
-        items: dict[int, ExtNat] = {}
+    def __init__(self, exponents: Mapping[int, int | float] | Iterable[tuple[int, int | float]] = ()):
+        items: dict[int, int | float] = {}
         pairs = exponents.items() if isinstance(exponents, Mapping) else exponents
         for p, e in pairs:
-            e = e if isinstance(e, ExtNat) else ExtNat(e)
-            if e.is_zero:
+            # inf + inf is a new float object: compare with ==, not is
+            if not ((type(e) is int and e >= 0) or e == math.inf):
+                raise ValueError(f"exponent needs an integer >= 0 or math.inf, got {e!r}")
+            if e == 0:
                 continue
             if p in items:
                 raise ValueError(f"duplicate prime {p}")
@@ -118,19 +42,19 @@ class SupernaturalNumber:
         self._exp = tuple(sorted(items.items()))
 
     @property
-    def exponents(self) -> dict[int, ExtNat]:
+    def exponents(self) -> dict[int, int | float]:
         return dict(self._exp)
 
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self._exp)
 
-    def v(self, p: int) -> ExtNat:
+    def v(self, p: int) -> int | float:
         """Exponent of p (0 when absent)."""
         for q, e in self._exp:
             if q == p:
                 return e
-        return ExtNat(0)
+        return 0
 
     @property
     def is_one(self) -> bool:
@@ -162,7 +86,7 @@ def rho(k: int) -> SupernaturalNumber:
 
 
 def mul(sigma: SupernaturalNumber, tau: SupernaturalNumber) -> SupernaturalNumber:
-    out: dict[int, ExtNat] = dict(sigma._exp)
+    out: dict[int, int | float] = dict(sigma._exp)
     for p, e in tau._exp:
         out[p] = out[p] + e if p in out else e
     return SupernaturalNumber(out)
@@ -176,14 +100,14 @@ def divides(sigma: SupernaturalNumber, tau: SupernaturalNumber) -> bool:
 def gcd_lcm(sigma: SupernaturalNumber, tau: SupernaturalNumber) -> tuple[SupernaturalNumber, SupernaturalNumber]:
     """(exponentwise min, exponentwise max)."""
     support = sorted(set(sigma.support) | set(tau.support))
-    g = {p: _ext_min(sigma.v(p), tau.v(p)) for p in support}
-    l = {p: _ext_max(sigma.v(p), tau.v(p)) for p in support}
+    g = {p: min(sigma.v(p), tau.v(p)) for p in support}
+    l = {p: max(sigma.v(p), tau.v(p)) for p in support}
     return SupernaturalNumber(g), SupernaturalNumber(l)
 
 
-def omega(sigma: SupernaturalNumber) -> ExtNat:
+def omega(sigma: SupernaturalNumber) -> int:
     """Number of distinct primes in the support."""
-    return ExtNat(len(sigma._exp))
+    return len(sigma._exp)
 
 
 # ---------------------------------------------------------------- text form
@@ -196,7 +120,7 @@ def to_text(sigma: SupernaturalNumber) -> str:
         return "1"
     parts = []
     for p, e in sigma._exp:
-        if e == ExtNat(1):
+        if e == 1:
             parts.append(str(p))
         else:
             parts.append(f"{p}^{e!r}")
@@ -209,15 +133,15 @@ def parse_supernatural(text: str) -> SupernaturalNumber:
         return SupernaturalNumber()
     if not s:
         raise ValueError("empty supernatural literal")
-    pairs: list[tuple[int, ExtNat]] = []
+    pairs: list[tuple[int, int | float]] = []
     for factor in s.split("*"):
         m = _FACTOR_RE.match(factor)
         if not m:
             raise ValueError(f"bad factor {factor!r} in supernatural literal {text!r}")
         p = int(m.group(1))
         exp_txt = m.group(2)
-        e = INF if exp_txt == "inf" else ExtNat(int(exp_txt) if exp_txt else 1)
-        if e.is_zero:
+        e = math.inf if exp_txt == "inf" else int(exp_txt) if exp_txt else 1
+        if e == 0:
             raise ValueError(f"zero exponent on {p} in {text!r}")
         pairs.append((p, e))
     return SupernaturalNumber(pairs)

@@ -548,7 +548,7 @@ def counterexample_cover(a: int, terms: int) -> VerificationReport:
         raise DslValueError("need a >= 3 so the coset measures sum below 1")
     if terms < 1:
         raise DslValueError("need at least one term")
-    if a**terms > 10**8:
+    if a**terms > RESIDUE_BUDGET:
         raise BudgetExceeded(f"level {a}^{terms} exceeds the enumeration budget")
     m = a**terms
 

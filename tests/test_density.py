@@ -1,5 +1,6 @@
 """Counting estimators, window densities, and the finitely-additive axiom suite."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -23,7 +24,7 @@ from zhat.density import (
     harmonic,
     log_density_window,
 )
-from zhat.measure import ModulusChain, zeta_partial
+from zhat.measure import ModulusChain, masked_power_sums, zeta_partial
 from zhat.setdsl import BudgetExceeded, DslValueError, compile_set
 
 
@@ -182,6 +183,31 @@ def test_alpha_dimension_2_memory_per_box_cell():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * cells, peak / cells
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.5, -1.0])
+@pytest.mark.parametrize("text", ["coprime(2)", "coprime(2) & !multiples(3)", "coprime(3)"])
+def test_alpha_grid_reads_one_box(monkeypatch, text, alpha):
+    # a dimension >= 2 grid builds the box of its largest radius once, and
+    # every value equals the ratio read from the box of its own radius
+    cs, grid = compile_set(text), [1, 3, 8, 20]
+    reference = []
+    for r in grid:
+        table = cs.box(r)[1]
+        if alpha == 0.0:
+            reference.append(float(np.count_nonzero(table)) / float(table.size))
+            continue
+        ax = np.abs(np.arange(-r, r + 1))
+        norm = functools.reduce(np.maximum, np.ix_(*[ax] * cs.dim))
+        members = np.bincount(norm[table], minlength=r + 1)
+        points = np.bincount(norm.ravel(), minlength=r + 1)
+        reference.append(float(masked_power_sums(members, [-alpha])[0][0]
+                               / masked_power_sums(points, [-alpha])[0][0]))
+    calls = []
+    box = setdsl.CompiledSet.box
+    monkeypatch.setattr(setdsl.CompiledSet, "box", lambda self, n: calls.append(n) or box(self, n))
+    assert list(density_alpha(cs, alpha, grid).values) == reference
+    assert calls == [grid[-1]]
 
 
 @pytest.mark.parametrize("estimate", [
