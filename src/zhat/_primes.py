@@ -1,24 +1,66 @@
-"""Shared sieve and factorization utilities.
+"""Shared sieve and factorization utilities, and the exception classes
+of the set language.
 
 A single module-level cache, the sorted primes up to a bound, is grown on
-demand and read-only afterwards, so every consumer shares one array.
+demand and read-only afterwards, so every consumer shares one array. Only
+the sieve needs numpy and imports it: primality and factorization run on
+a pure-Python table of the primes below 2^10, so the bottom of the import
+graph loads no numpy.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
+
+
+class DslError(Exception):
+    pass
+
+
+class DslSyntaxError(DslError):
+    def __init__(self, message: str, pos: int, expected: tuple[str, ...] = ()):
+        detail = f"syntax error at position {pos}: {message}"
+        if expected:
+            detail += f" (expected {', '.join(expected)})"
+        super().__init__(detail)
+        self.pos = pos
+        self.expected = expected
+
+
+class DslValueError(DslError, ValueError):
+    pass
+
+
+class DimensionMismatch(DslValueError):
+    pass
+
+
+class BudgetExceeded(DslError):
+    pass
+
 
 # primes below this divide out by trial; a cofactor without such a factor
 # that is below its square is prime
 _TRIAL_BOUND = 1 << 10
 
+
+def _eratosthenes(n: int) -> list[int]:
+    """The primes below n >= 2, sieved in a bytearray."""
+    table = bytearray(b"\0\0") + bytearray(b"\1") * (n - 2)
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if table[p]:
+            table[p * p::p] = bytes(len(range(p * p, n, p)))
+    return [p for p in range(n) if table[p]]
+
+
 _SIEVE_BOUND = 0
-_PRIMES: np.ndarray = np.zeros(0, dtype=np.int64)
-_SMALL_PRIMES: list[int] = []
+_PRIMES = None  # the sorted primes up to _SIEVE_BOUND, an int64 array once sieved
+_SMALL_PRIMES = _eratosthenes(_TRIAL_BOUND)
 
 # cells per sieve segment and per membership block: 256 KiB of booleans
 # stay in cache while every base prime marks them
@@ -45,14 +87,16 @@ def _mark_classes(out: np.ndarray, lo: int, classes, value: bool) -> np.ndarray:
 # the primes up to 13 clear their classes in every segment at once, as a
 # copy out of one pattern of period 2*3*5*7*11*13 tiled past a segment's
 # length (the wheel), instead of six strided passes
-_WHEEL_PRIMES = np.array([2, 3, 5, 7, 11, 13])
+_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 _WHEEL_PERIOD = 30030
 
 
 @functools.cache
 def _wheel() -> np.ndarray:
+    import numpy as np
+
     wheel = _mark_classes(np.ones(_WHEEL_PERIOD + _SEGMENT, dtype=bool), 0,
-                          [(0, p) for p in _WHEEL_PRIMES.tolist()], False)
+                          [(0, p) for p in _WHEEL_PRIMES], False)
     wheel.flags.writeable = False
     return wheel
 
@@ -64,6 +108,8 @@ def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     up to the square root of its top; then the base primes inside [lo, hi]
     are restored and 1 is cleared. base lists the primes up to sqrt(hi),
     ascending."""
+    import numpy as np
+
     out = np.empty(hi - lo + 1, dtype=bool)
     first = int(np.searchsorted(base, _WHEEL_PRIMES[-1], side="right"))
     for start, end in _segments(lo, hi):
@@ -90,10 +136,12 @@ def _ensure_sieve(n: int) -> None:
     doubling capped at the box budget, one segment past the old bound at a
     time; the base primes up to the square root come from the cache itself,
     grown first. n past the box budget raises BudgetExceeded unsieved."""
-    global _SIEVE_BOUND, _PRIMES, _SMALL_PRIMES
+    global _SIEVE_BOUND, _PRIMES
     if n <= _SIEVE_BOUND:
         return
-    from .setdsl import BOX_BUDGET, BudgetExceeded  # setdsl imports this module
+    import numpy as np
+
+    from .setdsl import BOX_BUDGET  # setdsl imports this module
 
     if n > BOX_BUDGET:
         raise BudgetExceeded(f"sieve up to {n} exceeds box budget {BOX_BUDGET}")
@@ -102,12 +150,13 @@ def _ensure_sieve(n: int) -> None:
     _PRIMES = np.concatenate([primes_upto(_SIEVE_BOUND)] + [
         np.flatnonzero(_sieve_segment(lo, hi, base)) + lo
         for lo, hi in _segments(_SIEVE_BOUND + 1, n)])
-    _SMALL_PRIMES = _PRIMES[_PRIMES < _TRIAL_BOUND].tolist()
     _SIEVE_BOUND = n
 
 
 def primes_upto(n: int) -> np.ndarray:
     """All primes <= n as an int64 array (shared cache, do not mutate)."""
+    import numpy as np
+
     if n < 2:
         return np.zeros(0, dtype=np.int64)
     _ensure_sieve(n)
@@ -122,11 +171,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # on a 2-vCPU Xeon); rho takes about sqrt(p) iterations to split off the
 # prime p, so this reaches prime factors up to about 2^40
 RHO_BUDGET = 1 << 22
-
-
-def _trial_primes() -> list[int]:
-    _ensure_sieve(_TRIAL_BOUND)
-    return _SMALL_PRIMES
 
 
 def _strong_probable_prime(n: int) -> bool:
@@ -151,17 +195,20 @@ def _strong_probable_prime(n: int) -> bool:
 
 def is_prime(n: int) -> bool:
     """Primality of n: a binary search of the shared sorted primes up to
-    the sieve bound; past it, trial division by the primes below 2^10, then
-    the strong test to the bases 2..41, which is a proof below
-    3.317 * 10^24 (Sorenson-Webster). Above that bound True means n is a
-    strong probable prime to those bases."""
+    the sieve bound; past it, trial division by the primes below 2^10 up
+    to the square root of n, then the strong test to the bases 2..41,
+    which is a proof below 3.317 * 10^24 (Sorenson-Webster). Above that
+    bound True means n is a strong probable prime to those bases."""
     if n < 2:
         return False
-    small = _trial_primes()
     if n <= _SIEVE_BOUND:
+        import numpy as np
+
         i = int(np.searchsorted(_PRIMES, n))
         return i < _PRIMES.size and int(_PRIMES[i]) == n
-    for p in small:
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            return True
         if n % p == 0:
             return False
     return n < _TRIAL_BOUND**2 or _strong_probable_prime(n)
@@ -213,8 +260,6 @@ def _brent(n: int, c: int, steps: int) -> tuple[int, int]:
     while g == 1:
         # a round costs 2r iterations: r to move x, r to compare
         if steps + 2 * r > RHO_BUDGET:
-            from .setdsl import BudgetExceeded  # setdsl imports this module
-
             raise BudgetExceeded(
                 f"factorization of a {n.bit_length()}-bit cofactor needs more than "
                 f"{RHO_BUDGET} Pollard-Brent iterations"
@@ -249,7 +294,7 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError("cannot factorize 0")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in _trial_primes():
+    for p in _SMALL_PRIMES:
         if p * p > n:
             break
         if n % p == 0:

@@ -18,30 +18,9 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import islice
 
-from . import supernatural as sn
-from .analytic import FAIL, INCONCLUSIVE, PASS
-from .density import (
-    axiom_suite,
-    density_alpha,
-    density_analytic,
-    density_buck,
-    density_uniform,
-)
-from .measure import ModulusChain, closure_measure_trace, euler_product, multiples_measure_ie
-from .setdsl import BudgetExceeded, DslError, DslSyntaxError, compile_set, sequence_terms
-from .verify import (
-    VerificationReport,
-    asdmltp_verify,
-    counterexample_cover,
-    davenport_erdos,
-    dirichlet_coverage,
-    eulerian_check,
-    mt_criterion,
-    omega_bound_measure,
-    poonen_stoll_tail,
-    prime_power_family,
-    union_dense_check,
-)
+# each handler imports the modules it runs, leaf first: the sn commands
+# load no numpy, and no module compiles while another is half imported
+from ._primes import BudgetExceeded, DslError, DslSyntaxError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -145,7 +124,9 @@ class _Resolver:
         return default if v is None else v
 
 
-def _parse_chain(text: str) -> ModulusChain:
+def _parse_chain(text: str):
+    from .measure import ModulusChain
+
     t = text.strip().lower()
     if t == "primorial":
         return ModulusChain.primorial()
@@ -203,6 +184,8 @@ def _render(v) -> str:
 
 
 def _cmd_density(res: _Resolver) -> int:
+    from . import setdsl, measure, analytic, density
+
     set_text = res.get("set", str)
     if not set_text:
         raise DslSyntaxError("density needs --set", 0, "set expression")
@@ -216,19 +199,19 @@ def _cmd_density(res: _Resolver) -> int:
         extra={"method": method},
     )
     cfg.validate()
-    cs = compile_set(set_text)
+    cs = setdsl.compile_set(set_text)
     r_grid = sorted({max(1, r_max // 2**i) for i in range(5)})
     methods = {
-        "asymptotic": lambda: density_alpha(cs, 0, r_grid),
-        "logarithmic": lambda: density_alpha(cs, -1, r_grid),
-        "alpha": lambda: density_alpha(cs, res.get("alpha", float, -1.0), r_grid),
-        "uniform": lambda: density_uniform(
+        "asymptotic": lambda: density.density_alpha(cs, 0, r_grid),
+        "logarithmic": lambda: density.density_alpha(cs, -1, r_grid),
+        "alpha": lambda: density.density_alpha(cs, res.get("alpha", float, -1.0), r_grid),
+        "uniform": lambda: density.density_uniform(
             cs, sorted({max(1, r_max // 10), max(2, r_max // 5)}), r_max
         ),
-        "analytic": lambda: density_analytic(
+        "analytic": lambda: density.density_analytic(
             cs, res.get("s_grid", _float_list, [1.5, 1.25, 1.1, 1.05]), cutoff
         ),
-        "buck": lambda: density_buck(
+        "buck": lambda: density.density_buck(
             cs, _parse_chain(res.get("chain", str, "primorial")),
             res.get("level_cutoff", _num, 10**4),
             truncation=res.get("truncation", _num),
@@ -250,6 +233,8 @@ def _cmd_density(res: _Resolver) -> int:
 
 
 def _cmd_measure(res: _Resolver) -> int:
+    from . import setdsl, measure
+
     fmt = res.get("output", str, "json")
     seed = res.get("seed", _num, 0)
     multiples = res.get("multiples", _int_list)
@@ -258,7 +243,7 @@ def _cmd_measure(res: _Resolver) -> int:
         cfg = RunConfig(command="measure", output=fmt, seed=seed,
                         extra={"multiples": multiples})
         cfg.validate()
-        v = multiples_measure_ie(multiples)
+        v = measure.multiples_measure_ie(multiples)
         _emit({"measure": _fraction_json(v), "certified": True,
                "csv": f"measure\n{v.numerator}/{v.denominator}\n"}, cfg, fmt)
         return EXIT_OK
@@ -267,7 +252,7 @@ def _cmd_measure(res: _Resolver) -> int:
         cfg = RunConfig(command="measure", prime_bound=cutoff, output=fmt, seed=seed,
                         extra={"euler": euler})
         cfg.validate()
-        br = euler_product(euler, cutoff)
+        br = measure.euler_product(euler, cutoff)
         _emit({"bracket": br.to_json(), "notes": list(br.notes),
                "csv": f"lo,hi,certified\n{br.lo:.12g},{br.hi:.12g},{br.certified}\n"},
               cfg, fmt)
@@ -285,11 +270,11 @@ def _cmd_measure(res: _Resolver) -> int:
     cfg.validate()
     if level_cap < 1:
         raise ValueError(f"levels must be >= 1, got {level_cap}")
-    cs = compile_set(set_text)
+    cs = setdsl.compile_set(set_text)
     chain = _parse_chain(chain_text)
     # the first level_cap levels only: cut the chain at the last one kept
     cutoff = chain.levels(cutoff)[:level_cap][-1]
-    trace = closure_measure_trace(cs, chain, cutoff, truncation=truncation)
+    trace = measure.closure_measure_trace(cs, chain, cutoff, truncation=truncation)
     payload = {
         "levels": [
             {"modulus": r.modulus, "measure": _fraction_json(r.measure), "mode": r.mode}
@@ -303,15 +288,13 @@ def _cmd_measure(res: _Resolver) -> int:
     return EXIT_OK
 
 
-def _verdict_exit(verdict: str) -> int:
-    return {PASS: EXIT_OK, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}[verdict]
+def _axioms_report(res: _Resolver, seed: int):
+    from . import analytic, density, verify
 
-
-def _axioms_report(res: _Resolver, seed: int) -> VerificationReport:
     cases = res.get("cases", _num, 100)
     pair = res.get("pair", str, "exact")
-    suite = axiom_suite(cases, seed=seed, pair=pair,
-                        estimator_cases=res.get("estimator_cases", _num, 0))
+    suite = density.axiom_suite(cases, seed=seed, pair=pair,
+                                estimator_cases=res.get("estimator_cases", _num, 0))
     failing = suite.failing_axioms
     if pair == "exact":
         ok = suite.all_axioms_pass
@@ -319,16 +302,18 @@ def _axioms_report(res: _Resolver, seed: int) -> VerificationReport:
     else:
         ok = failing == ["ideal-scaling"]
         expect = "all axioms except ideal-scaling hold"
-    verdict = PASS if ok else FAIL
+    verdict = analytic.PASS if ok else analytic.FAIL
     quantities = suite.to_json()
     narrative = [f"{cases} random periodic sets, pair={pair}; expected: {expect}"]
     if failing:
         narrative.append(f"failing axioms: {failing}")
-    return VerificationReport("axioms", {"cases": cases, "seed": seed, "pair": pair},
-                              quantities, verdict, tuple(narrative))
+    return verify.VerificationReport("axioms", {"cases": cases, "seed": seed, "pair": pair},
+                                     quantities, verdict, tuple(narrative))
 
 
 def _cmd_verify(res: _Resolver) -> int:
+    from . import setdsl, measure, analytic, verify
+
     theorem = res.get("theorem", str)
     if theorem not in THEOREM_IDS:
         raise ValueError(
@@ -342,55 +327,55 @@ def _cmd_verify(res: _Resolver) -> int:
         pmax = res.get("pmax", _num, 31)
         if family.startswith("p^") and family[2:].isdigit():
             k = int(family[2:])
-            mods, tail = prime_power_family(k, pmax), k
+            mods, tail = verify.prime_power_family(k, pmax), k
         elif family == "p":
-            mods, tail = prime_power_family(1, pmax), 1
+            mods, tail = verify.prime_power_family(1, pmax), 1
         else:
             mods, tail = _int_list(family), None
-        rep = davenport_erdos(
+        rep = verify.davenport_erdos(
             mods, r_max=res.get("rmax", _num, 10**6), tol=res.get("tol", _tol, 5e-3),
             tail_exponent=tail,
             certified_grid_points=res.get("certified_points", _num, 0),
         )
     elif theorem == "dirichlet":
-        rep = dirichlet_coverage(res.get("mmax", _num, 100), res.get("pbound", _num, 10**5))
+        rep = verify.dirichlet_coverage(res.get("mmax", _num, 100), res.get("pbound", _num, 10**5))
     elif theorem == "omega":
-        rep = omega_bound_measure(res.get("k", _num, 2), res.get("pbound", _num, 13))
+        rep = verify.omega_bound_measure(res.get("k", _num, 2), res.get("pbound", _num, 13))
     elif theorem == "eulerian":
         set_text = res.get("set", str)
         if not set_text:
             raise DslSyntaxError("verify eulerian needs --set", 0, "set expression")
-        rep = eulerian_check(compile_set(set_text),
-                             res.get("mlist", _int_list, [12]),
-                             expect=res.get("expect", str, "product"))
+        rep = verify.eulerian_check(setdsl.compile_set(set_text),
+                                    res.get("mlist", _int_list, [12]),
+                                    expect=res.get("expect", str, "product"))
     elif theorem == "asdmltp":
-        rep = asdmltp_verify(res.get("moduli", _int_list, [4, 9, 25]),
-                             r_max=res.get("rmax", _num, 10**6),
-                             m_check=res.get("mcheck", _num),
-                             tol=res.get("tol", _tol, 1e-2))
+        rep = verify.asdmltp_verify(res.get("moduli", _int_list, [4, 9, 25]),
+                                    r_max=res.get("rmax", _num, 10**6),
+                                    m_check=res.get("mcheck", _num),
+                                    tol=res.get("tol", _tol, 1e-2))
     elif theorem == "poonen-stoll":
-        rep = poonen_stoll_tail(res.get("spec", str, "kfree"),
-                                k=res.get("k", _num, 2),
-                                prime_cutoffs=res.get("cutoffs", _int_list, [10, 100, 1000]),
-                                tol=res.get("tol", _tol, 1e-2))
+        rep = verify.poonen_stoll_tail(res.get("spec", str, "kfree"),
+                                       k=res.get("k", _num, 2),
+                                       prime_cutoffs=res.get("cutoffs", _int_list, [10, 100, 1000]),
+                                       tol=res.get("tol", _tol, 1e-2))
     elif theorem == "mt":
         set_text = res.get("set", str)
         if not set_text:
             raise DslSyntaxError("verify mt needs --set", 0, "set expression")
-        rep = mt_criterion(compile_set(set_text),
-                           _parse_chain(res.get("chain", str, "primorial")),
-                           res.get("cutoff", _num, 10**4),
-                           r_max=res.get("rmax", _num, 10**6),
-                           tol=res.get("tol", _tol, 1e-2),
-                           truncation=res.get("truncation", _num))
+        rep = verify.mt_criterion(setdsl.compile_set(set_text),
+                                  _parse_chain(res.get("chain", str, "primorial")),
+                                  res.get("cutoff", _num, 10**4),
+                                  r_max=res.get("rmax", _num, 10**6),
+                                  tol=res.get("tol", _tol, 1e-2),
+                                  truncation=res.get("truncation", _num))
     elif theorem == "counterexample":
-        rep = counterexample_cover(res.get("base", _num, 4), res.get("terms", _num, 10))
+        rep = verify.counterexample_cover(res.get("base", _num, 4), res.get("terms", _num, 10))
     elif theorem == "union-dense":
         raw = res.get("supports", str)
         if not raw:
             raise DslSyntaxError("verify union-dense needs --supports", 0, "prime sets")
         sups = [_int_list(part) for part in raw.split(";") if part.strip()]
-        rep = union_dense_check(sups, family_flag=res.get("family_flag", _bool, False))
+        rep = verify.union_dense_check(sups, family_flag=res.get("family_flag", _bool, False))
     else:
         rep = _axioms_report(res, seed)
 
@@ -399,7 +384,8 @@ def _cmd_verify(res: _Resolver) -> int:
     cfg.validate()
     _emit({"report": rep.to_json(),
            "csv": f"theorem,verdict\n{rep.theorem},{rep.verdict}\n"}, cfg, fmt)
-    return _verdict_exit(rep.verdict)
+    return {analytic.PASS: EXIT_OK, analytic.FAIL: EXIT_FAIL,
+            analytic.INCONCLUSIVE: EXIT_INCONCLUSIVE}[rep.verdict]
 
 
 # sn limit names of the setdsl sequences
@@ -411,6 +397,8 @@ _SN_SEQUENCES = {
 
 
 def _cmd_sn(res: _Resolver) -> int:
+    from . import supernatural as sn
+
     op = res.get("sn_op", str)
     fmt = res.get("output", str, "json")
     cfg = RunConfig(command="sn", output=fmt, seed=res.get("seed", _num, 0),
@@ -432,7 +420,9 @@ def _cmd_sn(res: _Resolver) -> int:
     terms = res.get("terms", _num, 30)
     pmax = res.get("pmax", _num, 7)
     window = res.get("window", _num, 5)
-    seq = list(islice(sequence_terms(_SN_SEQUENCES[name]), max(terms, 0)))
+    from . import setdsl
+
+    seq = list(islice(setdsl.sequence_terms(_SN_SEQUENCES[name]), max(terms, 0)))
     prof = sn.limit_profile(seq, pmax, window)
     rows = ["prime,last_valuation,status"]
     table = {}

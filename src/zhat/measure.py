@@ -412,8 +412,9 @@ def _chunk_power_sums(blocks, ss: list[float], tally: _Tally):
     yields (k0, chunk, sums) for every chunk with a nonzero cell, chunk[i]
     holding k0 + i and sums[j] its numpy sum of (weight times) k^(-ss[j]),
     and adds what it read to tally. A chunk's nonzero indices are
-    converted once and raised to every s in one reused buffer."""
-    buf = np.empty(_BLOCK)
+    converted once and raised to every s in one buffer, grown to the
+    largest chunk read and reused across the pass."""
+    buf = np.empty(0)
     for base, table in blocks:
         tally.weighted = tally.weighted or table.dtype != np.bool_
         for lo in range(max(0, 1 - base), table.size, _BLOCK):
@@ -431,6 +432,8 @@ def _chunk_power_sums(blocks, ss: list[float], tally: _Tally):
                 tally.mass += float(w.sum())
             k = idx.astype(np.float64)
             k += base + lo
+            if buf.size < k.size:
+                buf = np.empty(chunk.size)
             out = buf[:k.size]
             sums = []
             for s in ss:

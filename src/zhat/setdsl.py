@@ -33,7 +33,16 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import _primes
-from ._primes import _mark_classes, _segments
+# the exception classes live at the numpy-free bottom of the import graph
+from ._primes import (
+    BudgetExceeded,
+    DimensionMismatch,
+    DslError,
+    DslSyntaxError,
+    DslValueError,
+    _mark_classes,
+    _segments,
+)
 
 EXACT = "exact"
 TRUNCATED = "truncated"
@@ -44,32 +53,6 @@ ASSUMES_DIRICHLET = "assumes-dirichlet"
 # box table may hold
 RESIDUE_BUDGET = 10**8
 BOX_BUDGET = 2 * 10**8
-
-
-class DslError(Exception):
-    pass
-
-
-class DslSyntaxError(DslError):
-    def __init__(self, message: str, pos: int, expected: tuple[str, ...] = ()):
-        detail = f"syntax error at position {pos}: {message}"
-        if expected:
-            detail += f" (expected {', '.join(expected)})"
-        super().__init__(detail)
-        self.pos = pos
-        self.expected = expected
-
-
-class DslValueError(DslError, ValueError):
-    pass
-
-
-class DimensionMismatch(DslValueError):
-    pass
-
-
-class BudgetExceeded(DslError):
-    pass
 
 
 class ModeError(DslError):
@@ -768,7 +751,10 @@ class CompiledSet:
         if self.mode == EXACT:
             mask = _exact_mask(self.expr, m, self.dim)
             return ResidueImage(m, self.dim, mask, EXACT, None, self.assumptions)
-        n = truncation if truncation is not None else max(m, 10**6)
+        # by default the largest box of at most 10^6 cells: [1, 10^6], or
+        # [-n, n]^dim above
+        n = truncation if truncation is not None else max(
+            m, 10**6 if self.dim == 1 else (_primes._iroot(10**6, self.dim) - 1) // 2)
         if n < m:
             raise DslValueError(f"truncation bound {n} < modulus {m}")
         return ResidueImage(m, self.dim, _table_image(*self.box(n), m), TRUNCATED, n, self.assumptions)

@@ -145,6 +145,17 @@ def test_prime_level_measures_state_the_dirichlet_assumption(args, notes, capsys
     assert not any("Dirichlet" in n for n in notes(json.loads(capsys.readouterr().out)))
 
 
+def test_buck_in_dimension_two_reads_the_default_box(capsys):
+    # the default box [-10^6, 10^6]^2 was over the box budget: exit 3, no stdout
+    args = ["density", "--set", "coprime(2)", "--method", "buck", "--chain", "primorial",
+            "--level-cutoff", "1000"]
+    assert cli.main(args) == 0
+    report = json.loads(capsys.readouterr().out)["reports"]["buck"]
+    assert report["grid"] == [2, 6, 30, 210]
+    assert cli.main(args + ["--N", "499"]) == 0
+    assert json.loads(capsys.readouterr().out)["reports"]["buck"] == report
+
+
 def test_measure_euler_bracket():
     payload = run_json("measure", "--euler", "1-1/p^2", "--cutoff", "1e4")
     lo, hi = payload["bracket"]["lo"], payload["bracket"]["hi"]

@@ -6,17 +6,20 @@ Pollard-Brent; products of known primes and known strong pseudoprimes
 check those paths.
 """
 
+import contextlib
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zhat
 from zhat import _primes, setdsl
 from zhat._primes import factorize, is_prime
 from zhat.setdsl import BudgetExceeded
 
 SIEVE_N = 2 * 10**5
+TRIAL_N = 1 << 21
 
 
 def test_is_prime_and_factorize_match_the_sieve():
@@ -90,3 +93,43 @@ def test_sieve_past_the_box_budget_raises_before_sieving(monkeypatch):
     _primes.primes_upto(700)  # would double to 1200
     assert _primes._SIEVE_BOUND == 1000
     assert _primes.primes_upto(1000)[-1] == 997
+
+
+@contextlib.contextmanager
+def fresh_cache():
+    """The shared sieve emptied for the body and restored after it."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_SIEVE_BOUND", "_PRIMES"):
+            mp.setattr(_primes, name, getattr(_primes, name))
+        mp.setattr(_primes, "_SIEVE_BOUND", 0)
+        yield
+
+
+def test_primes_without_the_sieve_match_the_sieve():
+    # on a fresh cache is_prime and factorize divide by the pure-Python
+    # primes below 2^10 only, which proves primality below 2^20 (the strong
+    # test decides above), and grow no sieve; the sieve's table is their
+    # oracle for every n < 2^21
+    with fresh_cache():
+        trial = list(map(is_prime, range(TRIAL_N)))
+        for k, fac in enumerate(map(factorize, range(1, TRIAL_N)), 1):
+            assert math.prod(p**e for p, e in fac.items()) == k and all(trial[p] for p in fac), k
+        assert _primes._SIEVE_BOUND == 0
+        assert trial == _primes._prime_segment(0, TRIAL_N - 1).tolist()
+        assert _primes._SMALL_PRIMES == _primes.primes_upto(_primes._TRIAL_BOUND).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.integers(-2, TRIAL_N), st.integers(1, 2**64)))
+def test_large_primes_without_the_sieve_match_the_sieve(n):
+    with fresh_cache():
+        trial = is_prime(n), factorize(n) if n else None
+        assert _primes._SIEVE_BOUND == 0
+    _primes.primes_upto(TRIAL_N)  # the shared sieve, past every n below TRIAL_N
+    assert (is_prime(n), factorize(n) if n else None) == trial
+
+
+@pytest.mark.parametrize("name", ["DslError", "DslSyntaxError", "DslValueError",
+                                  "DimensionMismatch", "BudgetExceeded"])
+def test_exception_classes_are_one_object_in_every_namespace(name):
+    assert getattr(setdsl, name) is getattr(_primes, name) is getattr(zhat, name)

@@ -242,6 +242,16 @@ def test_residue_image_pinned_examples():
     assert "assumes-dirichlet" in img.assumptions
 
 
+@pytest.mark.parametrize("text, radius", [
+    ("seq(factorials)", 10**6), ("!coprime(2)", 499), ("!coprime(3)", 49),
+])
+def test_default_truncation_box_has_at_most_a_million_cells(text, radius):
+    # [1, 10^6] in dimension 1; above, the largest [-n, n]^dim of at most
+    # 10^6 cells (999^2, 99^3), where [-10^6, 10^6]^dim would be over the
+    # box budget
+    assert compile_set(text).residue_image(6).truncation == radius
+
+
 def test_residue_image_matches_enumeration():
     for text, pred in [
         ("kfree(2)", is_squarefree),
