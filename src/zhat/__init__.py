@@ -21,7 +21,9 @@ _EXPORTS = {
     ), "supernatural"),
     **dict.fromkeys((
         "BudgetExceeded", "DimensionMismatch", "DslError", "DslSyntaxError", "DslValueError",
+        "FAIL", "INCONCLUSIVE", "PASS",
     ), "_primes"),
+    **dict.fromkeys(("multiples_measure_ie", "multiples_measure_prefixes"), "_ie"),
     **dict.fromkeys((
         "EXACT", "TRUNCATED", "CompiledSet", "Polynomial", "ResidueImage",
         "compile_set", "crt_split", "parse", "to_text",
@@ -29,10 +31,10 @@ _EXPORTS = {
     **dict.fromkeys((
         "Bracket", "ChainError", "LevelMeasure", "MeasureTrace", "ModulusChain",
         "closure_measure_trace", "euler_product", "haar_ideal", "masked_power_sums",
-        "multiples_measure_ie", "multiples_measure_prefixes", "zeta_bracket", "zeta_partial",
+        "zeta_bracket", "zeta_partial",
     ), "measure"),
     **dict.fromkeys((
-        "FAIL", "INCONCLUSIVE", "PASS", "DirichletTruncation",
+        "DirichletTruncation",
         "de_delta_bracket", "de_delta_exact", "de_delta_table", "delta_ratio",
         "dlog_zeta_check", "vm_identity_check", "vm_identity_scan",
         "von_mangoldt", "zeta_set", "zeta_sets",

@@ -1,18 +1,20 @@
-"""Shared sieve and factorization utilities, and the exception classes
-of the set language.
+"""Shared sieve and factorization utilities, the named integer
+sequences, and the exception classes and verdicts of the set language.
 
 A single module-level cache, the sorted primes up to a bound, is grown on
 demand and read-only afterwards, so every consumer shares one array. Only
-the sieve needs numpy and imports it: primality and factorization run on
-a pure-Python table of the primes below 2^10, so the bottom of the import
-graph loads no numpy.
+the sieve needs numpy and imports it: primality, factorization and the
+first primes run on a pure-Python table of the primes below 2^10, so the
+bottom of the import graph loads no numpy.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Iterator
+import operator
+from itertools import accumulate, count, takewhile
+from typing import TYPE_CHECKING, Callable, Iterator
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,6 +44,16 @@ class DimensionMismatch(DslValueError):
 
 class BudgetExceeded(DslError):
     pass
+
+
+# the three verdicts of a verification report
+PASS = "PASS"
+FAIL = "FAIL"
+INCONCLUSIVE = "INCONCLUSIVE"
+
+# most cells one box table may hold, and the largest bound the shared sieve
+# grows to
+BOX_BUDGET = 2 * 10**8
 
 
 # primes below this divide out by trial; a cofactor without such a factor
@@ -140,8 +152,6 @@ def _ensure_sieve(n: int) -> None:
     if n <= _SIEVE_BOUND:
         return
     import numpy as np
-
-    from .setdsl import BOX_BUDGET  # setdsl imports this module
 
     if n > BOX_BUDGET:
         raise BudgetExceeded(f"sieve up to {n} exceeds box budget {BOX_BUDGET}")
@@ -340,12 +350,45 @@ def prime_powers_of(m: int) -> list[tuple[int, int, int]]:
 
 
 def iter_primes() -> Iterator[int]:
-    """Unbounded prime iterator (grows the shared sieve as needed)."""
+    """Unbounded prime iterator: the primes below 2^10 from the pure-Python
+    table, which needs no sieve, then the shared sieve, grown as needed."""
+    yield from _SMALL_PRIMES
     bound = 1 << 12
-    idx = 0
+    idx = len(_SMALL_PRIMES)
     while True:
         _ensure_sieve(bound)
         while idx < len(_PRIMES):
             yield int(_PRIMES[idx])
             idx += 1
         bound *= 2
+
+
+# ------------------------------------------------------------- sequences
+
+def sequence_terms(name: str) -> Iterator[int]:
+    """The terms of a named sequence, ascending."""
+    return _SEQUENCES[name]()
+
+
+def _sequence_upto(name: str, n: int) -> list[int]:
+    return list(takewhile(lambda v: v <= n, _SEQUENCES[name]()))
+
+
+def _factorials() -> Iterator[int]:
+    return accumulate(count(1), operator.mul)
+
+
+def _factorial_shift() -> Iterator[int]:
+    return (f + k for k, f in enumerate(_factorials(), 1))
+
+
+def _primorials() -> Iterator[int]:
+    return accumulate(iter_primes(), operator.mul)
+
+
+# each callable returns a fresh iterator over the terms in ascending order
+_SEQUENCES: dict[str, Callable[[], Iterator[int]]] = {
+    "factorial_shift": _factorial_shift,
+    "factorials": _factorials,
+    "primorials": _primorials,
+}

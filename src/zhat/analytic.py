@@ -16,7 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _primes
-from ._primes import _iroot
+from ._ie import _ie_groups, multiples_measure_ie
+from ._primes import FAIL, INCONCLUSIVE, PASS, _iroot
 from .measure import (
     _LIB_UNITS,
     Bracket,
@@ -25,15 +26,10 @@ from .measure import (
     _tail_integral,
     _up,
     masked_power_sums,
-    multiples_measure_ie,
     zeta_bracket,
     zeta_partial,
 )
-from .setdsl import CompiledSet, DslValueError, _ie_groups
-
-PASS = "PASS"
-FAIL = "FAIL"
-INCONCLUSIVE = "INCONCLUSIVE"
+from .setdsl import CompiledSet, DslValueError
 
 
 # ------------------------------------------------------------- truncations

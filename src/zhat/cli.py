@@ -14,38 +14,49 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import islice
 
-# each handler imports the modules it runs, leaf first: the sn commands
-# load no numpy, and no module compiles while another is half imported
-from ._primes import BudgetExceeded, DslError, DslSyntaxError
+# each handler imports the modules it runs, leaf first: the sn commands,
+# measure --multiples and verify omega and union-dense load no numpy, and
+# no module compiles while another is half imported
+from ._primes import FAIL, INCONCLUSIVE, PASS, BudgetExceeded, DslError, DslSyntaxError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-THEOREM_IDS = (
-    "davenport-erdos", "dirichlet", "omega", "eulerian", "asdmltp",
-    "poonen-stoll", "mt", "counterexample", "union-dense", "axioms",
-)
+# each theorem id and the layers its harness runs, imported leaf first
+# before verify: omega and union-dense run on _primes alone, and the
+# harnesses that estimate densities import density themselves
+THEOREM_LAYERS = {
+    "davenport-erdos": ("setdsl", "measure", "analytic"),
+    "dirichlet": ("setdsl",),
+    "omega": (),
+    "eulerian": ("setdsl",),
+    "asdmltp": ("setdsl", "measure", "analytic"),
+    "poonen-stoll": ("setdsl", "measure", "analytic"),
+    "mt": ("setdsl", "measure"),
+    "counterexample": ("setdsl",),
+    "union-dense": (),
+    "axioms": ("setdsl", "measure", "analytic"),
+}
+THEOREM_IDS = tuple(THEOREM_LAYERS)
 
 
-@dataclass
 class RunConfig:
-    """Effective parameters of one invocation, echoed into every output."""
+    """Effective parameters of one invocation, echoed into every output. A
+    plain class: a dataclass would import dataclasses and inspect, about
+    10 ms, on every command."""
 
-    command: str
-    set_text: str | None = None
-    truncation: int | None = None
-    r_max: int | None = None
-    prime_bound: int | None = None
-    chain: str | None = None
-    output: str = "json"
-    seed: int = 0
-    extra: dict | None = None
+    def __init__(self, command: str, set_text: str | None = None,
+                 truncation: int | None = None, r_max: int | None = None,
+                 prime_bound: int | None = None, chain: str | None = None,
+                 output: str = "json", seed: int = 0, extra: dict | None = None):
+        self.command, self.set_text, self.truncation = command, set_text, truncation
+        self.r_max, self.prime_bound, self.chain = r_max, prime_bound, chain
+        self.output, self.seed, self.extra = output, seed, extra
 
     def validate(self) -> None:
         for name in ("truncation", "r_max", "prime_bound"):
@@ -54,7 +65,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive, got {v}")
 
     def to_json(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def _num(text: str) -> int:
@@ -183,12 +194,22 @@ def _render(v) -> str:
 # ------------------------------------------------------------- subcommands
 
 
+def _import_leaf_first(*layers: str) -> None:
+    """Import the named zhat modules in this order, each after the modules
+    it imports: no module compiles while another is half imported."""
+    from importlib import import_module
+
+    for layer in layers:
+        import_module(f".{layer}", __package__)
+
+
 def _cmd_density(res: _Resolver) -> int:
-    from . import setdsl, measure, analytic, density
+    _import_leaf_first("setdsl", "measure", "analytic")
+    from . import setdsl, density
 
     set_text = res.get("set", str)
     if not set_text:
-        raise DslSyntaxError("density needs --set", 0, "set expression")
+        raise DslSyntaxError("density needs --set", 0, ("set expression",))
     method = res.get("method", str, "asymptotic")
     r_max = res.get("r", _num, 10**6)
     cutoff = res.get("cutoff", _num, 10**5)
@@ -233,20 +254,22 @@ def _cmd_density(res: _Resolver) -> int:
 
 
 def _cmd_measure(res: _Resolver) -> int:
-    from . import setdsl, measure
-
     fmt = res.get("output", str, "json")
     seed = res.get("seed", _num, 0)
     multiples = res.get("multiples", _int_list)
     euler = res.get("euler", str)
     if multiples:
+        from ._ie import multiples_measure_ie
+
         cfg = RunConfig(command="measure", output=fmt, seed=seed,
                         extra={"multiples": multiples})
         cfg.validate()
-        v = measure.multiples_measure_ie(multiples)
+        v = multiples_measure_ie(multiples)
         _emit({"measure": _fraction_json(v), "certified": True,
                "csv": f"measure\n{v.numerator}/{v.denominator}\n"}, cfg, fmt)
         return EXIT_OK
+    from . import setdsl, measure
+
     if euler:
         cutoff = res.get("cutoff", _num, 10**4)
         cfg = RunConfig(command="measure", prime_bound=cutoff, output=fmt, seed=seed,
@@ -259,7 +282,7 @@ def _cmd_measure(res: _Resolver) -> int:
         return EXIT_OK
     set_text = res.get("set", str)
     if not set_text:
-        raise DslSyntaxError("measure needs --set, --multiples or --euler", 0, "input")
+        raise DslSyntaxError("measure needs --set, --multiples or --euler", 0, ("input",))
     chain_text = res.get("chain", str, "primorial")
     level_cap = res.get("levels", _num, 10)
     cutoff = res.get("cutoff", _num, 10**6)
@@ -289,7 +312,7 @@ def _cmd_measure(res: _Resolver) -> int:
 
 
 def _axioms_report(res: _Resolver, seed: int):
-    from . import analytic, density, verify
+    from . import density, verify
 
     cases = res.get("cases", _num, 100)
     pair = res.get("pair", str, "exact")
@@ -302,7 +325,7 @@ def _axioms_report(res: _Resolver, seed: int):
     else:
         ok = failing == ["ideal-scaling"]
         expect = "all axioms except ideal-scaling hold"
-    verdict = analytic.PASS if ok else analytic.FAIL
+    verdict = PASS if ok else FAIL
     quantities = suite.to_json()
     narrative = [f"{cases} random periodic sets, pair={pair}; expected: {expect}"]
     if failing:
@@ -312,13 +335,14 @@ def _axioms_report(res: _Resolver, seed: int):
 
 
 def _cmd_verify(res: _Resolver) -> int:
-    from . import setdsl, measure, analytic, verify
-
     theorem = res.get("theorem", str)
     if theorem not in THEOREM_IDS:
         raise ValueError(
             f"unknown theorem id {theorem!r}; valid ids: {', '.join(THEOREM_IDS)}"
         )
+    _import_leaf_first(*THEOREM_LAYERS[theorem])
+    from . import verify
+
     fmt = res.get("output", str, "json")
     seed = res.get("seed", _num, 0)
 
@@ -344,8 +368,10 @@ def _cmd_verify(res: _Resolver) -> int:
     elif theorem == "eulerian":
         set_text = res.get("set", str)
         if not set_text:
-            raise DslSyntaxError("verify eulerian needs --set", 0, "set expression")
-        rep = verify.eulerian_check(setdsl.compile_set(set_text),
+            raise DslSyntaxError("verify eulerian needs --set", 0, ("set expression",))
+        from .setdsl import compile_set
+
+        rep = verify.eulerian_check(compile_set(set_text),
                                     res.get("mlist", _int_list, [12]),
                                     expect=res.get("expect", str, "product"))
     elif theorem == "asdmltp":
@@ -361,8 +387,10 @@ def _cmd_verify(res: _Resolver) -> int:
     elif theorem == "mt":
         set_text = res.get("set", str)
         if not set_text:
-            raise DslSyntaxError("verify mt needs --set", 0, "set expression")
-        rep = verify.mt_criterion(setdsl.compile_set(set_text),
+            raise DslSyntaxError("verify mt needs --set", 0, ("set expression",))
+        from .setdsl import compile_set
+
+        rep = verify.mt_criterion(compile_set(set_text),
                                   _parse_chain(res.get("chain", str, "primorial")),
                                   res.get("cutoff", _num, 10**4),
                                   r_max=res.get("rmax", _num, 10**6),
@@ -373,7 +401,7 @@ def _cmd_verify(res: _Resolver) -> int:
     elif theorem == "union-dense":
         raw = res.get("supports", str)
         if not raw:
-            raise DslSyntaxError("verify union-dense needs --supports", 0, "prime sets")
+            raise DslSyntaxError("verify union-dense needs --supports", 0, ("prime sets",))
         sups = [_int_list(part) for part in raw.split(";") if part.strip()]
         rep = verify.union_dense_check(sups, family_flag=res.get("family_flag", _bool, False))
     else:
@@ -384,11 +412,10 @@ def _cmd_verify(res: _Resolver) -> int:
     cfg.validate()
     _emit({"report": rep.to_json(),
            "csv": f"theorem,verdict\n{rep.theorem},{rep.verdict}\n"}, cfg, fmt)
-    return {analytic.PASS: EXIT_OK, analytic.FAIL: EXIT_FAIL,
-            analytic.INCONCLUSIVE: EXIT_INCONCLUSIVE}[rep.verdict]
+    return {PASS: EXIT_OK, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}[rep.verdict]
 
 
-# sn limit names of the setdsl sequences
+# sn limit names of the named sequences
 _SN_SEQUENCES = {
     "factorial": "factorials",
     "factorial_shift": "factorial_shift",
@@ -420,9 +447,9 @@ def _cmd_sn(res: _Resolver) -> int:
     terms = res.get("terms", _num, 30)
     pmax = res.get("pmax", _num, 7)
     window = res.get("window", _num, 5)
-    from . import setdsl
+    from ._primes import sequence_terms
 
-    seq = list(islice(setdsl.sequence_terms(_SN_SEQUENCES[name]), max(terms, 0)))
+    seq = list(islice(sequence_terms(_SN_SEQUENCES[name]), max(terms, 0)))
     prof = sn.limit_profile(seq, pmax, window)
     rows = ["prime,last_valuation,status"]
     table = {}

@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import measure
+from ._ie import _ie_coefficients
 from .analytic import zeta_sets
 from .measure import ModulusChain, closure_measure_trace, masked_power_sums, zeta_partial
 from .setdsl import (
@@ -33,7 +34,6 @@ from .setdsl import (
     DslValueError,
     FiniteSet,
     Union,
-    _ie_coefficients,
     compile_set,
 )
 

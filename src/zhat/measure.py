@@ -19,6 +19,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import _primes
+# the inclusion-exclusion measures live in the numpy-free _ie; measure
+# re-exports them, where perfbench/trace_runner.py and callers name them
+from ._ie import multiples_measure_ie, multiples_measure_prefixes
 from .setdsl import (
     ASSUMES_DIRICHLET,
     EXACT,
@@ -26,9 +29,13 @@ from .setdsl import (
     BudgetExceeded,
     CompiledSet,
     DslValueError,
-    _ie_measure,
-    _ie_prefix_measures,
 )
+
+__all__ = [
+    "Bracket", "ChainError", "LevelMeasure", "MeasureTrace", "ModulusChain",
+    "closure_measure_trace", "euler_product", "haar_ideal", "masked_power_sums",
+    "multiples_measure_ie", "multiples_measure_prefixes", "zeta_bracket", "zeta_partial",
+]
 
 # Float brackets carry a-priori rounding bounds in the style of Higham,
 # "Accuracy and Stability of Numerical Algorithms" (2002), ch. 3-4: a value
@@ -263,30 +270,6 @@ def closure_measure_trace(cset: CompiledSet, chain: ModulusChain, cutoff: int,
         notes.append("ASSUMES Dirichlet's theorem: the exact images count every unit class "
                      "mod m as holding a prime")
     return MeasureTrace(chain, cset.dim, tuple(records), cset.mode, tuple(notes))
-
-
-def _positive_moduli(moduli) -> tuple[int, ...]:
-    mods = tuple(moduli)
-    if not mods:
-        raise DslValueError("need at least one modulus")
-    if any(a < 1 for a in mods):
-        raise DslValueError("moduli must be positive")
-    return mods
-
-
-def multiples_measure_ie(moduli, dim: int = 1) -> Fraction:
-    """Exact measure of the closure of the complement of a finite union of
-    multiple-sets, by inclusion-exclusion: sum over subsets J of
-    (-1)^|J| / lcm(J)^dim, the empty subset contributing 1."""
-    return _ie_measure(_positive_moduli(moduli), dim)
-
-
-def multiples_measure_prefixes(moduli, dim: int = 1) -> list[Fraction]:
-    """multiples_measure_ie of moduli[:1], moduli[:2], ..., built one
-    coprime-group update per modulus instead of one kernel call each."""
-    prefixes = _ie_prefix_measures(_positive_moduli(moduli), dim)
-    next(prefixes)  # the empty family
-    return [Fraction(num, den) for num, den in prefixes]
 
 
 def euler_product(local_factor: str, prime_cutoff: int) -> Bracket:

@@ -23,12 +23,10 @@ powers.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, takewhile
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -43,16 +41,16 @@ from ._primes import (
     _mark_classes,
     _segments,
 )
+from ._ie import _ie_measure
 
 EXACT = "exact"
 TRUNCATED = "truncated"
 
 ASSUMES_DIRICHLET = "assumes-dirichlet"
 
-# most classes m^dim one residue image may enumerate, and most cells one
-# box table may hold
+# most classes m^dim one residue image may enumerate; the most cells one
+# box table may hold is _primes.BOX_BUDGET, the sieve's budget too
 RESIDUE_BUDGET = 10**8
-BOX_BUDGET = 2 * 10**8
 
 
 class ModeError(DslError):
@@ -283,37 +281,6 @@ def expr_dim(expr: SetExpr) -> int:
     """Resolved dimension (flexible nodes default to 1)."""
     d = expr.dim_spec()
     return 1 if d is None else d
-
-
-# ------------------------------------------------------------- sequences
-
-def sequence_terms(name: str) -> Iterator[int]:
-    """The terms of a named sequence, ascending."""
-    return _SEQUENCES[name]()
-
-
-def _sequence_upto(name: str, n: int) -> list[int]:
-    return list(takewhile(lambda v: v <= n, _SEQUENCES[name]()))
-
-
-def _factorials() -> Iterator[int]:
-    return accumulate(count(1), operator.mul)
-
-
-def _factorial_shift() -> Iterator[int]:
-    return (f + k for k, f in enumerate(_factorials(), 1))
-
-
-def _primorials() -> Iterator[int]:
-    return accumulate(_primes.iter_primes(), operator.mul)
-
-
-# each callable returns a fresh iterator over the terms in ascending order
-_SEQUENCES: dict[str, Callable[[], Iterator[int]]] = {
-    "factorial_shift": _factorial_shift,
-    "factorials": _factorials,
-    "primorials": _primorials,
-}
 
 
 # ------------------------------------------------------------- tokenizer
@@ -697,9 +664,10 @@ class CompiledSet:
         where it is the max-norm ball [-n, n]^dim."""
         lo = 1 if self.dim == 1 else -n
         cells = (n - lo + 1) ** self.dim
-        if cells > BOX_BUDGET:
+        if cells > _primes.BOX_BUDGET:
             raise BudgetExceeded(
-                f"box [{lo},{n}]^{self.dim} has {cells} cells, over the box budget {BOX_BUDGET}"
+                f"box [{lo},{n}]^{self.dim} has {cells} cells, "
+                f"over the box budget {_primes.BOX_BUDGET}"
             )
         return lo
 
@@ -811,9 +779,9 @@ def compile_set(expr: SetExpr | str) -> CompiledSet:
 
 
 def _check_sequences(expr: SetExpr) -> None:
-    if isinstance(expr, Seq) and expr.name not in _SEQUENCES:
+    if isinstance(expr, Seq) and expr.name not in _primes._SEQUENCES:
         raise DslValueError(
-            f"unknown sequence {expr.name!r}; registered: {', '.join(sorted(_SEQUENCES))}"
+            f"unknown sequence {expr.name!r}; registered: {', '.join(sorted(_primes._SEQUENCES))}"
         )
     for c in expr.children():
         _check_sequences(c)
@@ -856,7 +824,7 @@ def _contains(expr: SetExpr, x: tuple[int, ...]) -> bool:
         return v == expr.d
     if isinstance(expr, Seq):
         v = x[0]
-        return v > 0 and v in _sequence_upto(expr.name, v)
+        return v > 0 and v in _primes._sequence_upto(expr.name, v)
     if isinstance(expr, FiniteSet):
         return x[0] in expr.values
     if isinstance(expr, Union):
@@ -973,7 +941,7 @@ def _sparse_values(expr: SetExpr, lo: int, hi: int) -> np.ndarray:
     if isinstance(expr, Coprime):  # dimension 1: gcd(x) = |x|
         values = (-1, 1)
     elif isinstance(expr, Seq):
-        values = _sequence_upto(expr.name, hi)
+        values = _primes._sequence_upto(expr.name, hi)
     elif isinstance(expr, FiniteSet):
         values = expr.values
     else:
@@ -1125,113 +1093,6 @@ def _powmod(base: np.ndarray, e: int, q: int) -> np.ndarray:
         if e:
             base = base * base % q
     return out
-
-
-# ------------------------------------------------------------- inclusion-exclusion
-
-# most distinct-lcm terms one kernel call may hold: as many as 20 moduli
-# have subsets
-IE_TERM_BUDGET = 2**20
-
-
-def _ie_coefficients(moduli, bound: int | None = None) -> dict[int, int]:
-    """Inclusion-exclusion over the subsets J of the moduli, collected per
-    distinct lcm: {l: c} with c the sum of (-1)^|J| over the J with
-    lcm(J) = l, zero coefficients dropped. Then the sum over subsets of
-    (-1)^|J| f(lcm J) is the sum of c * f(l). Moduli fold in one at a
-    time. With a bound, lcms above it are dropped as they appear; their
-    later multiples would exceed it too."""
-    coeffs = {1: 1}
-    for a in moduli:
-        coeffs = _ie_fold(coeffs, a, bound, len(moduli))
-    return coeffs
-
-
-def _ie_fold(coeffs: dict[int, int], a: int, bound: int | None, family_size: int) -> dict[int, int]:
-    """The coefficients with one more modulus a: each term l gains the
-    term lcm(l, a) with the opposite sign. Raises BudgetExceeded as soon
-    as the new dict holds more than IE_TERM_BUDGET terms; family_size only
-    goes into the message."""
-    nxt = dict(coeffs)
-    for l, c in coeffs.items():
-        k = math.lcm(l, a)
-        if bound is not None and k > bound:
-            continue
-        v = nxt.get(k, 0) - c
-        if v:
-            nxt[k] = v
-            if len(nxt) > IE_TERM_BUDGET:
-                raise _ie_over_budget(family_size)
-        else:
-            del nxt[k]
-    return nxt
-
-
-def _ie_over_budget(family_size: int) -> BudgetExceeded:
-    return BudgetExceeded(f"inclusion-exclusion over {family_size} moduli needs more than "
-                          f"{IE_TERM_BUDGET} distinct lcm terms")
-
-
-def _ie_join(groups: dict[int, dict[int, int]], a: int, family_size: int) -> list[int]:
-    """Add the modulus a to the coprime groups {group lcm: _ie_coefficients
-    of the group's moduli}, in place, and return the lcms of the groups it
-    merged: those whose lcm shares a prime with a (the group keyed 1 takes
-    every modulus 1). Moduli in different groups are coprime, so a subset's
-    lcm is the product of its parts' lcms and the merged coefficient dicts
-    convolve, l*l' taking c*c', with no two products equal. Then a folds
-    in and the new group goes last, after the groups that keep their
-    places. A sum over subsets of a term multiplicative in the lcm is the
-    product of one sum per group. Raises BudgetExceeded before a
-    convolution of more than IE_TERM_BUDGET terms."""
-    merged = [top for top in groups if math.gcd(top, a) > 1 or top == a]
-    coeffs = {1: 1}
-    for top in merged:
-        part = groups.pop(top)
-        if len(coeffs) * len(part) > IE_TERM_BUDGET:
-            raise _ie_over_budget(family_size)
-        coeffs = {l * k: c * d for l, c in coeffs.items() for k, d in part.items()}
-    groups[math.lcm(a, *merged)] = _ie_fold(coeffs, a, None, family_size)
-    return merged
-
-
-def _ie_groups(moduli) -> dict[int, dict[int, int]]:
-    """The coprime groups of the moduli, built by _ie_join one modulus at a
-    time: {group lcm: inclusion-exclusion coefficients of its moduli}."""
-    groups: dict[int, dict[int, int]] = {}
-    for a in moduli:
-        _ie_join(groups, a, len(moduli))
-    return groups
-
-
-def _ie_measure(moduli, dim: int = 1) -> Fraction:
-    """Sum over subsets J of the moduli of (-1)^|J| / lcm(J)^dim: the Haar
-    measure of the closure of the integers (in dimension dim) that are
-    multiples of none of them. Exact, one factor per coprime group."""
-    *_, (num, den) = _ie_prefix_measures(moduli, dim)
-    return Fraction(num, den)
-
-
-def _ie_prefix_measures(moduli, dim: int = 1) -> Iterator[tuple[int, int]]:
-    """(numerator, denominator) of _ie_measure for every prefix of the
-    moduli, the empty one first, at one _ie_join per modulus: the running
-    product swaps the merged groups' factors for the new group's. The only
-    zero factor is the group keyed 1's, which merges with nothing but
-    moduli 1; it stays out of the running product, so the exact divisions
-    never meet a zero, and every prefix holding a 1 measures 0."""
-    groups: dict[int, dict[int, int]] = {}
-    factors: dict[int, int] = {}  # numerator of each group's factor, but the group keyed 1
-    num, den = 1, 1
-    yield num, den
-    for a in moduli:
-        for top in _ie_join(groups, a, len(moduli)):
-            num //= factors.pop(top, 1)
-            den //= top**dim
-        top, coeffs = next(reversed(groups.items()))
-        if top > 1:
-            factors[top] = sum(c * (top // l) ** dim for l, c in coeffs.items())
-            num *= factors[top]
-        den *= top**dim
-        yield (0 if 1 in groups else num), den
 
 
 def _exact_count(expr: SetExpr, m: int, dim: int) -> int | None:

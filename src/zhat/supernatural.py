@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Iterable, Mapping, Sequence
 
 from . import _primes
@@ -149,6 +150,11 @@ def parse_supernatural(text: str) -> SupernaturalNumber:
 
 # ----------------------------------------------------------- limit profiles
 
+# most primes one profile lists: a listed prime costs about 2 KB of peak
+# RSS (its trajectory, its report row and its JSON), so the report stays
+# near 200 MB
+PROFILE_PRIME_BUDGET = 10**5
+
 STABILIZED = "stabilized"
 DIVERGING = "diverging"
 INCONCLUSIVE = "inconclusive"
@@ -174,12 +180,19 @@ def limit_profile(seq: Sequence[int] | Iterable[int], prime_bound: int, window: 
     with stabilization/divergence flags judged on the last ``window`` terms."""
     if prime_bound < 1 or window < 1:
         raise ValueError("prime bound and window must be >= 1")
+    # pi(x) < 1.25506 x / log x for x > 1 (Rosser and Schoenfeld, Illinois
+    # J. Math. 6, 1962, Corollary 1): checked before a prime is listed
+    if prime_bound > 1 and prime_bound > PROFILE_PRIME_BUDGET * math.log(prime_bound) / 1.25506:
+        raise _primes.BudgetExceeded(
+            f"primes up to {prime_bound} may number more than the profile budget "
+            f"{PROFILE_PRIME_BUDGET}"
+        )
     terms = [int(x) for x in seq]
     if not terms:
         raise ValueError("empty sequence")
     if any(x == 0 for x in terms):
         raise ValueError("sequence terms must be nonzero")
-    primes = [int(p) for p in _primes.primes_upto(prime_bound)]
+    primes = list(takewhile(lambda p: p <= prime_bound, _primes.iter_primes()))
     valuations: dict[int, tuple[int, ...]] = {}
     status: dict[int, str] = {}
     k = min(window, len(terms))

@@ -11,36 +11,20 @@ tolerance.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-
-import numpy as np
+from itertools import combinations, islice, takewhile
+from typing import TYPE_CHECKING
 
 from . import _primes
-# density and the Davenport-Erdos series values are imported by the three
-# harnesses that run them: the other harnesses do not load density
-from .analytic import FAIL, INCONCLUSIVE, PASS
-from .measure import (
-    Bracket,
-    ModulusChain,
-    euler_product,
-    multiples_measure_ie,
-    multiples_measure_prefixes,
-)
-from .setdsl import (
-    EXACT,
-    RESIDUE_BUDGET,
-    BudgetExceeded,
-    CompiledSet,
-    Complement,
-    DslValueError,
-    Multiples,
-    _table_image,
-    compile_set,
-    crt_split,
-    to_text,
-)
+# each harness imports the numpy and set layers it runs: omega and
+# union-dense run on _primes alone and load no numpy
+from ._primes import FAIL, INCONCLUSIVE, PASS, BudgetExceeded, DslValueError
+
+if TYPE_CHECKING:
+    from .measure import ModulusChain
+    from .setdsl import CompiledSet
 
 
 @dataclass(frozen=True)
@@ -64,7 +48,7 @@ class VerificationReport:
 def _jsonable(x):
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator, "float": float(x)}
-    if isinstance(x, Bracket):
+    if hasattr(x, "to_json"):  # a measure.Bracket
         return x.to_json()
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
@@ -72,9 +56,13 @@ def _jsonable(x):
         return [_jsonable(v) for v in x]
     if isinstance(x, (frozenset, set)):
         return sorted(_jsonable(v) for v in x)
-    if isinstance(x, (np.integer,)):
+    if isinstance(x, bool):
+        return x
+    # numpy's scalar types register with the numbers ABCs, so they convert
+    # without importing numpy
+    if isinstance(x, numbers.Integral):
         return int(x)
-    if isinstance(x, (np.floating,)):
+    if isinstance(x, numbers.Real):
         return float(x)
     return x
 
@@ -110,8 +98,10 @@ def davenport_erdos(moduli, r_max: int = 10**7, tol: float = 5e-3,
     of the infinite family p^k over all primes: the limit bracket then opens
     downward by the certified Euler tail (k >= 2), or all the way to 0 with
     a DIVERGENT-TAIL note (k = 1)."""
+    from ._ie import multiples_measure_prefixes
     from .analytic import de_delta_bracket, de_delta_exact
     from .density import density_alpha
+    from .setdsl import Complement, Multiples, compile_set
 
     mods = tuple(int(a) for a in moduli)
     if not mods:
@@ -210,6 +200,10 @@ def dirichlet_coverage(m_max: int, prime_bound: int) -> VerificationReport:
     bound should hit every unit class mod m plus the classes of the primes
     dividing m. Finite truncation can only undershoot, so a missing class
     is INCONCLUSIVE (raise the bound), never FAIL."""
+    import numpy as np
+
+    from .setdsl import RESIDUE_BUDGET, compile_set
+
     if m_max < 2:
         raise DslValueError("m_max must be >= 2")
     ps = _primes.primes_upto(prime_bound)
@@ -260,6 +254,24 @@ def _elementary_symmetric_prefix(xs: list[Fraction], k: int) -> Fraction:
     return sum(coeffs)
 
 
+# most primes in omega_bound_measure's level modulus
+OMEGA_PRIMES = 20
+
+# bytes.translate table adding 1 to a byte
+_INCREMENT = bytes(range(1, 256)) + b"\0"
+
+
+def _omega_tally(primes: list[int], k: int) -> int:
+    """The residues mod prod(primes) divisible by at most k of the primes,
+    counted directly: one byte per residue counts the primes dividing it,
+    each prime adding 1 along its stride by a translate at C speed. The
+    level is at most 10^6, so at most 7 primes and no byte overflows."""
+    tally = bytearray(math.prod(primes))
+    for p in primes:
+        tally[::p] = tally[::p].translate(_INCREMENT)
+    return sum(map(tally.count, range(min(k, len(primes)) + 1)))
+
+
 def omega_bound_measure(k: int, prime_bound: int) -> VerificationReport:
     """Measure of the level sets of 'at most k distinct prime divisors
     among the primes up to the bound': exact residue proportions at
@@ -268,11 +280,14 @@ def omega_bound_measure(k: int, prime_bound: int) -> VerificationReport:
     prime list grows."""
     if k < 0:
         raise DslValueError("k must be >= 0")
-    primes = [int(p) for p in _primes.primes_upto(prime_bound)]
+    # one prime past the limit tells the bound is too large, and it is
+    # below 2^10: no sieve runs, whatever the bound
+    primes = list(islice(takewhile(lambda p: p <= prime_bound, _primes.iter_primes()),
+                         OMEGA_PRIMES + 1))
     if not primes:
         raise DslValueError("no primes under the bound")
-    if len(primes) > 20:
-        raise BudgetExceeded("more than 20 primes in the level modulus")
+    if len(primes) > OMEGA_PRIMES:
+        raise BudgetExceeded(f"more than {OMEGA_PRIMES} primes in the level modulus")
     trace: list[Fraction] = []
     closed: list[Fraction] = []
     for i in range(1, len(primes) + 1):
@@ -309,10 +324,7 @@ def omega_bound_measure(k: int, prime_bound: int) -> VerificationReport:
     quantities: dict = {"trace": trace, "closed_form": closed}
     m_final = math.prod(primes)
     if m_final <= 10**6:
-        omega_ct = np.zeros(m_final, dtype=np.int64)
-        for p in primes:
-            omega_ct[::p] += 1
-        direct = int((omega_ct <= k).sum())
+        direct = _omega_tally(primes, k)
         quantities["direct_count"] = direct
         direct_ok = Fraction(direct, m_final) == trace[-1]
         narrative.append(f"direct residue enumeration mod {m_final} agrees: {direct_ok}")
@@ -329,6 +341,8 @@ def omega_bound_measure(k: int, prime_bound: int) -> VerificationReport:
 def eulerian_check(cset: CompiledSet, m_list, expect: str = "product") -> VerificationReport:
     """Whether residue images factor as products over prime-power
     components at each listed level, compared with the expected outcome."""
+    from .setdsl import EXACT, crt_split, to_text
+
     if expect not in ("product", "not-product"):
         raise DslValueError("expect must be 'product' or 'not-product'")
     results: dict[int, bool] = {}
@@ -367,7 +381,11 @@ def asdmltp_verify(moduli, r_max: int = 10**6, m_check: int | None = None,
     """Density of the complement of multiples of pairwise coprime moduli,
     each with at least two prime factors counted with multiplicity: the
     density exists and equals the product of (1 - 1/a)."""
+    import numpy as np
+
+    from ._ie import multiples_measure_ie
     from .density import density_alpha
+    from .setdsl import Complement, Multiples, _table_image, compile_set
 
     mods = tuple(int(a) for a in moduli)
     if r_max < 1:
@@ -442,6 +460,8 @@ def poonen_stoll_tail(spec: str = "kfree", k: int = 2, prime_cutoffs=(10, 100, 1
     uses the nonzero classes mod p (whose complement sum diverges: the
     condition genuinely fails), 'trivial' imposes nothing."""
     from .density import density_alpha
+    from .measure import euler_product
+    from .setdsl import compile_set
 
     cutoffs = sorted(int(c) for c in prime_cutoffs)
     if not cutoffs or cutoffs[0] < 1:
@@ -505,6 +525,10 @@ def mt_criterion(cset: CompiledSet, chain: ModulusChain, cutoff: int,
     trace value is within tol and INCONCLUSIVE otherwise, never FAIL: the
     trace is an estimate, not a certified quantity. The trace stops with a
     note at the first level whose image is over the budget."""
+    import numpy as np
+
+    from .setdsl import to_text
+
     if cset.dim != 1:
         raise DslValueError("gap trace implemented for dimension 1")
     if r_max < 1:
@@ -546,6 +570,10 @@ def counterexample_cover(a: int, terms: int) -> VerificationReport:
     enumerated integers (so its integer complement has density 0 along
     them) while its complement keeps measure at least
     1 - (1/(a-1))(1 - a^-K) at level a^K."""
+    import numpy as np
+
+    from .setdsl import RESIDUE_BUDGET
+
     if a < 3:
         raise DslValueError("need a >= 3 so the coset measures sum below 1")
     if terms < 1:

@@ -321,6 +321,23 @@ def test_sn_limit_named_sequences():
                            "choose from factorial, factorial_shift, primorial\n")
 
 
+def test_sn_limit_past_the_profile_budget_is_inconclusive():
+    proc = run_cli("sn", "limit", "--seq", "factorial", "--terms", "10", "--pmax", "1e8",
+                   expect=3)
+    assert proc.stdout == ""
+    assert proc.stderr == ("inconclusive: primes up to 100000000 may number more than "
+                           "the profile budget 100000\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    (("density",), "density needs --set (expected set expression)"),
+    (("verify", "union-dense"), "verify union-dense needs --supports (expected prime sets)"),
+])
+def test_missing_input_names_what_was_expected(args, message):
+    proc = run_cli(*args, expect=2)
+    assert proc.stderr == f"parse error: syntax error at position 0: {message}\n"
+
+
 def test_sn_parse_error_is_usage():
     run_cli("sn", "rho", "0", expect=2)
 

@@ -148,7 +148,7 @@ def test_log_weight_agrees_with_partial_sums_oracle():
 @pytest.mark.parametrize("alpha", [0.0, -0.5, -1.0])
 def test_alpha_mask_paths_share_the_box_budget(alpha, monkeypatch):
     # the count reads box(r), the weights mask_upto(r): one budget of r cells
-    monkeypatch.setattr(setdsl, "BOX_BUDGET", 100)
+    monkeypatch.setattr(_primes, "BOX_BUDGET", 100)
     cset = compile_set("kfree(2)")
     assert density_alpha(cset, alpha, [100]).values[0] > 0
     with pytest.raises(BudgetExceeded):

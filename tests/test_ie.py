@@ -16,11 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zhat import setdsl
+from zhat import _ie
+from zhat._ie import (
+    _ie_coefficients,
+    _ie_groups,
+    multiples_measure_ie,
+    multiples_measure_prefixes,
+)
 from zhat.analytic import de_delta_bracket, de_delta_exact
 from zhat.density import _ie_weight, harmonic
-from zhat.measure import multiples_measure_ie, multiples_measure_prefixes
-from zhat.setdsl import BudgetExceeded, _ie_coefficients, _ie_groups
+from zhat._primes import BudgetExceeded
 
 
 def subset_terms(mods):
@@ -117,7 +122,7 @@ def test_groups_are_the_coprime_components(mods):
 
 
 def test_term_budget_raises(monkeypatch):
-    monkeypatch.setattr(setdsl, "IE_TERM_BUDGET", 64)
+    monkeypatch.setattr(_ie, "IE_TERM_BUDGET", 64)
     primes = [2, 3, 5, 7, 11, 13, 17]  # 128 distinct lcms
     assert len(_ie_coefficients(primes[:6])) == 64
     with pytest.raises(BudgetExceeded):
@@ -129,7 +134,7 @@ def test_term_budget_raises(monkeypatch):
 
 
 def test_term_budget_stops_inside_the_fold(monkeypatch):
-    monkeypatch.setattr(setdsl, "IE_TERM_BUDGET", 64)
+    monkeypatch.setattr(_ie, "IE_TERM_BUDGET", 64)
     primes = [2, 3, 5, 7, 11, 13, 17, 19]  # the seventh prime would double 64 terms
     with pytest.raises(BudgetExceeded) as exc:
         _ie_coefficients(primes)
@@ -140,7 +145,7 @@ def test_term_budget_stops_inside_the_fold(monkeypatch):
 
 
 def test_term_budget_checked_before_a_convolution(monkeypatch):
-    monkeypatch.setattr(setdsl, "IE_TERM_BUDGET", 64)
+    monkeypatch.setattr(_ie, "IE_TERM_BUDGET", 64)
     # two coprime groups of 32 terms each; 2*17 merges them into 32*32
     mods = [2 * p for p in (3, 5, 7, 11, 13)] + [17 * p for p in (19, 23, 29, 31, 37)]
     assert [len(c) for c in _ie_groups(mods).values()] == [32, 32]

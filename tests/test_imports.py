@@ -95,15 +95,21 @@ def test_every_exported_name_resolves():
     assert set(zhat.__all__) <= set(namespace)
 
 
-def loaded_modules(code: str, *args: str) -> set[str]:
-    """sys.modules of a fresh interpreter after it ran code with args."""
+def module_order(code: str, *args: str) -> list[str]:
+    """sys.modules of a fresh interpreter after it ran code with args, in
+    the order the imports finished."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     code += "\nprint(*sys.modules, file=sys.stderr)"
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.split())
+    return proc.stderr.split()
+
+
+def loaded_modules(code: str, *args: str) -> set[str]:
+    """sys.modules of a fresh interpreter after it ran code with args."""
+    return set(module_order(code, *args))
 
 
 RUN_CLI = "import sys\nfrom zhat.cli import main\nassert main(sys.argv[1:]) == 0"
@@ -127,3 +133,28 @@ def test_an_euler_bracket_loads_neither_density_nor_verify():
     loaded = loaded_modules(RUN_CLI, "measure", "--euler", "1-1/p^2", "--cutoff", "1e4")
     assert "zhat.measure" in loaded
     assert not loaded & {"zhat.density", "zhat.verify"}
+
+
+# exact commands and the zhat modules each one loads besides zhat, zhat.cli
+# and zhat._primes: pure integer and rational work needs no numpy
+EXACT_COMMANDS = [
+    (("measure", "--multiples", "4,6,9,25"), {"zhat._ie"}),
+    (("verify", "union-dense", "--supports", "2,3;3,5;7"), {"zhat.verify"}),
+    (("verify", "omega", "--k", "2", "--pbound", "13"), {"zhat.verify"}),
+    (("sn", "limit", "--seq", "factorial", "--terms", "60", "--pmax", "13"),
+     {"zhat.supernatural"}),
+]
+
+
+@pytest.mark.parametrize("args, runs", EXACT_COMMANDS,
+                         ids=["-".join(args[:2]) for args, _ in EXACT_COMMANDS])
+def test_exact_commands_load_no_numpy_and_no_set_layer(args, runs):
+    loaded = loaded_modules(RUN_CLI, *args)
+    assert "numpy" not in loaded
+    assert {m for m in loaded if m.startswith("zhat")} == {"zhat", "zhat.cli", "zhat._primes"} | runs
+
+
+def test_a_set_theorem_imports_its_layers_before_verify():
+    # leaf first: verify finishes importing after the set layer it runs
+    order = module_order(RUN_CLI, "verify", "eulerian", "--set", "kfree(2)", "--mlist", "12")
+    assert order.index("zhat.setdsl") < order.index("zhat.verify")

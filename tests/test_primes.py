@@ -7,6 +7,7 @@ check those paths.
 """
 
 import contextlib
+import itertools
 import math
 
 import pytest
@@ -85,7 +86,7 @@ def test_sieve_past_the_box_budget_raises_before_sieving(monkeypatch):
     for name in ("_SIEVE_BOUND", "_PRIMES", "_SMALL_PRIMES"):
         monkeypatch.setattr(_primes, name, getattr(_primes, name))
     monkeypatch.setattr(_primes, "_SIEVE_BOUND", 0)
-    monkeypatch.setattr(setdsl, "BOX_BUDGET", 1000)
+    monkeypatch.setattr(_primes, "BOX_BUDGET", 1000)
     with pytest.raises(BudgetExceeded, match="sieve up to 1001 exceeds box budget 1000"):
         _primes.primes_upto(1001)
     assert _primes._SIEVE_BOUND == 0
@@ -133,3 +134,22 @@ def test_large_primes_without_the_sieve_match_the_sieve(n):
                                   "DimensionMismatch", "BudgetExceeded"])
 def test_exception_classes_are_one_object_in_every_namespace(name):
     assert getattr(setdsl, name) is getattr(_primes, name) is getattr(zhat, name)
+
+
+def test_iter_primes_reads_the_small_table_then_the_sieve():
+    # the primes below 2^10 come from the pure-Python table with no sieve;
+    # the iterator goes on past 2^10 in step with primes_upto
+    with fresh_cache():
+        it = _primes.iter_primes()
+        small = [next(it) for _ in _primes._SMALL_PRIMES]
+        assert small == _primes._SMALL_PRIMES and small[-1] < _primes._TRIAL_BOUND
+        assert _primes._SIEVE_BOUND == 0
+        more = [next(it) for _ in range(2000)]
+        assert _primes._SIEVE_BOUND > 0
+        assert small + more == _primes.primes_upto(more[-1]).tolist()
+
+
+def test_named_sequences_live_with_the_primes():
+    assert list(itertools.islice(_primes.sequence_terms("primorials"), 5)) == [2, 6, 30, 210, 2310]
+    assert _primes._sequence_upto("factorials", 720) == [1, 2, 6, 24, 120, 720]
+    assert _primes._sequence_upto("factorial_shift", 30) == [2, 4, 9, 28]

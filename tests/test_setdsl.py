@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zhat import setdsl
+from zhat import _primes
 from zhat.setdsl import (
     EXACT,
     TRUNCATED,
@@ -216,12 +216,12 @@ def test_box_tables_match_contains(text):
 
 def test_symmetric_box_budget_counts_every_cell(monkeypatch):
     # [-6, 6]^2 allocates 169 cells, over a budget of 150
-    monkeypatch.setattr(setdsl, "BOX_BUDGET", 150)
+    monkeypatch.setattr(_primes, "BOX_BUDGET", 150)
     cs = compile_set("coprime(2)")
     with pytest.raises(BudgetExceeded):
         cs.members_in_box(6)
     assert cs.box(5)[1].size == 121
-    monkeypatch.setattr(setdsl, "BOX_BUDGET", 80)
+    monkeypatch.setattr(_primes, "BOX_BUDGET", 80)
     with pytest.raises(BudgetExceeded):
         compile_set("coprime(3)").members_in_box(2)  # 5^3 cells
 

@@ -68,7 +68,7 @@ def test_blocks_concatenate_to_the_box(text, n):
 
 
 def test_blocks_check_the_box_budget(monkeypatch):
-    monkeypatch.setattr(setdsl, "BOX_BUDGET", 100)
+    monkeypatch.setattr(_primes, "BOX_BUDGET", 100)
     assert sum(t.size for _, t in compile_set("primes").blocks(100)) == 100
     with pytest.raises(setdsl.BudgetExceeded):
         compile_set("primes").blocks(101)  # raised before the first block

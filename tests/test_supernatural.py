@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zhat import _primes, supernatural
+from zhat._primes import BudgetExceeded
 from zhat.supernatural import (
     DIVERGING,
     STABILIZED,
@@ -134,3 +136,21 @@ def test_limit_profile_validation():
         limit_profile([], 5, 3)
     with pytest.raises(ValueError):
         limit_profile([1, 0, 2], 5, 3)
+
+
+def test_limit_profile_budget_raises_before_listing_primes(monkeypatch):
+    # a fresh cache: 10^8 may hold more primes than the budget, and the
+    # profile refuses with nothing sieved
+    monkeypatch.setattr(_primes, "_PRIMES", None)
+    monkeypatch.setattr(_primes, "_SIEVE_BOUND", 0)
+    seq = [math.factorial(k) for k in range(1, 11)]
+    with pytest.raises(BudgetExceeded, match="profile budget 100000"):
+        limit_profile(seq, 10**8, 5)
+    assert _primes._SIEVE_BOUND == 0
+    # the check bounds the prime count by 1.25506 x / log x: 8 primes up to
+    # 20 (bound 8.4) fit a budget of 10, 25 up to 100 (bound 27.3) do not
+    monkeypatch.setattr(supernatural, "PROFILE_PRIME_BUDGET", 10)
+    assert len(limit_profile(seq, 20, 5).valuations) == 8
+    with pytest.raises(BudgetExceeded):
+        limit_profile(seq, 100, 5)
+    assert _primes._SIEVE_BOUND == 0

@@ -7,9 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zhat import _primes, setdsl
+from zhat import _ie, _primes
 from zhat.measure import ModulusChain
-from zhat.setdsl import DslValueError, compile_set
+from zhat.setdsl import BudgetExceeded, DslValueError, compile_set
 from zhat.verify import (
     VerificationReport,
     asdmltp_verify,
@@ -82,7 +82,7 @@ def test_de_primes_have_divergent_tail():
 def test_de_exhausted_log_budget_is_inconclusive(monkeypatch):
     # the logarithmic estimate at r = 10^65 needs all 2^11 lcms of the
     # family; the exact parts factor into groups of one modulus each
-    monkeypatch.setattr(setdsl, "IE_TERM_BUDGET", 64)
+    monkeypatch.setattr(_ie, "IE_TERM_BUDGET", 64)
     rep = davenport_erdos(prime_power_family(2, 31), r_max=100, tail_exponent=2)
     assert rep.verdict == "INCONCLUSIVE"
     assert rep.quantities["log_estimate"] is None
@@ -152,6 +152,32 @@ def test_omega_closed_form_matches_direct_count():
         assert rep.verdict == "PASS"
         final = rep.quantities["closed_form"][-1]
         assert final == Fraction(rep.quantities["direct_count"], 30030)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_omega_direct_tally_matches_the_dp(k):
+    # the bytearray tally against the coefficient DP behind the trace, and
+    # against a numpy count of the prime divisors of every residue
+    for bound in range(2, 18):
+        rep = omega_bound_measure(k, bound)
+        primes = [p for p in (2, 3, 5, 7, 11, 13, 17) if p <= bound]
+        m = math.prod(primes)
+        assert Fraction(rep.quantities["direct_count"], m) == rep.quantities["trace"][-1]
+        omega = np.zeros(m, dtype=np.int64)
+        for p in primes:
+            omega[::p] += 1
+        assert rep.quantities["direct_count"] == int((omega <= k).sum()), (k, bound)
+        assert rep.verdict == "PASS"
+
+
+def test_omega_past_twenty_primes_raises_before_sieving(monkeypatch):
+    # at most 21 primes are read, all below 2^10: no sieve runs
+    monkeypatch.setattr(_primes, "_PRIMES", None)
+    monkeypatch.setattr(_primes, "_SIEVE_BOUND", 0)
+    with pytest.raises(BudgetExceeded, match="more than 20 primes"):
+        omega_bound_measure(2, 10**8)
+    assert _primes._SIEVE_BOUND == 0
+    assert omega_bound_measure(2, 71).verdict == "PASS"  # the 20th prime
 
 
 def test_omega_trace_heads_at_one_then_decreases():
