@@ -23,7 +23,6 @@ _EXPORTS = {
         "BudgetExceeded", "DimensionMismatch", "DslError", "DslSyntaxError", "DslValueError",
         "FAIL", "INCONCLUSIVE", "PASS",
     ), "_primes"),
-    **dict.fromkeys(("multiples_measure_ie", "multiples_measure_prefixes"), "_ie"),
     **dict.fromkeys((
         "EXACT", "TRUNCATED", "CompiledSet", "Polynomial", "ResidueImage",
         "compile_set", "crt_split", "parse", "to_text",
@@ -31,7 +30,7 @@ _EXPORTS = {
     **dict.fromkeys((
         "Bracket", "ChainError", "LevelMeasure", "MeasureTrace", "ModulusChain",
         "closure_measure_trace", "euler_product", "haar_ideal", "masked_power_sums",
-        "zeta_bracket", "zeta_partial",
+        "multiples_measure_ie", "multiples_measure_prefixes", "zeta_bracket", "zeta_partial",
     ), "measure"),
     **dict.fromkeys((
         "DirichletTruncation",

@@ -1,10 +1,11 @@
 """The one inclusion-exclusion (IE) kernel: integer coefficients per
 distinct lcm of a modulus family, factored over coprime groups of moduli,
 and the exact Haar measures of complements of sets of multiples it gives.
+measure.multiples_measure_ie is its public entry.
 
 Pure integer and rational arithmetic on the standard library: it sits at
-the numpy-free bottom of the import graph with _primes, so `zhat measure
---multiples` loads no set layer.
+the numpy-free bottom of the import graph with _primes, below setdsl,
+measure, analytic and density, which all run it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from ._primes import BudgetExceeded, DslValueError
+from ._primes import BudgetExceeded
 
 # most distinct-lcm terms one kernel call may hold: as many as 20 moduli
 # have subsets
@@ -119,26 +120,3 @@ def _ie_prefix_measures(moduli, dim: int = 1) -> Iterator[tuple[int, int]]:
         den *= top**dim
         yield (0 if 1 in groups else num), den
 
-
-def _positive_moduli(moduli) -> tuple[int, ...]:
-    mods = tuple(moduli)
-    if not mods:
-        raise DslValueError("need at least one modulus")
-    if any(a < 1 for a in mods):
-        raise DslValueError("moduli must be positive")
-    return mods
-
-
-def multiples_measure_ie(moduli, dim: int = 1) -> Fraction:
-    """Exact measure of the closure of the complement of a finite union of
-    multiple-sets, by inclusion-exclusion: sum over subsets J of
-    (-1)^|J| / lcm(J)^dim, the empty subset contributing 1."""
-    return _ie_measure(_positive_moduli(moduli), dim)
-
-
-def multiples_measure_prefixes(moduli, dim: int = 1) -> list[Fraction]:
-    """multiples_measure_ie of moduli[:1], moduli[:2], ..., built one
-    coprime-group update per modulus instead of one kernel call each."""
-    prefixes = _ie_prefix_measures(_positive_moduli(moduli), dim)
-    next(prefixes)  # the empty family
-    return [Fraction(num, den) for num, den in prefixes]

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _primes
-from ._ie import _ie_groups, multiples_measure_ie
+from ._ie import _ie_groups
 from ._primes import FAIL, INCONCLUSIVE, PASS, _iroot
 from .measure import (
     _LIB_UNITS,
@@ -26,6 +26,7 @@ from .measure import (
     _tail_integral,
     _up,
     masked_power_sums,
+    multiples_measure_ie,
     zeta_bracket,
     zeta_partial,
 )

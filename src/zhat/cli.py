@@ -17,9 +17,10 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-# each handler imports the modules it runs, leaf first: the sn commands,
-# measure --multiples and verify omega and union-dense load no numpy, and
-# no module compiles while another is half imported
+# each handler imports the modules it runs, leaf first (setdsl, then
+# measure, then the layer it calls): the sn commands, measure --multiples
+# and verify omega and union-dense load no numpy, and no chain of
+# half-imported modules builds up
 from ._primes import FAIL, INCONCLUSIVE, PASS, BudgetExceeded, DslError, DslSyntaxError
 
 EXIT_OK = 0
@@ -27,22 +28,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-# each theorem id and the layers its harness runs, imported leaf first
-# before verify: omega and union-dense run on _primes alone, and the
-# harnesses that estimate densities import density themselves
-THEOREM_LAYERS = {
-    "davenport-erdos": ("setdsl", "measure", "analytic"),
-    "dirichlet": ("setdsl",),
-    "omega": (),
-    "eulerian": ("setdsl",),
-    "asdmltp": ("setdsl", "measure", "analytic"),
-    "poonen-stoll": ("setdsl", "measure", "analytic"),
-    "mt": ("setdsl", "measure"),
-    "counterexample": ("setdsl",),
-    "union-dense": (),
-    "axioms": ("setdsl", "measure", "analytic"),
-}
-THEOREM_IDS = tuple(THEOREM_LAYERS)
+THEOREM_IDS = (
+    "davenport-erdos", "dirichlet", "omega", "eulerian", "asdmltp",
+    "poonen-stoll", "mt", "counterexample", "union-dense", "axioms",
+)
 
 
 class RunConfig:
@@ -194,18 +183,8 @@ def _render(v) -> str:
 # ------------------------------------------------------------- subcommands
 
 
-def _import_leaf_first(*layers: str) -> None:
-    """Import the named zhat modules in this order, each after the modules
-    it imports: no module compiles while another is half imported."""
-    from importlib import import_module
-
-    for layer in layers:
-        import_module(f".{layer}", __package__)
-
-
 def _cmd_density(res: _Resolver) -> int:
-    _import_leaf_first("setdsl", "measure", "analytic")
-    from . import setdsl, density
+    from . import setdsl, measure, density
 
     set_text = res.get("set", str)
     if not set_text:
@@ -259,12 +238,12 @@ def _cmd_measure(res: _Resolver) -> int:
     multiples = res.get("multiples", _int_list)
     euler = res.get("euler", str)
     if multiples:
-        from ._ie import multiples_measure_ie
+        from . import measure
 
         cfg = RunConfig(command="measure", output=fmt, seed=seed,
                         extra={"multiples": multiples})
         cfg.validate()
-        v = multiples_measure_ie(multiples)
+        v = measure.multiples_measure_ie(multiples)
         _emit({"measure": _fraction_json(v), "certified": True,
                "csv": f"measure\n{v.numerator}/{v.denominator}\n"}, cfg, fmt)
         return EXIT_OK
@@ -312,7 +291,7 @@ def _cmd_measure(res: _Resolver) -> int:
 
 
 def _axioms_report(res: _Resolver, seed: int):
-    from . import density, verify
+    from . import measure, density, verify
 
     cases = res.get("cases", _num, 100)
     pair = res.get("pair", str, "exact")
@@ -340,11 +319,13 @@ def _cmd_verify(res: _Resolver) -> int:
         raise ValueError(
             f"unknown theorem id {theorem!r}; valid ids: {', '.join(THEOREM_IDS)}"
         )
-    _import_leaf_first(*THEOREM_LAYERS[theorem])
-    from . import verify
-
     fmt = res.get("output", str, "json")
     seed = res.get("seed", _num, 0)
+    if theorem not in ("omega", "union-dense"):
+        # leaf first: the set layer before verify; the other way round,
+        # verify counterexample peaks 1.2 MB higher
+        from . import setdsl
+    from . import verify
 
     if theorem == "davenport-erdos":
         family = res.get("family", str, "p^2")
@@ -369,9 +350,7 @@ def _cmd_verify(res: _Resolver) -> int:
         set_text = res.get("set", str)
         if not set_text:
             raise DslSyntaxError("verify eulerian needs --set", 0, ("set expression",))
-        from .setdsl import compile_set
-
-        rep = verify.eulerian_check(compile_set(set_text),
+        rep = verify.eulerian_check(setdsl.compile_set(set_text),
                                     res.get("mlist", _int_list, [12]),
                                     expect=res.get("expect", str, "product"))
     elif theorem == "asdmltp":
@@ -388,9 +367,7 @@ def _cmd_verify(res: _Resolver) -> int:
         set_text = res.get("set", str)
         if not set_text:
             raise DslSyntaxError("verify mt needs --set", 0, ("set expression",))
-        from .setdsl import compile_set
-
-        rep = verify.mt_criterion(compile_set(set_text),
+        rep = verify.mt_criterion(setdsl.compile_set(set_text),
                                   _parse_chain(res.get("chain", str, "primorial")),
                                   res.get("cutoff", _num, 10**4),
                                   r_max=res.get("rmax", _num, 10**6),

@@ -15,27 +15,16 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _primes
-# the inclusion-exclusion measures live in the numpy-free _ie; measure
-# re-exports them, where perfbench/trace_runner.py and callers name them
-from ._ie import multiples_measure_ie, multiples_measure_prefixes
-from .setdsl import (
-    ASSUMES_DIRICHLET,
-    EXACT,
-    TRUNCATED,
-    BudgetExceeded,
-    CompiledSet,
-    DslValueError,
-)
+# numpy and the set layer are imported by the functions that run them, so
+# `zhat measure --multiples` loads neither
+from ._ie import _ie_measure, _ie_prefix_measures
+from ._primes import BudgetExceeded, DslValueError
 
-__all__ = [
-    "Bracket", "ChainError", "LevelMeasure", "MeasureTrace", "ModulusChain",
-    "closure_measure_trace", "euler_product", "haar_ideal", "masked_power_sums",
-    "multiples_measure_ie", "multiples_measure_prefixes", "zeta_bracket", "zeta_partial",
-]
+if TYPE_CHECKING:
+    from .setdsl import CompiledSet
 
 # Float brackets carry a-priori rounding bounds in the style of Higham,
 # "Accuracy and Stability of Numerical Algorithms" (2002), ch. 3-4: a value
@@ -215,6 +204,8 @@ class MeasureTrace:
 
     @property
     def certified(self) -> bool:
+        from .setdsl import EXACT
+
         return self.mode == EXACT
 
     def values(self) -> list[Fraction]:
@@ -248,6 +239,8 @@ def closure_measure_trace(cset: CompiledSet, chain: ModulusChain, cutoff: int,
     truncated-mode values are uncertified lower bounds for the level
     measure. Running out of budget yields a partial trace plus a note; so
     does a set whose exact images rest on Dirichlet's theorem (primes)."""
+    from .setdsl import ASSUMES_DIRICHLET, EXACT, TRUNCATED
+
     records: list[LevelMeasure] = []
     notes: list[str] = []
     for idx, m in enumerate(chain.levels(cutoff), start=1):
@@ -270,6 +263,30 @@ def closure_measure_trace(cset: CompiledSet, chain: ModulusChain, cutoff: int,
         notes.append("ASSUMES Dirichlet's theorem: the exact images count every unit class "
                      "mod m as holding a prime")
     return MeasureTrace(chain, cset.dim, tuple(records), cset.mode, tuple(notes))
+
+
+def _positive_moduli(moduli) -> tuple[int, ...]:
+    mods = tuple(moduli)
+    if not mods:
+        raise DslValueError("need at least one modulus")
+    if any(a < 1 for a in mods):
+        raise DslValueError("moduli must be positive")
+    return mods
+
+
+def multiples_measure_ie(moduli, dim: int = 1) -> Fraction:
+    """Exact measure of the closure of the complement of a finite union of
+    multiple-sets, by inclusion-exclusion: sum over subsets J of
+    (-1)^|J| / lcm(J)^dim, the empty subset contributing 1."""
+    return _ie_measure(_positive_moduli(moduli), dim)
+
+
+def multiples_measure_prefixes(moduli, dim: int = 1) -> list[Fraction]:
+    """multiples_measure_ie of moduli[:1], moduli[:2], ..., built one
+    coprime-group update per modulus instead of one kernel call each."""
+    prefixes = _ie_prefix_measures(_positive_moduli(moduli), dim)
+    next(prefixes)  # the empty family
+    return [Fraction(num, den) for num, den in prefixes]
 
 
 def euler_product(local_factor: str, prime_cutoff: int) -> Bracket:
@@ -299,6 +316,8 @@ def euler_product(local_factor: str, prime_cutoff: int) -> Bracket:
     xm = c / 2**k * (1.0 + _gamma(_LIB_UNITS + 3))
     if xm >= 1.0:
         raise DslValueError(f"factor {local_factor!r} is too close to 0 at p=2 for a float bracket")
+    import numpy as np
+
     ps = _primes.primes_upto(prime_cutoff)
     parts = []
     for lo in range(0, ps.size, _BLOCK):
@@ -364,6 +383,8 @@ def masked_power_sums(mask, s_grid) -> tuple[np.ndarray, np.ndarray]:
     are added by math.fsum, so extra memory stays a few chunks wide.
     Blocks that start at 1 + j * _BLOCK chunk exactly like the array, so
     their sums are the same floats."""
+    import numpy as np
+
     ss = [float(s) for s in s_grid]
     blocks = [(0, mask)] if isinstance(mask, np.ndarray) else mask
     tally = _Tally()
@@ -397,6 +418,8 @@ def _chunk_power_sums(blocks, ss: list[float], tally: _Tally):
     and adds what it read to tally. A chunk's nonzero indices are
     converted once and raised to every s in one buffer, grown to the
     largest chunk read and reused across the pass."""
+    import numpy as np
+
     buf = np.empty(0)
     for base, table in blocks:
         tally.weighted = tally.weighted or table.dtype != np.bool_

@@ -18,8 +18,9 @@ from itertools import combinations, islice, takewhile
 from typing import TYPE_CHECKING
 
 from . import _primes
-# each harness imports the numpy and set layers it runs: omega and
-# union-dense run on _primes alone and load no numpy
+# each harness imports the numpy and set layers it runs, leaf first
+# (setdsl, then measure, then analytic or density), so no chain of
+# half-imported modules builds up; omega and union-dense run on _primes alone
 from ._primes import FAIL, INCONCLUSIVE, PASS, BudgetExceeded, DslValueError
 
 if TYPE_CHECKING:
@@ -98,10 +99,10 @@ def davenport_erdos(moduli, r_max: int = 10**7, tol: float = 5e-3,
     of the infinite family p^k over all primes: the limit bracket then opens
     downward by the certified Euler tail (k >= 2), or all the way to 0 with
     a DIVERGENT-TAIL note (k = 1)."""
-    from ._ie import multiples_measure_prefixes
+    from .setdsl import Complement, Multiples, compile_set
+    from .measure import multiples_measure_prefixes
     from .analytic import de_delta_bracket, de_delta_exact
     from .density import density_alpha
-    from .setdsl import Complement, Multiples, compile_set
 
     mods = tuple(int(a) for a in moduli)
     if not mods:
@@ -383,9 +384,9 @@ def asdmltp_verify(moduli, r_max: int = 10**6, m_check: int | None = None,
     density exists and equals the product of (1 - 1/a)."""
     import numpy as np
 
-    from ._ie import multiples_measure_ie
-    from .density import density_alpha
     from .setdsl import Complement, Multiples, _table_image, compile_set
+    from .measure import multiples_measure_ie
+    from .density import density_alpha
 
     mods = tuple(int(a) for a in moduli)
     if r_max < 1:
@@ -459,9 +460,9 @@ def poonen_stoll_tail(spec: str = "kfree", k: int = 2, prime_cutoffs=(10, 100, 1
     spec 'kfree' uses U_p = classes mod p^k not divisible by p^k, 'units'
     uses the nonzero classes mod p (whose complement sum diverges: the
     condition genuinely fails), 'trivial' imposes nothing."""
-    from .density import density_alpha
-    from .measure import euler_product
     from .setdsl import compile_set
+    from .measure import euler_product
+    from .density import density_alpha
 
     cutoffs = sorted(int(c) for c in prime_cutoffs)
     if not cutoffs or cutoffs[0] < 1:

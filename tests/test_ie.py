@@ -17,15 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zhat import _ie
-from zhat._ie import (
-    _ie_coefficients,
-    _ie_groups,
-    multiples_measure_ie,
-    multiples_measure_prefixes,
-)
+from zhat._ie import _ie_coefficients, _ie_groups
+from zhat._primes import BudgetExceeded
 from zhat.analytic import de_delta_bracket, de_delta_exact
 from zhat.density import _ie_weight, harmonic
-from zhat._primes import BudgetExceeded
+from zhat.measure import multiples_measure_ie, multiples_measure_prefixes
 
 
 def subset_terms(mods):
