@@ -333,14 +333,28 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def valuation(n: int, p: int) -> int:
-    """v_p(|n|): the exponent of p in n. n must be nonzero."""
+    """v_p(|n|): the exponent of p in n. n must be nonzero. Divides by p,
+    p^2, p^4, ... while they divide, then by the same powers stepping back
+    down, so it takes O(log v) big-integer divisions instead of v."""
     if n == 0:
         raise ValueError("v_p(0) is infinite")
     n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    powers = []  # p^(2^i) for the i so far, each divided out once
+    q = p
+    while True:
+        d, r = divmod(n, q)
+        if r:
+            break
+        n = d
+        powers.append(q)
+        q *= q
+    # what is left of v is below 2^len(powers): its binary digits, high first
+    v = (1 << len(powers)) - 1
+    for i in reversed(range(len(powers))):
+        d, r = divmod(n, powers[i])
+        if not r:
+            n = d
+            v += 1 << i
     return v
 
 

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import ClassVar, Iterator, NoReturn, Optional
 
 import numpy as np
 
@@ -222,9 +222,13 @@ class FiniteSet(SetExpr):
 
 
 @dataclass(frozen=True)
-class Union(SetExpr):
+class _Binary(SetExpr):
+    """The body the three binary operators share; each subclass names its
+    operator symbol, the one the parser reads and to_text writes."""
+
     a: SetExpr
     b: SetExpr
+    op: ClassVar[str]
 
     def children(self):
         return (self.a, self.b)
@@ -233,28 +237,19 @@ class Union(SetExpr):
         return _unify_dims(self.a, self.b)
 
 
-@dataclass(frozen=True)
-class Intersection(SetExpr):
-    a: SetExpr
-    b: SetExpr
-
-    def children(self):
-        return (self.a, self.b)
-
-    def dim_spec(self):
-        return _unify_dims(self.a, self.b)
+class Union(_Binary):
+    op = "|"
 
 
-@dataclass(frozen=True)
-class Difference(SetExpr):
-    a: SetExpr
-    b: SetExpr
+class Intersection(_Binary):
+    op = "&"
 
-    def children(self):
-        return (self.a, self.b)
 
-    def dim_spec(self):
-        return _unify_dims(self.a, self.b)
+class Difference(_Binary):
+    op = "\\"
+
+
+_BINARY = {cls.op: cls for cls in (Union, Intersection, Difference)}
 
 
 @dataclass(frozen=True)
@@ -310,9 +305,25 @@ def _tokenize(text: str) -> list[_Token]:
     return toks
 
 
+# every atom written keyword(args), with the shape of its arguments: n
+# integers, "ints" for one or more (one tuple argument), "name" for an
+# identifier, "poly" for a polynomial. The parser and to_text read it; the
+# bare keyword primes is the one atom outside it
+_ATOMS: dict[str, tuple[type, int | str]] = {
+    "cong": (Cong, 2),
+    "kfree": (KFree, 1),
+    "coprime": (Coprime, 1),
+    "image": (PolyImage, "poly"),
+    "multiples": (Multiples, "ints"),
+    "leadingdigit": (LeadingDigit, 2),
+    "seq": (Seq, "name"),
+    "finite": (FiniteSet, "ints"),
+}
+_KEYWORDS = {cls: kw for kw, (cls, _) in _ATOMS.items()}
+
+
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
 
@@ -324,23 +335,31 @@ class _Parser:
         self.i += 1
         return t
 
-    def expect_sym(self, sym: str) -> _Token:
+    def accept(self, sym: str) -> bool:
+        """Consume the symbol if it comes next."""
         t = self.peek()
         if t.kind == "sym" and t.text == sym:
-            return self.advance()
-        raise DslSyntaxError(f"found {t.text or 'end of input'!r}", t.pos, (repr(sym),))
+            self.i += 1
+            return True
+        return False
+
+    def fail(self, *expected: str) -> NoReturn:
+        t = self.peek()
+        raise DslSyntaxError(f"found {t.text or 'end of input'!r}", t.pos, expected)
+
+    def expect(self, kind: str, *expected: str) -> str:
+        """The text of the next token, which must be of the kind."""
+        if self.peek().kind != kind:
+            self.fail(*expected)
+        return self.advance().text
+
+    def expect_sym(self, sym: str) -> None:
+        if not self.accept(sym):
+            self.fail(repr(sym))
 
     def parse_int(self) -> int:
-        neg = False
-        t = self.peek()
-        if t.kind == "sym" and t.text == "-":
-            self.advance()
-            neg = True
-            t = self.peek()
-        if t.kind != "int":
-            raise DslSyntaxError(f"found {t.text or 'end of input'!r}", t.pos, ("integer",))
-        self.advance()
-        v = int(t.text)
+        neg = self.accept("-")
+        v = int(self.expect("int", "integer"))
         return -v if neg else v
 
     # set := term (op term)*
@@ -348,98 +367,49 @@ class _Parser:
         node = self.parse_term()
         while True:
             t = self.peek()
-            if t.kind == "sym" and t.text in "|&\\":
+            if t.kind == "sym" and t.text in _BINARY:
                 self.advance()
-                rhs = self.parse_term()
-                cls = {"|": Union, "&": Intersection, "\\": Difference}[t.text]
-                node = cls(node, rhs)
+                node = _BINARY[t.text](node, self.parse_term())
             else:
                 return node
 
     def parse_term(self) -> SetExpr:
-        t = self.peek()
-        if t.kind == "sym" and t.text == "!":
-            self.advance()
+        if self.accept("!"):
             return Complement(self.parse_term())
         return self.parse_atom()
 
     def parse_atom(self) -> SetExpr:
-        t = self.peek()
-        if t.kind == "sym" and t.text == "(":
-            self.advance()
+        if self.accept("("):
             node = self.parse_set()
             self.expect_sym(")")
             return node
-        if t.kind != "ident":
-            raise DslSyntaxError(
-                f"found {t.text or 'end of input'!r}", t.pos,
-                ("atom", "'('", "'!'"),
-            )
-        name = t.text
-        self.advance()
+        pos = self.peek().pos
+        name = self.expect("ident", "atom", "'('", "'!'")
         if name == "primes":
             return Primes()
-        builders = {
-            "cong": self._parse_cong,
-            "kfree": self._parse_kfree,
-            "coprime": self._parse_coprime,
-            "image": self._parse_image,
-            "multiples": self._parse_multiples,
-            "leadingdigit": self._parse_leadingdigit,
-            "seq": self._parse_seq,
-            "finite": self._parse_finite,
-        }
-        if name not in builders:
-            raise DslSyntaxError(
-                f"unknown atom {name!r}", t.pos,
-                tuple(sorted(builders) + ["primes"]),
-            )
+        if name not in _ATOMS:
+            raise DslSyntaxError(f"unknown atom {name!r}", pos, (*sorted(_ATOMS), "primes"))
+        cls, shape = _ATOMS[name]
         self.expect_sym("(")
-        node = builders[name]()
+        if shape == "poly":
+            node = cls(self._parse_poly())
+        elif shape == "name":
+            node = cls(self.expect("ident", "sequence name"))
+        elif shape == "ints":
+            node = cls(tuple(self._parse_ints()))
+        else:
+            node = cls(*self._parse_ints(shape))
         self.expect_sym(")")
         return node
 
-    def _parse_cong(self) -> SetExpr:
-        r = self.parse_int()
-        self.expect_sym(",")
-        m0 = self.parse_int()
-        return Cong(r, m0)
-
-    def _parse_kfree(self) -> SetExpr:
-        return KFree(self.parse_int())
-
-    def _parse_coprime(self) -> SetExpr:
-        return Coprime(self.parse_int())
-
-    def _parse_multiples(self) -> SetExpr:
+    def _parse_ints(self, count: int | None = None) -> list[int]:
+        """count integers separated by commas, or one or more when count is
+        None."""
         vals = [self.parse_int()]
-        while self.peek().kind == "sym" and self.peek().text == ",":
-            self.advance()
+        while len(vals) < count if count else self.peek().text == ",":
+            self.expect_sym(",")
             vals.append(self.parse_int())
-        return Multiples(tuple(vals))
-
-    def _parse_leadingdigit(self) -> SetExpr:
-        d = self.parse_int()
-        self.expect_sym(",")
-        base = self.parse_int()
-        return LeadingDigit(d, base)
-
-    def _parse_seq(self) -> SetExpr:
-        t = self.peek()
-        if t.kind != "ident":
-            raise DslSyntaxError(f"found {t.text or 'end of input'!r}", t.pos, ("sequence name",))
-        self.advance()
-        return Seq(t.text)
-
-    def _parse_finite(self) -> SetExpr:
-        vals = [self.parse_int()]
-        while self.peek().kind == "sym" and self.peek().text == ",":
-            self.advance()
-            vals.append(self.parse_int())
-        return FiniteSet(tuple(vals))
-
-    def _parse_image(self) -> SetExpr:
-        return PolyImage(self._parse_poly())
+        return vals
 
     # poly := pterm (('+'|'-') pterm)* ; pterm := pfac ('*' pfac)* ;
     # pfac := int | var ('^' int)? | '(' poly ')' | '-' pfac
@@ -461,21 +431,18 @@ class _Parser:
 
     def _parse_pterm(self) -> dict:
         d = self._parse_pfactor()
-        while self.peek().kind == "sym" and self.peek().text == "*":
-            self.advance()
+        while self.accept("*"):
             d = _poly_mul(d, self._parse_pfactor())
         return d
 
     def _parse_pfactor(self) -> dict:
-        t = self.peek()
-        if t.kind == "sym" and t.text == "-":
-            self.advance()
+        if self.accept("-"):
             return {e: -c for e, c in self._parse_pfactor().items()}
-        if t.kind == "sym" and t.text == "(":
-            self.advance()
+        if self.accept("("):
             inner = self._parse_poly()
             self.expect_sym(")")
             return {e: c for e, c in inner.terms}
+        t = self.peek()
         if t.kind == "int":
             self.advance()
             return {(0, 0, 0): int(t.text)}
@@ -483,20 +450,12 @@ class _Parser:
             self.advance()
             idx = _VAR_NAMES.index(t.text)
             e = [0, 0, 0]
-            if self.peek().kind == "sym" and self.peek().text == "^":
-                self.advance()
-                pt = self.peek()
-                if pt.kind != "int":
-                    raise DslSyntaxError(f"found {pt.text or 'end of input'!r}", pt.pos, ("exponent",))
-                self.advance()
-                e[idx] = int(pt.text)
+            if self.accept("^"):
+                e[idx] = int(self.expect("int", "exponent"))
             else:
                 e[idx] = 1
             return {tuple(e): 1}
-        raise DslSyntaxError(
-            f"found {t.text or 'end of input'!r}", t.pos,
-            ("integer", "variable x/y/z", "'('"),
-        )
+        self.fail("integer", "variable x/y/z", "'('")
 
 
 def _poly_mul(a: dict, b: dict) -> dict:
@@ -522,37 +481,22 @@ def parse(text: str) -> SetExpr:
 
 def to_text(expr: SetExpr) -> str:
     """Canonical form; parse(to_text(e)) reproduces e."""
-    def binary(e: SetExpr) -> bool:
-        return isinstance(e, (Union, Intersection, Difference))
-
-    if isinstance(expr, Cong):
-        return f"cong({expr.r},{expr.m0})"
-    if isinstance(expr, KFree):
-        return f"kfree({expr.k})"
+    kw = _KEYWORDS.get(type(expr))
+    if kw is not None:
+        args = [getattr(expr, f.name) for f in fields(expr)]
+        if _ATOMS[kw][1] == "ints":
+            (args,) = args
+        return f"{kw}({','.join(map(str, args))})"
     if isinstance(expr, Primes):
         return "primes"
-    if isinstance(expr, Coprime):
-        return f"coprime({expr.n})"
-    if isinstance(expr, PolyImage):
-        return f"image({expr.poly})"
-    if isinstance(expr, Multiples):
-        return f"multiples({','.join(map(str, expr.moduli))})"
-    if isinstance(expr, LeadingDigit):
-        return f"leadingdigit({expr.d},{expr.base})"
-    if isinstance(expr, Seq):
-        return f"seq({expr.name})"
-    if isinstance(expr, FiniteSet):
-        return f"finite({','.join(map(str, expr.values))})"
     if isinstance(expr, Complement):
         inner = to_text(expr.a)
-        return f"!({inner})" if binary(expr.a) else f"!{inner}"
-    if isinstance(expr, (Union, Intersection, Difference)):
-        op = {"Union": "|", "Intersection": "&", "Difference": "\\"}[type(expr).__name__]
-        lhs = to_text(expr.a)
-        rhs = to_text(expr.b)
-        if binary(expr.b):
+        return f"!({inner})" if isinstance(expr.a, _Binary) else f"!{inner}"
+    if isinstance(expr, _Binary):
+        lhs, rhs = to_text(expr.a), to_text(expr.b)
+        if isinstance(expr.b, _Binary):
             rhs = f"({rhs})"
-        return f"{lhs} {op} {rhs}"
+        return f"{lhs} {expr.op} {rhs}"
     raise TypeError(f"unknown node {expr!r}")
 
 
@@ -618,18 +562,27 @@ def _rule_exact(expr: SetExpr, dim: int) -> bool:
     return level is not None and level**dim <= RESIDUE_BUDGET
 
 
+def _classes(expr: SetExpr) -> list[tuple[int, int]] | None:
+    """The class view of cong and multiples: the classes r + aZ^dim, as
+    pairs (r, a), whose union the atom is. None for any other node."""
+    if isinstance(expr, Cong):
+        return [(expr.r, expr.m0)]
+    if isinstance(expr, Multiples):
+        return [(0, a) for a in expr.moduli]
+    return None
+
+
 def clopen_modulus(expr: SetExpr) -> Optional[int]:
     """When membership in expr is determined by the residue mod L, return the
-    smallest such L derivable from the structure; else None. Cong and
-    Multiples atoms are determined mod their moduli and the property is
+    smallest such L derivable from the structure; else None. A union of
+    classes r + aZ is determined mod the lcm of its a, and the property is
     closed under all four combinators."""
-    if isinstance(expr, Cong):
-        return expr.m0
-    if isinstance(expr, Multiples):
-        return math.lcm(*expr.moduli)
+    classes = _classes(expr)
+    if classes is not None:
+        return math.lcm(*(a for _, a in classes))
     if isinstance(expr, Complement):
         return clopen_modulus(expr.a)
-    if isinstance(expr, (Union, Intersection, Difference)):
+    if isinstance(expr, _Binary):
         la, lb = clopen_modulus(expr.a), clopen_modulus(expr.b)
         if la is None or lb is None:
             return None
@@ -771,26 +724,21 @@ def compile_set(expr: SetExpr | str) -> CompiledSet:
     """Compile an expression (or source text) to a CompiledSet."""
     if isinstance(expr, str):
         expr = parse(expr)
-    _check_sequences(expr)
+    # one walk, left to right: every sequence name is known, and whether
+    # primes, which assumes Dirichlet's theorem, appears
+    assumptions, todo = frozenset(), [expr]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Seq) and node.name not in _primes._SEQUENCES:
+            raise DslValueError(
+                f"unknown sequence {node.name!r}; registered: {', '.join(sorted(_primes._SEQUENCES))}"
+            )
+        if isinstance(node, Primes):
+            assumptions = frozenset([ASSUMES_DIRICHLET])
+        todo.extend(reversed(node.children()))
     dim = expr_dim(expr)
     mode = EXACT if _rule_exact(expr, dim) else TRUNCATED
-    assumptions = frozenset([ASSUMES_DIRICHLET]) if _mentions_primes(expr) else frozenset()
     return CompiledSet(expr, dim, mode, assumptions)
-
-
-def _check_sequences(expr: SetExpr) -> None:
-    if isinstance(expr, Seq) and expr.name not in _primes._SEQUENCES:
-        raise DslValueError(
-            f"unknown sequence {expr.name!r}; registered: {', '.join(sorted(_primes._SEQUENCES))}"
-        )
-    for c in expr.children():
-        _check_sequences(c)
-
-
-def _mentions_primes(expr: SetExpr) -> bool:
-    if isinstance(expr, Primes):
-        return True
-    return any(_mentions_primes(c) for c in expr.children())
 
 
 # ------------------------------------------------------------- membership
@@ -872,8 +820,8 @@ def _box_mask(expr: SetExpr, lo: int, hi: int, dim: int) -> np.ndarray:
     The positive atoms primes and leadingdigit need lo >= 0, as every
     dimension-1 box has."""
     side = hi - lo + 1
-    if isinstance(expr, (Cong, Multiples)):  # a union of classes r + aZ^dim
-        classes = [(expr.r, expr.m0)] if isinstance(expr, Cong) else [(0, a) for a in expr.moduli]
+    classes = _classes(expr)
+    if classes is not None:
         return _mark_classes(np.zeros((side,) * dim, dtype=bool), lo, classes, True)
     if isinstance(expr, (Seq, FiniteSet, PolyImage, _Members)) or isinstance(expr, Coprime) and dim == 1:
         return _cells_at(_sparse_values(expr, lo, hi), lo, hi)
@@ -895,7 +843,7 @@ def _box_mask(expr: SetExpr, lo: int, hi: int, dim: int) -> np.ndarray:
     if isinstance(expr, Complement):
         out = _box_mask(expr.a, lo, hi, dim)
         return np.logical_not(out, out=out)
-    if isinstance(expr, (Union, Intersection, Difference)):
+    if isinstance(expr, _Binary):
         out, other = _box_mask(expr.a, lo, hi, dim), _box_mask(expr.b, lo, hi, dim)
         if isinstance(expr, Union):
             return np.logical_or(out, other, out=out)
@@ -928,7 +876,7 @@ def _stream_expr(expr: SetExpr, lo: int, hi: int) -> SetExpr:
         return _Members(_sparse_values(expr, lo, hi))
     if isinstance(expr, Complement):
         return Complement(_stream_expr(expr.a, lo, hi))
-    if isinstance(expr, (Union, Intersection, Difference)):
+    if isinstance(expr, _Binary):
         return type(expr)(_stream_expr(expr.a, lo, hi), _stream_expr(expr.b, lo, hi))
     return expr
 
@@ -996,19 +944,19 @@ def _exact_mask(expr: SetExpr, m: int, dim: int) -> np.ndarray:
     local conditions build one mask per prime power q || m and meet in
     _crt_and; the other atoms and Union are direct mask operations.
 
-    Cong and Multiples are classes r + aZ, read off the box [0, m)^dim with
-    each a reduced to gcd(m, a): x + mZ meets r + aZ exactly when
-    x = r mod gcd(m, a).
+    Cong and Multiples are unions of classes r + aZ (_classes), marked on
+    (Z/m)^dim with each a reduced to gcd(m, a): x + mZ meets r + aZ exactly
+    when x = r mod gcd(m, a).
 
     Any other node is clopen with period L (clopen_modulus): membership
     depends only on x mod L in every coordinate. By CRT, x + mZ covers
     exactly the classes x + gZ mod L, g = gcd(m, L), so pi_m is the
     pull-back to Z/m of the projection of one period [0, L)^dim to Z/g."""
+    classes = _classes(expr)
+    if classes is not None:
+        reduced = [(r, math.gcd(m, a)) for r, a in classes]
+        return _mark_classes(np.zeros((m,) * dim, dtype=bool), 0, reduced, True).ravel()
     pps = _primes.prime_powers_of(m)
-    if isinstance(expr, Cong):
-        return _box_mask(Cong(expr.r, math.gcd(m, expr.m0)), 0, m - 1, dim).ravel()
-    if isinstance(expr, Multiples):
-        return _box_mask(Multiples(tuple(math.gcd(m, a) for a in expr.moduli)), 0, m - 1, dim).ravel()
     if isinstance(expr, (KFree, Primes, Coprime)):
         k = _local_exponent(expr)
         locals_ = [(q, ~_box_mask(Cong(0, p**k), 0, q - 1, dim).ravel()) for p, j, q in pps if j >= k]

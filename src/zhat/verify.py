@@ -246,15 +246,6 @@ def dirichlet_coverage(m_max: int, prime_bound: int) -> VerificationReport:
 # ------------------------------------------------------------- few-factors
 
 
-def _elementary_symmetric_prefix(xs: list[Fraction], k: int) -> Fraction:
-    """Sum of elementary symmetric polynomials of degrees 0..k."""
-    coeffs = [Fraction(1)] + [Fraction(0)] * min(k, len(xs))
-    for x in xs:
-        for d in range(min(k, len(coeffs) - 1), 0, -1):
-            coeffs[d] += coeffs[d - 1] * x
-    return sum(coeffs)
-
-
 # most primes in omega_bound_measure's level modulus
 OMEGA_PRIMES = 20
 
@@ -291,25 +282,24 @@ def omega_bound_measure(k: int, prime_bound: int) -> VerificationReport:
         raise BudgetExceeded(f"more than {OMEGA_PRIMES} primes in the level modulus")
     trace: list[Fraction] = []
     closed: list[Fraction] = []
-    for i in range(1, len(primes) + 1):
-        pref = primes[:i]
-        # residues mod prod(pref) divisible by at most k of them: coefficient
-        # DP over ((p-1) + x) per prime, x marking divisibility
-        coeffs = [1] + [0] * min(k, i)
-        for p in pref:
-            nxt = [0] * len(coeffs)
-            for d, c in enumerate(coeffs):
-                nxt[d] += c * (p - 1)
-                if d + 1 < len(nxt):
-                    nxt[d + 1] += c
-            coeffs = nxt
-        m = math.prod(pref)
-        count = sum(coeffs)
-        trace.append(Fraction(count, m))
-        cf = math.prod(Fraction(p - 1, p) for p in pref) * _elementary_symmetric_prefix(
-            [Fraction(1, p - 1) for p in pref], k
-        )
-        closed.append(cf)
+    # one prime per level, each prefix extending the last one's sums.
+    # coeffs: the residues mod prod(prefix) divisible by exactly d of its
+    # primes, d <= k, from the product of ((p-1) + x) over the prefix.
+    # sym: the elementary symmetric sums e_d of 1/(p-1) over the prefix
+    top = min(k, len(primes))
+    coeffs = [1] + [0] * top
+    sym = [Fraction(1)] + [Fraction(0)] * top
+    euler = Fraction(1)  # prod (1 - 1/p) over the prefix
+    m = 1
+    for p in primes:
+        for d in range(top, 0, -1):
+            coeffs[d] = coeffs[d] * (p - 1) + coeffs[d - 1]
+            sym[d] += sym[d - 1] * Fraction(1, p - 1)
+        coeffs[0] *= p - 1
+        euler *= Fraction(p - 1, p)
+        m *= p
+        trace.append(Fraction(sum(coeffs), m))
+        closed.append(euler * sum(sym))
     matches = all(a == b for a, b in zip(trace, closed))
     # with at most k primes listed every residue qualifies, so the trace sits
     # at 1 until the prime count exceeds k and strictly decreases after
@@ -323,12 +313,11 @@ def omega_bound_measure(k: int, prime_bound: int) -> VerificationReport:
         f"strictly decreasing once the prime count exceeds k: {decreasing}",
     ]
     quantities: dict = {"trace": trace, "closed_form": closed}
-    m_final = math.prod(primes)
-    if m_final <= 10**6:
+    if m <= 10**6:
         direct = _omega_tally(primes, k)
         quantities["direct_count"] = direct
-        direct_ok = Fraction(direct, m_final) == trace[-1]
-        narrative.append(f"direct residue enumeration mod {m_final} agrees: {direct_ok}")
+        direct_ok = Fraction(direct, m) == trace[-1]
+        narrative.append(f"direct residue enumeration mod {m} agrees: {direct_ok}")
         matches = matches and direct_ok
     verdict = PASS if (matches and decreasing) else FAIL
     return VerificationReport(

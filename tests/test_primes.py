@@ -153,3 +153,29 @@ def test_named_sequences_live_with_the_primes():
     assert list(itertools.islice(_primes.sequence_terms("primorials"), 5)) == [2, 6, 30, 210, 2310]
     assert _primes._sequence_upto("factorials", 720) == [1, 2, 6, 24, 120, 720]
     assert _primes._sequence_upto("factorial_shift", 30) == [2, 4, 9, 28]
+
+
+def one_factor_valuation(n, p):
+    """v_p(|n|), one factor of p per division."""
+    n, v = abs(n), 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 97, 65537, 2**61 - 1]), st.integers(0, 3000),
+       st.integers(-10**30, 10**30).filter(bool))
+def test_valuation_matches_one_factor_at_a_time(p, e, unit):
+    # large exponents, negative n and cofactors that p may or may not divide
+    n = unit * p**e
+    assert _primes.valuation(n, p) == one_factor_valuation(n, p)
+
+
+def test_valuation_edges():
+    assert _primes.valuation(1, 2) == 0 and _primes.valuation(-3, 2) == 0
+    assert _primes.valuation(-(2**4095) * 3, 2) == 4095
+    assert _primes.valuation(math.factorial(2000), 2) == one_factor_valuation(math.factorial(2000), 2)
+    with pytest.raises(ValueError):
+        _primes.valuation(0, 3)

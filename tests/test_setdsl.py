@@ -117,6 +117,42 @@ def test_parse_errors_carry_position():
             parse(bad)
 
 
+@pytest.mark.parametrize("text, exc, message, pos", [
+    ("cong(1)", DslSyntaxError, "syntax error at position 6: found ')' (expected ',')", 6),
+    ("cong(1 2)", DslSyntaxError, "syntax error at position 7: found '2' (expected ',')", 7),
+    ("cong(1,2,3)", DslSyntaxError, "syntax error at position 8: found ',' (expected ')')", 8),
+    ("cong(2,", DslSyntaxError, "syntax error at position 7: found 'end of input' (expected integer)", 7),
+    ("cong", DslSyntaxError, "syntax error at position 4: found 'end of input' (expected '(')", 4),
+    ("cong(1,-2)", DslValueError, "cong modulus must be >= 1, got -2", None),
+    ("kfree()", DslSyntaxError, "syntax error at position 6: found ')' (expected integer)", 6),
+    ("kfree(1)", DslValueError, "kfree exponent must be >= 2, got 1", None),
+    ("coprime(4)", DslValueError, "coprime dimension must be 1..3, got 4", None),
+    ("multiples()", DslSyntaxError, "syntax error at position 10: found ')' (expected integer)", 10),
+    ("multiples(2,)", DslSyntaxError, "syntax error at position 12: found ')' (expected integer)", 12),
+    ("multiples(0)", DslValueError, "multiples needs positive moduli", None),
+    ("finite(1,)", DslSyntaxError, "syntax error at position 9: found ')' (expected integer)", 9),
+    ("finite(1 2)", DslSyntaxError, "syntax error at position 9: found '2' (expected ')')", 9),
+    ("seq(3)", DslSyntaxError, "syntax error at position 4: found '3' (expected sequence name)", 4),
+    ("seq(a b)", DslSyntaxError, "syntax error at position 6: found 'b' (expected ')')", 6),
+    ("image()", DslSyntaxError,
+     "syntax error at position 6: found ')' (expected integer, variable x/y/z, '(')", 6),
+    ("image(x^)", DslSyntaxError, "syntax error at position 8: found ')' (expected exponent)", 8),
+    ("leadingdigit(0,10)", DslValueError, "leadingdigit needs 1 <= d < base, got d=0 base=10", None),
+    ("leadingdigit(1)", DslSyntaxError, "syntax error at position 14: found ')' (expected ',')", 14),
+    ("foo(1)", DslSyntaxError,
+     "syntax error at position 0: unknown atom 'foo' (expected cong, coprime, finite, image, "
+     "kfree, leadingdigit, multiples, seq, primes)", 0),
+    ("primes(1)", DslSyntaxError, "syntax error at position 6: trailing input '('", 6),
+])
+def test_parse_error_messages(text, exc, message, pos):
+    """The exact message and position of each malformed atom."""
+    with pytest.raises(exc) as ei:
+        parse(text)
+    assert type(ei.value) is exc
+    assert str(ei.value) == message
+    assert getattr(ei.value, "pos", None) == pos
+
+
 def test_dimension_unification():
     with pytest.raises(DimensionMismatch):
         parse("coprime(2) & kfree(2)")

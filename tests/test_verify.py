@@ -1,5 +1,6 @@
 """End-to-end checks for the theorem-verification harnesses."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -168,6 +169,25 @@ def test_omega_direct_tally_matches_the_dp(k):
             omega[::p] += 1
         assert rep.quantities["direct_count"] == int((omega <= k).sum()), (k, bound)
         assert rep.verdict == "PASS"
+
+
+@pytest.mark.parametrize("k, bound", [(0, 71), (1, 71), (2, 71), (3, 71), (25, 13)])
+def test_omega_every_level_matches_a_sum_over_prime_subsets(k, bound):
+    # level i from scratch: the residues divisible by exactly the primes of
+    # S are prod(p - 1) over the rest of the prefix, and e_d sums 1/(p-1)
+    # over the d-subsets S
+    rep = omega_bound_measure(k, bound)
+    primes = [p for p in range(2, bound + 1) if all(p % d for d in range(2, p))]
+    assert len(rep.quantities["trace"]) == len(rep.quantities["closed_form"]) == len(primes)
+    for i in range(1, len(primes) + 1):
+        pref = primes[:i]
+        subsets = [S for d in range(min(k, i) + 1) for S in itertools.combinations(pref, d)]
+        count = sum(math.prod(p - 1 for p in pref if p not in S) for S in subsets)
+        closed = math.prod(Fraction(p - 1, p) for p in pref) * sum(
+            math.prod(Fraction(1, p - 1) for p in S) for S in subsets)
+        assert rep.quantities["trace"][i - 1] == Fraction(count, math.prod(pref))
+        assert rep.quantities["closed_form"][i - 1] == closed
+    assert rep.verdict == "PASS"
 
 
 def test_omega_past_twenty_primes_raises_before_sieving(monkeypatch):
