@@ -1,5 +1,6 @@
 """Shared sieve and factorization utilities, the named integer
-sequences, and the exception classes and verdicts of the set language.
+sequences, the exception classes and verdicts of the set language, and
+the one JSON form of a result.
 
 A single module-level cache, the sorted primes up to a bound, is grown on
 demand and read-only afterwards, so every consumer shares one array. Only
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
+from fractions import Fraction
 from itertools import accumulate, count, takewhile
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -50,6 +53,32 @@ class BudgetExceeded(DslError):
 PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+
+def jsonable(x):
+    """The one JSON form of a result: a Fraction is {num, den, float}, a
+    record is its to_json(), dict keys become strings, tuples lists, sets
+    sorted lists, and numbers plain ints and floats. numpy's scalar types
+    register with the numbers ABCs, so they convert without importing
+    numpy."""
+    if isinstance(x, Fraction):
+        return {"num": x.numerator, "den": x.denominator, "float": float(x)}
+    if hasattr(x, "to_json"):
+        return x.to_json()
+    if isinstance(x, dict):
+        return {str(k): jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, (frozenset, set)):
+        return sorted(jsonable(v) for v in x)
+    if isinstance(x, bool):
+        return x
+    if isinstance(x, numbers.Integral):
+        return int(x)
+    if isinstance(x, numbers.Real):
+        return float(x)
+    return x
+
 
 # most cells one box table may hold, and the largest bound the shared sieve
 # grows to

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _primes
 from ._ie import _ie_groups
-from ._primes import FAIL, INCONCLUSIVE, PASS, _iroot
+from ._primes import FAIL, INCONCLUSIVE, PASS, _iroot, jsonable
 from .measure import (
     _LIB_UNITS,
     Bracket,
@@ -198,12 +198,7 @@ class DlogReport:
     verdict: str
 
     def to_json(self) -> dict:
-        return {
-            "s": self.s, "cutoff": self.cutoff, "tol": self.tol,
-            "ratio_side": self.ratio_side, "series_side": self.series_side,
-            "difference": self.difference, "tail_budget": self.tail_budget,
-            "verdict": self.verdict,
-        }
+        return jsonable(vars(self))
 
 
 def dlog_zeta_check(s: float, cutoff: int, tol: float) -> DlogReport:

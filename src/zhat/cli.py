@@ -14,47 +14,26 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from itertools import islice
 
 # each handler imports the modules it runs, leaf first (setdsl, then
 # measure, then the layer it calls): the sn commands, measure --multiples
 # and verify omega and union-dense load no numpy, and no chain of
 # half-imported modules builds up
-from ._primes import FAIL, INCONCLUSIVE, PASS, BudgetExceeded, DslError, DslSyntaxError
+from ._primes import (FAIL, INCONCLUSIVE, PASS, BudgetExceeded, DslError, DslSyntaxError,
+                      jsonable, sequence_terms)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
+OUTPUTS = ("json", "csv", "table")
+
 THEOREM_IDS = (
     "davenport-erdos", "dirichlet", "omega", "eulerian", "asdmltp",
     "poonen-stoll", "mt", "counterexample", "union-dense", "axioms",
 )
-
-
-class RunConfig:
-    """Effective parameters of one invocation, echoed into every output. A
-    plain class: a dataclass would import dataclasses and inspect, about
-    10 ms, on every command."""
-
-    def __init__(self, command: str, set_text: str | None = None,
-                 truncation: int | None = None, r_max: int | None = None,
-                 prime_bound: int | None = None, chain: str | None = None,
-                 output: str = "json", seed: int = 0, extra: dict | None = None):
-        self.command, self.set_text, self.truncation = command, set_text, truncation
-        self.r_max, self.prime_bound, self.chain = r_max, prime_bound, chain
-        self.output, self.seed, self.extra = output, seed, extra
-
-    def validate(self) -> None:
-        for name in ("truncation", "r_max", "prime_bound"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ValueError(f"{name} must be positive, got {v}")
-
-    def to_json(self) -> dict:
-        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def _num(text: str) -> int:
@@ -110,18 +89,30 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 class _Resolver:
-    """Flag > config file > built-in default, recording the effective value."""
+    """Flag > config file > built-in default, recording the effective value.
+    The output form and the seed, which every command echoes, are read once
+    here, before any command computes."""
 
     def __init__(self, args: argparse.Namespace, file_cfg: dict[str, str]):
         self.args = args
         self.file_cfg = file_cfg
+        self.output = self.get("output", str, "json")
+        if self.output not in OUTPUTS:
+            raise ValueError(f"output must be one of {', '.join(OUTPUTS)}, got {self.output!r}")
+        self.seed = self.get("seed", _num, 0)
 
     def get(self, key: str, cast, default=None):
         v = getattr(self.args, key, None)
         if v is None and key in self.file_cfg:
-            raw = self.file_cfg[key]
-            v = cast(raw) if cast is not None else raw
+            v = cast(self.file_cfg[key])
         return default if v is None else v
+
+
+def _positive(name: str, v):
+    """v, unset or at least 1; else a usage error naming the parameter."""
+    if v is not None and v < 1:
+        raise ValueError(f"{name} must be positive, got {v}")
+    return v
 
 
 def _parse_chain(text: str):
@@ -141,40 +132,27 @@ def _parse_chain(text: str):
     raise ValueError(f"unknown chain spec {text!r}")
 
 
-def _fraction_json(v: Fraction) -> dict:
-    return {"num": v.numerator, "den": v.denominator, "float": float(v)}
-
-
-def _emit(payload: dict, cfg: RunConfig, fmt: str) -> None:
-    payload = dict(payload)
-    payload["config"] = cfg.to_json()
-    payload["seed"] = cfg.seed
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2, default=_json_default))
-    elif fmt == "csv":
-        csv = payload.pop("csv", None)
-        if csv is None:
-            raise ValueError("this command has no CSV form; use --output json")
-        sys.stdout.write(csv)
+def _emit(res: _Resolver, payload: dict, command: str, extra: dict, **fields) -> None:
+    """Print payload in the chosen output form, with the effective
+    configuration (the command, the fields that are set, the output form,
+    the seed and the command's own parameters in extra) and the seed. The
+    whole payload goes through the one JSON encoder first, so handlers pass
+    records and Fractions in raw."""
+    config = {"command": command, **{k: v for k, v in fields.items() if v is not None},
+              "output": res.output, "seed": res.seed, "extra": extra}
+    payload = jsonable({**payload, "config": config, "seed": res.seed})
+    if res.output == "json":
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    elif res.output == "csv":
+        sys.stdout.write(payload["csv"])
     else:
-        payload.pop("csv", None)
-        for key in sorted(payload):
+        for key in sorted(payload.keys() - {"csv"}):
             print(f"{key}: {_render(payload[key])}")
 
 
-def _json_default(o):
-    if isinstance(o, Fraction):
-        return _fraction_json(o)
-    if isinstance(o, (frozenset, set)):
-        return sorted(o)
-    raise TypeError(f"not serializable: {type(o)!r}")
-
-
 def _render(v) -> str:
-    if isinstance(v, Fraction):
-        return f"{v} = {float(v):.10g}"
     if isinstance(v, dict):
-        return json.dumps(v, sort_keys=True, default=_json_default)
+        return json.dumps(v, sort_keys=True)
     if isinstance(v, list):
         return ", ".join(_render(x) for x in v)
     return str(v)
@@ -190,15 +168,8 @@ def _cmd_density(res: _Resolver) -> int:
     if not set_text:
         raise DslSyntaxError("density needs --set", 0, ("set expression",))
     method = res.get("method", str, "asymptotic")
-    r_max = res.get("r", _num, 10**6)
+    r_max = _positive("r_max", res.get("r", _num, 10**6))
     cutoff = res.get("cutoff", _num, 10**5)
-    fmt = res.get("output", str, "json")
-    cfg = RunConfig(
-        command="density", set_text=set_text, r_max=r_max,
-        chain=res.get("chain", str), output=fmt, seed=res.get("seed", _num, 0),
-        extra={"method": method},
-    )
-    cfg.validate()
     cs = setdsl.compile_set(set_text)
     r_grid = sorted({max(1, r_max // 2**i) for i in range(5)})
     methods = {
@@ -223,41 +194,34 @@ def _cmd_density(res: _Resolver) -> int:
         raise ValueError(f"unknown method {unknown[0]!r}; choose from {', '.join(methods)} or all")
     if method == "all":
         wanted = ["asymptotic", "logarithmic", "uniform", "analytic", "buck"]
-    reports = {m: methods[m]().to_json() for m in wanted}
-    rows = ["method,lower,upper,certified"]
-    for m in wanted:
-        rep = reports[m]
-        rows.append(f"{m},{rep['lower_est']:.10g},{rep['upper_est']:.10g},{rep['certified']}")
-    _emit({"reports": reports, "csv": "\n".join(rows) + "\n"}, cfg, fmt)
+    reports = {m: methods[m]() for m in wanted}
+    rows = ["method,lower,upper,certified"] + [
+        f"{m},{rep.lower_est:.10g},{rep.upper_est:.10g},{rep.certified}"
+        for m, rep in reports.items()]
+    _emit(res, {"reports": reports, "csv": "\n".join(rows) + "\n"}, "density",
+          {"method": method}, set_text=set_text, r_max=r_max, chain=res.get("chain", str))
     return EXIT_OK
 
 
 def _cmd_measure(res: _Resolver) -> int:
-    fmt = res.get("output", str, "json")
-    seed = res.get("seed", _num, 0)
     multiples = res.get("multiples", _int_list)
     euler = res.get("euler", str)
     if multiples:
         from . import measure
 
-        cfg = RunConfig(command="measure", output=fmt, seed=seed,
-                        extra={"multiples": multiples})
-        cfg.validate()
         v = measure.multiples_measure_ie(multiples)
-        _emit({"measure": _fraction_json(v), "certified": True,
-               "csv": f"measure\n{v.numerator}/{v.denominator}\n"}, cfg, fmt)
+        _emit(res, {"measure": v, "certified": True,
+                    "csv": f"measure\n{v.numerator}/{v.denominator}\n"},
+              "measure", {"multiples": multiples})
         return EXIT_OK
     from . import setdsl, measure
 
     if euler:
-        cutoff = res.get("cutoff", _num, 10**4)
-        cfg = RunConfig(command="measure", prime_bound=cutoff, output=fmt, seed=seed,
-                        extra={"euler": euler})
-        cfg.validate()
+        cutoff = _positive("prime_bound", res.get("cutoff", _num, 10**4))
         br = measure.euler_product(euler, cutoff)
-        _emit({"bracket": br.to_json(), "notes": list(br.notes),
-               "csv": f"lo,hi,certified\n{br.lo:.12g},{br.hi:.12g},{br.certified}\n"},
-              cfg, fmt)
+        _emit(res, {"bracket": br, "notes": br.notes,
+                    "csv": f"lo,hi,certified\n{br.lo:.12g},{br.hi:.12g},{br.certified}\n"},
+              "measure", {"euler": euler}, prime_bound=cutoff)
         return EXIT_OK
     set_text = res.get("set", str)
     if not set_text:
@@ -265,37 +229,32 @@ def _cmd_measure(res: _Resolver) -> int:
     chain_text = res.get("chain", str, "primorial")
     level_cap = res.get("levels", _num, 10)
     cutoff = res.get("cutoff", _num, 10**6)
-    truncation = res.get("truncation", _num)
-    cfg = RunConfig(command="measure", set_text=set_text, chain=chain_text,
-                    truncation=truncation, output=fmt, seed=seed,
-                    extra={"levels": level_cap, "cutoff": cutoff})
-    cfg.validate()
+    truncation = _positive("truncation", res.get("truncation", _num))
     if level_cap < 1:
         raise ValueError(f"levels must be >= 1, got {level_cap}")
     cs = setdsl.compile_set(set_text)
     chain = _parse_chain(chain_text)
     # the first level_cap levels only: cut the chain at the last one kept
-    cutoff = chain.levels(cutoff)[:level_cap][-1]
-    trace = measure.closure_measure_trace(cs, chain, cutoff, truncation=truncation)
+    top = chain.levels(cutoff)[:level_cap][-1]
+    trace = measure.closure_measure_trace(cs, chain, top, truncation=truncation)
     payload = {
-        "levels": [
-            {"modulus": r.modulus, "measure": _fraction_json(r.measure), "mode": r.mode}
-            for r in trace.records
-        ],
+        "levels": [{"modulus": r.modulus, "measure": r.measure, "mode": r.mode}
+                   for r in trace.records],
         "certified": trace.certified,
-        "notes": list(trace.notes),
+        "notes": trace.notes,
         "csv": trace.to_csv(),
     }
-    _emit(payload, cfg, fmt)
+    _emit(res, payload, "measure", {"levels": level_cap, "cutoff": cutoff},
+          set_text=set_text, chain=chain_text, truncation=truncation)
     return EXIT_OK
 
 
-def _axioms_report(res: _Resolver, seed: int):
+def _axioms_report(res: _Resolver):
     from . import measure, density, verify
 
     cases = res.get("cases", _num, 100)
     pair = res.get("pair", str, "exact")
-    suite = density.axiom_suite(cases, seed=seed, pair=pair,
+    suite = density.axiom_suite(cases, seed=res.seed, pair=pair,
                                 estimator_cases=res.get("estimator_cases", _num, 0))
     failing = suite.failing_axioms
     if pair == "exact":
@@ -305,12 +264,11 @@ def _axioms_report(res: _Resolver, seed: int):
         ok = failing == ["ideal-scaling"]
         expect = "all axioms except ideal-scaling hold"
     verdict = PASS if ok else FAIL
-    quantities = suite.to_json()
     narrative = [f"{cases} random periodic sets, pair={pair}; expected: {expect}"]
     if failing:
         narrative.append(f"failing axioms: {failing}")
-    return verify.VerificationReport("axioms", {"cases": cases, "seed": seed, "pair": pair},
-                                     quantities, verdict, tuple(narrative))
+    return verify.VerificationReport("axioms", {"cases": cases, "seed": res.seed, "pair": pair},
+                                     suite.to_json(), verdict, tuple(narrative))
 
 
 def _cmd_verify(res: _Resolver) -> int:
@@ -319,8 +277,6 @@ def _cmd_verify(res: _Resolver) -> int:
         raise ValueError(
             f"unknown theorem id {theorem!r}; valid ids: {', '.join(THEOREM_IDS)}"
         )
-    fmt = res.get("output", str, "json")
-    seed = res.get("seed", _num, 0)
     if theorem not in ("omega", "union-dense"):
         # leaf first: the set layer before verify; the other way round,
         # verify counterexample peaks 1.2 MB higher
@@ -382,13 +338,9 @@ def _cmd_verify(res: _Resolver) -> int:
         sups = [_int_list(part) for part in raw.split(";") if part.strip()]
         rep = verify.union_dense_check(sups, family_flag=res.get("family_flag", _bool, False))
     else:
-        rep = _axioms_report(res, seed)
-
-    cfg = RunConfig(command="verify", output=fmt, seed=seed,
-                    extra={"theorem": theorem})
-    cfg.validate()
-    _emit({"report": rep.to_json(),
-           "csv": f"theorem,verdict\n{rep.theorem},{rep.verdict}\n"}, cfg, fmt)
+        rep = _axioms_report(res)
+    _emit(res, {"report": rep, "csv": f"theorem,verdict\n{rep.theorem},{rep.verdict}\n"},
+          "verify", {"theorem": theorem})
     return {PASS: EXIT_OK, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}[rep.verdict]
 
 
@@ -404,43 +356,40 @@ def _cmd_sn(res: _Resolver) -> int:
     from . import supernatural as sn
 
     op = res.get("sn_op", str)
-    fmt = res.get("output", str, "json")
-    cfg = RunConfig(command="sn", output=fmt, seed=res.get("seed", _num, 0),
-                    extra={"op": op})
-    if op == "mul":
-        a, b = res.args.operands
-        v = sn.mul(sn.parse_supernatural(a), sn.parse_supernatural(b))
-        _emit({"result": sn.to_text(v), "csv": f"result\n{sn.to_text(v)}\n"}, cfg, fmt)
-        return EXIT_OK
-    if op == "rho":
-        (k,) = res.args.operands
-        v = sn.rho(int(k))
-        _emit({"result": sn.to_text(v), "csv": f"result\n{sn.to_text(v)}\n"}, cfg, fmt)
-        return EXIT_OK
-    # limit: valuation trajectories of a named sequence
-    name = res.get("seq", str, "factorial")
-    if name not in _SN_SEQUENCES:
-        raise ValueError(f"unknown sequence {name!r}; choose from {', '.join(sorted(_SN_SEQUENCES))}")
-    terms = res.get("terms", _num, 30)
-    pmax = res.get("pmax", _num, 7)
-    window = res.get("window", _num, 5)
-    from ._primes import sequence_terms
-
-    seq = list(islice(sequence_terms(_SN_SEQUENCES[name]), max(terms, 0)))
-    prof = sn.limit_profile(seq, pmax, window)
-    rows = ["prime,last_valuation,status"]
-    table = {}
-    for p in sorted(prof.valuations):
-        last = prof.valuations[p][-1]
-        rows.append(f"{p},{last},{prof.status[p]}")
-        table[str(p)] = {"last_valuation": last, "status": prof.status[p],
-                         "trajectory_tail": list(prof.valuations[p][-window:])}
-    _emit({"sequence": name, "terms": terms, "profile": table,
-           "csv": "\n".join(rows) + "\n"}, cfg, fmt)
+    if op in ("mul", "rho"):
+        operands = res.args.operands
+        v = (sn.mul(*map(sn.parse_supernatural, operands)) if op == "mul"
+             else sn.rho(int(operands[0])))
+        text = sn.to_text(v)
+        payload = {"result": text, "csv": f"result\n{text}\n"}
+    else:
+        # limit: valuation trajectories of a named sequence
+        name = res.get("seq", str, "factorial")
+        if name not in _SN_SEQUENCES:
+            raise ValueError(f"unknown sequence {name!r}; choose from {', '.join(sorted(_SN_SEQUENCES))}")
+        terms = res.get("terms", _num, 30)
+        pmax = res.get("pmax", _num, 7)
+        window = res.get("window", _num, 5)
+        prof = sn.limit_profile(islice(sequence_terms(_SN_SEQUENCES[name]), max(terms, 0)),
+                                pmax, window)
+        rows = ["prime,last_valuation,status"]
+        table = {}
+        for p in sorted(prof.valuations):
+            last = prof.valuations[p][-1]
+            rows.append(f"{p},{last},{prof.status[p]}")
+            table[str(p)] = {"last_valuation": last, "status": prof.status[p],
+                             "trajectory_tail": prof.valuations[p][-window:]}
+        payload = {"sequence": name, "terms": terms, "profile": table,
+                   "csv": "\n".join(rows) + "\n"}
+    _emit(res, payload, "sn", {"op": op})
     return EXIT_OK
 
 
 # ------------------------------------------------------------- entry point
+
+
+_COMMANDS = {"density": _cmd_density, "measure": _cmd_measure, "verify": _cmd_verify,
+             "sn": _cmd_sn}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", help="key=value config file; flags override it")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", choices=("json", "csv", "table"), default=None)
+    common.add_argument("--output", choices=OUTPUTS, default=None)
     common.add_argument("--seed", type=_num, default=None)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -532,15 +481,8 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as e:
             print(f"config error: {e}", file=sys.stderr)
             return EXIT_USAGE
-    res = _Resolver(args, file_cfg)
     try:
-        if args.command == "density":
-            return _cmd_density(res)
-        if args.command == "measure":
-            return _cmd_measure(res)
-        if args.command == "verify":
-            return _cmd_verify(res)
-        return _cmd_sn(res)
+        return _COMMANDS[args.command](_Resolver(args, file_cfg))
     except DslSyntaxError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import measure
 from ._ie import _ie_coefficients
+from ._primes import jsonable
 from .analytic import zeta_sets
 from .measure import ModulusChain, closure_measure_trace, masked_power_sums, zeta_partial
 from .setdsl import (
@@ -76,16 +77,7 @@ class DensityReport:
             raise DslValueError("lower estimate exceeds upper estimate")
 
     def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "params": self.params,
-            "grid": list(self.grid),
-            "values": [list(v) if isinstance(v, (tuple, list)) else float(v) for v in self.values],
-            "lower_est": self.lower_est,
-            "upper_est": self.upper_est,
-            "certified": self.certified,
-            "notes": list(self.notes),
-        }
+        return jsonable(vars(self))
 
 
 def _tail(seq, window: int):

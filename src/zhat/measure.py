@@ -15,6 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, takewhile
 from typing import TYPE_CHECKING
 
 from . import _primes
@@ -125,26 +126,19 @@ class ModulusChain:
         return ModulusChain(EXPLICIT, moduli=tuple(moduli))
 
     def levels(self, cutoff: int) -> list[int]:
-        """Chain levels not exceeding cutoff (explicit chains return their
-        prefix under the cutoff)."""
+        """Chain levels not exceeding cutoff: the named sequences'
+        primorials (to the chain's power) or factorials from 2! on, or the
+        explicit moduli, which increase."""
         if cutoff < 1:
             raise ChainError("cutoff must be >= 1")
         if self.kind == EXPLICIT:
-            out = [m for m in self.moduli if m <= cutoff]
+            terms = self.moduli
         elif self.kind == FACTORIAL:
-            out, k, acc = [], 2, 2
-            while acc <= cutoff:
-                out.append(acc)
-                k += 1
-                acc *= k
+            terms = islice(_primes.sequence_terms("factorials"), 1, None)  # from 2! on
         else:
             k = self.power if self.kind == PRIMORIAL_POWER else 1
-            out, acc = [], 1
-            for p in _primes.iter_primes():
-                acc *= int(p) ** k
-                if acc > cutoff:
-                    break
-                out.append(acc)
+            terms = (m**k for m in _primes.sequence_terms("primorials"))
+        out = list(takewhile(lambda m: m <= cutoff, terms))
         if not out:
             raise ChainError(f"no chain level fits under cutoff {cutoff}")
         return out

@@ -155,6 +155,14 @@ def parse_supernatural(text: str) -> SupernaturalNumber:
 # near 200 MB
 PROFILE_PRIME_BUDGET = 10**5
 
+# most work one profile may spend: the terms' total bit length times the
+# number of listed primes. Valuations of factorials by small primes run
+# slowest, about 6 * 10^7 of these units a second on a 2-vCPU Xeon (the
+# first 4000 factorials and the primes up to 7 make 3.1 * 10^8, 5 s), so a
+# profile within budget takes at most about 8 s, and the terms it holds at
+# most 5 * 10^8 bits
+PROFILE_WORK_BUDGET = 5 * 10**8
+
 STABILIZED = "stabilized"
 DIVERGING = "diverging"
 INCONCLUSIVE = "inconclusive"
@@ -187,12 +195,23 @@ def limit_profile(seq: Sequence[int] | Iterable[int], prime_bound: int, window: 
             f"primes up to {prime_bound} may number more than the profile budget "
             f"{PROFILE_PRIME_BUDGET}"
         )
-    terms = [int(x) for x in seq]
+    primes = list(takewhile(lambda p: p <= prime_bound, _primes.iter_primes()))
+    # the terms are held and each listed prime takes one valuation of each,
+    # so the work is the terms' total bit length times the prime count (one
+    # at least), summed as the terms are generated and before any valuation
+    terms, work = [], 0
+    for x in map(int, seq):
+        if x == 0:
+            raise ValueError("sequence terms must be nonzero")
+        work += x.bit_length() * max(1, len(primes))
+        if work > PROFILE_WORK_BUDGET:
+            raise _primes.BudgetExceeded(
+                f"{len(terms) + 1} terms and the {len(primes)} primes up to {prime_bound} "
+                f"exceed the profile work budget {PROFILE_WORK_BUDGET} (bits times primes)"
+            )
+        terms.append(x)
     if not terms:
         raise ValueError("empty sequence")
-    if any(x == 0 for x in terms):
-        raise ValueError("sequence terms must be nonzero")
-    primes = list(takewhile(lambda p: p <= prime_bound, _primes.iter_primes()))
     valuations: dict[int, tuple[int, ...]] = {}
     status: dict[int, str] = {}
     k = min(window, len(terms))

@@ -11,7 +11,6 @@ tolerance.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, takewhile
@@ -21,7 +20,7 @@ from . import _primes
 # each harness imports the numpy and set layers it runs, leaf first
 # (setdsl, then measure, then analytic or density), so no chain of
 # half-imported modules builds up; omega and union-dense run on _primes alone
-from ._primes import FAIL, INCONCLUSIVE, PASS, BudgetExceeded, DslValueError
+from ._primes import FAIL, INCONCLUSIVE, PASS, BudgetExceeded, DslValueError, jsonable
 
 if TYPE_CHECKING:
     from .measure import ModulusChain
@@ -37,35 +36,7 @@ class VerificationReport:
     narrative: tuple[str, ...]
 
     def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "inputs": _jsonable(self.inputs),
-            "quantities": _jsonable(self.quantities),
-            "verdict": self.verdict,
-            "narrative": list(self.narrative),
-        }
-
-
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return {"num": x.numerator, "den": x.denominator, "float": float(x)}
-    if hasattr(x, "to_json"):  # a measure.Bracket
-        return x.to_json()
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (frozenset, set)):
-        return sorted(_jsonable(v) for v in x)
-    if isinstance(x, bool):
-        return x
-    # numpy's scalar types register with the numbers ABCs, so they convert
-    # without importing numpy
-    if isinstance(x, numbers.Integral):
-        return int(x)
-    if isinstance(x, numbers.Real):
-        return float(x)
-    return x
+        return jsonable(vars(self))
 
 
 def prime_power_family(k: int, prime_bound: int) -> list[int]:

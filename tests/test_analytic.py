@@ -1,6 +1,7 @@
 """Dirichlet-series tools: truncated sums, the log-derivative identity, and
 certified inclusion-exclusion values."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from zhat import _primes
 from zhat.analytic import (
     DirichletTruncation,
+    DlogReport,
     _iroot,
     _von_mangoldt_block,
     de_delta_bracket,
@@ -292,3 +294,16 @@ def test_de_delta_bracket_contains_exact(moduli, k):
     lo, hi = de_delta_bracket(moduli, s, digits=10)
     fval = de_delta_exact(moduli, float(s))
     assert float(lo) - 1e-8 <= fval <= float(hi) + 1e-8
+
+
+def test_dlog_report_json_is_pinned():
+    # recorded before the encoder moved out of verify: numpy floats come
+    # out as plain floats
+    rep = DlogReport(s=2.0, cutoff=10**4, tol=1e-6, ratio_side=np.float64(-0.5699),
+                     series_side=-0.5699000000000001, difference=np.float64(1e-16),
+                     tail_budget=2.5e-3, verdict="INCONCLUSIVE")
+    expected = {"s": 2.0, "cutoff": 10000, "tol": 1e-06, "ratio_side": -0.5699,
+                "series_side": -0.5699000000000001, "difference": 1e-16,
+                "tail_budget": 0.0025, "verdict": "INCONCLUSIVE"}
+    assert rep.to_json() == expected
+    assert json.dumps(rep.to_json()) == json.dumps(expected)

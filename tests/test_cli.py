@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 import time
@@ -329,6 +331,25 @@ def test_sn_limit_past_the_profile_budget_is_inconclusive():
                            "the profile budget 100000\n")
 
 
+def _cap_address_space():
+    # without the work budget the second command would hold about 9 GB of
+    # factorials; under the cap it fails fast instead
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("args", [("--terms", "2000", "--pmax", "1e5"),
+                                  ("--seq", "factorial", "--terms", "100000")])
+def test_sn_limit_past_the_work_budget_exits_at_once(args):
+    # one BLAS thread: OpenBLAS reserves address space per thread
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    start = time.monotonic()
+    proc = subprocess.run(CLI + ["sn", "limit", *args], capture_output=True, text=True,
+                          env=env, timeout=10, preexec_fn=_cap_address_space)
+    assert time.monotonic() - start < 1
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "exceed the profile work budget" in proc.stderr
+
+
 @pytest.mark.parametrize("args, message", [
     (("density",), "density needs --set (expected set expression)"),
     (("verify", "union-dense"), "verify union-dense needs --supports (expected prime sets)"),
@@ -453,10 +474,66 @@ def test_config_file_family_flag_rejects_other_values(tmp_path, capsys):
     assert capsys.readouterr().err == "usage: not a true/false value: 'maybe'\n"
 
 
+@pytest.mark.parametrize("value", ["JSON", "xml"])
+@pytest.mark.parametrize("args", [("measure", "--multiples", "4,6"), ("sn", "rho", "12")])
+def test_config_file_output_is_validated_like_the_flag(args, value, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"output = {value}\n")
+    assert cli.main(["--config", str(cfg), *args]) == 2
+    assert capsys.readouterr() == ("", f"usage: output must be one of json, csv, table, got {value!r}\n")
+    cfg.write_text("output = csv\n")
+    assert cli.main(["--config", str(cfg), "sn", "rho", "12"]) == 0
+    assert capsys.readouterr().out == "result\n2^2*3\n"
+
+
 def test_table_output_renders_key_value_lines():
     proc = run_cli("measure", "--multiples", "4,6", "--output", "table")
     assert "measure" in proc.stdout
     assert "{" not in proc.stdout.splitlines()[0]
+
+
+# the exact table form of three commands, recorded before the output
+# encoder moved
+TABLE_OUTPUTS = {
+    ("measure", "--multiples", "4,6"): (
+        'certified: True\n'
+        'config: {"command": "measure", "extra": {"multiples": [4, 6]}, "output": "table", '
+        '"seed": 0}\n'
+        'measure: {"den": 3, "float": 0.6666666666666666, "num": 2}\n'
+        'seed: 0\n'
+    ),
+    ("measure", "--euler", "1-1/p^2"): (
+        'bracket: {"certified": true, "cutoff": 10000, "hi": 0.6079330691140984, '
+        '"lo": 0.6078114946580399}\n'
+        'config: {"command": "measure", "extra": {"euler": "1-1/p^2"}, "output": "table", '
+        '"prime_bound": 10000, "seed": 0}\n'
+        'notes: \n'
+        'seed: 0\n'
+    ),
+    ("verify", "omega"): (
+        'config: {"command": "verify", "extra": {"theorem": "omega"}, "output": "table", '
+        '"seed": 0}\n'
+        'report: {"inputs": {"k": 2, "prime_bound": 13}, "narrative": ["levels over primes '
+        '[2, 3, 5, 7, 11, 13]", "proportions match the closed form exactly: True", "strictly '
+        'decreasing once the prime count exceeds k: True", "direct residue enumeration mod '
+        '30030 agrees: True"], "quantities": {"closed_form": [{"den": 1, "float": 1.0, '
+        '"num": 1}, {"den": 1, "float": 1.0, "num": 1}, {"den": 30, "float": '
+        '0.9666666666666667, "num": 29}, {"den": 15, "float": 0.9333333333333333, "num": 14}, '
+        '{"den": 11, "float": 0.9090909090909091, "num": 10}, {"den": 15015, "float": '
+        '0.8873792873792874, "num": 13324}], "direct_count": 26648, "trace": [{"den": 1, '
+        '"float": 1.0, "num": 1}, {"den": 1, "float": 1.0, "num": 1}, {"den": 30, "float": '
+        '0.9666666666666667, "num": 29}, {"den": 15, "float": 0.9333333333333333, "num": 14}, '
+        '{"den": 11, "float": 0.9090909090909091, "num": 10}, {"den": 15015, "float": '
+        '0.8873792873792874, "num": 13324}]}, "theorem": "omega", "verdict": "PASS"}\n'
+        'seed: 0\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(TABLE_OUTPUTS), ids=" ".join)
+def test_table_output_is_pinned(args, capsys):
+    assert cli.main([*args, "--output", "table"]) == 0
+    assert capsys.readouterr().out == TABLE_OUTPUTS[args]
 
 
 def test_bad_dsl_is_usage_error():

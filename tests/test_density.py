@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -480,6 +481,28 @@ def test_density_report_json_round_trip():
     payload = json.loads(json.dumps(rep.to_json()))
     assert payload["method"] == "alpha"
     assert payload["values"][0] == pytest.approx(0.2, abs=1e-12)
+
+
+def test_density_report_json_is_pinned():
+    # recorded before the encoder moved out of verify: pairs of values
+    # become lists, floats stay floats
+    cset = compile_set("cong(2,5)")
+    for rep, expected in [
+        (density_uniform(cset, [5, 10], 20), {
+            "method": "uniform",
+            "params": {"scan_radius": 20, "tail_window": 5, "mode": "positive"},
+            "grid": [5, 10], "values": [[0.2, 0.2], [0.2, 0.2]],
+            "lower_est": 0.2, "upper_est": 0.2, "certified": False,
+            "notes": ["values are (window-inf, window-sup) pairs per length"]}),
+        (density_alpha(cset, 0.0, [10, 20]), {
+            "method": "alpha",
+            "params": {"alpha": 0.0, "tail_window": 5, "mode": "positive"},
+            "grid": [10, 20], "values": [0.2, 0.2],
+            "lower_est": 0.2, "upper_est": 0.2, "certified": False, "notes": []}),
+    ]:
+        payload = rep.to_json()
+        assert payload == expected
+        assert json.dumps(payload, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,53 @@ def test_chain_validation():
         ModulusChain.primorial().levels(1)  # no level fits
 
 
+# every level up to 10^30 of each chain kind, recorded before the chains
+# read the named sequences
+PRIMORIALS_1E30 = [
+    2, 6, 30, 210, 2310, 30030, 510510, 9699690, 223092870, 6469693230, 200560490130,
+    7420738134810, 304250263527210, 13082761331670030, 614889782588491410,
+    32589158477190044730, 1922760350154212639070, 117288381359406970983270,
+    7858321551080267055879090, 557940830126698960967415390,
+    40729680599249024150621323470,
+]
+CHAIN_LEVELS_1E30 = [
+    (ModulusChain.primorial(), PRIMORIALS_1E30),
+    (ModulusChain.primorial_power(1), PRIMORIALS_1E30),
+    (ModulusChain.primorial_power(2), [
+        4, 36, 900, 44100, 5336100, 901800900, 260620460100, 94083986096100,
+        49770428644836900, 41856930490307832900, 40224510201185827416900,
+        55067354465423397733736100, 92568222856376731590410384100]),
+    (ModulusChain.primorial_power(3), [
+        8, 216, 27000, 9261000, 12326391000, 27081081027000, 133049351085651000,
+        912585499096480209000, 11103427767506874702903000,
+        270801499821725167129101267000]),
+    (ModulusChain.factorial(), [
+        2, 6, 24, 120, 720, 5040, 40320, 362880, 3628800, 39916800, 479001600, 6227020800,
+        87178291200, 1307674368000, 20922789888000, 355687428096000, 6402373705728000,
+        121645100408832000, 2432902008176640000, 51090942171709440000,
+        1124000727777607680000, 25852016738884976640000, 620448401733239439360000,
+        15511210043330985984000000, 403291461126605635584000000,
+        10888869450418352160768000000, 304888344611713860501504000000]),
+    (ModulusChain.explicit([3, 12, 36, 360, 3600 * 10**26]), [3, 12, 36, 360, 3600 * 10**26]),
+]
+
+
+@pytest.mark.parametrize("chain, recorded", CHAIN_LEVELS_1E30,
+                         ids=["primorial", "primorial^1", "primorial^2", "primorial^3",
+                              "factorial", "explicit"])
+def test_chain_levels_match_the_recorded_lists(chain, recorded):
+    # every power of ten up to 10^30 and every level, its predecessor and
+    # its successor as cutoffs
+    cutoffs = {10**e for e in range(31)} | {m + d for m in recorded for d in (-1, 0, 1)}
+    for cutoff in sorted(c for c in cutoffs if c <= 10**30):
+        expected = [m for m in recorded if m <= cutoff]
+        if expected:
+            assert chain.levels(cutoff) == expected
+        else:
+            with pytest.raises(ChainError, match="no chain level fits"):
+                chain.levels(cutoff)
+
+
 # ---------------------------------------------------------------- traces
 
 

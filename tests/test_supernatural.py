@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -154,3 +156,20 @@ def test_limit_profile_budget_raises_before_listing_primes(monkeypatch):
     with pytest.raises(BudgetExceeded):
         limit_profile(seq, 100, 5)
     assert _primes._SIEVE_BOUND == 0
+
+
+def test_limit_profile_reads_an_iterator_within_its_work_budget(monkeypatch):
+    seq = [math.factorial(k) for k in range(1, 31)]
+    assert limit_profile(iter(seq), 7, 5) == limit_profile(seq, 7, 5)
+    # 4 primes up to 7: the work is 4 times the terms' total bit length;
+    # an endless sequence is refused once that passes the budget
+    bits = sum(x.bit_length() for x in seq)
+    monkeypatch.setattr(supernatural, "PROFILE_WORK_BUDGET", 4 * bits)
+    assert limit_profile(seq, 7, 5).valuations[2][-1] == 26
+    with pytest.raises(BudgetExceeded, match="31 terms and the 4 primes up to 7"):
+        limit_profile(itertools.accumulate(itertools.count(1), operator.mul), 7, 5)
+    # with no prime listed the terms are still held: one unit per bit
+    monkeypatch.setattr(supernatural, "PROFILE_WORK_BUDGET", bits)
+    assert limit_profile(seq, 1, 5).valuations == {}
+    with pytest.raises(BudgetExceeded):
+        limit_profile(seq + [31], 1, 5)

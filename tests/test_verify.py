@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from zhat import _ie, _primes
-from zhat.measure import ModulusChain
+from zhat.measure import Bracket, ModulusChain
 from zhat.setdsl import BudgetExceeded, DslValueError, compile_set
 from zhat.verify import (
     VerificationReport,
@@ -44,6 +44,58 @@ def test_report_json_schema():
     payload = json.loads(json.dumps(rep.to_json()))
     assert set(payload) >= {"theorem", "inputs", "quantities", "verdict", "narrative"}
     assert payload["verdict"] in ("PASS", "FAIL", "INCONCLUSIVE")
+
+
+def test_report_json_is_pinned():
+    # recorded before the encoder moved out of verify
+    expected = {
+        "theorem": "omega",
+        "inputs": {"k": 1, "prime_bound": 5},
+        "quantities": {
+            "trace": [{"num": 1, "den": 1, "float": 1.0},
+                      {"num": 5, "den": 6, "float": 0.8333333333333334},
+                      {"num": 11, "den": 15, "float": 0.7333333333333333}],
+            "closed_form": [{"num": 1, "den": 1, "float": 1.0},
+                            {"num": 5, "den": 6, "float": 0.8333333333333334},
+                            {"num": 11, "den": 15, "float": 0.7333333333333333}],
+            "direct_count": 22,
+        },
+        "verdict": "PASS",
+        "narrative": ["levels over primes [2, 3, 5]",
+                      "proportions match the closed form exactly: True",
+                      "strictly decreasing once the prime count exceeds k: True",
+                      "direct residue enumeration mod 30 agrees: True"],
+    }
+    payload = omega_bound_measure(1, 5).to_json()
+    assert payload == expected
+    assert json.dumps(payload, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def test_report_json_encodes_every_quantity_type():
+    # a Fraction, numpy scalars, a set, integer keys and nested records
+    rep = VerificationReport("demo", {"moduli": (4, np.int64(6)), 3: "three"}, {
+        "measure": Fraction(2, 3), "count": np.int64(7), "ratio": np.float32(0.5),
+        "exact": True, "primes": {5, 2, 3},
+        "by_prime": {2: [Fraction(1, 2), (np.int32(1), 2.5)], 10: None},
+        "bracket": Bracket(0.25, 0.5, True, 100, ("note",)),
+        "nested": omega_bound_measure(1, 3),
+    }, "PASS", ("one", "two"))
+    assert json.dumps(rep.to_json(), sort_keys=True) == (
+        '{"inputs": {"3": "three", "moduli": [4, 6]}, "narrative": ["one", "two"], '
+        '"quantities": {"bracket": {"certified": true, "cutoff": 100, "hi": 0.5, "lo": 0.25}, '
+        '"by_prime": {"10": null, "2": [{"den": 2, "float": 0.5, "num": 1}, [1, 2.5]]}, '
+        '"count": 7, "exact": true, "measure": {"den": 3, "float": 0.6666666666666666, '
+        '"num": 2}, "nested": {"inputs": {"k": 1, "prime_bound": 3}, "narrative": '
+        '["levels over primes [2, 3]", "proportions match the closed form exactly: True", '
+        '"strictly decreasing once the prime count exceeds k: True", "direct residue '
+        'enumeration mod 6 agrees: True"], "quantities": {"closed_form": [{"den": 1, '
+        '"float": 1.0, "num": 1}, {"den": 6, "float": 0.8333333333333334, "num": 5}], '
+        '"direct_count": 5, "trace": [{"den": 1, "float": 1.0, "num": 1}, {"den": 6, '
+        '"float": 0.8333333333333334, "num": 5}]}, "theorem": "omega", "verdict": "PASS"}, '
+        '"primes": [2, 3, 5], "ratio": 0.5}, "theorem": "demo", "verdict": "PASS"}'
+    )
+    assert type(rep.to_json()["quantities"]["count"]) is int
+    assert type(rep.to_json()["quantities"]["ratio"]) is float
 
 
 # ---------------------------------------------------------------------------
