@@ -83,6 +83,9 @@ def jsonable(x):
 # most cells one box table may hold, and the largest bound the shared sieve
 # grows to
 BOX_BUDGET = 2 * 10**8
+# most classes m^dim one residue image may enumerate; verify reads it here,
+# so verify counterexample loads no set layer
+RESIDUE_BUDGET = 10**8
 
 
 # primes below this divide out by trial; a cofactor without such a factor

@@ -277,9 +277,10 @@ def _cmd_verify(res: _Resolver) -> int:
         raise ValueError(
             f"unknown theorem id {theorem!r}; valid ids: {', '.join(THEOREM_IDS)}"
         )
-    if theorem not in ("omega", "union-dense"):
-        # leaf first: the set layer before verify; the other way round,
-        # verify counterexample peaks 1.2 MB higher
+    if theorem not in ("omega", "union-dense", "counterexample"):
+        # leaf first: the set layer before verify; the other way round, a
+        # harness that loads both peaks higher. counterexample runs on numpy
+        # alone, and without the set layer peaks 2 MB lower
         from . import setdsl
     from . import verify
 

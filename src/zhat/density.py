@@ -25,7 +25,6 @@ import numpy as np
 from . import measure
 from ._ie import _ie_coefficients
 from ._primes import jsonable
-from .analytic import zeta_sets
 from .measure import ModulusChain, closure_measure_trace, masked_power_sums, zeta_partial
 from .setdsl import (
     EXACT,
@@ -290,6 +289,9 @@ def density_analytic(cset: CompiledSet, s_grid, cutoff: int,
     ss = [float(s) for s in s_grid]
     if not ss or any(b >= a for a, b in zip(ss, ss[1:])) or ss[-1] <= 1:
         raise DslValueError("s_grid must strictly decrease toward 1 and stay > 1")
+    # the other estimators do not load analytic
+    from .analytic import zeta_sets
+
     truncations = zeta_sets(cset, ss, cutoff)
     brackets = [t.ratio_bracket() for t in truncations]
     # point estimates are ratios of the partial sums; the clamped bracket

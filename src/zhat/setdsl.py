@@ -31,8 +31,10 @@ from typing import ClassVar, Iterator, NoReturn, Optional
 import numpy as np
 
 from . import _primes
-# the exception classes live at the numpy-free bottom of the import graph
+# the exception classes and the residue budget live at the numpy-free
+# bottom of the import graph
 from ._primes import (
+    RESIDUE_BUDGET,
     BudgetExceeded,
     DimensionMismatch,
     DslError,
@@ -48,9 +50,9 @@ TRUNCATED = "truncated"
 
 ASSUMES_DIRICHLET = "assumes-dirichlet"
 
-# most classes m^dim one residue image may enumerate; the most cells one
-# box table may hold is _primes.BOX_BUDGET, the sieve's budget too
-RESIDUE_BUDGET = 10**8
+# the most classes m^dim one residue image may enumerate is RESIDUE_BUDGET;
+# the most cells one box table may hold is _primes.BOX_BUDGET, the sieve's
+# budget too
 
 
 class ModeError(DslError):
@@ -886,9 +888,8 @@ def _sparse_values(expr: SetExpr, lo: int, hi: int) -> np.ndarray:
     as a sorted int64 array (a _Members node returns all of its own)."""
     if isinstance(expr, _Members):
         return expr.values
-    if isinstance(expr, Coprime):  # dimension 1: gcd(x) = |x|
-        values = (-1, 1)
-    elif isinstance(expr, Seq):
+    expr = _finite_coprime(expr)
+    if isinstance(expr, Seq):
         values = _primes._sequence_upto(expr.name, hi)
     elif isinstance(expr, FiniteSet):
         values = expr.values
@@ -939,6 +940,12 @@ def _interval_view(expr: SetExpr, r: int) -> list[tuple[int, int]] | None:
 # ------------------------------------------------------------- exact engine
 
 
+def _finite_coprime(expr: SetExpr) -> SetExpr:
+    """coprime(1) as the finite set it is, {-1, 1} (gcd(x) = |x|); any
+    other node as it is."""
+    return FiniteSet((-1, 1)) if isinstance(expr, Coprime) and expr.n == 1 else expr
+
+
 def _exact_mask(expr: SetExpr, m: int, dim: int) -> np.ndarray:
     """pi_m(expr) as a flat row-major mask over (Z/m)^dim. Atoms given by
     local conditions build one mask per prime power q || m and meet in
@@ -956,6 +963,7 @@ def _exact_mask(expr: SetExpr, m: int, dim: int) -> np.ndarray:
     if classes is not None:
         reduced = [(r, math.gcd(m, a)) for r, a in classes]
         return _mark_classes(np.zeros((m,) * dim, dtype=bool), 0, reduced, True).ravel()
+    expr = _finite_coprime(expr)
     pps = _primes.prime_powers_of(m)
     if isinstance(expr, (KFree, Primes, Coprime)):
         k = _local_exponent(expr)
@@ -1047,6 +1055,7 @@ def _exact_count(expr: SetExpr, m: int, dim: int) -> int | None:
     """Closed-form |pi_m(expr)| where available, None to fall back on
     enumeration. The CRT combination is a bijection, so product-of-local
     sizes is exact."""
+    expr = _finite_coprime(expr)
     if isinstance(expr, Cong):
         return (m // math.gcd(m, expr.m0)) ** dim
     if isinstance(expr, Multiples):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from itertools import takewhile
 from typing import Iterable, Mapping, Sequence
 
@@ -168,19 +167,24 @@ DIVERGING = "diverging"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
 class ValuationProfile:
     """Per-prime valuations of an integer sequence plus window flags.
 
     The flags only claim behaviour over the inspected window: ``stabilized``
     means constant over the last K terms; ``diverging`` means nondecreasing
     over the whole sequence with strict growth inside the window (a
-    divergence-to-inf witness, never a proof)."""
+    divergence-to-inf witness, never a proof). A plain class, so that
+    ``sn`` loads neither dataclasses nor inspect."""
 
-    prime_bound: int
-    window: int
-    valuations: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    status: dict[int, str] = field(default_factory=dict)
+    def __init__(self, prime_bound: int, window: int,
+                 valuations: dict[int, tuple[int, ...]], status: dict[int, str]):
+        self.prime_bound = prime_bound
+        self.window = window
+        self.valuations = valuations
+        self.status = status
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ValuationProfile) and vars(self) == vars(other)
 
 
 def limit_profile(seq: Sequence[int] | Iterable[int], prime_bound: int, window: int) -> ValuationProfile:

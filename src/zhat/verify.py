@@ -11,7 +11,6 @@ tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, takewhile
 from typing import TYPE_CHECKING
@@ -19,21 +18,31 @@ from typing import TYPE_CHECKING
 from . import _primes
 # each harness imports the numpy and set layers it runs, leaf first
 # (setdsl, then measure, then analytic or density), so no chain of
-# half-imported modules builds up; omega and union-dense run on _primes alone
-from ._primes import FAIL, INCONCLUSIVE, PASS, BudgetExceeded, DslValueError, jsonable
+# half-imported modules builds up; omega and union-dense run on _primes alone,
+# counterexample on numpy and _primes
+from ._primes import (FAIL, INCONCLUSIVE, PASS, RESIDUE_BUDGET, BudgetExceeded, DslValueError,
+                      jsonable)
 
 if TYPE_CHECKING:
     from .measure import ModulusChain
     from .setdsl import CompiledSet
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    theorem: str
-    inputs: dict
-    quantities: dict
-    verdict: str
-    narrative: tuple[str, ...]
+    """A harness's inputs, the quantities it computed, its verdict and the
+    narrative of its checks. A plain class, not a dataclass: the commands
+    that load no numpy would otherwise load dataclasses and inspect."""
+
+    def __init__(self, theorem: str, inputs: dict, quantities: dict, verdict: str,
+                 narrative: tuple[str, ...]):
+        self.theorem = theorem
+        self.inputs = inputs
+        self.quantities = quantities
+        self.verdict = verdict
+        self.narrative = narrative
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, VerificationReport) and vars(self) == vars(other)
 
     def to_json(self) -> dict:
         return jsonable(vars(self))
@@ -174,7 +183,7 @@ def dirichlet_coverage(m_max: int, prime_bound: int) -> VerificationReport:
     is INCONCLUSIVE (raise the bound), never FAIL."""
     import numpy as np
 
-    from .setdsl import RESIDUE_BUDGET, compile_set
+    from .setdsl import compile_set
 
     if m_max < 2:
         raise DslValueError("m_max must be >= 2")
@@ -190,7 +199,15 @@ def dirichlet_coverage(m_max: int, prime_bound: int) -> VerificationReport:
     missing: list[tuple[int, int]] = []
     extra: list[tuple[int, int]] = []
     for m in range(2, m_max + 1):
-        hit = np.bincount(ps % m, minlength=m) > 0
+        # a prime lies in a unit class or in the class of a prime dividing
+        # m, so once all of those are hit no later prime changes the mask
+        pps = _primes.prime_powers_of(m)
+        possible = math.prod(q - q // p for p, _, q in pps) + len(pps)
+        hit = np.zeros(m, dtype=bool)
+        lo, hi = 0, 64
+        while lo < ps.size and np.count_nonzero(hit) < possible:
+            hit[ps[lo:hi] % m] = True
+            lo, hi = hi, 2 * hi
         expected = primes.residue_image(m).mask
         missing.extend((m, int(c)) for c in np.flatnonzero(expected & ~hit))
         extra.extend((m, int(c)) for c in np.flatnonzero(hit & ~expected))
@@ -532,8 +549,6 @@ def counterexample_cover(a: int, terms: int) -> VerificationReport:
     them) while its complement keeps measure at least
     1 - (1/(a-1))(1 - a^-K) at level a^K."""
     import numpy as np
-
-    from .setdsl import RESIDUE_BUDGET
 
     if a < 3:
         raise DslValueError("need a >= 3 so the coset measures sum below 1")

@@ -19,7 +19,8 @@ from zhat import _primes, measure
 from zhat._primes import _iroot
 from zhat.analytic import delta_ratio, zeta_set, zeta_sets
 from zhat.density import density_analytic
-from zhat.measure import euler_product, masked_power_sums, zeta_bracket, zeta_partial
+from zhat.measure import (euler_product, masked_power_sums, zeta_bracket, zeta_log_partial,
+                          zeta_partial)
 from zhat.setdsl import compile_set
 
 SCALE = 10**30
@@ -104,6 +105,25 @@ def test_zeta_partial_within_bound(ab, n):
 def test_zeta_partial_rejects_bad_input(s, n):
     with pytest.raises(ValueError):
         zeta_partial(s, n)
+
+
+# 64 is the head of the log-weighted sum: below it the terms are summed
+# directly, from it on Euler-Maclaurin takes over
+@settings(max_examples=40, deadline=None)
+@given(st.floats(1.2, 8.0, exclude_min=True),
+       st.one_of(st.sampled_from([63, 64, 65]), st.integers(1, 2 * 10**5)))
+def test_zeta_log_partial_within_bound_of_fsum(s, n):
+    value, bound = zeta_log_partial(s, n)
+    direct = math.fsum(math.log(k) * k ** -s for k in range(2, n + 1))
+    assert abs(value - direct) <= bound
+    assert bound <= 1e-12 * value
+
+
+@pytest.mark.parametrize("s, n", [(1.0, 10), (0.5, 10), (math.inf, 10), (math.nan, 10), (2.0, -1),
+                                  (2.0, 2**53)])
+def test_zeta_log_partial_rejects_bad_input(s, n):
+    with pytest.raises(ValueError):
+        zeta_log_partial(s, n)
 
 
 # ---------------------------------------------------------------- zeta brackets

@@ -158,3 +158,32 @@ def test_a_set_theorem_imports_its_layers_before_verify():
     # leaf first: verify starts importing after the set layer
     order = module_order(RUN_CLI, "verify", "eulerian", "--set", "kfree(2)", "--mlist", "12")
     assert order.index("zhat.setdsl") < order.index("zhat.verify")
+
+
+# the numpy-free commands whose records are plain classes; measure
+# --multiples still loads both modules through measure's dataclasses
+PLAIN_RECORD_COMMANDS = [("sn", "rho", "1125896954054519"), ("sn", "mul", "2^inf*3", "3*5"),
+                         *(args for args, _ in EXACT_COMMANDS if args[0] != "measure")]
+
+
+@pytest.mark.parametrize("args", PLAIN_RECORD_COMMANDS,
+                         ids=["-".join(args[:2]) for args in PLAIN_RECORD_COMMANDS])
+def test_plain_record_commands_load_neither_dataclasses_nor_inspect(args):
+    loaded = loaded_modules(RUN_CLI, *args)
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_the_analytic_library_steps_load_no_set_layer():
+    loaded = loaded_modules("import sys\nfrom zhat.analytic import dlog_zeta_check, vm_identity_scan")
+    assert "zhat.analytic" in loaded
+    assert not loaded & {"zhat.setdsl", "zhat.density", "zhat.verify"}
+
+
+@pytest.mark.parametrize("args, absent", [
+    (("verify", "counterexample", "--base", "4", "--terms", "6"), {"zhat.setdsl", "zhat.measure"}),
+    (("density", "--set", "kfree(2)", "--method", "buck", "--level-cutoff", "1e3"),
+     {"zhat.analytic", "zhat.verify"}),
+], ids=["verify-counterexample", "density-buck"])
+def test_commands_skip_layers_they_do_not_run(args, absent):
+    loaded = loaded_modules(RUN_CLI, *args)
+    assert not loaded & absent

@@ -64,6 +64,8 @@ PINNED = [
      "f4452757dad74f72f9712b0c5c7f58e03e5d5cf96b8b9eb6f0d66208a330e37d"),
     ('verify dirichlet --mmax 30 --pbound 1e4', 0,
      "ca6674b905a57a63e7fb1e1e62e81d41e9fb8cc1f301fc475de31d36a23bae66"),
+    ('verify dirichlet --mmax 300 --pbound 1e6', 0,
+     "ae9c6f7b7d49f9248a1f75ac2bf913c9ba8b1d8750559c85d4454d021d5b2e30"),
     ('verify omega --k 2 --pbound 13', 0,
      "332ba12594ac11591e6c19346d22c895449b4e501184159c4fbe93749b988afa"),
     ("verify eulerian --set 'coprime(2)' --mlist 12,90,210", 0,

@@ -313,6 +313,16 @@ def test_residue_count_matches_image():
                 assert cs.residue_count(m) == cs.residue_image(m).count, (text, m)
 
 
+def test_coprime_1_image_matches_brute_force():
+    # in dimension 1 gcd(x) = |x|, so the set is {-1, 1}, not the units
+    cs = compile_set("coprime(1)")
+    members = [x for x in range(-5000, 5001) if math.gcd(x) == 1]
+    for m in (1, 2, 3, 8, 12, 30, 2310):
+        brute = frozenset(x % m for x in members)
+        assert cs.residue_image(m).residues == brute, m
+        assert cs.residue_count(m) == len(brute), m
+
+
 def test_residue_count_many_moduli_matches_mask():
     # more moduli than subset enumeration ever served (2^21 and 2^25 subsets)
     for mods in (list(range(2, 23)), [6 * k + 1 for k in range(1, 26)]):

@@ -1,5 +1,6 @@
 """End-to-end checks for the theorem-verification harnesses."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -10,7 +11,7 @@ import pytest
 
 from zhat import _ie, _primes
 from zhat.measure import Bracket, ModulusChain
-from zhat.setdsl import BudgetExceeded, DslValueError, compile_set
+from zhat.setdsl import BudgetExceeded, CompiledSet, DslValueError, compile_set
 from zhat.verify import (
     VerificationReport,
     asdmltp_verify,
@@ -185,7 +186,11 @@ def unique_coverage(m_max, prime_bound):
     return missing, extra
 
 
-@pytest.mark.parametrize("m_max, prime_bound", [(2, 2), (30, 3), (60, 200), (100, 100), (120, 5000)])
+# the harness stops reading primes at a level once every class a prime can
+# lie in is hit; these hit masks read every prime, so 300 at 20, 10^3 and
+# 10^6 shows the early stop leaves the report as it was
+@pytest.mark.parametrize("m_max, prime_bound", [(2, 2), (30, 3), (60, 200), (100, 100), (120, 5000),
+                                                (300, 20), (300, 10**3), (300, 10**6)])
 def test_dirichlet_coverage_matches_unique_classes(m_max, prime_bound):
     missing, extra = unique_coverage(m_max, prime_bound)
     assert not extra
@@ -193,6 +198,25 @@ def test_dirichlet_coverage_matches_unique_classes(m_max, prime_bound):
     assert rep.quantities == {"missing": missing[:20], "missing_count": len(missing)}
     assert rep.verdict == ("INCONCLUSIVE" if missing else "PASS")
     assert all(type(c) is int for _, c in rep.quantities["missing"])
+
+
+def test_dirichlet_coverage_fails_when_the_image_drops_a_unit_class(monkeypatch):
+    # the early stop still waits for every class a prime can lie in, so a
+    # unit class missing from the exact image is hit and reported
+    image = CompiledSet.residue_image
+
+    def drop_3_mod_7(self, m, *args):
+        img = image(self, m, *args)
+        if m == 7:
+            mask = img.mask.copy()
+            mask[3] = False
+            img = dataclasses.replace(img, mask=mask)
+        return img
+
+    monkeypatch.setattr(CompiledSet, "residue_image", drop_3_mod_7)
+    rep = dirichlet_coverage(300, 10**6)
+    assert rep.verdict == "FAIL"
+    assert rep.narrative[-1] == "impossible classes hit (bug): [(7, 3)]"
 
 
 # ---------------------------------------------------------------------------
