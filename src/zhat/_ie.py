@@ -4,7 +4,7 @@ and the exact Haar measures of complements of sets of multiples it gives.
 measure.multiples_measure_ie is its public entry.
 
 Pure integer and rational arithmetic on the standard library: it sits at
-the numpy-free bottom of the import graph with _primes, below setdsl,
+the numpy-free bottom of the import graph with _primes, below _counts,
 measure, analytic and density, which all run it.
 """
 

@@ -4,7 +4,10 @@ An expression denotes a subset of Z^n. Compilation yields a total
 membership oracle plus the ability to compute finite-level residue images
 pi_m(X) in (Z/m)^n, exactly when every node admits an exact rule, by
 truncated enumeration otherwise. Truncated images are certified subsets of
-the true image.
+the true image. Exact level counts |pi_m(X)| are signed sums of CRT
+products of local counts, in pure Python (_counts); only the functions
+that build a table (a box, a mask, a polynomial's values) import numpy, so
+importing this module loads none.
 
 Grammar (operators left-associative, equal precedence, '!' binds tightest)::
 
@@ -24,11 +27,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import ClassVar, Iterator, NoReturn, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, ClassVar, Iterator, NoReturn, Optional
 
 from . import _primes
 # the exception classes and the residue budget live at the numpy-free
@@ -43,14 +44,17 @@ from ._primes import (
     _mark_classes,
     _segments,
 )
-from ._ie import _ie_measure
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXACT = "exact"
 TRUNCATED = "truncated"
 
 ASSUMES_DIRICHLET = "assumes-dirichlet"
 
-# the most classes m^dim one residue image may enumerate is RESIDUE_BUDGET;
+# the most classes m^dim one residue image may enumerate is RESIDUE_BUDGET,
+# which also bounds a level count's local work (CompiledSet.residue_count);
 # the most cells one box table may hold is _primes.BOX_BUDGET, the sieve's
 # budget too
 
@@ -527,6 +531,8 @@ class ResidueImage:
 
     @property
     def count(self) -> int:
+        import numpy as np
+
         return int(np.count_nonzero(self.mask))
 
     @property
@@ -538,6 +544,8 @@ class ResidueImage:
         return Fraction(self.count, self.m**self.dim)
 
     def sorted_residues(self) -> list:
+        import numpy as np
+
         coords = np.unravel_index(np.flatnonzero(self.mask), (self.m,) * self.dim)
         return coords[0].tolist() if self.dim == 1 else list(zip(*(c.tolist() for c in coords)))
 
@@ -598,6 +606,10 @@ class CompiledSet:
     dim: int
     mode: str
     assumptions: frozenset = frozenset()
+    # tables kept for later levels: the level counts' plan and images mod
+    # q (_counts), each clopen piece's period box and its last projection
+    # (_piece_image)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- membership -------------------------------------------------------
     def contains(self, x) -> bool:
@@ -656,6 +668,8 @@ class CompiledSet:
     def members_in_box(self, n: int) -> list:
         """The members in the box of radius n, sorted: X ∩ [1, n] in
         dimension 1, X ∩ [-n, n]^dim above."""
+        import numpy as np
+
         lo, table = self.box(n)
         pts = np.argwhere(table) + lo
         return pts[:, 0].tolist() if self.dim == 1 else list(map(tuple, pts.tolist()))
@@ -672,7 +686,7 @@ class CompiledSet:
     def residue_image(self, m: int, truncation: int | None = None) -> ResidueImage:
         self._check_level(m)
         if self.mode == EXACT:
-            mask = _exact_mask(self.expr, m, self.dim)
+            mask = _exact_mask(self.expr, m, self.dim, self._tables)
             return ResidueImage(m, self.dim, mask, EXACT, None, self.assumptions)
         # by default the largest box of at most 10^6 cells: [1, 10^6], or
         # [-n, n]^dim above
@@ -694,17 +708,17 @@ class CompiledSet:
         return self.residue_image(m)
 
     def residue_count(self, m: int) -> int:
-        """|pi_m(X)| using closed-form per-prime counts where the structure
-        allows (CRT product sizes, inclusion-exclusion for multiples), which
-        also serve levels beyond the residue budget. Otherwise counts the
-        cells of the exact image mask."""
+        """|pi_m(X)| as a signed sum of CRT products of local counts
+        (_counts.level_count), without a mask over (Z/m)^dim. The residue
+        budget bounds the local work: the sum of q^w over the prime powers
+        q || m, w the dimension or the largest arity of an image atom."""
         if self.mode != EXACT:
             raise ModeError("residue_count needs an exact-mode set")
-        c = _exact_count(self.expr, m, self.dim)
-        if c is not None:
-            return c
-        self._check_level(m)
-        return int(np.count_nonzero(_exact_mask(self.expr, m, self.dim)))
+        if m < 1:
+            raise DslValueError("modulus must be >= 1")
+        from ._counts import level_count
+
+        return level_count(self.expr, self.dim, m, self._tables)
 
     # -- structure views for estimator fast paths ------------------------
     def interval_view(self, r: int) -> list[tuple[int, int]] | None:
@@ -821,6 +835,8 @@ def _box_mask(expr: SetExpr, lo: int, hi: int, dim: int) -> np.ndarray:
     Every table is freshly allocated, so callers may change it in place.
     The positive atoms primes and leadingdigit need lo >= 0, as every
     dimension-1 box has."""
+    import numpy as np
+
     side = hi - lo + 1
     classes = _classes(expr)
     if classes is not None:
@@ -886,6 +902,8 @@ def _stream_expr(expr: SetExpr, lo: int, hi: int) -> SetExpr:
 def _sparse_values(expr: SetExpr, lo: int, hi: int) -> np.ndarray:
     """The members in [lo, hi] of an atom given by a short list of values,
     as a sorted int64 array (a _Members node returns all of its own)."""
+    import numpy as np
+
     if isinstance(expr, _Members):
         return expr.values
     expr = _finite_coprime(expr)
@@ -907,6 +925,8 @@ def _sparse_values(expr: SetExpr, lo: int, hi: int) -> np.ndarray:
 def _cells_at(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The table over [lo, hi] set at the values of the sorted int64 array
     that fall inside."""
+    import numpy as np
+
     z = np.zeros(hi - lo + 1, dtype=bool)
     z[values[np.searchsorted(values, lo):np.searchsorted(values, hi, side="right")] - lo] = True
     return z
@@ -946,7 +966,7 @@ def _finite_coprime(expr: SetExpr) -> SetExpr:
     return FiniteSet((-1, 1)) if isinstance(expr, Coprime) and expr.n == 1 else expr
 
 
-def _exact_mask(expr: SetExpr, m: int, dim: int) -> np.ndarray:
+def _exact_mask(expr: SetExpr, m: int, dim: int, tables: dict) -> np.ndarray:
     """pi_m(expr) as a flat row-major mask over (Z/m)^dim. Atoms given by
     local conditions build one mask per prime power q || m and meet in
     _crt_and; the other atoms and Union are direct mask operations.
@@ -955,10 +975,15 @@ def _exact_mask(expr: SetExpr, m: int, dim: int) -> np.ndarray:
     (Z/m)^dim with each a reduced to gcd(m, a): x + mZ meets r + aZ exactly
     when x = r mod gcd(m, a).
 
-    Any other node is clopen with period L (clopen_modulus): membership
-    depends only on x mod L in every coordinate. By CRT, x + mZ covers
-    exactly the classes x + gZ mod L, g = gcd(m, L), so pi_m is the
-    pull-back to Z/m of the projection of one period [0, L)^dim to Z/g."""
+    Any other node is clopen, the intersection of its pieces (_clopen_pieces)
+    of coprime periods L. Membership in a piece depends only on x mod L in
+    every coordinate. By CRT, x + mZ covers exactly the classes x + gZ mod
+    L, g = gcd(m, L), so pi_m of a piece is the pull-back to Z/m of the
+    projection of one period [0, L)^dim to Z/g (_piece_image), and as the
+    periods are coprime the pieces' images meet in _crt_and. tables keeps
+    the period boxes for later levels."""
+    import numpy as np
+
     classes = _classes(expr)
     if classes is not None:
         reduced = [(r, math.gcd(m, a)) for r, a in classes]
@@ -985,10 +1010,56 @@ def _exact_mask(expr: SetExpr, m: int, dim: int) -> np.ndarray:
         out[[v % m for v in expr.values]] = True
         return out
     if isinstance(expr, Union):
-        return _exact_mask(expr.a, m, dim) | _exact_mask(expr.b, m, dim)
-    level = clopen_modulus(expr)  # _rule_exact admits only clopen nodes here
-    g = math.gcd(m, level)
-    return _crt_and(m, dim, [(g, _project(_box_mask(expr, 0, level - 1, dim).ravel(), level, g, dim))])
+        return _exact_mask(expr.a, m, dim, tables) | _exact_mask(expr.b, m, dim, tables)
+    # _rule_exact admits only clopen nodes here
+    tiles = []
+    for piece in _clopen_pieces(expr):
+        g = math.gcd(m, piece[1])
+        tiles.append((g, _piece_image(piece, g, dim, tables)[0]))
+    return _crt_and(m, dim, tiles)
+
+
+def _clopen_pieces(expr: SetExpr) -> tuple[tuple[SetExpr, int], ...]:
+    """A clopen node as the pieces (node, period) it is the intersection of,
+    on pairwise coprime periods: a complement of multiples is the
+    complement of each group of its moduli that share primes, any other
+    node is one piece."""
+    if isinstance(expr, Complement) and isinstance(expr.a, Multiples):
+        groups = _prime_groups(expr.a.moduli, lambda a: {p for p, _, _ in _primes.prime_powers_of(a)})
+        return tuple((Complement(Multiples(tuple(mods))), math.lcm(*mods)) for _, mods in groups)
+    return ((expr, clopen_modulus(expr)),)
+
+
+def _piece_image(piece: tuple[SetExpr, int], g: int, dim: int, tables: dict) -> tuple[np.ndarray, int]:
+    """The flat mask over (Z/g)^dim, g | L, of a clopen piece (node, L) mod
+    g, the projection of its period box [0, L)^dim, and its count. tables
+    keeps the box and the last projection, so a trace builds each box once
+    and every level reads it."""
+    if piece not in tables:
+        node, level = piece
+        tables[piece] = _box_mask(node, 0, level - 1, dim).ravel()
+    last = tables.get((piece, "mod"))
+    if last is None or last[0] != g:
+        box, level = tables[piece], piece[1]
+        image = box if g == level else _project(box, level, g, dim)
+        last = tables[piece, "mod"] = g, image, int(image.sum())
+    return last[1:]
+
+
+def _prime_groups(items, primes_of) -> list[tuple[set, list]]:
+    """The items in groups that share no prime, each with its set of
+    primes, joined one item at a time as _ie_join joins moduli."""
+    groups: list[tuple[set, list]] = []
+    for item in items:
+        primes, members, rest = set(primes_of(item)), [item], []
+        for gp, gm in groups:
+            if gp & primes:
+                primes |= gp
+                members += gm
+            else:
+                rest.append((gp, gm))
+        groups = rest + [(primes, members)]
+    return groups
 
 
 def _crt_and(m: int, dim: int, locals_: list[tuple[int, np.ndarray]]) -> np.ndarray:
@@ -996,6 +1067,8 @@ def _crt_and(m: int, dim: int, locals_: list[tuple[int, np.ndarray]]) -> np.ndar
     mod each q lies in that q's local mask over (Z/q)^dim. As q | m, the
     local mask read at r mod q for every r < m is the local mask tiled m//q
     times along each axis, so the image is the AND of the tiles."""
+    import numpy as np
+
     out = np.ones((m,) * dim, dtype=bool)
     for q, local in locals_:
         out &= np.tile(local.reshape((q,) * dim), (m // q,) * dim)
@@ -1014,6 +1087,8 @@ def _table_image(lo: int, table: np.ndarray, m: int) -> np.ndarray:
     (cell i holds lo + i). Padding each axis in front by lo mod m puts the
     class of every cell at its index mod m; padding at the back to whole
     periods makes the table a mask over (Z/L)^dim with m | L to _project."""
+    import numpy as np
+
     front = lo % m
     padded = np.pad(table, [(front, -(front + side) % m) for side in table.shape])
     return _project(padded.ravel(), padded.shape[0], m, table.ndim)
@@ -1023,6 +1098,8 @@ def _poly_values_mod(poly: Polynomial, q: int, arity: int) -> np.ndarray:
     """Mask over Z/q of poly's values on (Z/q)^arity, evaluated in chunks of
     2^20 grid points. Every product is reduced mod q, so it stays below
     q^2; past the int64 range the arithmetic uses Python integers."""
+    import numpy as np
+
     ar = np.arange(q, dtype=np.int64).astype(np.int64 if q <= 3_037_000_499 else object)
     powers = {k: _powmod(ar, k, q) for k in {k for e, _ in poly.terms for k in e} - {0}}
     hit = np.zeros(q, dtype=bool)
@@ -1041,7 +1118,7 @@ def _poly_values_mod(poly: Polynomial, q: int, arity: int) -> np.ndarray:
 
 
 def _powmod(base: np.ndarray, e: int, q: int) -> np.ndarray:
-    out = np.ones_like(base) % q
+    out = base**0 % q
     while e:
         if e & 1:
             out = out * base % q
@@ -1049,31 +1126,6 @@ def _powmod(base: np.ndarray, e: int, q: int) -> np.ndarray:
         if e:
             base = base * base % q
     return out
-
-
-def _exact_count(expr: SetExpr, m: int, dim: int) -> int | None:
-    """Closed-form |pi_m(expr)| where available, None to fall back on
-    enumeration. The CRT combination is a bijection, so product-of-local
-    sizes is exact."""
-    expr = _finite_coprime(expr)
-    if isinstance(expr, Cong):
-        return (m // math.gcd(m, expr.m0)) ** dim
-    if isinstance(expr, Multiples):
-        # gcd(m, lcm J) = lcm of gcd(m, a) over J, so the complement of the
-        # image is the complement of the multiples of the gcds, read mod m
-        free = m**dim * _ie_measure([math.gcd(m, a) for a in expr.moduli], dim)
-        return m**dim - int(free)
-    if isinstance(expr, (KFree, Primes, Coprime)):
-        # the cells of _exact_mask's local masks: at q = p^j || m, the q^dim
-        # classes less the (q / p^k)^dim all divisible by p^k when k <= j;
-        # for primes, the primes dividing m besides
-        k = _local_exponent(expr)
-        pps = _primes.prime_powers_of(m)
-        c = math.prod(q**dim - (q // p**k) ** dim if j >= k else q**dim for p, j, q in pps)
-        return c + len(pps) if isinstance(expr, Primes) else c
-    if isinstance(expr, FiniteSet):
-        return len({v % m for v in expr.values})
-    return None
 
 
 # ------------------------------------------------------------- CRT split

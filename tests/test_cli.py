@@ -207,20 +207,44 @@ def test_exhausted_budget_is_inconclusive():
 
 
 def test_budget_stop_keeps_the_levels_computed(capsys):
-    # primorial level 9 (m = 223092870) is over the residue budget of 1e8
-    note = "stopped before level 9 (m=223092870): residue enumeration at level m=223092870"
+    # a level count stops where its local work, the sum of q over q || m,
+    # is over the residue budget of 1e8: at the prime power 100000007
+    top = 9699690 * 100000007
+    chain = "explicit:2,6,30,210,2310,30030,510510,9699690," + str(top)
     assert cli.main(["density", "--set", "multiples(4,6)", "--method", "buck",
-                     "--chain", "primorial", "--level-cutoff", "1e9"]) == 0
+                     "--chain", chain, "--level-cutoff", "1e15"]) == 0
     rep = json.loads(capsys.readouterr().out)["reports"]["buck"]
-    assert rep["notes"][-1].startswith(f"complement: {note}")
+    assert rep["notes"][-1].startswith(f"complement: stopped before level 9 (m={top}): local work")
     assert rep["lower_est"] == pytest.approx(1 / 6) and rep["upper_est"] == pytest.approx(1 / 2)
-    # the gap trace of kfree(2) stays near 1 - 6/pi^2 on squarefree levels
+    # an image mask stops where m is over the budget: primorial level 9,
+    # m = 223092870; the gap trace of kfree(2) stays near 1 - 6/pi^2 on
+    # squarefree levels
+    note = "stopped before level 9 (m=223092870): residue enumeration at level m=223092870"
     assert cli.main(["verify", "mt", "--set", "kfree(2)", "--chain", "primorial",
                      "--cutoff", "1e9", "--rmax", "1000"]) == 3
     rep = json.loads(capsys.readouterr().out)["report"]
     assert rep["narrative"][-2].startswith(note)
     assert rep["quantities"]["levels"] == [2, 6, 30, 210, 2310, 30030, 510510, 9699690]
     assert len(rep["quantities"]["gap_trace"]) == 8 and rep["verdict"] == "INCONCLUSIVE"
+
+
+def test_union_trace_runs_past_the_old_level_budget(capsys):
+    # kfree(2)|cong(1,4) at m = P^2, P a primorial: |kfree image| =
+    # prod (p^2 - 1), the classes 1 mod 4 are m/4, and they meet the kfree
+    # image in the classes 1 mod 4 times prod over odd p of (p^2 - 1)
+    ps = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+    start = time.perf_counter()
+    assert cli.main(["measure", "--set", "kfree(2)|cong(1,4)", "--chain", "primorial^2",
+                     "--cutoff", "1e30", "--levels", "20"]) == 0
+    assert time.perf_counter() - start < 1.0
+    doc = json.loads(capsys.readouterr().out)
+    levels = [math.prod(ps[:k]) ** 2 for k in range(1, len(ps) + 1)]
+    assert [lv["modulus"] for lv in doc["levels"]] == levels  # the last is 9.3e28
+    for k, lv in enumerate(doc["levels"], start=1):
+        sq = math.prod(Fraction(p * p - 1, p * p) for p in ps[:k])
+        want = sq + Fraction(1, 4) - sq / Fraction(3, 4) / 4
+        assert (Fraction(lv["measure"]["num"], lv["measure"]["den"]), lv["mode"]) == (want, "exact")
+    assert doc["certified"] and doc["notes"] == []
 
 
 def test_davenport_erdos_past_the_old_lcm_cap():

@@ -95,16 +95,20 @@ def test_every_exported_name_resolves():
     assert set(zhat.__all__) <= set(namespace)
 
 
-def module_order(code: str, *args: str) -> list[str]:
-    """sys.modules of a fresh interpreter after it ran code with args, in
-    the order the imports started."""
+def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run of code with args, which must succeed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    code += "\nprint(*sys.modules, file=sys.stderr)"
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stderr.split()
+    return proc
+
+
+def module_order(code: str, *args: str) -> list[str]:
+    """sys.modules of a fresh interpreter after it ran code with args, in
+    the order the imports started."""
+    return run_fresh(code + "\nprint(*sys.modules, file=sys.stderr)", *args).stderr.split()
 
 
 def loaded_modules(code: str, *args: str) -> set[str]:
@@ -137,8 +141,15 @@ def test_an_euler_bracket_loads_neither_density_nor_verify():
 
 # exact commands and the zhat modules each one loads besides zhat, zhat.cli
 # and zhat._primes: pure integer and rational work needs no numpy
+SET_TRACE = {"zhat._ie", "zhat.setdsl", "zhat._counts", "zhat.measure"}
 EXACT_COMMANDS = [
     (("measure", "--multiples", "4,6,9,25"), {"zhat._ie", "zhat.measure"}),
+    (("measure", "--set", "kfree(2)|cong(1,4)", "--chain", "primorial", "--cutoff", "1e6"),
+     SET_TRACE),
+    (("measure", "--set", "kfree(2)", "--chain", "primorial^2", "--levels", "6",
+      "--output", "csv"), SET_TRACE),
+    (("verify", "eulerian", "--set", "coprime(2)", "--mlist", "12,90,210"),
+     {"zhat._ie", "zhat.setdsl", "zhat._counts", "zhat.verify"}),
     (("verify", "union-dense", "--supports", "2,3;3,5;7"), {"zhat.verify"}),
     (("verify", "omega", "--k", "2", "--pbound", "13"), {"zhat.verify"}),
     (("sn", "limit", "--seq", "factorial", "--terms", "60", "--pmax", "13"),
@@ -160,10 +171,12 @@ def test_a_set_theorem_imports_its_layers_before_verify():
     assert order.index("zhat.setdsl") < order.index("zhat.verify")
 
 
-# the numpy-free commands whose records are plain classes; measure
-# --multiples still loads both modules through measure's dataclasses
+# the numpy-free commands whose records are plain classes; the commands
+# that run measure or setdsl still load both modules through their
+# dataclasses
 PLAIN_RECORD_COMMANDS = [("sn", "rho", "1125896954054519"), ("sn", "mul", "2^inf*3", "3*5"),
-                         *(args for args, _ in EXACT_COMMANDS if args[0] != "measure")]
+                         *(args for args, runs in EXACT_COMMANDS
+                           if not runs & {"zhat.measure", "zhat.setdsl"})]
 
 
 @pytest.mark.parametrize("args", PLAIN_RECORD_COMMANDS,
@@ -171,6 +184,19 @@ PLAIN_RECORD_COMMANDS = [("sn", "rho", "1125896954054519"), ("sn", "mul", "2^inf
 def test_plain_record_commands_load_neither_dataclasses_nor_inspect(args):
     loaded = loaded_modules(RUN_CLI, *args)
     assert not loaded & {"dataclasses", "inspect"}
+
+
+NUMPY_FREE_COMMANDS = [("sn", "rho", "1125896954054519"), ("sn", "mul", "2^inf*3", "3*5"),
+                       *(args for args, _ in EXACT_COMMANDS)]
+
+
+@pytest.mark.parametrize("args", NUMPY_FREE_COMMANDS,
+                         ids=["-".join(args[:2]) for args in NUMPY_FREE_COMMANDS])
+def test_numpy_free_commands_print_the_same_with_numpy_blocked(args):
+    # with numpy unimportable, a branch that reaches for it fails loudly
+    # instead of loading it
+    blocked = "import sys\nsys.modules['numpy'] = None\n" + RUN_CLI
+    assert run_fresh(blocked, *args).stdout == run_fresh(RUN_CLI, *args).stdout
 
 
 def test_the_analytic_library_steps_load_no_set_layer():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zhat import _primes
+from zhat import _counts, _primes, setdsl
+from zhat.measure import ModulusChain, closure_measure_trace
 from zhat.setdsl import (
     EXACT,
     TRUNCATED,
@@ -544,23 +545,34 @@ def test_exact_union_image_matches_brute_force(case, m):
 
 
 @st.composite
-def _clopen_tree(draw, depth=3):
-    """DSL text of a tree of cong/multiples atoms under | & \\ !, a numpy
-    membership predicate over Z, and a period of the tree."""
+def _clopen_tree(draw, depth=3, dim=1, top=12):
+    """DSL text of a tree of cong/multiples atoms (multiples alone above
+    dimension 1) with moduli up to top under | & \\ !, a numpy membership
+    predicate on the tuple of coordinate arrays, and a period of the tree."""
     if depth == 0 or draw(st.integers(0, 2)) == 0:
-        if draw(st.booleans()):
-            r, m0 = draw(st.integers(-20, 20)), draw(st.integers(1, 12))
-            return f"cong({r},{m0})", lambda x: (x - r) % m0 == 0, m0
-        mods = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)))
+        if dim == 1 and draw(st.booleans()):
+            r, m0 = draw(st.integers(-20, 20)), draw(st.integers(1, top))
+            return f"cong({r},{m0})", lambda xs: (xs[0] - r) % m0 == 0, m0
+        mods = tuple(draw(st.lists(st.integers(1, top), min_size=1, max_size=3)))
         return (f"multiples({','.join(map(str, mods))})",
-                lambda x: np.logical_or.reduce([x % a == 0 for a in mods]), math.lcm(*mods))
+                lambda xs: np.logical_or.reduce([np.logical_and.reduce([x % a == 0 for x in xs])
+                                                 for a in mods]),
+                math.lcm(*mods))
     op = draw(st.sampled_from(["|", "&", "\\", "!"]))
-    ta, pa, la = draw(_clopen_tree(depth=depth - 1))
+    ta, pa, la = draw(_clopen_tree(depth - 1, dim, top))
     if op == "!":
-        return f"!({ta})", lambda x: ~pa(x), la
-    tb, pb, lb = draw(_clopen_tree(depth=depth - 1))
+        return f"!({ta})", lambda xs: ~pa(xs), la
+    tb, pb, lb = draw(_clopen_tree(depth - 1, dim, top))
     combine = {"|": np.logical_or, "&": np.logical_and, "\\": lambda u, v: u & ~v}[op]
-    return f"({ta}) {op} ({tb})", lambda x: combine(pa(x), pb(x)), math.lcm(la, lb)
+    return f"({ta}) {op} ({tb})", lambda xs: combine(pa(xs), pb(xs)), math.lcm(la, lb)
+
+
+def _periodic_image(pred, period, m, dim=1):
+    """The image mod m of a set of the given period: the classes of its
+    members in one common period [0, lcm(m, period))^dim."""
+    xs = np.indices((math.lcm(m, period),) * dim).reshape(dim, -1)
+    members = (xs[:, pred(tuple(xs))] % m).tolist()
+    return frozenset(members[0]) if dim == 1 else frozenset(zip(*members))
 
 
 @settings(max_examples=80, deadline=None)
@@ -568,8 +580,7 @@ def _clopen_tree(draw, depth=3):
 def test_clopen_tree_image_matches_brute_force(case, m):
     text, pred, period = case
     cs = compile_set(text)
-    x = np.arange(math.lcm(m, period))
-    oracle = frozenset((x[pred(x)] % m).tolist())
+    oracle = _periodic_image(pred, period, m)
     assert cs.mode == EXACT
     assert cs.residue_image(m).residues == oracle, (text, m)
     assert cs.residue_count(m) == len(oracle), (text, m)
@@ -622,3 +633,118 @@ def test_crt_split_matches_projection(data, m):
     split = crt_split(compile_set(expr).residue_image(m))
     assert {q: part.residues for q, part in split.parts.items()} == want
     assert split.is_product == (math.prod(len(v) for v in want.values()) == len(oracle))
+
+
+# ---------------------------------------------------------------- level counts
+
+_SQUAREFREE_BOX = np.array(SQUAREFREE[:_BOX + 1])
+_PRIME_BOX = np.array([is_prime(x) for x in range(_BOX + 1)])
+
+
+def _box_image(pred, m):
+    """The classes mod m of the members in [-_BOX, _BOX] of a dimension-1
+    set given by a numpy predicate."""
+    x = np.arange(-_BOX, _BOX + 1)
+    return frozenset((x[pred(x)] % m).tolist())
+
+
+@st.composite
+def _count_union(draw, dim):
+    """DSL text of a union of leaves of every kind level counts split (a
+    clopen tree or a bare cong/multiples, coprime, and in dimension 1
+    kfree, primes, finite and image), and an oracle m -> the union's image
+    mod m: the union of the leaves' brute-force images. Above dimension 1
+    coprime(dim) is always a leaf: it is the atom that fixes the dimension."""
+    kinds = ["clopen", "coprime"] + (["kfree", "primes", "finite", "image"] if dim == 1 else [])
+    texts, oracles = ([f"coprime({dim})"], [lambda m: brute_coprime_image(dim, m)]) if dim > 1 else ([], [])
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "clopen":
+            text, pred, period = draw(_clopen_tree(2 if dim > 1 else 3, dim, 6 if dim > 1 else 12))
+            oracle = lambda m, pred=pred, period=period: _periodic_image(pred, period, m, dim)
+        elif kind == "coprime":  # coprime(1) is {-1, 1}
+            text = f"coprime({dim})"
+            oracle = ((lambda m: _box_image(lambda x: abs(x) == 1, m)) if dim == 1
+                      else lambda m: brute_coprime_image(dim, m))
+        elif kind == "kfree":
+            text, oracle = "kfree(2)", lambda m: _box_image(lambda x: _SQUAREFREE_BOX[abs(x)], m)
+        elif kind == "primes":
+            text, oracle = "primes", lambda m: _box_image(lambda x: _PRIME_BOX[abs(x)] & (x > 0), m)
+        elif kind == "finite":
+            vals = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=4))
+            text = f"finite({','.join(map(str, vals))})"
+            oracle = lambda m, vals=vals: frozenset(v % m for v in vals)
+        else:
+            poly = draw(_polynomial(1))
+            text, oracle = to_text(PolyImage(poly)), lambda m, poly=poly: brute_poly_image(poly, m)
+        texts.append(text)
+        oracles.append(oracle)
+    return " | ".join(f"({t})" for t in texts), lambda m: frozenset().union(*(o(m) for o in oracles))
+
+
+@pytest.mark.parametrize("dim,m_max", [(1, 60), (2, 24)])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_level_count_matches_the_mask_and_brute_force(dim, m_max, data):
+    text, oracle = data.draw(_count_union(dim))
+    m = data.draw(st.integers(min_value=1, max_value=m_max))
+    cs = compile_set(text)
+    assert cs.mode == EXACT and cs.dim == dim
+    want = oracle(m)
+    assert cs.residue_count(m) == cs.residue_image(m).count == len(want), (text, m)
+
+
+def test_level_count_budget_bounds_the_local_work(monkeypatch):
+    # sum q^dim over q || m, not m^dim: 2 + 3 + ... + 13 = 41 fits a budget
+    # of 50, the next primorial's 58 does not
+    monkeypatch.setattr(_counts, "RESIDUE_BUDGET", 50)
+    trace = closure_measure_trace(compile_set("kfree(2) | cong(1,4)"), ModulusChain.primorial(), 10**6)
+    assert [r.modulus for r in trace.records] == [2, 6, 30, 210, 2310, 30030]
+    assert trace.notes == ("stopped before level 7 (m=510510): local work 58 at level m=510510, "
+                           "dim=1 exceeds budget 50",)
+    # an image's local work is q^arity: 8^2 + 9^2 at m = 72
+    with pytest.raises(BudgetExceeded, match="local work 145 at level m=72"):
+        compile_set("image(x^2 + y^2)").residue_count(72)
+
+
+def test_clopen_pieces_are_built_once_per_set(monkeypatch):
+    # a complement of multiples splits into its coprime groups, one small
+    # period box each, built at the first level and read at every later one,
+    # by level counts and residue images alike; at q = p^j || m a group p^e
+    # leaves p^j - p^(j-e) classes when e <= j
+    calls = []
+    box_mask = setdsl._box_mask
+    monkeypatch.setattr(setdsl, "_box_mask", lambda *a: calls.append(a) or box_mask(*a))
+    mods = {2: 2, 3: 2, 5: 2, 7: 2, 11: 2, 13: 1}
+    cs = compile_set("!multiples(4,9,25,49,121,13)")
+    for m in (2, 6, 30, 210, 2310, 30030, 30030**2):
+        want = math.prod(q - (q // p ** mods[p] if mods[p] <= j else 0)
+                         for p, j, q in _primes.prime_powers_of(m))
+        assert cs.residue_count(m) == want, m
+        if m < 10**4:
+            assert cs.residue_image(m).count == want, m
+    # _box_mask recurses into the multiples under each complement
+    assert sorted(hi + 1 for node, _, hi, _ in calls if isinstance(node, Complement)) == [
+        4, 9, 13, 25, 49, 121]
+
+
+def test_image_count_keeps_a_mask_not_a_set_of_values(monkeypatch):
+    # at a prime q near the (lowered) budget the image's values mod q stay
+    # the evaluation's mask of q bytes: counting peaks at the evaluation's
+    # own peak, with no Python object per value, and a full image keeps no
+    # mask at all
+    q = 131071
+    monkeypatch.setattr(_counts, "RESIDUE_BUDGET", q + 1)
+    square, identity = compile_set("image(x^2)"), compile_set("image(x)")
+    tracemalloc.start()
+    try:
+        setdsl._poly_values_mod(square.expr.poly, q, 1)
+        _, evaluation = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        assert square.residue_count(q) == (q + 1) // 2
+        assert identity.residue_count(q) == q
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= evaluation + 2 * q, (peak, evaluation)
+    assert [mask is None for mask, _ in identity._tables["images"].values()] == [True]
