@@ -1,8 +1,8 @@
-"""Level counts |pi_m(X)| of exact-mode sets without a mask over
-(Z/m)^dim: the one CRT combiner, in pure Python.
+"""The exact engine: level counts |pi_m(X)| and residue masks pi_m(X) of
+exact-mode sets, both from one expansion of the level into CRT terms.
 
-A count is inclusion-exclusion over the leaves of the set's top union,
-whose images mod m are CRT products:
+The image mod m is the union of the images of the leaves of the set's top
+union, each a CRT product:
 
 - a local atom (cong, one class a of multiples as cong(0, a), kfree,
   coprime(n >= 2), the units of primes, image) is one local condition at
@@ -14,23 +14,28 @@ whose images mod m are CRT products:
   condition that x mod g = gcd(m, L) lies in the piece's image mod g.
 
 A term, the intersection of some leaves' images, is (conditions by prime,
-pieces), reduced mod m, so equal terms merge. Its count is a product of
-local counts and of one masked count per set of pieces that share primes.
-The finitely many classes of finite, coprime(1) and of the primes dividing
-m are points, each checked against every leaf. Only a clopen period box,
-an image's values mod q and the counts that read them are numpy tables;
-setdsl imports this module when it first counts a level.
+pieces), reduced mod m, so equal terms merge. The finitely many classes of
+finite, coprime(1) and of the primes dividing m are points. A count is
+inclusion-exclusion over the leaves' terms, each a product of local counts
+and of one masked count per set of pieces that share primes, plus the
+points outside every leaf; a mask over (Z/m)^dim, built only for
+residue_image, is the union of the leaves' CRT products of their local
+tiles, and the points. Only the tiles, a clopen period box and an image's
+values mod q are numpy tables; setdsl imports this module when it first
+counts a level or builds an exact image.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import _primes
-from ._ie import IE_TERM_BUDGET
+from ._ie import IE_TERM_BUDGET, _ie_fold
 from ._primes import RESIDUE_BUDGET, BudgetExceeded
 from .setdsl import (
+    Complement,
     Cong,
     Coprime,
     FiniteSet,
@@ -40,14 +45,17 @@ from .setdsl import (
     Primes,
     SetExpr,
     Union,
-    _clopen_pieces,
-    _crt_and,
+    _box_mask,
     _finite_coprime,
     _local_exponent,
-    _piece_image,
-    _poly_values_mod,
-    _prime_groups,
+    _project,
+    clopen_modulus,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .setdsl import Polynomial
 
 _FULL = ((), frozenset())  # the term of no condition: all of (Z/m)^dim
 _NO_IMAGE = frozenset()
@@ -80,15 +88,14 @@ def _count_plan(expr: SetExpr, dim: int) -> _CountPlan:
     return _CountPlan(tuple(leaves), tuple(points), width)
 
 
-def level_count(expr: SetExpr, dim: int, m: int, tables: dict) -> int:
-    """|pi_m(X)| for an exact-mode tree and m >= 1: m^dim less the
-    complement of the union of the leaves' images, which is one
-    inclusion-exclusion per group of leaves sharing primes times q^dim at
-    each prime no leaf constrains, plus the points outside every leaf's
-    image. tables keeps the plan and the tables it reads for later
-    levels. BudgetExceeded when the local work, the sum of q^w over the
-    prime powers q || m (w the dimension, or an image's arity if larger),
-    is over RESIDUE_BUDGET."""
+def _level_terms(expr: SetExpr, dim: int, m: int, tables: dict):
+    """The level m of an exact-mode tree as (leaves, points, qs, gs,
+    images): the distinct nonempty leaf terms ({_FULL: None} when a leaf is
+    all of (Z/m)^dim), the points' classes, {p: q} over q || m, the
+    g = gcd(m, L) of each piece and the image masks mod q. tables keeps the
+    plan and what it reads for later levels. BudgetExceeded when the local
+    work, the sum of q^w over q || m (w the dimension, or an image's arity
+    if larger), is over RESIDUE_BUDGET."""
     plan = tables.get("plan")
     if plan is None:
         plan = tables["plan"] = _count_plan(expr, dim)
@@ -103,9 +110,25 @@ def level_count(expr: SetExpr, dim: int, m: int, tables: dict) -> int:
     for atom in plan.leaves:
         term = _leaf_term(atom, m, pps, dim, gs, images, tables)
         if term == _FULL:
-            return m**dim
+            leaves = {_FULL: None}
+            break
         if term is not None:
             leaves[term] = None
+    points = set()
+    for atom in plan.points:
+        points |= {p % m for p in qs} if isinstance(atom, Primes) else {v % m for v in atom.values}
+    return leaves, points, qs, gs, images
+
+
+def level_count(expr: SetExpr, dim: int, m: int, tables: dict) -> int:
+    """|pi_m(X)| for an exact-mode tree and m >= 1 (_level_terms): m^dim
+    less the complement of the union of the leaves' images, which is one
+    inclusion-exclusion per group of leaves sharing primes times q^dim at
+    each prime no leaf constrains, plus the points outside every leaf's
+    image."""
+    leaves, points, qs, gs, images = _level_terms(expr, dim, m, tables)
+    if _FULL in leaves:
+        return m**dim
 
     def primes_of(term):
         return {p for p, _ in term[0]} | {p for pc in term[1] for p in qs if gs[pc] % p == 0}
@@ -115,11 +138,24 @@ def level_count(expr: SetExpr, dim: int, m: int, tables: dict) -> int:
     for primes, members in groups:
         complement *= sum(c * _term_count(term, primes, qs, gs, dim, images, tables)
                           for term, c in _ie_terms(members).items())
-    points = set()
-    for atom in plan.points:
-        points |= {p % m for p in qs} if isinstance(atom, Primes) else {v % m for v in atom.values}
     outside = sum(not any(_term_contains(t, x, qs, gs, images, tables) for t in leaves) for x in points)
     return m**dim - complement + outside
+
+
+def level_mask(expr: SetExpr, dim: int, m: int, tables: dict) -> np.ndarray:
+    """pi_m(X) as a flat row-major mask over (Z/m)^dim, for an exact-mode
+    tree and m^dim within the residue budget: the union over the leaves'
+    terms (_level_terms) of the CRT product of their local tiles and piece
+    tiles, and the points."""
+    import numpy as np
+
+    leaves, points, qs, gs, images = _level_terms(expr, dim, m, tables)
+    out = np.zeros(m**dim, dtype=bool)
+    for conds, pieces in leaves:
+        out |= _crt_and(m, dim, [_cond_tile(qs[p], cond, dim, images) for p, cond in conds]
+                        + [(gs[pc], _piece_image(pc, gs[pc], dim, tables)[0]) for pc in pieces])
+    out[list(points)] = True
+    return out
 
 
 def _leaf_term(atom, m: int, pps, dim: int, gs: dict, images: dict, tables: dict):
@@ -169,23 +205,12 @@ def _image_mod(atom: PolyImage, q: int, images: dict):
 def _ie_terms(leaves: list) -> dict:
     """{term: c}: the sum over subsets J of the leaves of (-1)^|J| times the
     intersection of J's images, collected per distinct term, empty
-    intersections dropped. Leaves fold in one at a time, as in _ie_fold."""
+    intersections dropped: the leaves fold in one at a time by _ie_fold."""
+    over_budget = BudgetExceeded(f"inclusion-exclusion over {len(leaves)} leaves needs more than "
+                                 f"{IE_TERM_BUDGET} distinct terms")
     coeffs = {_FULL: 1}
     for leaf in leaves:
-        nxt = dict(coeffs)
-        for term, c in coeffs.items():
-            meet = _meet(term, leaf)
-            if meet is None:
-                continue
-            v = nxt.get(meet, 0) - c
-            if v:
-                nxt[meet] = v
-            else:
-                del nxt[meet]
-        if len(nxt) > IE_TERM_BUDGET:
-            raise BudgetExceeded(f"inclusion-exclusion over {len(leaves)} leaves needs more than "
-                                 f"{IE_TERM_BUDGET} distinct terms")
-        coeffs = nxt
+        coeffs = _ie_fold(coeffs, leaf, _meet, over_budget)
     return coeffs
 
 
@@ -253,26 +278,35 @@ def _clopen_count(primes: set, pieces: list, conds: dict, qs: dict, gs: dict, di
     else a mask over (Z/D)^dim, D the lcm of the moduli involved, which
     divides m."""
     big = math.prod(qs[p] for p in primes)
-    local = [(qs[p], conds[p]) for p in primes if p in conds]
+    local = [(p, conds[p]) for p in primes if p in conds]
     if len(pieces) == 1 and not local:
         g = gs[pieces[0]]
         return _piece_image(pieces[0], g, dim, tables)[1] * (big // g) ** dim
     import numpy as np
 
-    tiles = [(gs[pc], _piece_image(pc, gs[pc], dim, tables)[0]) for pc in pieces]
-    for q, (dz, r, d, imgs) in local:
-        e = q if imgs else max(dz, d)
-        cell = np.zeros((e,) * dim, dtype=bool)
-        cell[(slice(r, None, d),) * dim] = True
-        if dz:
-            cell[(slice(None, None, dz),) * dim] = False
-        for atom in imgs:  # dimension 1
-            cell &= _image_mod(atom, q, images)[0]
-        tiles.append((e, cell.ravel()))
+    tiles = ([_cond_tile(qs[p], cond, dim, images) for p, cond in local]
+             + [(gs[pc], _piece_image(pc, gs[pc], dim, tables)[0]) for pc in pieces])
     span = math.lcm(*(t for t, _ in tiles))
     if span**dim > RESIDUE_BUDGET:
         raise BudgetExceeded(f"clopen component mod {span}, dim={dim} exceeds budget {RESIDUE_BUDGET}")
     return int(np.count_nonzero(_crt_and(span, dim, tiles))) * (big // span) ** dim
+
+
+def _cond_tile(q: int, cond: tuple, dim: int, images: dict) -> tuple[int, np.ndarray]:
+    """A local condition at q as a tile (e, flat mask over (Z/e)^dim): e is
+    the larger of dz and d, which the condition reads x mod, or q when it
+    has images (dimension 1)."""
+    import numpy as np
+
+    dz, r, d, imgs = cond
+    e = q if imgs else max(dz, d)
+    cell = np.zeros((e,) * dim, dtype=bool)
+    cell[(slice(r, None, d),) * dim] = True
+    if dz:
+        cell[(slice(None, None, dz),) * dim] = False
+    for atom in imgs:  # dimension 1
+        cell &= _image_mod(atom, q, images)[0]
+    return e, cell.ravel()
 
 
 def _term_contains(term: tuple, x: int, qs: dict, gs: dict, images: dict, tables: dict) -> bool:
@@ -281,3 +315,110 @@ def _term_contains(term: tuple, x: int, qs: dict, gs: dict, images: dict, tables
                 and all(_image_mod(atom, qs[p], images)[0][x % qs[p]] for atom in imgs)
                 for p, (dz, r, d, imgs) in term[0])
             and all(_piece_image(pc, gs[pc], 1, tables)[0][x % gs[pc]] for pc in term[1]))
+
+
+def _clopen_pieces(expr: SetExpr) -> tuple[tuple[SetExpr, int], ...]:
+    """A clopen node as the pieces (node, period) it is the intersection of,
+    on pairwise coprime periods: a complement of multiples is the
+    complement of each group of its moduli that share primes, any other
+    node is one piece."""
+    if isinstance(expr, Complement) and isinstance(expr.a, Multiples):
+        groups = _prime_groups(expr.a.moduli, lambda a: {p for p, _, _ in _primes.prime_powers_of(a)})
+        return tuple((Complement(Multiples(tuple(mods))), math.lcm(*mods)) for _, mods in groups)
+    return ((expr, clopen_modulus(expr)),)
+
+
+def _piece_image(piece: tuple[SetExpr, int], g: int, dim: int, tables: dict) -> tuple[np.ndarray, int]:
+    """The flat mask over (Z/g)^dim, g | L, of a clopen piece (node, L) mod
+    g, and its count. Membership in the piece depends only on x mod L in
+    every coordinate, and by CRT x + mZ covers exactly the classes x + gZ
+    mod L, g = gcd(m, L): so the image mod g is the projection of one
+    period box [0, L)^dim. tables keeps the box and the last projection,
+    so a trace builds each box once and every level reads it."""
+    if piece not in tables:
+        node, level = piece
+        tables[piece] = _box_mask(node, 0, level - 1, dim).ravel()
+    last = tables.get((piece, "mod"))
+    if last is None or last[0] != g:
+        box, level = tables[piece], piece[1]
+        image = box if g == level else _project(box, level, g, dim)
+        last = tables[piece, "mod"] = g, image, int(image.sum())
+    return last[1:]
+
+
+def _prime_groups(items, primes_of) -> list[tuple[set, list]]:
+    """The items in groups that share no prime, each with its set of
+    primes, joined one item at a time as _ie_join joins moduli."""
+    groups: list[tuple[set, list]] = []
+    for item in items:
+        primes, members, rest = set(primes_of(item)), [item], []
+        for gp, gm in groups:
+            if gp & primes:
+                primes |= gp
+                members += gm
+            else:
+                rest.append((gp, gm))
+        groups = rest + [(primes, members)]
+    return groups
+
+
+def _crt_and(m: int, dim: int, tiles: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """The CRT combiner: the flat mask of tuples in (Z/m)^dim whose reduction
+    mod each e lies in that tile's mask over (Z/e)^dim. As e | m, the tile
+    read at r mod e for every r < m is the tile repeated m//e times along
+    each axis, so the image is the AND of the repeated tiles."""
+    import numpy as np
+
+    out = np.ones((m,) * dim, dtype=bool)
+    for e, tile in tiles:
+        out &= np.tile(tile.reshape((e,) * dim), (m // e,) * dim)
+    return out.ravel()
+
+
+def _poly_values_mod(poly: Polynomial, q: int, arity: int) -> np.ndarray:
+    """Mask over Z/q of poly's values on (Z/q)^arity, evaluated in chunks of
+    2^20 grid points, each in its own call so that its tables are freed
+    before the next: only the mask scales with q."""
+    import numpy as np
+
+    hit = np.zeros(q, dtype=bool)
+    cells = q**arity
+    for start in range(0, cells, 1 << 20):
+        hit[_chunk_values(poly, q, arity, start, min(cells, start + (1 << 20)))] = True
+    return hit
+
+
+def _chunk_values(poly: Polynomial, q: int, arity: int, lo: int, hi: int) -> np.ndarray:
+    """poly mod q at the points lo..hi-1 of (Z/q)^arity in row-major order,
+    each power of a coordinate taken once. Callers check the local work
+    first, so q <= the residue budget and every product, reduced mod q,
+    fits in int64."""
+    import numpy as np
+
+    coords = np.unravel_index(np.arange(lo, hi), (q,) * arity)
+    powers: dict = {}
+    val = np.zeros(hi - lo, dtype=np.int64)
+    for e, c in poly.terms:
+        term = c % q
+        for i in range(arity):
+            if e[i]:
+                if (i, e[i]) not in powers:
+                    powers[i, e[i]] = _powmod(coords[i], e[i], q)
+                term = term * powers[i, e[i]]
+                term %= q
+        val += term
+    val %= q
+    return val
+
+
+def _powmod(base: np.ndarray, e: int, q: int) -> np.ndarray:
+    """base^e mod q elementwise, for 0 <= base < q and e >= 1: the bits of e
+    after the leading one, from the top, each square and maybe multiply."""
+    out = base
+    for bit in bin(e)[3:]:
+        out = out * out
+        out %= q
+        if bit == "1":
+            out *= base
+            out %= q
+    return out

@@ -30,25 +30,26 @@ def _ie_coefficients(moduli, bound: int | None = None) -> dict[int, int]:
     later multiples would exceed it too."""
     coeffs = {1: 1}
     for a in moduli:
-        coeffs = _ie_fold(coeffs, a, bound, len(moduli))
+        coeffs = _ie_fold(coeffs, a, math.lcm, _ie_over_budget(len(moduli)), bound)
     return coeffs
 
 
-def _ie_fold(coeffs: dict[int, int], a: int, bound: int | None, family_size: int) -> dict[int, int]:
-    """The coefficients with one more modulus a: each term l gains the
-    term lcm(l, a) with the opposite sign. Raises BudgetExceeded as soon
-    as the new dict holds more than IE_TERM_BUDGET terms; family_size only
-    goes into the message."""
+def _ie_fold(coeffs: dict, item, meet, over_budget: BudgetExceeded, bound: int | None = None) -> dict:
+    """The coefficients with one more item: each term t gains the term
+    meet(t, item) with the opposite sign, none when meet gives None (an
+    empty intersection) or, with a bound, a meet above it. Raises
+    over_budget as soon as the new dict holds more than IE_TERM_BUDGET
+    terms."""
     nxt = dict(coeffs)
-    for l, c in coeffs.items():
-        k = math.lcm(l, a)
-        if bound is not None and k > bound:
+    for t, c in coeffs.items():
+        k = meet(t, item)
+        if k is None or bound is not None and k > bound:
             continue
         v = nxt.get(k, 0) - c
         if v:
             nxt[k] = v
             if len(nxt) > IE_TERM_BUDGET:
-                raise _ie_over_budget(family_size)
+                raise over_budget
         else:
             del nxt[k]
     return nxt
@@ -77,7 +78,7 @@ def _ie_join(groups: dict[int, dict[int, int]], a: int, family_size: int) -> lis
         if len(coeffs) * len(part) > IE_TERM_BUDGET:
             raise _ie_over_budget(family_size)
         coeffs = {l * k: c * d for l, c in coeffs.items() for k, d in part.items()}
-    groups[math.lcm(a, *merged)] = _ie_fold(coeffs, a, None, family_size)
+    groups[math.lcm(a, *merged)] = _ie_fold(coeffs, a, math.lcm, _ie_over_budget(family_size))
     return merged
 
 

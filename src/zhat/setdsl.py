@@ -1,13 +1,14 @@
-"""Set-definition language: parser, compiler, and residue-image engine.
+"""Set-definition language: parser, compiler, membership and box masks.
 
 An expression denotes a subset of Z^n. Compilation yields a total
 membership oracle plus the ability to compute finite-level residue images
 pi_m(X) in (Z/m)^n, exactly when every node admits an exact rule, by
 truncated enumeration otherwise. Truncated images are certified subsets of
-the true image. Exact level counts |pi_m(X)| are signed sums of CRT
-products of local counts, in pure Python (_counts); only the functions
-that build a table (a box, a mask, a polynomial's values) import numpy, so
-importing this module loads none.
+the true image: the projections of box tables, made here. Exact images and
+level counts |pi_m(X)| come from one expansion of the level into CRT terms
+(_counts), which CompiledSet imports when it first needs one; only the
+functions that build a table (a box, a mask) import numpy, so importing
+this module loads none.
 
 Grammar (operators left-associative, equal precedence, '!' binds tightest)::
 
@@ -560,8 +561,8 @@ class CrtSplit:
 
 
 def _rule_exact(expr: SetExpr, dim: int) -> bool:
-    """Whether _exact_mask has a rule: &, \\ and ! need a clopen period L
-    with L^dim <= RESIDUE_BUDGET."""
+    """Whether the exact engine (_counts) has a rule: &, \\ and ! need a
+    clopen period L with L^dim <= RESIDUE_BUDGET."""
     if isinstance(expr, (Cong, KFree, Primes, Coprime, PolyImage, Multiples, FiniteSet)):
         return True
     if isinstance(expr, (LeadingDigit, Seq)):
@@ -606,9 +607,9 @@ class CompiledSet:
     dim: int
     mode: str
     assumptions: frozenset = frozenset()
-    # tables kept for later levels: the level counts' plan and images mod
-    # q (_counts), each clopen piece's period box and its last projection
-    # (_piece_image)
+    # tables the exact engine (_counts) keeps for later levels: the plan,
+    # the images mod q, each clopen piece's period box and its last
+    # projection
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- membership -------------------------------------------------------
@@ -686,7 +687,9 @@ class CompiledSet:
     def residue_image(self, m: int, truncation: int | None = None) -> ResidueImage:
         self._check_level(m)
         if self.mode == EXACT:
-            mask = _exact_mask(self.expr, m, self.dim, self._tables)
+            from ._counts import level_mask
+
+            mask = level_mask(self.expr, self.dim, m, self._tables)
             return ResidueImage(m, self.dim, mask, EXACT, None, self.assumptions)
         # by default the largest box of at most 10^6 cells: [1, 10^6], or
         # [-n, n]^dim above
@@ -878,6 +881,12 @@ def _local_exponent(expr: SetExpr) -> int:
     return expr.k if isinstance(expr, KFree) else 1
 
 
+def _finite_coprime(expr: SetExpr) -> SetExpr:
+    """coprime(1) as the finite set it is, {-1, 1} (gcd(x) = |x|); any
+    other node as it is."""
+    return FiniteSet((-1, 1)) if isinstance(expr, Coprime) and expr.n == 1 else expr
+
+
 @dataclass(frozen=True, eq=False)
 class _Members(SetExpr):
     """A stream's stand-in for a sparse atom: the atom's members inside the
@@ -957,122 +966,7 @@ def _interval_view(expr: SetExpr, r: int) -> list[tuple[int, int]] | None:
     return None
 
 
-# ------------------------------------------------------------- exact engine
-
-
-def _finite_coprime(expr: SetExpr) -> SetExpr:
-    """coprime(1) as the finite set it is, {-1, 1} (gcd(x) = |x|); any
-    other node as it is."""
-    return FiniteSet((-1, 1)) if isinstance(expr, Coprime) and expr.n == 1 else expr
-
-
-def _exact_mask(expr: SetExpr, m: int, dim: int, tables: dict) -> np.ndarray:
-    """pi_m(expr) as a flat row-major mask over (Z/m)^dim. Atoms given by
-    local conditions build one mask per prime power q || m and meet in
-    _crt_and; the other atoms and Union are direct mask operations.
-
-    Cong and Multiples are unions of classes r + aZ (_classes), marked on
-    (Z/m)^dim with each a reduced to gcd(m, a): x + mZ meets r + aZ exactly
-    when x = r mod gcd(m, a).
-
-    Any other node is clopen, the intersection of its pieces (_clopen_pieces)
-    of coprime periods L. Membership in a piece depends only on x mod L in
-    every coordinate. By CRT, x + mZ covers exactly the classes x + gZ mod
-    L, g = gcd(m, L), so pi_m of a piece is the pull-back to Z/m of the
-    projection of one period [0, L)^dim to Z/g (_piece_image), and as the
-    periods are coprime the pieces' images meet in _crt_and. tables keeps
-    the period boxes for later levels."""
-    import numpy as np
-
-    classes = _classes(expr)
-    if classes is not None:
-        reduced = [(r, math.gcd(m, a)) for r, a in classes]
-        return _mark_classes(np.zeros((m,) * dim, dtype=bool), 0, reduced, True).ravel()
-    expr = _finite_coprime(expr)
-    pps = _primes.prime_powers_of(m)
-    if isinstance(expr, (KFree, Primes, Coprime)):
-        k = _local_exponent(expr)
-        locals_ = [(q, ~_box_mask(Cong(0, p**k), 0, q - 1, dim).ravel()) for p, j, q in pps if j >= k]
-        out = _crt_and(m, dim, locals_)
-        if isinstance(expr, Primes):
-            # every prime not dividing m is a unit mod m (assumes-dirichlet: each
-            # unit class is actually hit); primes dividing m contribute themselves
-            out[[p % m for p, _, _ in pps]] = True
-        return out
-    if isinstance(expr, PolyImage):
-        # f commutes with Z/m = prod Z/q, so the image is the CRT product of
-        # the local images: sum q^arity evaluations instead of m^arity
-        if sum(q**expr.arity for _, _, q in pps) > RESIDUE_BUDGET:
-            raise BudgetExceeded(f"polynomial image at m={m} arity={expr.arity} exceeds budget")
-        return _crt_and(m, dim, [(q, _poly_values_mod(expr.poly, q, expr.arity)) for _, _, q in pps])
-    if isinstance(expr, FiniteSet):
-        out = np.zeros(m, dtype=bool)
-        out[[v % m for v in expr.values]] = True
-        return out
-    if isinstance(expr, Union):
-        return _exact_mask(expr.a, m, dim, tables) | _exact_mask(expr.b, m, dim, tables)
-    # _rule_exact admits only clopen nodes here
-    tiles = []
-    for piece in _clopen_pieces(expr):
-        g = math.gcd(m, piece[1])
-        tiles.append((g, _piece_image(piece, g, dim, tables)[0]))
-    return _crt_and(m, dim, tiles)
-
-
-def _clopen_pieces(expr: SetExpr) -> tuple[tuple[SetExpr, int], ...]:
-    """A clopen node as the pieces (node, period) it is the intersection of,
-    on pairwise coprime periods: a complement of multiples is the
-    complement of each group of its moduli that share primes, any other
-    node is one piece."""
-    if isinstance(expr, Complement) and isinstance(expr.a, Multiples):
-        groups = _prime_groups(expr.a.moduli, lambda a: {p for p, _, _ in _primes.prime_powers_of(a)})
-        return tuple((Complement(Multiples(tuple(mods))), math.lcm(*mods)) for _, mods in groups)
-    return ((expr, clopen_modulus(expr)),)
-
-
-def _piece_image(piece: tuple[SetExpr, int], g: int, dim: int, tables: dict) -> tuple[np.ndarray, int]:
-    """The flat mask over (Z/g)^dim, g | L, of a clopen piece (node, L) mod
-    g, the projection of its period box [0, L)^dim, and its count. tables
-    keeps the box and the last projection, so a trace builds each box once
-    and every level reads it."""
-    if piece not in tables:
-        node, level = piece
-        tables[piece] = _box_mask(node, 0, level - 1, dim).ravel()
-    last = tables.get((piece, "mod"))
-    if last is None or last[0] != g:
-        box, level = tables[piece], piece[1]
-        image = box if g == level else _project(box, level, g, dim)
-        last = tables[piece, "mod"] = g, image, int(image.sum())
-    return last[1:]
-
-
-def _prime_groups(items, primes_of) -> list[tuple[set, list]]:
-    """The items in groups that share no prime, each with its set of
-    primes, joined one item at a time as _ie_join joins moduli."""
-    groups: list[tuple[set, list]] = []
-    for item in items:
-        primes, members, rest = set(primes_of(item)), [item], []
-        for gp, gm in groups:
-            if gp & primes:
-                primes |= gp
-                members += gm
-            else:
-                rest.append((gp, gm))
-        groups = rest + [(primes, members)]
-    return groups
-
-
-def _crt_and(m: int, dim: int, locals_: list[tuple[int, np.ndarray]]) -> np.ndarray:
-    """The CRT combiner: the flat mask of tuples in (Z/m)^dim whose reduction
-    mod each q lies in that q's local mask over (Z/q)^dim. As q | m, the
-    local mask read at r mod q for every r < m is the local mask tiled m//q
-    times along each axis, so the image is the AND of the tiles."""
-    import numpy as np
-
-    out = np.ones((m,) * dim, dtype=bool)
-    for q, local in locals_:
-        out &= np.tile(local.reshape((q,) * dim), (m // q,) * dim)
-    return out.ravel()
+# ------------------------------------------------------------- projections
 
 
 def _project(mask: np.ndarray, m: int, q: int, dim: int) -> np.ndarray:
@@ -1092,43 +986,6 @@ def _table_image(lo: int, table: np.ndarray, m: int) -> np.ndarray:
     front = lo % m
     padded = np.pad(table, [(front, -(front + side) % m) for side in table.shape])
     return _project(padded.ravel(), padded.shape[0], m, table.ndim)
-
-
-def _poly_values_mod(poly: Polynomial, q: int, arity: int) -> np.ndarray:
-    """Mask over Z/q of poly's values on (Z/q)^arity, evaluated in chunks of
-    2^20 grid points. Every product is reduced mod q, so it stays below
-    q^2; past the int64 range the arithmetic uses Python integers."""
-    import numpy as np
-
-    ar = np.arange(q, dtype=np.int64).astype(np.int64 if q <= 3_037_000_499 else object)
-    powers = {k: _powmod(ar, k, q) for k in {k for e, _ in poly.terms for k in e} - {0}}
-    hit = np.zeros(q, dtype=bool)
-    cells = q**arity
-    for start in range(0, cells, 1 << 20):
-        coords = np.unravel_index(np.arange(start, min(cells, start + (1 << 20))), (q,) * arity)
-        val = 0
-        for e, c in poly.terms:
-            term = c % q
-            for i in range(arity):
-                if e[i]:
-                    term = term * powers[e[i]][coords[i]] % q
-            val = (val + term) % q
-        hit[np.asarray(val, dtype=np.int64)] = True
-    return hit
-
-
-def _powmod(base: np.ndarray, e: int, q: int) -> np.ndarray:
-    out = base**0 % q
-    while e:
-        if e & 1:
-            out = out * base % q
-        e >>= 1
-        if e:
-            base = base * base % q
-    return out
-
-
-# ------------------------------------------------------------- CRT split
 
 
 def crt_split(img: ResidueImage) -> CrtSplit:

@@ -209,7 +209,9 @@ def test_the_analytic_library_steps_load_no_set_layer():
     (("verify", "counterexample", "--base", "4", "--terms", "6"), {"zhat.setdsl", "zhat.measure"}),
     (("density", "--set", "kfree(2)", "--method", "buck", "--level-cutoff", "1e3"),
      {"zhat.analytic", "zhat.verify"}),
-], ids=["verify-counterexample", "density-buck"])
+    # an estimator reads box masks only: the exact engine stays unloaded
+    (("density", "--set", "kfree(2)", "--method", "asymptotic", "--r", "1e5"), {"zhat._counts"}),
+], ids=["verify-counterexample", "density-buck", "density-asymptotic"])
 def test_commands_skip_layers_they_do_not_run(args, absent):
     loaded = loaded_modules(RUN_CLI, *args)
     assert not loaded & absent
