@@ -1,8 +1,9 @@
 """The exact engine: level counts |pi_m(X)| and residue masks pi_m(X) of
 exact-mode sets, both from one expansion of the level into CRT terms.
 
-The image mod m is the union of the images of the leaves of the set's top
-union, each a CRT product:
+A set is exact exactly when setdsl._plan, built once at compile time,
+expands it: the leaves of its top union, its points and its width. The
+image mod m is the union of the images of the leaves, each a CRT product:
 
 - a local atom (cong, one class a of multiples as cong(0, a), kfree,
   coprime(n >= 2), the units of primes, image) is one local condition at
@@ -10,8 +11,10 @@ union, each a CRT product:
   x mod dz is not all zero (no condition when dz is 0), every coordinate
   of x is r mod d, and x (dimension 1) lies in the image mod q of each
   image atom in imgs;
-- a clopen subtree is a tuple of pieces (node, period L), each the
-  condition that x mod g = gcd(m, L) lies in the piece's image mod g.
+- a clopen subtree is a tuple of pieces (node, period L) on coprime
+  periods (a complement of multiples one per coprime group of its moduli),
+  each the condition that x mod g = gcd(m, L) lies in the piece's image
+  mod g; the pieces' period boxes hold at most RESIDUE_BUDGET cells in all.
 
 A term, the intersection of some leaves' images, is (conditions by prime,
 pieces), reduced mod m, so equal terms merge. The finitely many classes of
@@ -28,77 +31,29 @@ counts a level or builds an exact image.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import _primes
 from ._ie import IE_TERM_BUDGET, _ie_fold
 from ._primes import RESIDUE_BUDGET, BudgetExceeded
-from .setdsl import (
-    Complement,
-    Cong,
-    Coprime,
-    FiniteSet,
-    KFree,
-    Multiples,
-    PolyImage,
-    Primes,
-    SetExpr,
-    Union,
-    _box_mask,
-    _finite_coprime,
-    _local_exponent,
-    _project,
-    clopen_modulus,
-)
+from .setdsl import Cong, PolyImage, Primes, SetExpr, _box_mask, _coprime_groups, _local_exponent, _project
 
 if TYPE_CHECKING:
     import numpy as np
 
-    from .setdsl import Polynomial
+    from .setdsl import Polynomial, _Plan
 
 _FULL = ((), frozenset())  # the term of no condition: all of (Z/m)^dim
 _NO_IMAGE = frozenset()
 
 
-@dataclass(frozen=True)
-class _CountPlan:
-    leaves: tuple  # local atoms, and clopen leaves as tuples of pieces
-    points: tuple  # the finite and primes atoms
-    width: int  # the local work at q is q^width
-
-
-def _count_plan(expr: SetExpr, dim: int) -> _CountPlan:
-    leaves, points, todo = [], [], [expr]
-    while todo:
-        node = _finite_coprime(todo.pop())
-        if isinstance(node, Union):
-            todo += [node.b, node.a]
-        elif isinstance(node, Multiples):
-            leaves += [Cong(0, a) for a in node.moduli]
-        elif isinstance(node, FiniteSet):
-            points.append(node)
-        elif isinstance(node, (Cong, KFree, Coprime, PolyImage, Primes)):
-            leaves.append(node)  # for primes, its units
-            if isinstance(node, Primes):
-                points.append(node)
-        else:
-            leaves.append(_clopen_pieces(node))
-    width = max([dim] + [n.arity for n in leaves if isinstance(n, PolyImage)])
-    return _CountPlan(tuple(leaves), tuple(points), width)
-
-
-def _level_terms(expr: SetExpr, dim: int, m: int, tables: dict):
-    """The level m of an exact-mode tree as (leaves, points, qs, gs,
+def _level_terms(plan: _Plan, dim: int, m: int, tables: dict):
+    """The level m of an exact-mode set's plan as (leaves, points, qs, gs,
     images): the distinct nonempty leaf terms ({_FULL: None} when a leaf is
     all of (Z/m)^dim), the points' classes, {p: q} over q || m, the
-    g = gcd(m, L) of each piece and the image masks mod q. tables keeps the
-    plan and what it reads for later levels. BudgetExceeded when the local
-    work, the sum of q^w over q || m (w the dimension, or an image's arity
-    if larger), is over RESIDUE_BUDGET."""
-    plan = tables.get("plan")
-    if plan is None:
-        plan = tables["plan"] = _count_plan(expr, dim)
+    g = gcd(m, L) of each piece and the image masks mod q. tables keeps
+    what it reads for later levels. BudgetExceeded when the local work,
+    the sum of q^w over q || m (plan.width), is over RESIDUE_BUDGET."""
     pps = _primes.prime_powers_of(m)
     work = sum(q**plan.width for _, _, q in pps)
     if work > RESIDUE_BUDGET:
@@ -120,36 +75,32 @@ def _level_terms(expr: SetExpr, dim: int, m: int, tables: dict):
     return leaves, points, qs, gs, images
 
 
-def level_count(expr: SetExpr, dim: int, m: int, tables: dict) -> int:
-    """|pi_m(X)| for an exact-mode tree and m >= 1 (_level_terms): m^dim
-    less the complement of the union of the leaves' images, which is one
-    inclusion-exclusion per group of leaves sharing primes times q^dim at
-    each prime no leaf constrains, plus the points outside every leaf's
+def level_count(plan: _Plan, dim: int, m: int, tables: dict) -> int:
+    """|pi_m(X)| for an exact-mode set's plan and m >= 1 (_level_terms):
+    m^dim less the complement of the union of the leaves' images, which is
+    one inclusion-exclusion per group of leaves sharing primes times q^dim
+    at each prime no leaf constrains, plus the points outside every leaf's
     image."""
-    leaves, points, qs, gs, images = _level_terms(expr, dim, m, tables)
+    leaves, points, qs, gs, images = _level_terms(plan, dim, m, tables)
     if _FULL in leaves:
         return m**dim
-
-    def primes_of(term):
-        return {p for p, _ in term[0]} | {p for pc in term[1] for p in qs if gs[pc] % p == 0}
-
-    groups = _prime_groups(leaves, primes_of)
-    complement = math.prod(q**dim for p, q in qs.items() if not any(p in gp for gp, _ in groups))
-    for primes, members in groups:
-        complement *= sum(c * _term_count(term, primes, qs, gs, dim, images, tables)
+    groups = _coprime_groups(leaves, lambda t: math.lcm(*(p for p, _ in t[0]), *(gs[pc] for pc in t[1])))
+    complement = math.prod(q**dim for p, q in qs.items() if all(top % p for top, _ in groups))
+    for top, members in groups:
+        complement *= sum(c * _term_count(term, top, qs, gs, dim, images, tables)
                           for term, c in _ie_terms(members).items())
     outside = sum(not any(_term_contains(t, x, qs, gs, images, tables) for t in leaves) for x in points)
     return m**dim - complement + outside
 
 
-def level_mask(expr: SetExpr, dim: int, m: int, tables: dict) -> np.ndarray:
+def level_mask(plan: _Plan, dim: int, m: int, tables: dict) -> np.ndarray:
     """pi_m(X) as a flat row-major mask over (Z/m)^dim, for an exact-mode
-    tree and m^dim within the residue budget: the union over the leaves'
+    set's plan and m^dim within the residue budget: the union over the leaves'
     terms (_level_terms) of the CRT product of their local tiles and piece
     tiles, and the points."""
     import numpy as np
 
-    leaves, points, qs, gs, images = _level_terms(expr, dim, m, tables)
+    leaves, points, qs, gs, images = _level_terms(plan, dim, m, tables)
     out = np.zeros(m**dim, dtype=bool)
     for conds, pieces in leaves:
         out |= _crt_and(m, dim, [_cond_tile(qs[p], cond, dim, images) for p, cond in conds]
@@ -257,28 +208,29 @@ def _local_count(cond: tuple, q: int, dim: int, images: dict) -> int:
     return int(hit[r::d].sum()) - (int(hit[::dz].sum()) if dz and r == 0 else 0)
 
 
-def _term_count(term: tuple, primes: set, qs: dict, gs: dict, dim: int, images: dict,
+def _term_count(term: tuple, top: int, qs: dict, gs: dict, dim: int, images: dict,
                 tables: dict) -> int:
-    """A term's count over the primes of its group."""
+    """A term's count over the primes of its group, those dividing top."""
     conds = dict(term[0])
-    total, rest = 1, set(primes)
-    for comp, pieces in _prime_groups(term[1], lambda pc: {p for p in qs if gs[pc] % p == 0}):
-        total *= _clopen_count(comp, pieces, conds, qs, gs, dim, images, tables)
-        rest -= comp
-    for p in rest:
-        total *= _local_count(conds[p], qs[p], dim, images) if p in conds else qs[p] ** dim
+    groups = _coprime_groups(term[1], gs.get)
+    total = 1
+    for span, pieces in groups:
+        total *= _clopen_count(span, pieces, conds, qs, gs, dim, images, tables)
+    for p, q in qs.items():
+        if top % p == 0 and all(span % p for span, _ in groups):
+            total *= _local_count(conds[p], q, dim, images) if p in conds else q**dim
     return total
 
 
-def _clopen_count(primes: set, pieces: list, conds: dict, qs: dict, gs: dict, dim: int,
+def _clopen_count(top: int, pieces: list, conds: dict, qs: dict, gs: dict, dim: int,
                   images: dict, tables: dict) -> int:
-    """The count over the primes of pieces that share primes: the classes
-    mod M, the product of their q, in every piece's image and meeting the
-    local conditions at those primes. One piece alone is its own count;
-    else a mask over (Z/D)^dim, D the lcm of the moduli involved, which
-    divides m."""
-    big = math.prod(qs[p] for p in primes)
-    local = [(p, conds[p]) for p in primes if p in conds]
+    """The count over the primes of pieces that share primes, those
+    dividing top: the classes mod M, the product of their q, in every
+    piece's image and meeting the local conditions at those primes. One
+    piece alone is its own count; else a mask over (Z/D)^dim, D the lcm of
+    the moduli involved, which divides m."""
+    big = math.prod(q for p, q in qs.items() if top % p == 0)
+    local = [(p, c) for p, c in conds.items() if top % p == 0]
     if len(pieces) == 1 and not local:
         g = gs[pieces[0]]
         return _piece_image(pieces[0], g, dim, tables)[1] * (big // g) ** dim
@@ -317,17 +269,6 @@ def _term_contains(term: tuple, x: int, qs: dict, gs: dict, images: dict, tables
             and all(_piece_image(pc, gs[pc], 1, tables)[0][x % gs[pc]] for pc in term[1]))
 
 
-def _clopen_pieces(expr: SetExpr) -> tuple[tuple[SetExpr, int], ...]:
-    """A clopen node as the pieces (node, period) it is the intersection of,
-    on pairwise coprime periods: a complement of multiples is the
-    complement of each group of its moduli that share primes, any other
-    node is one piece."""
-    if isinstance(expr, Complement) and isinstance(expr.a, Multiples):
-        groups = _prime_groups(expr.a.moduli, lambda a: {p for p, _, _ in _primes.prime_powers_of(a)})
-        return tuple((Complement(Multiples(tuple(mods))), math.lcm(*mods)) for _, mods in groups)
-    return ((expr, clopen_modulus(expr)),)
-
-
 def _piece_image(piece: tuple[SetExpr, int], g: int, dim: int, tables: dict) -> tuple[np.ndarray, int]:
     """The flat mask over (Z/g)^dim, g | L, of a clopen piece (node, L) mod
     g, and its count. Membership in the piece depends only on x mod L in
@@ -344,22 +285,6 @@ def _piece_image(piece: tuple[SetExpr, int], g: int, dim: int, tables: dict) -> 
         image = box if g == level else _project(box, level, g, dim)
         last = tables[piece, "mod"] = g, image, int(image.sum())
     return last[1:]
-
-
-def _prime_groups(items, primes_of) -> list[tuple[set, list]]:
-    """The items in groups that share no prime, each with its set of
-    primes, joined one item at a time as _ie_join joins moduli."""
-    groups: list[tuple[set, list]] = []
-    for item in items:
-        primes, members, rest = set(primes_of(item)), [item], []
-        for gp, gm in groups:
-            if gp & primes:
-                primes |= gp
-                members += gm
-            else:
-                rest.append((gp, gm))
-        groups = rest + [(primes, members)]
-    return groups
 
 
 def _crt_and(m: int, dim: int, tiles: list[tuple[int, np.ndarray]]) -> np.ndarray:

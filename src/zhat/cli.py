@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction
 from itertools import islice
 
 # each handler imports the modules it runs, leaf first (setdsl, then
@@ -37,17 +38,17 @@ THEOREM_IDS = (
 
 
 def _num(text: str) -> int:
-    """Integer argument that also accepts scientific notation like 1e7."""
+    """Integer argument that also accepts scientific notation like 1e7,
+    read exactly: 1e23 is 10^23."""
     try:
-        v = int(text)
+        return int(text)
     except ValueError:
-        f = float(text)
-        if not math.isfinite(f):
+        if not math.isfinite(float(text)):
             raise argparse.ArgumentTypeError(f"not a finite number: {text!r}") from None
-        v = int(round(f))
-        if abs(f - v) > 1e-9 * max(1.0, abs(f)):
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    return v
+    v = Fraction(text)
+    if v.denominator != 1:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return v.numerator
 
 
 def _tol(text: str) -> float:

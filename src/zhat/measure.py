@@ -105,6 +105,8 @@ class ModulusChain:
             mods = self.moduli
             if not mods:
                 raise ChainError("explicit chain needs at least one level")
+            if min(mods) < 1:
+                raise ChainError("explicit chain moduli must be >= 1")
             for a, b in zip(mods, mods[1:]):
                 if b <= a or b % a != 0:
                     raise ChainError(f"chain not strictly divisible at {a} -> {b}")

@@ -2,13 +2,13 @@
 
 An expression denotes a subset of Z^n. Compilation yields a total
 membership oracle plus the ability to compute finite-level residue images
-pi_m(X) in (Z/m)^n, exactly when every node admits an exact rule, by
-truncated enumeration otherwise. Truncated images are certified subsets of
-the true image: the projections of box tables, made here. Exact images and
-level counts |pi_m(X)| come from one expansion of the level into CRT terms
-(_counts), which CompiledSet imports when it first needs one; only the
-functions that build a table (a box, a mask) import numpy, so importing
-this module loads none.
+pi_m(X) in (Z/m)^n: exactly when compilation builds the exact engine's
+plan of the set (_plan), by truncated enumeration otherwise. Truncated
+images are certified subsets of the true image: the projections of box
+tables, made here. Exact images and level counts |pi_m(X)| come from one
+expansion of the level into CRT terms (_counts), which CompiledSet imports
+when it first needs one; only the functions that build a table (a box, a
+mask) import numpy, so importing this module loads none.
 
 Grammar (operators left-associative, equal precedence, '!' binds tightest)::
 
@@ -55,9 +55,9 @@ TRUNCATED = "truncated"
 ASSUMES_DIRICHLET = "assumes-dirichlet"
 
 # the most classes m^dim one residue image may enumerate is RESIDUE_BUDGET,
-# which also bounds a level count's local work (CompiledSet.residue_count);
-# the most cells one box table may hold is _primes.BOX_BUDGET, the sieve's
-# budget too
+# which also bounds a level count's local work (CompiledSet.residue_count)
+# and the cells of an exact set's clopen period boxes (_plan); the most
+# cells one box table may hold is _primes.BOX_BUDGET, the sieve's budget too
 
 
 class ModeError(DslError):
@@ -560,17 +560,65 @@ class CrtSplit:
 # ------------------------------------------------------------- compiled set
 
 
-def _rule_exact(expr: SetExpr, dim: int) -> bool:
-    """Whether the exact engine (_counts) has a rule: &, \\ and ! need a
-    clopen period L with L^dim <= RESIDUE_BUDGET."""
-    if isinstance(expr, (Cong, KFree, Primes, Coprime, PolyImage, Multiples, FiniteSet)):
-        return True
-    if isinstance(expr, (LeadingDigit, Seq)):
-        return False
-    if isinstance(expr, Union):
-        return _rule_exact(expr.a, dim) and _rule_exact(expr.b, dim)
-    level = clopen_modulus(expr)
-    return level is not None and level**dim <= RESIDUE_BUDGET
+@dataclass(frozen=True)
+class _Plan:
+    """The exact engine's expansion of a set (_counts): the leaves of its
+    top union (local atoms, and clopen leaves as tuples of pieces (node,
+    period L) on coprime periods), the points (the finite and primes atoms)
+    and the width w: the local work at q is q^w."""
+
+    leaves: tuple
+    points: tuple
+    width: int
+
+
+def _plan(expr: SetExpr, dim: int) -> _Plan | None:
+    """The plan of a set; None when a leaf has no rule (leadingdigit, seq,
+    or a non-clopen &, \\ or !) or when its pieces' period boxes hold more
+    than RESIDUE_BUDGET cells in all. A complement of multiples is one
+    piece per coprime group of its moduli, any other clopen leaf one
+    piece."""
+    leaves, points, todo = [], [], [expr]
+    while todo:
+        node = _finite_coprime(todo.pop())
+        if isinstance(node, Union):
+            todo += [node.b, node.a]
+        elif isinstance(node, Multiples):
+            leaves += [Cong(0, a) for a in node.moduli]
+        elif isinstance(node, FiniteSet):
+            points.append(node)
+        elif isinstance(node, (Cong, KFree, Coprime, PolyImage, Primes)):
+            leaves.append(node)  # for primes, its units
+            if isinstance(node, Primes):
+                points.append(node)
+        elif isinstance(node, Complement) and isinstance(node.a, Multiples):
+            leaves.append(tuple((Complement(Multiples(tuple(mods))), top)
+                                for top, mods in _coprime_groups(node.a.moduli, int)))
+        elif (period := clopen_modulus(node)) is None:
+            return None
+        else:
+            leaves.append(((node, period),))
+    if sum(top**dim for leaf in leaves if isinstance(leaf, tuple) for _, top in leaf) > RESIDUE_BUDGET:
+        return None
+    width = max([dim] + [n.arity for n in leaves if isinstance(n, PolyImage)])
+    return _Plan(tuple(leaves), tuple(points), width)
+
+
+def _coprime_groups(items, support) -> list[tuple[int, list]]:
+    """The items in groups whose supports, positive integers, share no
+    prime across groups, each group with the lcm of its supports: an item
+    merges every group whose lcm it shares a prime with, as _ie._ie_join
+    joins moduli."""
+    groups: list[tuple[int, list]] = []
+    for item in items:
+        top, members, rest = support(item), [item], []
+        for lcm, gm in groups:
+            if math.gcd(lcm, top) > 1:
+                top, members = math.lcm(top, lcm), members + gm
+            else:
+                rest.append((lcm, gm))
+        groups = rest + [(top, members)]
+    return groups
 
 
 def _classes(expr: SetExpr) -> list[tuple[int, int]] | None:
@@ -605,12 +653,17 @@ def clopen_modulus(expr: SetExpr) -> Optional[int]:
 class CompiledSet:
     expr: SetExpr
     dim: int
-    mode: str
+    # the exact engine's expansion (_plan), None for a truncated set
+    plan: Optional[_Plan] = field(repr=False)
     assumptions: frozenset = frozenset()
-    # tables the exact engine (_counts) keeps for later levels: the plan,
-    # the images mod q, each clopen piece's period box and its last
-    # projection
+    # tables the exact engine (_counts) keeps for later levels: the images
+    # mod q, each clopen piece's period box and its last projection
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def mode(self) -> str:
+        """EXACT exactly when the exact engine has a plan for the set."""
+        return TRUNCATED if self.plan is None else EXACT
 
     # -- membership -------------------------------------------------------
     def contains(self, x) -> bool:
@@ -689,7 +742,7 @@ class CompiledSet:
         if self.mode == EXACT:
             from ._counts import level_mask
 
-            mask = level_mask(self.expr, self.dim, m, self._tables)
+            mask = level_mask(self.plan, self.dim, m, self._tables)
             return ResidueImage(m, self.dim, mask, EXACT, None, self.assumptions)
         # by default the largest box of at most 10^6 cells: [1, 10^6], or
         # [-n, n]^dim above
@@ -702,12 +755,12 @@ class CompiledSet:
     def clopen_image_exact(self, m: int) -> ResidueImage | None:
         """Exact pi_m(X) of a Cong/Multiples tree under any combinators, read
         from residue_image. None when the structure is not clopen;
-        BudgetExceeded when its period is over the residue budget."""
-        level = clopen_modulus(self.expr)
-        if level is None:
+        BudgetExceeded when the set is truncated: its pieces' period boxes
+        hold more cells than the residue budget."""
+        if clopen_modulus(self.expr) is None:
             return None
         if self.mode != EXACT:
-            raise BudgetExceeded(f"clopen period {level} exceeds the residue budget {RESIDUE_BUDGET}")
+            raise BudgetExceeded(f"clopen period boxes exceed the residue budget {RESIDUE_BUDGET}")
         return self.residue_image(m)
 
     def residue_count(self, m: int) -> int:
@@ -721,7 +774,7 @@ class CompiledSet:
             raise DslValueError("modulus must be >= 1")
         from ._counts import level_count
 
-        return level_count(self.expr, self.dim, m, self._tables)
+        return level_count(self.plan, self.dim, m, self._tables)
 
     # -- structure views for estimator fast paths ------------------------
     def interval_view(self, r: int) -> list[tuple[int, int]] | None:
@@ -756,8 +809,7 @@ def compile_set(expr: SetExpr | str) -> CompiledSet:
             assumptions = frozenset([ASSUMES_DIRICHLET])
         todo.extend(reversed(node.children()))
     dim = expr_dim(expr)
-    mode = EXACT if _rule_exact(expr, dim) else TRUNCATED
-    return CompiledSet(expr, dim, mode, assumptions)
+    return CompiledSet(expr, dim, _plan(expr, dim), assumptions)
 
 
 # ------------------------------------------------------------- membership

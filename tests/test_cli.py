@@ -1,5 +1,6 @@
 """Command-line interface: pinned outputs, exit codes, reproducibility."""
 
+import argparse
 import json
 import math
 import os
@@ -408,6 +409,28 @@ def test_identical_invocations_are_byte_identical():
     out1 = run_cli(*args).stdout
     out2 = run_cli(*args).stdout
     assert out1 == out2
+
+
+@pytest.mark.parametrize("text,value", [("1e23", 10**23), ("-1e23", -10**23), ("2.5e6", 2500000)])
+def test_scientific_notation_reads_exactly(text, value):
+    # through float, 1e23 would be 99999999999999991611392
+    assert cli._num(text) == value
+
+
+def test_a_fractional_number_is_not_an_integer(capsys):
+    with pytest.raises(argparse.ArgumentTypeError, match="not an integer: '1.5'"):
+        cli._num("1.5")
+    assert cli.main(["density", "--set", "primes", "--r", "1.5"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["measure", "--set", "kfree(2)", "--chain", "explicit:0,2"],
+    ["density", "--set", "kfree(2)", "--method", "buck", "--chain", "0,6"],
+    ["verify", "mt", "--set", "kfree(2)", "--chain", "0,6"],
+])
+def test_chain_modulus_below_one_is_usage_error(args, capsys):
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == "usage: explicit chain moduli must be >= 1\n"
 
 
 @pytest.mark.parametrize("value", ["1e400", "inf", "nan"])

@@ -215,3 +215,11 @@ def test_the_analytic_library_steps_load_no_set_layer():
 def test_commands_skip_layers_they_do_not_run(args, absent):
     loaded = loaded_modules(RUN_CLI, *args)
     assert not loaded & absent
+
+
+def test_compiling_an_exact_set_loads_neither_the_engine_nor_numpy():
+    # the exact engine's plan is built at compile time, in setdsl
+    loaded = loaded_modules("import sys\nfrom zhat.setdsl import compile_set\n"
+                            "assert compile_set('!multiples(4,9,25,49,121,169)').mode == 'exact'")
+    assert "zhat.setdsl" in loaded
+    assert not loaded & {"zhat._counts", "numpy"}

@@ -41,6 +41,9 @@ def test_chain_validation():
         ModulusChain.explicit([6, 10])  # 6 does not divide 10
     with pytest.raises(ChainError):
         ModulusChain.explicit([])
+    for mods in ([0, 2], [0, 6], [-2, 4], [0]):
+        with pytest.raises(ChainError, match="explicit chain moduli must be >= 1"):
+            ModulusChain.explicit(mods)
     with pytest.raises(ChainError):
         ModulusChain.primorial().levels(1)  # no level fits
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zhat import _counts, _primes
-from zhat.measure import ModulusChain, closure_measure_trace
+from zhat import _counts, _primes, setdsl
+from zhat.measure import ModulusChain, closure_measure_trace, multiples_measure_ie
 from zhat.setdsl import (
     EXACT,
     TRUNCATED,
@@ -400,11 +400,56 @@ def test_clopen_engine_exact_and_declines_gracefully():
     assert cs.mode == EXACT
     # non-clopen structure: no exact shortcut exists
     assert compile_set("kfree(2)").clopen_image_exact(12) is None
-    # a period past the residue budget (L ~ 9e8) keeps the truncated engine
-    big = compile_set("!multiples(4,9,25,49,121,169)")
+    # one piece whose period box is past the residue budget (L ~ 9e8)
+    # keeps the truncated engine
+    big = compile_set("cong(1,4) & !multiples(9,25,49,121,169)")
     assert big.mode == TRUNCATED
     with pytest.raises(BudgetExceeded):
         big.clopen_image_exact(12)
+
+
+P2_13 = (4, 9, 25, 49, 121, 169)
+
+
+def test_a_complement_of_multiples_is_exact_by_its_pieces():
+    # the period L = 901800900 is past the residue budget, but the pieces,
+    # one per coprime group of moduli, have periods summing to 377
+    cs = compile_set("!multiples(4,9,25,49,121,169)")
+    assert cs.mode == EXACT
+    assert Fraction(cs.residue_count(901800900), 901800900) == multiples_measure_ie(P2_13)
+    for m, classes in ((36, 24), (900, 576), (2310, 2310), (44100, 27648)):
+        # search 64 members of each class r mod m: x = r + k m, 0 <= k < 64
+        x = np.arange(64 * m)
+        members = np.logical_and.reduce([x % a != 0 for a in P2_13])
+        want = frozenset(np.unique(x[members] % m).tolist())
+        img = cs.residue_image(m)
+        assert len(want) == img.count == classes and img.residues == want, m
+    trace = closure_measure_trace(cs, ModulusChain.primorial_power(2), 10**30)
+    assert trace.mode == EXACT
+    # the closure measure from level 6, 901800900 = L, on
+    assert trace.records[5].modulus == 901800900 and trace.records[4].measure > Fraction(442368, 715715)
+    assert {r.measure for r in trace.records[5:]} == {Fraction(442368, 715715)}
+
+
+def test_exactness_bounds_the_cells_of_all_piece_boxes(monkeypatch):
+    # 2^26 + 3^16 = 110155585 cells are past the residue budget,
+    # 2^26 + 3^15 = 81457771 are not; compiling builds no box to decide
+    def no_box(*args):
+        raise AssertionError("compiling built a box")
+
+    monkeypatch.setattr(setdsl, "_box_mask", no_box)
+    assert compile_set(f"!multiples({2**26},{3**16})").mode == TRUNCATED
+    assert compile_set(f"!multiples({2**26},{3**15})").mode == EXACT
+
+
+def test_compiling_factors_no_modulus(monkeypatch):
+    # coprime groups are found by gcd and lcm: the moduli are not factored
+    def no_factorize(n):
+        raise AssertionError(f"compiling factored {n}")
+
+    monkeypatch.setattr(_primes, "factorize", no_factorize)
+    assert compile_set("!multiples(1125896954054519)").mode == TRUNCATED
+    assert compile_set("!multiples(4,9,25,49,121,169,6)").mode == EXACT
 
 
 def test_crt_split_examples():
