@@ -253,28 +253,28 @@ def density_uniform(cset: CompiledSet, l_grid, scan_radius: int,
 def _window_extremes(blocks, lengths: list[int]) -> list[tuple[int, int]]:
     """(min, max) over every window of L consecutive points of the number
     of members in it, for each L of the increasing lengths, from a stream
-    of blocks with at least lengths[-1] points. A running int32 count c(e)
-    of the members among the first e points gives the window ending at e
-    as c(e) - c(e - L); only the last lengths[-1] + 1 counts are kept."""
-    longest = lengths[-1]
+    of blocks with at least lengths[-1] points: running window counts
+    w(e) = w(e - 1) + x(e) - x(e - L), x(k) the membership of k (0 for
+    k < 1), over the blocks' own bool tables of the last lengths[-1] points."""
     extremes = [(math.inf, -math.inf)] * len(lengths)
-    # c(e) for the last hist.size values of e, up to done; int32 holds
-    # every count, as the box budget is below 2^31
-    hist = np.zeros(1, dtype=np.int32)
-    done = 0  # points read
+    counts = [0] * len(lengths)  # w(done) per length
+    kept, done = [], 0  # (first point, table) of the blocks kept; points read
     for _, table in blocks:
-        new = np.cumsum(table, dtype=np.int32)
-        new += hist[-1]
-        cum = np.concatenate([hist, new])  # c(e) from e = base on
-        base = done + 1 - hist.size
-        done += table.size
+        kept.append((done + 1, table))
         for i, L in enumerate(lengths):
-            first = max(done - table.size + 1, L)  # the windows ending in this block
-            if first <= done:
-                w = cum[first - base:] - cum[first - base - L:done - base + 1 - L]
-                low, high = extremes[i]
-                extremes[i] = (min(low, int(w.min())), max(high, int(w.max())))
-        hist = cum[-min(done, longest) - 1:]
+            back, d = done + 1 - L, table.view(np.int8).copy()  # x(e - L) is x(back + (e - done - 1))
+            for first, old in kept:
+                a, b = max(first, back), min(first + old.size, back + table.size)
+                if a < b:
+                    d[a - back:b - back] -= old[a - first:b - first].view(np.int8)
+            skip = min(max(L - done - 1, 0), table.size)  # the points before the first window end
+            counts[i] += int(d[:skip].sum())
+            if skip < table.size:  # int32 is exact, as a block is below 2^31 cells
+                w, (low, high) = np.cumsum(d[skip:], dtype=np.int32), extremes[i]
+                extremes[i] = (min(low, counts[i] + int(w.min())), max(high, counts[i] + int(w.max())))
+                counts[i] += int(w[-1])
+        done += table.size
+        kept = [(first, old) for first, old in kept if first + old.size > done + 1 - lengths[-1]]
     return extremes
 
 

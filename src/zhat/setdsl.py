@@ -583,6 +583,8 @@ def _plan(expr: SetExpr, dim: int) -> _Plan | None:
         node = _finite_coprime(todo.pop())
         if isinstance(node, Union):
             todo += [node.b, node.a]
+        elif isinstance(node, Complement) and isinstance(node.a, Complement):
+            todo.append(node.a.a)  # !!x is x
         elif isinstance(node, Multiples):
             leaves += [Cong(0, a) for a in node.moduli]
         elif isinstance(node, FiniteSet):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from zhat import _primes, setdsl
 from zhat.density import (
     AxiomSuiteReport,
+    _window_extremes,
     DensityReport,
     axiom_suite,
     density_alpha,
@@ -285,6 +286,42 @@ def test_uniform_windows_across_blocks_match_prefix_counts():
     assert density_uniform(cs, lengths, r).values == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(1, 64), min_size=1, max_size=12), data=st.data())
+def test_window_extremes_match_brute_sliding_windows(sizes, data):
+    # random tables cut into random blocks; lengths 1, a block's size +-1
+    # and the whole scan, against every window counted directly
+    n = sum(sizes)
+    x = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    picks = data.draw(st.lists(st.integers(1, n), max_size=3))
+    b = data.draw(st.sampled_from(sizes))
+    lengths = sorted({L for L in (1, b - 1, b, b + 1, n, *picks) if 1 <= L <= n})
+    cuts = list(itertools.accumulate(sizes))
+    blocks = [(lo + 1, np.array(x[lo:hi], dtype=bool)) for lo, hi in zip([0] + cuts, cuts)]
+    want = [(min(w), max(w)) for w in ([sum(x[e - L:e]) for e in range(L, n + 1)] for L in lengths)]
+    assert _window_extremes(iter(blocks), lengths) == want
+
+
+def test_window_extremes_keep_one_byte_per_point_of_the_longest_window():
+    # at a fixed scan, doubling the longest window L adds the membership
+    # tables of L more points, one byte each; an int32 count history
+    # would add 4 bytes per point, and copying it 4 more
+    cs, r = compile_set("kfree(3) | cong(1,4)"), 2**22
+
+    def peak(L):
+        tracemalloc.start()
+        try:
+            _window_extremes(cs.blocks(r), [L])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    L = 2**20
+    peak(L)  # the shared sieve, once
+    grown = peak(2 * L) - peak(L)
+    assert grown <= 1.25 * L, grown / L
+
+
 def test_uniform_window_length_is_checked_against_the_box_size():
     # the scan box [1, 300] has 300 points; the one window of full length
     # counts every member
@@ -354,6 +391,16 @@ def test_buck_bounds_clopen_set_are_tight_and_certified():
     assert rep.upper_est == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert rep.params["lower_certified"] is True
     assert rep.certified
+
+
+def test_buck_lower_bound_of_a_complement_of_multiples_is_certified():
+    # the complement of !multiples(...) is !!multiples(...), read as the
+    # exact multiples(...): both sides meet at the period L = 901800900
+    cset = compile_set("!multiples(4,9,25,49,121,169)")
+    rep = density_buck(cset, ModulusChain.primorial_power(2), cutoff=10**9)
+    assert rep.params["lower_certified"] is True and rep.certified
+    assert rep.grid[-1] == 901800900
+    assert rep.lower_est == rep.upper_est == float(Fraction(442368, 715715))
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,7 @@ EXACT_COMMANDS = [
      {"zhat._ie", "zhat.setdsl", "zhat._counts", "zhat.verify"}),
     (("verify", "union-dense", "--supports", "2,3;3,5;7"), {"zhat.verify"}),
     (("verify", "omega", "--k", "2", "--pbound", "13"), {"zhat.verify"}),
+    (("verify", "counterexample", "--base", "4", "--terms", "12"), {"zhat.verify"}),
     (("sn", "limit", "--seq", "factorial", "--terms", "60", "--pmax", "13"),
      {"zhat.supernatural"}),
 ]

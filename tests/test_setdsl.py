@@ -431,6 +431,19 @@ def test_a_complement_of_multiples_is_exact_by_its_pieces():
     assert {r.measure for r in trace.records[5:]} == {Fraction(442368, 715715)}
 
 
+def test_a_double_complement_is_read_as_its_operand():
+    # !!x is x, so its plan is x's: the double complement of an exact set
+    # is exact with the same counts
+    for text in ("multiples(4,9,25,49,121,169)", "kfree(2)", "kfree(2) | cong(1,4)"):
+        once, twice = compile_set(text), compile_set(f"!!({text})")
+        assert once.mode == twice.mode == EXACT, text
+        for m in (36, 900, 2310):
+            assert twice.residue_count(m) == once.residue_count(m)
+            assert twice.residue_image(m).residues == once.residue_image(m).residues
+    assert compile_set("!!!!kfree(2)").mode == EXACT
+    assert compile_set("!!(kfree(2) & cong(1,4))").mode == TRUNCATED
+
+
 def test_exactness_bounds_the_cells_of_all_piece_boxes(monkeypatch):
     # 2^26 + 3^16 = 110155585 cells are past the residue budget,
     # 2^26 + 3^15 = 81457771 are not; compiling builds no box to decide

@@ -250,10 +250,10 @@ def _peak(run, r):
 @pytest.mark.parametrize("path", sorted(PATHS))
 def test_streamed_paths_keep_memory_flat_in_r(path):
     # memory is O(block): quadrupling r adds under 1 MB, besides the
-    # uniform estimator's int32 history of its longest window (r/20
-    # points, r/5 bytes); whole-range tables would add 8-64 MB here
+    # uniform estimator's history of its longest window (r/20 points, one
+    # byte each); whole-range tables would add 8-64 MB here
     run = PATHS[path]
     run(10**6)  # the small shared sieve and the sieve wheel, once
     small, large = _peak(run, 10**6), _peak(run, 4 * 10**6)
-    allowance = 2**20 + (4 * 10**6 // 5 if path == "uniform" else 0)
+    allowance = 2**20 + (4 * 10**6 // 20 if path == "uniform" else 0)
     assert large - small <= allowance, (small, large)

@@ -438,6 +438,21 @@ def test_counterexample_cover_four_adic():
     assert rep.quantities["complement_measure"] >= bound
 
 
+@pytest.mark.parametrize("a", [3, 4, 5, 6])
+def test_counterexample_cover_counts_the_classes_of_the_coset_mask(a):
+    # the covered classes mod a^K against the union of the cosets
+    # x_n + a^n Z, n <= K, marked on a mask of all a^K classes
+    for terms in range(1, 9):
+        m = a**terms
+        mask = np.zeros(m, dtype=bool)
+        for n in range(1, terms + 1):
+            x = n // 2 if n % 2 == 0 else -(n // 2)
+            mask[x % a**n::a**n] = True
+        q = counterexample_cover(a, terms).quantities
+        assert (q["covered_classes"], q["level"]) == (int(mask.sum()), m)
+        assert q["complement_measure"] == Fraction(m - int(mask.sum()), m)
+
+
 def test_counterexample_cover_rejects_small_base():
     with pytest.raises(ValueError):
         counterexample_cover(2, 5)
