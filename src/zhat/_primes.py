@@ -3,10 +3,11 @@ sequences, the exception classes and verdicts of the set language, and
 the one JSON form of a result.
 
 A single module-level cache, the sorted primes up to a bound, is grown on
-demand and read-only afterwards, so every consumer shares one array. Only
-the sieve needs numpy and imports it: primality, factorization and the
-first primes run on a pure-Python table of the primes below 2^10, so the
-bottom of the import graph loads no numpy.
+demand and read-only afterwards, so every consumer shares one array; sums
+over all primes up to a bound read the prime stream, one sieve segment at
+a time, instead. Only the sieve needs numpy and imports it: primality,
+factorization and the first primes run on a pure-Python table of the
+primes below 2^10, so the bottom of the import graph loads no numpy.
 """
 
 from __future__ import annotations
@@ -175,23 +176,31 @@ def _prime_segment(lo: int, hi: int) -> np.ndarray:
     return _sieve_segment(lo, hi, primes_upto(math.isqrt(max(hi, 0))))
 
 
+def _prime_stream(lo: int, hi: int) -> Iterator[np.ndarray]:
+    """The primes of [lo, hi], 1 <= lo, ascending, as one int64 array per
+    sieve segment of _segments(lo, hi), each sieved by _prime_segment
+    when the stream reaches it. hi past the box budget raises
+    BudgetExceeded here, before anything is sieved."""
+    import numpy as np
+
+    if hi > BOX_BUDGET:
+        raise BudgetExceeded(f"sieve up to {hi} exceeds box budget {BOX_BUDGET}")
+    return (np.flatnonzero(_prime_segment(a, b)) + a for a, b in _segments(lo, hi))
+
+
 def _ensure_sieve(n: int) -> None:
     """Grow _PRIMES to every prime up to max(n, 2 * _SIEVE_BOUND), the
-    doubling capped at the box budget, one segment past the old bound at a
-    time; the base primes up to the square root come from the cache itself,
-    grown first. n past the box budget raises BudgetExceeded unsieved."""
+    doubling capped at the box budget, from the prime stream past the old
+    bound; n past the box budget raises BudgetExceeded unsieved."""
     global _SIEVE_BOUND, _PRIMES
     if n <= _SIEVE_BOUND:
         return
     import numpy as np
 
-    if n > BOX_BUDGET:
-        raise BudgetExceeded(f"sieve up to {n} exceeds box budget {BOX_BUDGET}")
     n = max(n, min(2 * _SIEVE_BOUND, BOX_BUDGET))
-    base = primes_upto(math.isqrt(n))
-    _PRIMES = np.concatenate([primes_upto(_SIEVE_BOUND)] + [
-        np.flatnonzero(_sieve_segment(lo, hi, base)) + lo
-        for lo, hi in _segments(_SIEVE_BOUND + 1, n)])
+    # the stream's base primes may grow the cache while it runs; the old
+    # head and the stream past it still cover [2, n] once
+    _PRIMES = np.concatenate([primes_upto(_SIEVE_BOUND), *_prime_stream(_SIEVE_BOUND + 1, n)])
     _SIEVE_BOUND = n
 
 

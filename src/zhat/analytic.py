@@ -20,6 +20,7 @@ from . import _primes
 from ._ie import _ie_groups
 from ._primes import FAIL, INCONCLUSIVE, PASS, DslValueError, _iroot, jsonable
 from .measure import (
+    _BLOCK,
     _LIB_UNITS,
     Bracket,
     _down,
@@ -117,7 +118,7 @@ def von_mangoldt(n: int) -> float:
     fac = _primes.factorize(n)
     if len(fac) == 1:
         (p,) = fac
-        # below 2^53 np.log, as _von_mangoldt_block takes it: math.log
+        # below 2^53 np.log, as _von_mangoldt_blocks takes it: math.log
         # differs by an ulp at some primes (285343 is the first)
         return float(np.log(float(p))) if p < 2**53 else math.log(p)
     return 0.0
@@ -137,54 +138,63 @@ def vm_identity_check(n: int, tol: float) -> bool:
 
 
 def vm_identity_scan(n_max: int, tol: float) -> bool:
-    """The divisor-sum identity over all 1 <= n <= n_max, one sieve block
-    at a time: each base prime p <= sqrt(hi) adds log p to the multiples
-    of each power p^j in [lo, hi] and divides them by p, which leaves 1 or
-    the one prime factor of n above sqrt(hi), adding its own log. A
-    remainder in (1, sqrt(hi)] would hold a factor the sieve missed: it
-    adds nothing, so the identity fails there."""
+    """The divisor-sum identity over all 1 <= n <= n_max, one block of
+    _BLOCK integers [lo, hi] at a time: each base prime p <= sqrt(hi)
+    adds log p to the multiples of each power p^j in the block and
+    divides them by p, which leaves 1 or the one prime factor of n above
+    sqrt(hi), adding its own log. A remainder in (1, sqrt(hi)] would hold
+    a factor the sieve missed: it is set to 1 and adds log 1 = 0, so the
+    identity fails there. The block's tables of 8 bytes per integer are
+    all that is held; the table of log n takes the difference in place."""
     if n_max < 2:
         return True
     worst = 0.0
-    for lo, hi in _primes._segments(2, n_max):
+    base = _primes.primes_upto(math.isqrt(n_max))
+    for lo in range(2, n_max + 1, _BLOCK):
+        hi = min(lo + _BLOCK - 1, n_max)
         root = math.isqrt(hi)
         rest = np.arange(lo, hi + 1, dtype=np.int64)
         total = np.zeros(rest.size)
-        for p in _primes.primes_upto(root).tolist():
+        for p in base[:int(np.searchsorted(base, root, side="right"))].tolist():
             log_p, q = math.log(p), p
             while q <= hi:
                 multiples = slice((-lo) % q, None, q)
                 total[multiples] += log_p
                 rest[multiples] //= p
                 q *= p
-        big = rest > root
-        total[big] += np.log(rest[big])
-        worst = max(worst, float(np.max(np.abs(_log_block(lo, hi) - total))))
+        rest[rest <= root] = 1
+        total += np.log(rest)
+        diff = _log_block(lo, hi)
+        diff -= total
+        worst = max(worst, float(np.max(np.abs(diff, out=diff))))
     return not worst >= tol
 
 
-def _von_mangoldt_block(lo: int, hi: int) -> np.ndarray:
-    """Lambda(k) for lo <= k <= hi, 0 <= lo: log p at every prime power
-    p^j in the block, the primes from one sieve segment and the higher
-    powers from the base primes up to sqrt(hi)."""
-    lam = np.zeros(hi - lo + 1, dtype=np.float64)
-    p = np.flatnonzero(_primes._prime_segment(lo, hi)) + lo
-    lam[p - lo] = np.log(p)
-    p = _primes.primes_upto(math.isqrt(max(hi, 0)))
-    log_p = np.log(p)
-    q = p * p
-    while q.size:
-        inside = q >= lo
-        lam[q[inside] - lo] = log_p[inside]
-        keep = q <= hi // p  # q * p <= hi
-        p, log_p, q = p[keep], log_p[keep], q[keep] * p[keep]
-    return lam
-
-
-def _blocks(n: int, build):
-    """(lo, build(lo, hi)) over the blocks [lo, hi] that cover [1, n], laid
-    out as CompiledSet.blocks lays out [1, n]."""
-    return ((lo, build(lo, hi)) for lo, hi in _primes._segments(1, n))
+def _von_mangoldt_blocks(n: int):
+    """(lo, Lambda(k) for lo <= k <= hi) over the blocks [lo, hi] of
+    _BLOCK integers that cover [1, n] from 1, the grid on which the
+    power-sum kernel chunks: log p at every prime power p^j. Each sieve
+    segment of _primes._segments(1, n) is sieved once; its primes, and
+    the higher powers of the base primes up to sqrt(hi) that fall in it,
+    fill the tables of its blocks."""
+    for lo, hi in _primes._segments(1, n):
+        primes = np.flatnonzero(_primes._prime_segment(lo, hi)) + lo
+        powers, logs = [primes], [np.log(primes)]
+        p = _primes.primes_upto(math.isqrt(hi))
+        log_p, q = np.log(p), p * p
+        while q.size:
+            inside = q >= lo
+            powers.append(q[inside])
+            logs.append(log_p[inside])
+            keep = q <= hi // p  # q * p <= hi
+            p, log_p, q = p[keep], log_p[keep], q[keep] * p[keep]
+        at, logs = np.concatenate(powers), np.concatenate(logs)
+        for a in range(lo, hi + 1, _BLOCK):
+            b = min(a + _BLOCK - 1, hi)
+            inside = (at >= a) & (at <= b)
+            lam = np.zeros(b - a + 1)
+            lam[at[inside] - a] = logs[inside]
+            yield a, lam
 
 
 def _log_block(lo: int, hi: int) -> np.ndarray:
@@ -221,7 +231,7 @@ def dlog_zeta_check(s: float, cutoff: int, tol: float) -> DlogReport:
     den, den_err = zeta_partial(s, cutoff)
     # log n in closed form: from Lambda it would use log = Lambda * 1, the identity under test
     num, num_err = zeta_log_partial(s, cutoff)
-    (series,), (series_err,) = masked_power_sums(_blocks(cutoff, _von_mangoldt_block), [s])
+    (series,), (series_err,) = masked_power_sums(_von_mangoldt_blocks(cutoff), [s])
     # the kernel takes its weights as exact; each log is within _LIB_UNITS
     series_err += _err(series + series_err, _LIB_UNITS)
     ratio_side, series_side = float(num / den), float(series)

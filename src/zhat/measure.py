@@ -292,6 +292,12 @@ def euler_product(local_factor: str, prime_cutoff: int) -> Bracket:
     The partial product over p <= cutoff is an upper bound since every
     factor lies in [0,1]. It is evaluated as exp of the sum of
     log1p(-c/p^k), with a rounding bound on that sum, and rounded outward.
+    The primes come from the prime stream, one sieve segment at a time,
+    refilled into one buffer of _BLOCK primes across segment boundaries:
+    each numpy sum reads the primes that a whole table cut every _BLOCK
+    primes would give it, and memory stays one block wide at any cutoff
+    up to the box budget. Past it BudgetExceeded is raised before
+    anything is sieved.
     For k >= 2 the tail is bounded below through log(1-x) >= -2x and an
     integral comparison, giving a certified bracket. k = 1 has a divergent
     tail: the bracket is [0, partial] with a DIVERGENT-TAIL note."""
@@ -314,17 +320,16 @@ def euler_product(local_factor: str, prime_cutoff: int) -> Bracket:
         raise DslValueError(f"factor {local_factor!r} is too close to 0 at p=2 for a float bracket")
     import numpy as np
 
-    ps = _primes.primes_upto(prime_cutoff)
-    parts = []
-    for lo in range(0, ps.size, _BLOCK):
-        x = ps[lo:lo + _BLOCK].astype(np.float64)
+    parts, count = [], 0
+    for x in _refill(_primes._prime_stream(2, prime_cutoff), np.empty(_BLOCK)):
+        count += x.size
         np.power(x, -float(k), out=x)
         x *= -float(c)
         np.log1p(x, out=x)
         parts.append(float(x.sum()))
     log_partial = math.fsum(parts)
     a, b = _gamma(_LIB_UNITS + 2) / (1.0 - xm), _gamma(_LIB_UNITS)
-    err = _sum_error(log_partial, a + b + a * b, min(ps.size, _BLOCK), ps.size * (c + 1) * _TINY)
+    err = _sum_error(log_partial, a + b + a * b, min(count, _BLOCK), count * (c + 1) * _TINY)
     hi = _exp_up(_up(log_partial + err))
     if k == 1:
         return Bracket(0.0, hi, True, prime_cutoff, notes=("DIVERGENT-TAIL",))
@@ -335,6 +340,23 @@ def euler_product(local_factor: str, prime_cutoff: int) -> Bracket:
     tail = _up(2 * c / ((k - 1) * prime_cutoff ** (k - 1)))
     lo = _exp_down(_down(_down(log_partial - err) - tail))
     return Bracket(lo, hi, True, prime_cutoff)
+
+
+def _refill(blocks, buf: np.ndarray):
+    """The items of the arrays in blocks, in order, as views of buf
+    refilled to buf.size items at a time across block boundaries, the
+    last view shorter; the caller may overwrite each view."""
+    fill = 0
+    for block in blocks:
+        while block.size:
+            take = min(buf.size - fill, block.size)
+            buf[fill:fill + take] = block[:take]
+            block, fill = block[take:], fill + take
+            if fill == buf.size:
+                yield buf
+                fill = 0
+    if fill:
+        yield buf[:fill]
 
 
 def _exp_up(y: float) -> float:

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zhat import _primes
+from zhat import _primes, measure
 from zhat.analytic import (
     DirichletTruncation,
     DlogReport,
     _iroot,
-    _von_mangoldt_block,
+    _von_mangoldt_blocks,
     de_delta_bracket,
     de_delta_exact,
     de_delta_table,
@@ -29,6 +29,7 @@ from zhat.analytic import (
 from zhat.setdsl import compile_set
 
 SEGMENT = _primes._SEGMENT
+BLOCK = measure._BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +105,22 @@ def test_vm_identity_scan_fails_below_rounding():
 
 
 def test_vm_identity_scan_spans_two_blocks():
-    # the second block [SEGMENT + 2, SEGMENT + 5] has its own base primes
-    n_max = SEGMENT + 5
-    assert [lo for lo, _ in _primes._segments(2, n_max)] == [2, SEGMENT + 2]
-    assert vm_identity_scan(n_max, 1e-12)
-    assert not vm_identity_scan(n_max, 0.0)
+    # blocks of BLOCK integers from 2: the last block, [BLOCK + 2, BLOCK + 5]
+    # or [SEGMENT + 2, SEGMENT + 5], has its own base primes
+    for n_max in [BLOCK, BLOCK + 1, BLOCK + 5, SEGMENT + 5]:
+        assert vm_identity_scan(n_max, 1e-12)
+        assert not vm_identity_scan(n_max, 0.0)
 
 
-# prime powers end some tables; SEGMENT = 2^18 and 2^19 end a block
-@pytest.mark.parametrize("n", [1, 2, 8, 9, 3125, 10**4, SEGMENT, SEGMENT + 1, 2 * SEGMENT])
+# prime powers end some tables; BLOCK = 2^16, SEGMENT = 2^18 and 2^19 end
+# a block, and BLOCK + 1 and BLOCK + 5 start one inside a sieve segment
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 3125, 10**4, BLOCK, BLOCK + 1, BLOCK + 5,
+                               SEGMENT, SEGMENT + 1, 2 * SEGMENT])
 def test_von_mangoldt_table_matches_pointwise(n):
-    # Lambda block by block over the layout of the power-sum streams
-    lam = np.concatenate([_von_mangoldt_block(lo, hi) for lo, hi in _primes._segments(1, n)])
+    # Lambda block by block over the grid of the power-sum kernel
+    starts, tables = zip(*_von_mangoldt_blocks(n))
+    assert starts == tuple(range(1, n + 1, BLOCK))
+    lam = np.concatenate(tables)
     assert lam.tolist() == [von_mangoldt(k) for k in range(1, n + 1)]
 
 

@@ -8,6 +8,7 @@ the exact bracket built from the same inequalities.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zhat import _primes, measure
-from zhat._primes import _iroot
+from zhat._primes import BudgetExceeded, _iroot
 from zhat.analytic import delta_ratio, zeta_set, zeta_sets
 from zhat.density import density_analytic
 from zhat.measure import (euler_product, masked_power_sums, zeta_bracket, zeta_log_partial,
@@ -189,6 +190,50 @@ def test_euler_product_zero_and_near_zero_factors():
     assert euler_product("1-4/p^2", 100).hi == 0.0
     br = euler_product("1-3/p^2", 100)
     assert encloses(br.lo, br.hi, exact_euler(3, 2, 100))
+
+
+def test_euler_product_past_the_box_budget_raises_before_sieving(monkeypatch):
+    def sieve(*args):
+        raise AssertionError("sieved past the box budget")
+
+    monkeypatch.setattr(_primes, "_sieve_segment", sieve)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="exceeds box budget"):
+        euler_product("1-1/p^2", _primes.BOX_BUDGET + 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def euler_from_the_whole_table(c: int, k: int, cutoff: int) -> measure.Bracket:
+    """The bracket of euler_product for 1 - c/p^k, from one whole table of
+    the primes up to the cutoff summed in slices of _BLOCK primes: the
+    reference the streamed sums must equal bit for bit."""
+    ps = _primes.primes_upto(cutoff)
+    parts = []
+    for lo in range(0, ps.size, measure._BLOCK):
+        x = ps[lo:lo + measure._BLOCK].astype(np.float64)
+        np.power(x, -float(k), out=x)
+        x *= -float(c)
+        np.log1p(x, out=x)
+        parts.append(float(x.sum()))
+    log_partial = math.fsum(parts)
+    xm = c / 2**k * (1.0 + measure._gamma(measure._LIB_UNITS + 3))
+    a, b = measure._gamma(measure._LIB_UNITS + 2) / (1.0 - xm), measure._gamma(measure._LIB_UNITS)
+    err = measure._sum_error(log_partial, a + b + a * b, min(ps.size, measure._BLOCK),
+                             ps.size * (c + 1) * measure._TINY)
+    hi = measure._exp_up(measure._up(log_partial + err))
+    if k == 1:
+        return measure.Bracket(0.0, hi, True, cutoff, notes=("DIVERGENT-TAIL",))
+    tail = measure._up(2 * c / ((k - 1) * cutoff ** (k - 1)))
+    lo = measure._exp_down(measure._down(measure._down(log_partial - err) - tail))
+    return measure.Bracket(lo, hi, True, cutoff)
+
+
+# 821641 is the 65536th prime: the first chunk of _BLOCK = 2^16 primes ends
+# on it, and 821647 starts the second; 2^18 ends the first sieve segment
+@pytest.mark.parametrize("cutoff", [821641, 821647, 2**18, 2**18 + 1, 2 * 10**6])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_streamed_euler_bracket_is_the_whole_table_bracket(cutoff, k):
+    assert euler_product(f"1-1/p^{k}", cutoff) == euler_from_the_whole_table(1, k, cutoff)
 
 
 # ---------------------------------------------------------------- block size

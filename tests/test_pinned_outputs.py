@@ -40,6 +40,8 @@ PINNED = [
      "7d6a6b253f342153683d16e277b4747486f7ace9984919d6dcb61e6111bbfd05"),
     ("measure --euler '1-1/p^2' --cutoff 1e4", 0,
      "ec88620a7524cae6a4489fc38e7b71bc8a963d2b612e6b5b3b75e9ada27c90f3"),
+    ("measure --euler '1-1/p^2' --cutoff 1e8", 0,
+     "50249b46e1ca02659a5b4eedbda3fc58942ba3d2c3ba676128c59055346b4fbc"),
     ("measure --set 'kfree(2)' --chain primorial --cutoff 1e5 --output csv", 0,
      "d70bf028cf13d0217e61d11a2a9b5bbbd62703578f835e6d3ca75f473de60a3e"),
     ("measure --set 'kfree(2) & cong(1,4)' --chain primorial --cutoff 1e4", 0,

@@ -2,8 +2,8 @@
 segments, the shared cache and is_prime against a brute-force sieve; the
 power-sum kernel over a block stream against the array call; prefix
 weights at cut points against per-radius sums, and one stream per
-estimator call; and the memory the streamed estimators keep as the radius
-grows."""
+estimator call; and the memory the streamed estimators and prime sums
+keep as the radius grows."""
 
 import math
 import tracemalloc
@@ -23,7 +23,7 @@ from zhat.density import (
     density_weighted,
     log_density_window,
 )
-from zhat.measure import _BLOCK, masked_power_sums
+from zhat.measure import _BLOCK, euler_product, masked_power_sums
 from zhat.setdsl import compile_set
 
 SEGMENT = _primes._SEGMENT
@@ -235,6 +235,7 @@ PATHS = {
     "uniform": lambda r: density_uniform(compile_set("kfree(3) | cong(1,4)"), [r // 40, r // 20], r),
     "dlog": lambda r: dlog_zeta_check(2.0, r, 1e-6),
     "vm-scan": lambda r: vm_identity_scan(r, 1e-9),
+    "euler": lambda r: euler_product("1-1/p^2", r),
 }
 
 
@@ -257,3 +258,12 @@ def test_streamed_paths_keep_memory_flat_in_r(path):
     small, large = _peak(run, 10**6), _peak(run, 4 * 10**6)
     allowance = 2**20 + (4 * 10**6 // 20 if path == "uniform" else 0)
     assert large - small <= allowance, (small, large)
+
+
+@pytest.mark.parametrize("path", ["dlog", "vm-scan"])
+def test_prime_sums_hold_a_few_power_sum_chunks(path):
+    # tables of 8 bytes per integer are one power-sum chunk wide (512 KiB);
+    # as wide as a 2^18-cell sieve segment they would take 5.4 and 8.9 MB
+    run = PATHS[path]
+    run(10**6)
+    assert _peak(run, 10**6) <= 4 * 10**6
