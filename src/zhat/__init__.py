@@ -21,7 +21,7 @@ _EXPORTS = {
     ), "supernatural"),
     **dict.fromkeys((
         "BudgetExceeded", "DimensionMismatch", "DslError", "DslSyntaxError", "DslValueError",
-        "FAIL", "INCONCLUSIVE", "PASS",
+        "FAIL", "INCONCLUSIVE", "PASS", "VerificationReport",
     ), "_primes"),
     **dict.fromkeys((
         "EXACT", "TRUNCATED", "CompiledSet", "Polynomial", "ResidueImage",
@@ -44,7 +44,7 @@ _EXPORTS = {
         "density_weighted", "exact_pair", "harmonic", "log_density_window",
     ), "density"),
     **dict.fromkeys((
-        "VerificationReport", "asdmltp_verify", "counterexample_cover",
+        "asdmltp_verify", "counterexample_cover",
         "davenport_erdos", "dirichlet_coverage", "eulerian_check",
         "mt_criterion", "omega_bound_measure", "poonen_stoll_tail",
         "prime_power_family", "union_dense_check",

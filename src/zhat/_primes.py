@@ -1,6 +1,6 @@
 """Shared sieve and factorization utilities, the named integer
-sequences, the exception classes and verdicts of the set language, and
-the one JSON form of a result.
+sequences, the exception classes and verdicts of the set language, the
+one JSON form of a result and the one report of a verification harness.
 
 A single module-level cache, the sorted primes up to a bound, is grown on
 demand and read-only afterwards, so every consumer shares one array; sums
@@ -79,6 +79,26 @@ def jsonable(x):
     if isinstance(x, numbers.Real):
         return float(x)
     return x
+
+
+class VerificationReport:
+    """A harness's inputs, the quantities it computed, its verdict and the
+    narrative of its checks. A plain class, not a dataclass: the commands
+    that load no numpy would otherwise load dataclasses and inspect."""
+
+    def __init__(self, theorem: str, inputs: dict, quantities: dict, verdict: str,
+                 narrative: tuple[str, ...]):
+        self.theorem = theorem
+        self.inputs = inputs
+        self.quantities = quantities
+        self.verdict = verdict
+        self.narrative = narrative
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, VerificationReport) and vars(self) == vars(other)
+
+    def to_json(self) -> dict:
+        return jsonable(vars(self))
 
 
 # most cells one box table may hold, and the largest bound the shared sieve

@@ -250,28 +250,6 @@ def _cmd_measure(res: _Resolver) -> int:
     return EXIT_OK
 
 
-def _axioms_report(res: _Resolver):
-    from . import measure, density, verify
-
-    cases = res.get("cases", _num, 100)
-    pair = res.get("pair", str, "exact")
-    suite = density.axiom_suite(cases, seed=res.seed, pair=pair,
-                                estimator_cases=res.get("estimator_cases", _num, 0))
-    failing = suite.failing_axioms
-    if pair == "exact":
-        ok = suite.all_axioms_pass
-        expect = "all axioms hold"
-    else:
-        ok = failing == ["ideal-scaling"]
-        expect = "all axioms except ideal-scaling hold"
-    verdict = PASS if ok else FAIL
-    narrative = [f"{cases} random periodic sets, pair={pair}; expected: {expect}"]
-    if failing:
-        narrative.append(f"failing axioms: {failing}")
-    return verify.VerificationReport("axioms", {"cases": cases, "seed": res.seed, "pair": pair},
-                                     suite.to_json(), verdict, tuple(narrative))
-
-
 def _cmd_verify(res: _Resolver) -> int:
     theorem = res.get("theorem", str)
     if theorem not in THEOREM_IDS:
@@ -340,7 +318,11 @@ def _cmd_verify(res: _Resolver) -> int:
         sups = [_int_list(part) for part in raw.split(";") if part.strip()]
         rep = verify.union_dense_check(sups, family_flag=res.get("family_flag", _bool, False))
     else:
-        rep = _axioms_report(res)
+        from . import measure, density
+
+        rep = density.axiom_suite(res.get("cases", _num, 100), res.seed,
+                                  pair=res.get("pair", str, "exact"),
+                                  estimator_cases=res.get("estimator_cases", _num, 0))
     _emit(res, {"report": rep, "csv": f"theorem,verdict\n{rep.theorem},{rep.verdict}\n"},
           "verify", {"theorem": theorem})
     return {PASS: EXIT_OK, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}[rep.verdict]

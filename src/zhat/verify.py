@@ -21,31 +21,11 @@ from . import _primes
 # half-imported modules builds up; omega, union-dense and counterexample run
 # on _primes alone
 from ._primes import (FAIL, INCONCLUSIVE, PASS, RESIDUE_BUDGET, BudgetExceeded, DslValueError,
-                      jsonable)
+                      VerificationReport)
 
 if TYPE_CHECKING:
     from .measure import ModulusChain
     from .setdsl import CompiledSet
-
-
-class VerificationReport:
-    """A harness's inputs, the quantities it computed, its verdict and the
-    narrative of its checks. A plain class, not a dataclass: the commands
-    that load no numpy would otherwise load dataclasses and inspect."""
-
-    def __init__(self, theorem: str, inputs: dict, quantities: dict, verdict: str,
-                 narrative: tuple[str, ...]):
-        self.theorem = theorem
-        self.inputs = inputs
-        self.quantities = quantities
-        self.verdict = verdict
-        self.narrative = narrative
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VerificationReport) and vars(self) == vars(other)
-
-    def to_json(self) -> dict:
-        return jsonable(vars(self))
 
 
 def prime_power_family(k: int, prime_bound: int) -> list[int]:
@@ -392,8 +372,7 @@ def asdmltp_verify(moduli, r_max: int = 10**6, m_check: int | None = None,
     cs = compile_set(Complement(Multiples(mods)))
     level_ok = None
     if lcm <= 10**7:
-        img = cs.residue_image(lcm)
-        level_ok = img.level_measure() == target
+        level_ok = Fraction(cs.residue_count(lcm), lcm) == target
         narrative.append(f"clopen level measure at lcm={lcm} equals target: {level_ok}")
 
     das = density_alpha(cs, 0, sorted({max(1, r_max // 4**i) for i in range(3)}), tail_window=3)
@@ -402,8 +381,17 @@ def asdmltp_verify(moduli, r_max: int = 10**6, m_check: int | None = None,
 
     trunc_ok = None
     if m_check is not None:
-        # classes of the members up to N >= 4 lcm: over the box budget unless cs is exact
-        seen = _table_image(0, cs.mask_upto(max(10**6, 4 * lcm, 2 * m_check)), m_check)
+        # classes of the members up to N >= 4 lcm, one block at a time. A
+        # block shorter than m_check meets at most two runs of classes, where
+        # _table_image would pad it to m_check cells: O(N m_check / block)
+        seen = np.zeros(m_check, dtype=bool)
+        for lo, table in cs.blocks(max(10**6, 4 * lcm, 2 * m_check)):
+            if table.size < m_check:
+                head = table[:m_check - lo % m_check]
+                seen[lo % m_check:][:head.size] |= head
+                seen[:table.size - head.size] |= table[head.size:]
+            else:
+                seen |= _table_image(lo, table, m_check)
         trunc_ok = bool(np.array_equal(seen, cs.residue_image(m_check).mask))
         narrative.append(
             f"truncated image at m={m_check} ({np.count_nonzero(seen)} classes) matches the "

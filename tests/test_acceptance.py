@@ -150,20 +150,21 @@ def test_criterion_05_residue_coverage():
 def test_criterion_06_axiom_suite():
     gate = _Gate(6, 10)
     exact = axiom_suite(100, seed=20240823)
-    gate.check(exact.all_axioms_pass, "exact pair satisfies all axioms")
-    gate.check(len(exact.axioms) == 7, "seven axioms checked")
+    gate.check(exact.quantities["all_axioms_pass"], "exact pair satisfies all axioms")
+    gate.check(len(exact.quantities["axioms"]) == 7, "seven axioms checked")
     deformed = axiom_suite(100, seed=20240823, pair="deformed")
+    failing = [a["name"] for a in deformed.quantities["axioms"] if not a["passed"]]
     gate.check(
-        deformed.failing_axioms == ["ideal-scaling"],
-        f"deformation fails only scaling: {deformed.failing_axioms}",
+        failing == ["ideal-scaling"],
+        f"deformation fails only scaling: {failing}",
     )
-    bad = [a for a in deformed.axioms if a.name == "ideal-scaling"][0]
+    bad = [a for a in deformed.quantities["axioms"] if a["name"] == "ideal-scaling"][0]
     gate.check(
-        any("2" in w for w in bad.failures), "witness names the scaling a=2"
+        any("2" in w for w in bad["failures"]), "witness names the scaling a=2"
     )
     gate.finish(
-        f"exact 7/7 over 100 cases; deformed fails {deformed.failing_axioms} "
-        f"with witness {bad.failures[0]!r}"
+        f"exact 7/7 over 100 cases; deformed fails {failing} "
+        f"with witness {bad['failures'][0]!r}"
     )
 
 

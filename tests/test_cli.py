@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from zhat import _primes, cli
+from zhat import _primes, cli, density
 
 CLI = [sys.executable, "-m", "zhat.cli"]
 
@@ -274,6 +274,19 @@ def test_verify_axioms_deformed():
     axioms = payload["report"]["quantities"]["axioms"]
     failed = [a["name"] for a in axioms if not a["passed"]]
     assert failed == ["ideal-scaling"]
+
+
+@pytest.mark.parametrize("pair,swapped", [("exact", density.deformed_pair),
+                                           ("deformed", density.exact_pair)])
+def test_verify_axioms_fails_when_the_pair_breaks_its_expected_axioms(pair, swapped, monkeypatch, capsys):
+    # the exact pair deformed fails ideal-scaling; the deformed pair made
+    # exact fails nothing, where ideal-scaling is expected to fail
+    monkeypatch.setitem(density._PAIRS, pair, swapped)
+    assert cli.main(["verify", "axioms", "--cases", "20", "--pair", pair]) == cli.EXIT_FAIL
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["verdict"] == "FAIL"
+    failed = [a["name"] for a in report["quantities"]["axioms"] if not a["passed"]]
+    assert failed == (["ideal-scaling"] if pair == "exact" else [])
 
 
 @pytest.mark.parametrize("args", [["--cases", "0"], ["--cases", "-3"],

@@ -96,6 +96,8 @@ PINNED = [
      "7a2cba2e124dd6562048227bd7d2df33ee4d6d189a31496044a6fa8bb574d234"),
     ('verify axioms --cases 50 --seed 3 --pair deformed', 0,
      "32ecfc0017c63ba848b4ded2624fc884a933b95395796874a40c08d563f7ead8"),
+    ('verify axioms --cases 5 --seed 1 --estimator-cases 1', 0,
+     "2706d294d0d4f8c8a42b17ae17659c7aa71c2b4e2b2191df95c4954d841d73da"),
 ]
 
 

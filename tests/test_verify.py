@@ -343,6 +343,16 @@ def test_asdmltp_squares_triple():
     assert rep.quantities["asymptotic_estimate"][-1] == pytest.approx(0.64, abs=1e-2)
 
 
+@pytest.mark.parametrize("m_check", [36, 262144, 300000, 600000])
+def test_asdmltp_truncated_image_is_the_classes_of_the_members(m_check):
+    # levels below, at and above the 2^18-cell block, where a block covers
+    # whole periods, exactly one, or one or two runs of classes
+    n = max(10**6, 2 * m_check)
+    hit = np.unique(np.flatnonzero(compile_set("!multiples(4,9,25)").mask_upto(n)) % m_check).size
+    rep = asdmltp_verify([4, 9, 25], r_max=10**3, m_check=m_check)
+    assert rep.narrative[-1].startswith(f"truncated image at m={m_check} ({hit} classes)")
+
+
 def test_asdmltp_rejects_common_factor():
     with pytest.raises(DslValueError):
         asdmltp_verify([4, 6])
