@@ -277,13 +277,11 @@ def _piece_image(piece: tuple[SetExpr, int], g: int, dim: int, tables: dict) -> 
     period box [0, L)^dim. tables keeps the box and the last projection,
     so a trace builds each box once and every level reads it."""
     if piece not in tables:
-        node, level = piece
-        tables[piece] = _box_mask(node, 0, level - 1, dim).ravel()
+        tables[piece] = _box_mask(piece[0], ((0, piece[1] - 1),) * dim)
     last = tables.get((piece, "mod"))
     if last is None or last[0] != g:
-        box, level = tables[piece], piece[1]
-        image = box if g == level else _project(box, level, g, dim)
-        last = tables[piece, "mod"] = g, image, int(image.sum())
+        image = tables[piece] if g == piece[1] else _project(tables[piece], [0] * dim, g)
+        last = tables[piece, "mod"] = g, image.ravel(), int(image.sum())
     return last[1:]
 
 

@@ -132,20 +132,24 @@ _SMALL_PRIMES = _eratosthenes(_TRIAL_BOUND)
 _SEGMENT = 1 << 18
 
 
-def _segments(lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """[start, end] pieces of _SEGMENT integers covering [lo, hi] from lo
-    on, the last one shorter: the one block layout of sieve segments and
-    membership streams."""
-    return ((a, min(a + _SEGMENT - 1, hi)) for a in range(lo, hi + 1, _SEGMENT))
+def _segments(lo: int, hi: int, cells: int = 1) -> Iterator[tuple[int, int]]:
+    """[start, end] pieces of _SEGMENT // cells integers, at least one,
+    covering [lo, hi] from lo on, the last one shorter: the one block layout
+    of sieve segments and box slabs of cells cells per first-axis integer."""
+    step = max(1, _SEGMENT // cells)
+    return ((a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step))
 
 
-def _mark_classes(out: np.ndarray, lo: int, classes, value: bool) -> np.ndarray:
+def _mark_classes(out: np.ndarray, lows, classes, value: bool) -> np.ndarray:
     """The one class-marking kernel: set to value every cell of the box
-    table out (cell i holds lo + i) whose coordinates are all = r mod a for
-    some (r, a) in classes. Each class r + aZ^dim is a strided slice along
-    every axis."""
+    table out (cell i_k of axis k holds lows[k] + i_k) whose coordinates
+    are all = r mod a for some (r, a) in classes: a strided slice along
+    every axis, for each class that meets the first."""
+    others = lows[1:]
     for r, a in classes:
-        out[(slice((r - lo) % a, None, a),) * out.ndim] = value
+        first = slice((r - lows[0]) % a, None, a)
+        if first.start < len(out):  # a lone slice indexes a sieve segment fastest
+            out[(first, *[slice((r - lo) % a, None, a) for lo in others]) if others else first] = value
     return out
 
 
@@ -160,7 +164,7 @@ _WHEEL_PERIOD = 30030
 def _wheel() -> np.ndarray:
     import numpy as np
 
-    wheel = _mark_classes(np.ones(_WHEEL_PERIOD + _SEGMENT, dtype=bool), 0,
+    wheel = _mark_classes(np.ones(_WHEEL_PERIOD + _SEGMENT, dtype=bool), (0,),
                           [(0, p) for p in _WHEEL_PRIMES], False)
     wheel.flags.writeable = False
     return wheel
@@ -182,7 +186,7 @@ def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
         phase = start % _WHEEL_PERIOD
         seg[:] = _wheel()[phase:phase + seg.size]
         top = int(np.searchsorted(base, math.isqrt(end), side="right"))
-        _mark_classes(seg, start, [(0, p) for p in base[first:top].tolist()], False)
+        _mark_classes(seg, (start,), [(0, p) for p in base[first:top].tolist()], False)
     small = np.concatenate([_WHEEL_PRIMES, base])
     out[small[(small >= lo) & (small <= hi)] - lo] = True
     out[:max(0, 2 - lo)] = False

@@ -130,24 +130,28 @@ def _whole_weight(alpha: float, r: int) -> float:
 
 def _box_ratios(cset: CompiledSet, alpha: float, grid: list[int]) -> list[float]:
     """The ratios at every radius r of the grid in dimension >= 2, read from
-    the one table of the box [-R, R]^dim, R the largest radius: the exact
-    count of the central box [-r, r]^dim at alpha 0, else the power-sum
-    kernel over members against points per shell |x| = k <= r, |x| the
-    largest |coordinate|. The origin has no weight."""
-    big = grid[-1]
-    table = cset.box(big)[1]
+    the one slab stream of the box [-R, R]^dim, R the largest radius: the
+    exact count of each central box [-r, r]^dim, slab by slab, at alpha 0,
+    else the power-sum kernel over members against points per shell
+    |x| = k <= r, |x| the largest |coordinate|. The origin has no weight."""
+    big, dim = grid[-1], cset.dim
     if alpha == 0.0:  # the exact count over each central box, origin included
-        return [float(np.count_nonzero(table[(slice(big - r, big + r + 1),) * cset.dim]))
-                / float((2 * r + 1)**cset.dim) for r in grid]
-    # members per shell, one first-axis slice at a time: rest is the norm
+        counts = [0] * len(grid)
+        for lo, slab in cset.blocks(big):
+            for i, r in enumerate(grid):
+                rows = slice(max(0, -r - lo), max(0, r - lo + 1))
+                counts[i] += int(np.count_nonzero(slab[(rows,) + (slice(big - r, big + r + 1),) * (dim - 1)]))
+        return [float(c) / float((2 * r + 1)**dim) for c, r in zip(counts, grid)]
+    # members per shell, one row of a slab at a time: rest is the norm
     # table of the other axes, so no whole-box norm table is built
     ax = np.abs(np.arange(-big, big + 1)).astype(np.min_scalar_type(big))
-    rest = functools.reduce(np.maximum, np.ix_(*[ax] * (cset.dim - 1)))
+    rest = functools.reduce(np.maximum, np.ix_(*[ax] * (dim - 1)))
     members = np.zeros(big + 1, dtype=np.int64)
-    for a, row in zip(ax, table):
-        members += np.bincount(np.maximum(rest, a)[row], minlength=big + 1)
+    for lo, slab in cset.blocks(big):
+        for a, row in zip(ax[lo + big:], slab):
+            members += np.bincount(np.maximum(rest, a)[row], minlength=big + 1)
     k = np.arange(big + 1, dtype=np.int64)
-    points = (2 * k + 1)**cset.dim - (2 * k - 1)**cset.dim
+    points = (2 * k + 1)**dim - (2 * k - 1)**dim
     return [float(masked_power_sums(members[:r + 1], [-alpha])[0][0]
                   / masked_power_sums(points[:r + 1], [-alpha])[0][0]) for r in grid]
 

@@ -1,14 +1,14 @@
-"""Set-definition language: parser, compiler, membership and box masks.
+"""Set-definition language: parser, compiler, membership and box streams.
 
 An expression denotes a subset of Z^n. Compilation yields a total
 membership oracle plus the ability to compute finite-level residue images
 pi_m(X) in (Z/m)^n: exactly when compilation builds the exact engine's
-plan of the set (_plan), by truncated enumeration otherwise. Truncated
-images are certified subsets of the true image: the projections of box
-tables, made here. Exact images and level counts |pi_m(X)| come from one
-expansion of the level into CRT terms (_counts), which CompiledSet imports
-when it first needs one; only the functions that build a table (a box, a
-mask) import numpy, so importing this module loads none.
+plan of the set (_plan), by truncated enumeration otherwise. Every box is
+one stream of first-axis slabs (CompiledSet.blocks); a truncated image, a
+certified subset of the true one, is the OR of its slabs' classes mod m.
+Exact images and level counts |pi_m(X)| come from one expansion of the
+level into CRT terms (_counts), imported when first needed; only the
+functions that build a table import numpy, so importing this loads none.
 
 Grammar (operators left-associative, equal precedence, '!' binds tightest)::
 
@@ -694,41 +694,35 @@ class CompiledSet:
             )
         return lo
 
-    def box(self, n: int) -> tuple[int, np.ndarray]:
-        """(lo, table) for the box [lo, n]^dim of radius n: [1, n] in
-        dimension 1, [-n, n]^dim above. table[i_1, ..., i_dim] holds the
-        point (lo + i_1, ..., lo + i_dim)."""
-        lo = self._box_lo(n)
-        return lo, _box_mask(self.expr, lo, n, self.dim)
-
     def blocks(self, n: int) -> Iterator[tuple[int, np.ndarray]]:
-        """The dimension-1 box [1, n] as a stream of (lo, table) blocks laid
-        out by _primes._segments, 2^18 cells from 1 on: their tables laid
-        end to end are box(n)[1], at the memory of one block. Sparse atoms
-        are evaluated once for the whole stream."""
-        if self.dim != 1:
-            raise DslValueError("blocks is dimension-1 only")
+        """The box of radius n as a stream of (lo, table) slabs along its
+        first axis, laid out by _primes._segments: about 2^18 cells and at
+        least one row each, blocks of 2^18 cells from 1 on in dimension 1.
+        table[i_1, i_2, ..., i_dim] holds (lo + i_1, i_2 - n, ..., i_dim - n);
+        laid end to end the tables are the box, at the memory of one slab.
+        Sparse atoms are evaluated once for the whole stream."""
         lo = self._box_lo(n)
-        expr = _stream_expr(self.expr, lo, n)
-        return ((a, _box_mask(expr, a, b, 1)) for a, b in _segments(lo, n))
+        expr, rest = _stream_expr(self.expr, lo, n), ((lo, n),) * (self.dim - 1)
+        return ((a, _box_mask(expr, ((a, b),) + rest))
+                for a, b in _segments(lo, n, (n - lo + 1) ** (self.dim - 1)))
 
     def mask_upto(self, n: int) -> np.ndarray:
         """Dimension-1 membership table for 1..n (index 0 is always False)."""
         if self.dim != 1:
             raise DslValueError("mask_upto is dimension-1 only")
         self._box_lo(n)  # the box [1, n]; index 0 is padding
-        m = _box_mask(self.expr, 0, n, 1)
+        m = _box_mask(self.expr, ((0, n),))
         m[0] = False
         return m
 
     def members_in_box(self, n: int) -> list:
         """The members in the box of radius n, sorted: X ∩ [1, n] in
         dimension 1, X ∩ [-n, n]^dim above."""
-        import numpy as np
-
-        lo, table = self.box(n)
-        pts = np.argwhere(table) + lo
-        return pts[:, 0].tolist() if self.dim == 1 else list(map(tuple, pts.tolist()))
+        out = []
+        for lo, table in self.blocks(n):
+            coords = [(c + a).tolist() for c, a in zip(table.nonzero(), [lo] + [-n] * (self.dim - 1))]
+            out += coords[0] if self.dim == 1 else zip(*coords)
+        return out
 
     # -- residue images ---------------------------------------------------
     def _check_level(self, m: int) -> None:
@@ -752,7 +746,7 @@ class CompiledSet:
             m, 10**6 if self.dim == 1 else (_primes._iroot(10**6, self.dim) - 1) // 2)
         if n < m:
             raise DslValueError(f"truncation bound {n} < modulus {m}")
-        return ResidueImage(m, self.dim, _table_image(*self.box(n), m), TRUNCATED, n, self.assumptions)
+        return ResidueImage(m, self.dim, _box_image(self, n, m), TRUNCATED, n, self.assumptions)
 
     def clopen_image_exact(self, m: int) -> ResidueImage | None:
         """Exact pi_m(X) of a Cong/Multiples tree under any combinators, read
@@ -886,29 +880,31 @@ def _poly_image_contains(poly: Polynomial, v: int) -> bool:
 # ------------------------------------------------------------- box masks
 
 
-def _box_mask(expr: SetExpr, lo: int, hi: int, dim: int) -> np.ndarray:
-    """Membership over the box [lo, hi]^dim as a dense boolean
-    table: cell (i_1, ..., i_dim) holds the point (lo + i_1, ..., lo + i_dim).
-    Every table is freshly allocated, so callers may change it in place.
-    The positive atoms primes and leadingdigit need lo >= 0, as every
-    dimension-1 box has."""
+def _box_mask(expr: SetExpr, ranges) -> np.ndarray:
+    """Membership over the box of one range [lo, hi] per axis as a dense
+    boolean table: cell (i_1, ..., i_dim) holds the point (lo_1 + i_1, ...,
+    lo_dim + i_dim). Every table is freshly allocated, so callers may
+    change it in place. The dimension-1 atoms read the one range (lo, hi);
+    primes and leadingdigit need lo >= 0, as every dimension-1 box has."""
     import numpy as np
 
-    side = hi - lo + 1
+    (lo, hi), lows, shape = ranges[0], [a for a, _ in ranges], [b - a + 1 for a, b in ranges]
     classes = _classes(expr)
     if classes is not None:
-        return _mark_classes(np.zeros((side,) * dim, dtype=bool), lo, classes, True)
-    if isinstance(expr, (Seq, FiniteSet, PolyImage, _Members)) or isinstance(expr, Coprime) and dim == 1:
-        return _cells_at(_sparse_values(expr, lo, hi), lo, hi)
+        return _mark_classes(np.zeros(shape, dtype=bool), lows, classes, True)
+    if isinstance(expr, (Seq, FiniteSet, PolyImage, _Members)) or isinstance(expr, Coprime) and len(ranges) == 1:
+        values, out = _sparse_values(expr, lo, hi), np.zeros(hi - lo + 1, dtype=bool)
+        out[values[np.searchsorted(values, lo):np.searchsorted(values, hi, side="right")] - lo] = True
+        return out
     if isinstance(expr, (Coprime, KFree)):
         # outside 0 + p^kZ^dim for every prime p (_local_exponent); primes
         # p <= |x|^(1/k) suffice, and p = 2, always listed, keeps 0 out
         k = _local_exponent(expr)
-        top = int(round(max(-lo, hi) ** (1.0 / k))) + 2
-        classes = [(0, int(p) ** k) for p in _primes.primes_upto(top)]
-        return _mark_classes(np.ones((side,) * dim, dtype=bool), lo, classes, False)
+        top = int(round(max(max(-a, b) for a, b in ranges) ** (1.0 / k))) + 2
+        classes = [(0, p**k) for p in _primes.primes_upto(top).tolist()]
+        return _mark_classes(np.ones(shape, dtype=bool), lows, classes, False)
     if isinstance(expr, LeadingDigit):  # the member intervals [a, b] that meet [lo, hi]
-        out = np.zeros(side, dtype=bool)
+        out = np.zeros(hi - lo + 1, dtype=bool)
         for a, b in _interval_view(expr, hi):
             if b >= lo:
                 out[max(a, lo) - lo:b - lo + 1] = True
@@ -916,10 +912,10 @@ def _box_mask(expr: SetExpr, lo: int, hi: int, dim: int) -> np.ndarray:
     if isinstance(expr, Primes):
         return _primes._prime_segment(lo, hi)
     if isinstance(expr, Complement):
-        out = _box_mask(expr.a, lo, hi, dim)
+        out = _box_mask(expr.a, ranges)
         return np.logical_not(out, out=out)
     if isinstance(expr, _Binary):
-        out, other = _box_mask(expr.a, lo, hi, dim), _box_mask(expr.b, lo, hi, dim)
+        out, other = _box_mask(expr.a, ranges), _box_mask(expr.b, ranges)
         if isinstance(expr, Union):
             return np.logical_or(out, other, out=out)
         if isinstance(expr, Difference):
@@ -985,16 +981,6 @@ def _sparse_values(expr: SetExpr, lo: int, hi: int) -> np.ndarray:
     return np.array(sorted({v for v in values if lo <= v <= hi}), dtype=np.int64)
 
 
-def _cells_at(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The table over [lo, hi] set at the values of the sorted int64 array
-    that fall inside."""
-    import numpy as np
-
-    z = np.zeros(hi - lo + 1, dtype=bool)
-    z[values[np.searchsorted(values, lo):np.searchsorted(values, hi, side="right")] - lo] = True
-    return z
-
-
 def _interval_view(expr: SetExpr, r: int) -> list[tuple[int, int]] | None:
     if isinstance(expr, LeadingDigit):
         out = []
@@ -1023,23 +1009,38 @@ def _interval_view(expr: SetExpr, r: int) -> list[tuple[int, int]] | None:
 # ------------------------------------------------------------- projections
 
 
-def _project(mask: np.ndarray, m: int, q: int, dim: int) -> np.ndarray:
-    """Image mod q of a flat mask over (Z/m)^dim, for q | m: axis i splits
-    as r_i = a_i*q + b_i, and the image keeps every b found for some a."""
-    blocks = mask.reshape((m // q, q) * dim)
-    return blocks.any(axis=tuple(range(0, 2 * dim, 2))).ravel()
-
-
-def _table_image(lo: int, table: np.ndarray, m: int) -> np.ndarray:
-    """Flat mask over (Z/m)^dim of the classes of the points of a box table
-    (cell i holds lo + i). Padding each axis in front by lo mod m puts the
-    class of every cell at its index mod m; padding at the back to whole
-    periods makes the table a mask over (Z/L)^dim with m | L to _project."""
+def _project(table: np.ndarray, lows, q: int) -> np.ndarray:
+    """The classes mod q of a table's cells along its last len(lows) axes,
+    the i-th starting at lows[i], the axes before them kept: padding such an
+    axis in front by its low end mod q and at the back to whole periods puts
+    cell j at class j mod q, and j = a*q + b keeps every b found for some a."""
     import numpy as np
 
-    front = lo % m
-    padded = np.pad(table, [(front, -(front + side) % m) for side in table.shape])
-    return _project(padded.ravel(), padded.shape[0], m, table.ndim)
+    lead = table.ndim - len(lows)
+    pads = [(0, 0)] * lead + [(lo % q, -(lo + side) % q) for lo, side in zip(lows, table.shape[lead:])]
+    if any(map(any, pads)):
+        table = np.pad(table, pads)
+    shape = table.shape[:lead] + tuple(d for side in table.shape[lead:] for d in (side // q, q))
+    return table.reshape(shape).any(axis=tuple(range(lead, len(shape), 2)))
+
+
+def _box_image(cset: CompiledSet, n: int, m: int) -> np.ndarray:
+    """Flat mask over (Z/m)^dim of the classes of the members of the box of
+    radius n, the OR of the slabs of cset.blocks(n) mod m, in O(slab + m^dim)
+    memory: the other axes fold by _project, the first too in a slab of at
+    least m rows; a shorter one meets two runs of classes at most."""
+    import numpy as np
+
+    seen, rest = np.zeros((m,) * cset.dim, dtype=bool), [-n] * (cset.dim - 1)
+    for lo, table in cset.blocks(n):
+        if table.shape[0] >= m:
+            seen |= _project(table, [lo] + rest, m)
+        else:  # two slices of rows, never padded to m rows
+            rows = _project(table, rest, m)
+            head = rows[:m - lo % m]
+            seen[lo % m:lo % m + head.shape[0]] |= head
+            seen[:rows.shape[0] - head.shape[0]] |= rows[head.shape[0]:]
+    return seen.ravel()
 
 
 def crt_split(img: ResidueImage) -> CrtSplit:
@@ -1048,7 +1049,8 @@ def crt_split(img: ResidueImage) -> CrtSplit:
     if img.mode != EXACT:
         raise ModeError("crt_split needs an EXACT residue image")
     parts = {
-        q: ResidueImage(q, img.dim, _project(img.mask, img.m, q, img.dim), EXACT, None, img.assumptions)
+        q: ResidueImage(q, img.dim, _project(img.mask.reshape((img.m,) * img.dim), [0] * img.dim, q).ravel(),
+                        EXACT, None, img.assumptions)
         for _, _, q in _primes.prime_powers_of(img.m)
     }
     return CrtSplit(parts, math.prod(p.count for p in parts.values()) == img.count)

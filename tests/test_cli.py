@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from zhat import _primes, cli, density
+from zhat import _counts, _primes, cli, density
 
 CLI = [sys.executable, "-m", "zhat.cli"]
 
@@ -480,6 +480,34 @@ def test_verify_asdmltp_rejects_a_check_modulus_below_one(value, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"usage: m_check must be >= 1, got {value}\n"
     assert captured.out == ""
+
+
+def test_verify_asdmltp_truncation_shortfall_is_inconclusive(capsys):
+    # 262145 is prime to 4, 9 and 25, so every class mod 262145 lies in the
+    # exact image; the members up to 10^6 miss 323 of them, a shortfall of
+    # the truncation, not a failure of the theorem
+    assert cli.main(["verify", "asdmltp", "--moduli", "4,9,25", "--mcheck", "262145"]) == 3
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert rep["verdict"] == "INCONCLUSIVE"
+    assert rep["narrative"][-1] == ("truncated image at m=262145 (261822 classes) misses 323 classes "
+                                    "of the exact local conditions: truncation shortfall")
+
+
+def test_verify_asdmltp_fails_on_a_class_outside_the_exact_image(monkeypatch, capsys):
+    # an exact mask that drops the class 1 mod 36, which the member 1 hits
+    level_mask = _counts.level_mask
+
+    def dropped(*args):
+        mask = level_mask(*args).copy()
+        mask[1] = False
+        return mask
+
+    monkeypatch.setattr(_counts, "level_mask", dropped)
+    assert cli.main(["verify", "asdmltp", "--moduli", "4,9,25", "--mcheck", "36"]) == 1
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert rep["verdict"] == "FAIL"
+    assert rep["narrative"][-1] == ("truncated image at m=36 (24 classes) has 1 of them outside the "
+                                    "exact local conditions")
 
 
 def test_verify_tol_zero_is_kept(tmp_path, capsys):

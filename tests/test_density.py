@@ -148,7 +148,8 @@ def test_log_weight_agrees_with_partial_sums_oracle():
 
 @pytest.mark.parametrize("alpha", [0.0, -0.5, -1.0])
 def test_alpha_mask_paths_share_the_box_budget(alpha, monkeypatch):
-    # the count reads box(r), the weights mask_upto(r): one budget of r cells
+    # the count and the weights read one stream of blocks over [1, r]: one
+    # budget of r cells
     monkeypatch.setattr(_primes, "BOX_BUDGET", 100)
     cset = compile_set("kfree(2)")
     assert density_alpha(cset, alpha, [100]).values[0] > 0
@@ -186,15 +187,32 @@ def test_alpha_dimension_2_memory_per_box_cell():
     assert peak <= 2 * cells, peak / cells
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0])
+def test_alpha_dimension_2_memory_stays_flat_as_the_radius_doubles(alpha):
+    # one slab of the box of the largest radius at a time, and tables of
+    # one entry per shell
+    cs, peaks = compile_set("coprime(2)"), []
+    for r in (600, 1200):
+        density_alpha(cs, alpha, [r // 4, r // 2, r])  # the sieve cache grows once, unmeasured
+        tracemalloc.start()
+        try:
+            density_alpha(cs, alpha, [r // 4, r // 2, r])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 @pytest.mark.parametrize("alpha", [0.0, -0.5, -1.0])
 @pytest.mark.parametrize("text", ["coprime(2)", "coprime(2) & !multiples(3)", "coprime(3)"])
 def test_alpha_grid_reads_one_box(monkeypatch, text, alpha):
-    # a dimension >= 2 grid builds the box of its largest radius once, and
-    # every value equals the ratio read from the box of its own radius
+    # a dimension >= 2 grid reads the slab stream of its largest radius
+    # once, and every value equals the ratio read from the box of its own
+    # radius
     cs, grid = compile_set(text), [1, 3, 8, 20]
     reference = []
     for r in grid:
-        table = cs.box(r)[1]
+        table = np.concatenate([t for _, t in cs.blocks(r)])
         if alpha == 0.0:
             reference.append(float(np.count_nonzero(table)) / float(table.size))
             continue
@@ -205,8 +223,8 @@ def test_alpha_grid_reads_one_box(monkeypatch, text, alpha):
         reference.append(float(masked_power_sums(members, [-alpha])[0][0]
                                / masked_power_sums(points, [-alpha])[0][0]))
     calls = []
-    box = setdsl.CompiledSet.box
-    monkeypatch.setattr(setdsl.CompiledSet, "box", lambda self, n: calls.append(n) or box(self, n))
+    blocks = setdsl.CompiledSet.blocks
+    monkeypatch.setattr(setdsl.CompiledSet, "blocks", lambda self, n: calls.append(n) or blocks(self, n))
     assert list(density_alpha(cs, alpha, grid).values) == reference
     assert calls == [grid[-1]]
 
@@ -279,7 +297,7 @@ def test_uniform_windows_across_blocks_match_prefix_counts():
     # counts
     cs = compile_set("kfree(2) | cong(1,4)")
     r, lengths = 393223, [5, 2**18 - 1, 2**18 + 3, 300001]
-    cum = np.concatenate([[0], np.cumsum(cs.box(r)[1], dtype=np.int64)])
+    cum = np.concatenate([[0], np.cumsum(cs.mask_upto(r)[1:], dtype=np.int64)])
     want = tuple((int((cum[L:] - cum[:-L]).min()) / L, int((cum[L:] - cum[:-L]).max()) / L)
                  for L in lengths)
     assert density_uniform(cs, lengths, r).values == want
@@ -436,7 +454,7 @@ def test_dimension_1_box_matches_membership(text):
     r = 300
     box = [x for x in range(1, r + 1) if cs.contains(x)]
     assert cs.members_in_box(r) == box
-    assert (np.nonzero(cs.box(r)[1])[0] + 1).tolist() == box
+    assert (np.nonzero(np.concatenate([t for _, t in cs.blocks(r)]))[0] + 1).tolist() == box
     assert density_alpha(cs, 0.0, [r]).values == (len(box) / r,)
     weight = math.fsum(x ** -0.5 for x in box)
     whole = math.fsum(k ** -0.5 for k in range(1, r + 1))

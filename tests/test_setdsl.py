@@ -244,7 +244,7 @@ def test_box_tables_match_contains(text):
     expr = parse(text)
     for dim in (1, 2, 3) if isinstance(expr, (Cong, Multiples)) else (expr_dim(expr),):
         for lo, hi in product(range(-4, 2), range(0, 7)):
-            table = _box_mask(expr, lo, hi, dim)
+            table = _box_mask(expr, ((lo, hi),) * dim)
             assert table.shape == (hi - lo + 1,) * dim and table.dtype == bool
             for idx in product(range(hi - lo + 1), repeat=dim):
                 point = tuple(lo + i for i in idx)
@@ -257,7 +257,7 @@ def test_symmetric_box_budget_counts_every_cell(monkeypatch):
     cs = compile_set("coprime(2)")
     with pytest.raises(BudgetExceeded):
         cs.members_in_box(6)
-    assert cs.box(5)[1].size == 121
+    assert sum(t.size for _, t in cs.blocks(5)) == 121
     monkeypatch.setattr(_primes, "BOX_BUDGET", 80)
     with pytest.raises(BudgetExceeded):
         compile_set("coprime(3)").members_in_box(2)  # 5^3 cells
@@ -347,8 +347,10 @@ def test_truncated_image_modes():
 
 
 def test_truncated_image_memory_per_box_cell():
-    # the image is the projection of the box table: about one padded copy of
-    # the table, against three int64 coordinates per member when scattered
+    # the image is the OR of the box's slabs mod m: a few slab-sized tables
+    # at once (a slab, its atoms' tables, a padded copy), under 1.5 bytes per
+    # box cell with the sieve's one-time wheel pattern (0.3 MB) built here,
+    # where a whole box table and its padded copy took two
     cs = compile_set("coprime(2) & coprime(2)")
     assert cs.mode == TRUNCATED
     cells = 1001**2  # the box [-500, 500]^2
@@ -358,8 +360,30 @@ def test_truncated_image_memory_per_box_cell():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * cells, peak / cells
+    assert peak <= 1.5 * cells, peak / cells
     assert img.residues == brute_coprime_image(2, 30)
+
+
+@pytest.mark.parametrize("text, radii, m", [
+    ("kfree(2) & cong(1,4)", (2**20, 2**21), 30),
+    ("kfree(2) & cong(1,4)", (2**20, 2**21), 300007),
+    ("coprime(2) & coprime(2)", (500, 1000), 30),
+    ("coprime(2) & coprime(2)", (600, 1200), 600),
+])
+def test_truncated_image_memory_stays_flat_as_the_radius_doubles(text, radii, m):
+    # one slab and the mask over (Z/m)^dim at a time, in dimension 1 and 2,
+    # with m below and above the rows of one slab
+    cs = compile_set(text)
+    peaks = []
+    for n in radii:
+        cs.residue_image(m, truncation=n)  # the sieve cache grows once, unmeasured
+        tracemalloc.start()
+        try:
+            cs.residue_image(m, truncation=n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_budget_guard():
@@ -519,8 +543,8 @@ def test_mask_agrees_with_contains(text, n):
     for x in range(1, n + 1):
         assert bool(mask[x]) == (x in cs), (text, x)
     # the box [1, n] is the same table without the padding cell 0
-    lo, table = cs.box(n)
-    assert lo == 1 and np.array_equal(table, mask[1:])
+    starts, parts = zip(*cs.blocks(n))
+    assert starts[0] == 1 and np.array_equal(np.concatenate(parts), mask[1:])
 
 
 @settings(max_examples=30, deadline=None)
@@ -783,7 +807,8 @@ def test_clopen_pieces_are_built_once_per_set(monkeypatch):
         if m < 10**4:
             assert cs.residue_image(m).count == want, m
     assert all(isinstance(node, Complement) for node, *_ in calls)
-    assert sorted(hi + 1 for _, _, hi, _ in calls) == [4, 9, 13, 25, 49, 121]
+    assert all(len(set(ranges)) == 1 and ranges[0][0] == 0 for _, ranges in calls)
+    assert sorted(ranges[0][1] + 1 for _, ranges in calls) == [4, 9, 13, 25, 49, 121]
 
 
 def test_image_count_keeps_a_mask_not_a_set_of_values(monkeypatch):

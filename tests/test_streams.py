@@ -1,4 +1,5 @@
-"""Streamed membership: CompiledSet.blocks against the box table; sieve
+"""Streamed membership: CompiledSet.blocks against the box table in
+dimensions 1 to 3; sieve
 segments, the shared cache and is_prime against a brute-force sieve; the
 power-sum kernel over a block stream against the array call; prefix
 weights at cut points against per-radius sums, and one stream per
@@ -55,16 +56,58 @@ EDGES = [1, SEGMENT - 1, SEGMENT, SEGMENT + 1, 2 * SEGMENT + 1,
 @given(text=_expressions(), n=st.one_of(st.sampled_from(EDGES), st.integers(1, 3 * SEGMENT)))
 def test_blocks_concatenate_to_the_box(text, n):
     cs = compile_set(text)
-    lo, table = cs.box(n)
+    table = cs.mask_upto(n)[1:]
     starts, parts = zip(*cs.blocks(n))
-    assert lo == 1 and starts == tuple(range(1, n + 1, SEGMENT))
+    assert starts == tuple(range(1, n + 1, SEGMENT))
     assert all(p.size == SEGMENT for p in parts[:-1])
     assert np.array_equal(np.concatenate(parts), table)
-    # box and blocks share _box_mask: check the cells at every block edge
+    # mask_upto and blocks share _box_mask: check the cells at every block edge
     # against the membership oracle too
     for a, part in zip(starts, parts):
         for x in {a, a + 1, a + part.size - 2, a + part.size - 1} & set(range(a, a + part.size)):
             assert part[x - a] == cs.contains(x), x
+
+
+# sets of dimensions 1 to 3, under every combinator
+BOX_SETS = ["kfree(2) \\ cong(1,4)", "image(x^2+1) | seq(factorials)", "coprime(2)", "!coprime(2)",
+            "coprime(2) | multiples(4,6)", "multiples(3) \\ coprime(2)", "coprime(3)",
+            "!multiples(2) & !coprime(3)", "coprime(3) \\ multiples(5)"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=st.sampled_from(BOX_SETS), n=st.integers(0, 40),
+       segment=st.sampled_from([1, 7, 64, 300, SEGMENT]), data=st.data())
+def test_blocks_in_every_dimension_concatenate_to_the_box(text, n, segment, data):
+    # first-axis slabs of segment // row cells and at least one row, so a
+    # lowered segment puts more cells in one row than a slab holds at small
+    # radii (a row of [-n, n]^3 passes 2^18 cells only from n = 256 on); the
+    # truncated image ORs the slabs' classes, with slabs of fewer and of
+    # at least m rows, against the classes of the whole box's members
+    cs = compile_set(text)
+    n = min(n, 12) if cs.dim == 3 else n
+    lo, row = (1, 1) if cs.dim == 1 else (-n, (2 * n + 1) ** (cs.dim - 1))
+    m = data.draw(st.integers(1, max(1, n - lo + 4)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_primes, "_SEGMENT", segment)
+        blocks = list(cs.blocks(n))
+        image = setdsl._box_image(cs, n, m)
+    table = setdsl._box_mask(cs.expr, ((lo, n),) * cs.dim)
+    rows = max(1, segment // row)
+    assert [a for a, _ in blocks] == list(range(lo, n + 1, rows))
+    assert all(t.shape == (rows,) + table.shape[1:] for _, t in blocks[:-1])
+    if blocks:
+        assert np.array_equal(np.concatenate([t for _, t in blocks]), table)
+    classes = {tuple(c) for c in (np.argwhere(table) + lo) % m}
+    assert {tuple(c) for c in np.argwhere(image.reshape((m,) * cs.dim))} == classes
+
+
+def test_members_in_box_at_radius_0():
+    # the box of radius 0 is empty in dimension 1, the origin above
+    assert compile_set("kfree(2)").members_in_box(0) == []
+    assert list(compile_set("kfree(2)").blocks(0)) == []
+    assert compile_set("coprime(2)").members_in_box(0) == []
+    assert compile_set("!coprime(2)").members_in_box(0) == [(0, 0)]
+    assert compile_set("!multiples(2) | !coprime(3)").members_in_box(0) == [(0, 0, 0)]
 
 
 def test_blocks_check_the_box_budget(monkeypatch):
@@ -175,7 +218,7 @@ def _kernel_prefix(cs, alpha, x, n):
 def test_prefix_weights_equal_per_radius_sums(text, alpha, n, data):
     # cut points below the stream, at chunk and block edges +-1, and random
     cs = compile_set(text)
-    lo, table = cs.box(n)
+    lo, table = 1, cs.mask_upto(n)[1:]
     edges = [lo - 3, lo - 1, lo, n] + [e + d for e in range(lo, n + 1, _BLOCK) for d in (-1, 0, 1)]
     picked = data.draw(st.lists(st.sampled_from(edges) | st.integers(lo - 3, n), max_size=12))
     cuts = sorted({x for x in picked if x <= n})

@@ -323,7 +323,7 @@ def test_eulerian_skips_truncated_sets_without_a_box(monkeypatch):
     def no_box(self, n):
         raise AssertionError("a truncated set built a box")
 
-    monkeypatch.setattr(CompiledSet, "box", no_box)
+    monkeypatch.setattr(CompiledSet, "blocks", no_box)
     rep = eulerian_check(compile_set("kfree(2) & cong(1,4)"), [12, 90])
     assert rep.verdict == "INCONCLUSIVE" and rep.quantities["is_product"] == {}
     assert rep.narrative == ("level 12: truncated image, product test skipped",
