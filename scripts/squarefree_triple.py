@@ -1,7 +1,10 @@
 """Squarefree density from three directions: counting, exact finite-level
 measures, and a certified Euler-product bracket.
 
-    python3 scripts/squarefree_triple.py --rmax 1e7 --cutoff 1e4
+    python3 scripts/squarefree_triple.py --rmax 1e12 --cutoff 1e4
+
+The counts are floor sums over the Moebius function, so r = 1e12 takes
+about a second.
 """
 
 import argparse

@@ -17,7 +17,7 @@ import math
 import numbers
 import operator
 from fractions import Fraction
-from itertools import accumulate, count, takewhile
+from itertools import accumulate, chain, compress, count, repeat, takewhile
 from typing import TYPE_CHECKING, Callable, Iterator
 
 if TYPE_CHECKING:
@@ -107,6 +107,10 @@ BOX_BUDGET = 2 * 10**8
 # most classes m^dim one residue image may enumerate; verify reads it here,
 # so verify counterexample loads no set layer
 RESIDUE_BUDGET = 10**8
+# most Moebius terms and Lucy table updates one floor-sum count may spend:
+# each is a pure-Python step of about 0.2 us on a 2-vCPU Xeon, so the
+# budget is some 7 s, where BOX_BUDGET cells are numpy work
+FLOOR_SUM_BUDGET = 2**25
 
 
 # primes below this divide out by trial; a cofactor without such a factor
@@ -236,6 +240,63 @@ def primes_upto(n: int) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     _ensure_sieve(n)
     return _PRIMES[: int(np.searchsorted(_PRIMES, n, side="right"))]
+
+
+_FLIP_SIGN = bytes.maketrans(b"\1\2", b"\2\1")
+
+
+def mobius_codes(n: int) -> bytearray:
+    """mu(d) for 0 <= d <= n as one byte each: 0 where mu(d) = 0 (and at
+    d = 0), 1 where mu(d) = 1, 2 where mu(d) = -1. Every prime p <= n swaps
+    the signs of its multiples by one translate of their strided slice and
+    zeroes the multiples of p^2, so the Python work is one step per prime
+    and the memory two bytes per d."""
+    prime = bytearray(b"\0\0") + bytearray(b"\1") * max(n - 1, 0)
+    for p in range(2, math.isqrt(n) + 1):
+        if prime[p]:
+            prime[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    codes = bytearray(b"\0") + bytearray(b"\1") * n
+    for p in compress(range(n + 1), prime):
+        codes[p::p] = codes[p::p].translate(_FLIP_SIGN)
+        codes[p * p::p * p] = bytes(len(range(p * p, n + 1, p * p)))
+    return codes
+
+
+def prime_pi_table(r: int, spend: Callable[[int], None]) -> Callable[[int], int]:
+    """pi(x) for every x = r // k (k >= 1), by the Legendre-Lucy recurrence
+    (Lagarias, Miller and Odlyzko, Math. Comp. 44, 1985): S(v) starts as
+    the count of 2..v, and each prime p <= sqrt(r) in turn takes
+    S(v // p) - S(p - 1) off every S(v) with v >= p^2, the numbers up to v
+    whose least prime factor is p. The values at v <= sqrt(r) sit in one
+    array('q') indexed by v, those above in another indexed by r // v, so
+    memory is O(sqrt(r)) and time O(r^(3/4) / log r). spend(n) hears of the
+    sqrt(r) cells of each table, and of each prime's n table updates,
+    before they are made. The returned lookup is valid only at the
+    quotients r // k."""
+    from array import array
+
+    s = math.isqrt(r)
+    spend(s)
+    small = array("q", range(-1, s))
+    small[0] = 0
+    large = array("q", [0])
+    large.extend(r // k - 1 for k in range(1, s + 1))
+    for p in range(2, s + 1):
+        if small[p] == small[p - 1]:  # p is composite
+            continue
+        below, p2 = small[p - 1], p * p
+        top = min(s, r // p2)  # large[k] holds S(r // k), updated while r // k >= p^2
+        mid = min(top, s // p)  # r // (k p) is large[k p] up to here, small past it
+        spend(top + max(0, s - p2 + 1))
+        # each comprehension reads the old tables whole before its slice
+        # is written, and the small table is written last
+        large[1:mid + 1] = array("q", [a - b + below for a, b in zip(large[1:mid + 1], large[p:mid * p + 1:p])])
+        rp = r // p
+        large[mid + 1:top + 1] = array("q", [large[k] - small[rp // k] + below for k in range(mid + 1, top + 1)])
+        if p2 <= s:  # v // p is q for the p values v = qp, ..., qp + p - 1
+            runs = chain.from_iterable(map(repeat, [b - below for b in small[p:s // p + 1]], repeat(p)))
+            small[p2:] = array("q", [a - b for a, b in zip(small[p2:], runs)])
+    return lambda x: small[x] if x <= s else large[r // x]
 
 
 # Sorenson and Webster (2015): no composite below 3317044064679887385961981

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import _primes
 from ._ie import _ie_groups
 from ._primes import FAIL, INCONCLUSIVE, PASS, DslValueError, _iroot, jsonable
@@ -34,7 +32,11 @@ from .measure import (
     zeta_partial,
 )
 
+# numpy is imported by the functions that build a table, so the closed
+# forms load none
 if TYPE_CHECKING:
+    import numpy as np
+
     from .setdsl import CompiledSet
 
 
@@ -117,6 +119,8 @@ def von_mangoldt(n: int) -> float:
         return 0.0
     fac = _primes.factorize(n)
     if len(fac) == 1:
+        import numpy as np
+
         (p,) = fac
         # below 2^53 np.log, as _von_mangoldt_blocks takes it: math.log
         # differs by an ulp at some primes (285343 is the first)
@@ -148,6 +152,8 @@ def vm_identity_scan(n_max: int, tol: float) -> bool:
     all that is held; the table of log n takes the difference in place."""
     if n_max < 2:
         return True
+    import numpy as np
+
     worst = 0.0
     base = _primes.primes_upto(math.isqrt(n_max))
     for lo in range(2, n_max + 1, _BLOCK):
@@ -177,6 +183,8 @@ def _von_mangoldt_blocks(n: int):
     segment of _primes._segments(1, n) is sieved once; its primes, and
     the higher powers of the base primes up to sqrt(hi) that fall in it,
     fill the tables of its blocks."""
+    import numpy as np
+
     for lo, hi in _primes._segments(1, n):
         primes = np.flatnonzero(_primes._prime_segment(lo, hi)) + lo
         powers, logs = [primes], [np.log(primes)]
@@ -198,6 +206,8 @@ def _von_mangoldt_blocks(n: int):
 
 
 def _log_block(lo: int, hi: int) -> np.ndarray:
+    import numpy as np
+
     logs = np.arange(lo, hi + 1, dtype=np.float64)
     return np.log(logs, out=logs)
 

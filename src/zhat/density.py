@@ -19,23 +19,30 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import measure
+from . import _primes, measure
 from ._ie import _ie_coefficients
-from ._primes import FAIL, PASS, VerificationReport, jsonable
+from ._primes import (FAIL, PASS, BudgetExceeded, VerificationReport, _iroot, jsonable, mobius_codes,
+                      prime_pi_table)
 from .measure import ModulusChain, closure_measure_trace, masked_power_sums, zeta_partial
 from .setdsl import (
     EXACT,
     CompiledSet,
     Complement,
     Cong,
+    CountView,
     DslValueError,
     FiniteSet,
     Union,
     compile_set,
 )
+
+# numpy is imported by the functions that build a table, so an estimate
+# that reads only closed forms and floor sums loads none
+if TYPE_CHECKING:
+    import numpy as np
 
 _EULER_GAMMA = 0.5772156649015328606
 
@@ -104,9 +111,10 @@ def _radii(r_grid) -> list[int]:
 def density_alpha(cset: CompiledSet, alpha: float, r_grid, tail_window: int = DEFAULT_TAIL_WINDOW) -> DensityReport:
     """Ratios of weight sums |k|^alpha over X against the whole box of
     radius r ([1, r] in dimension 1, [-r, r]^dim above), on an increasing
-    grid of radii. Closed forms cover interval-structured
-    sets and (complements of) multiple-sets at alpha in {0,-1}, which is
-    what allows the huge radii the slow logarithmic convergence needs."""
+    grid of radii. Closed forms cover interval-structured sets, and at
+    alpha in {0,-1} the floor sums of the count view (_member_weights),
+    which is what allows the huge radii the slow logarithmic convergence
+    needs."""
     if not -1 <= alpha <= 0:
         raise DslValueError(f"alpha must lie in [-1,0], got {alpha}")
     grid = _radii(r_grid)
@@ -134,6 +142,8 @@ def _box_ratios(cset: CompiledSet, alpha: float, grid: list[int]) -> list[float]
     exact count of each central box [-r, r]^dim, slab by slab, at alpha 0,
     else the power-sum kernel over members against points per shell
     |x| = k <= r, |x| the largest |coordinate|. The origin has no weight."""
+    import numpy as np
+
     big, dim = grid[-1], cset.dim
     if alpha == 0.0:  # the exact count over each central box, origin included
         counts = [0] * len(grid)
@@ -158,9 +168,11 @@ def _box_ratios(cset: CompiledSet, alpha: float, grid: list[int]) -> list[float]
 
 def _member_weights(cset: CompiledSet, alpha: float, grid: list[int]) -> tuple[list[float], str | None]:
     """Sums of k^alpha over the members k of X in [1, r] for every radius r
-    of the increasing grid (dimension 1): closed forms for interval
-    sets and (complements of) multiple-sets at alpha in {0, -1}, else the
-    prefix weights of one stream."""
+    of the increasing grid (dimension 1): closed forms for interval sets
+    and the floor sums of the set's count view at alpha in {0, -1} (at
+    alpha 0 only, when the view has a cong factor or primes), else the
+    prefix weights of one stream. A view past FLOOR_SUM_BUDGET takes the
+    stream when the box [1, r] fits the box budget."""
     if alpha in (0.0, -1.0):
         views = [cset.interval_view(r) for r in grid]
         if views[0] is not None:
@@ -169,9 +181,13 @@ def _member_weights(cset: CompiledSet, alpha: float, grid: list[int]) -> tuple[l
             else:
                 nums = [math.fsum(harmonic(b) - harmonic(a - 1) for a, b in iv) for iv in views]
             return nums, "closed-form interval counts"
-        ie = cset.ie_view()
-        if ie is not None:
-            return [float(_ie_weight(*ie, r, alpha)) for r in grid], "closed-form multiple-set sums"
+        view = cset.count_view()
+        if view is not None and (alpha == 0.0 or view.cls is None and view.mix == (1, 0, 0)):
+            try:
+                return [float(w) for w in _floor_sums(view, alpha, grid)], "closed-form floor sums"
+            except BudgetExceeded:
+                if grid[-1] > _primes.BOX_BUDGET:
+                    raise
     return [float(w) for w in _prefix_weights(cset, alpha, grid, grid[-1])], None
 
 
@@ -181,6 +197,8 @@ def _prefix_weights(cset: CompiledSet, alpha: float, cuts: list[int], n: int) ->
     [1, n]: exact integer counts of every cell at
     alpha 0, else fsums of the power-sum kernel's chunk sums, so the weight
     at x is the float of masked_power_sums(cset.blocks(x)) bit for bit."""
+    import numpy as np
+
     def weigh(k0: int, piece: np.ndarray) -> int | float:
         return (int(np.count_nonzero(piece)) if alpha == 0.0
                 else float(masked_power_sums([(k0, piece)], [-alpha])[0][0]))
@@ -200,18 +218,102 @@ def _prefix_weights(cset: CompiledSet, alpha: float, cuts: list[int], n: int) ->
     return out + [total(parts)] * (len(cuts) - len(out))
 
 
-def _ie_weight(kind: str, mods, r: int, alpha: float) -> int | float:
-    """Weight of X ∩ [1,r] at alpha in {0,-1} for X the multiples of the
-    moduli ('multiples') or its complement: the complement's weight is
-    sum c * g(r // l) over the inclusion-exclusion coefficients, with
-    g(q) = q (alpha 0, an exact integer) or H(q)/l (alpha -1). Terms with
-    l > r vanish and are pruned in the kernel."""
-    coeffs = _ie_coefficients(mods, bound=r).items()
-    if alpha == 0.0:
-        comp, whole = sum(c * (r // l) for l, c in coeffs), r
-    else:
-        comp, whole = math.fsum(c * harmonic(r // l) / l for l, c in coeffs), harmonic(r)
-    return whole - comp if kind == "multiples" else comp
+def _floor_sums(view: CountView, alpha: float, grid: list[int]) -> list[int | float]:
+    """Weights of X ∩ [1, r] over the grid from the view's floor sums: exact
+    integer counts at alpha 0, fsums at alpha -1 (a view without a cong
+    factor or primes). The Moebius terms and the Lucy table updates are
+    charged to _primes.FLOOR_SUM_BUDGET, read at call time, before they
+    run; past it BudgetExceeded."""
+    spent, budget = 0, _primes.FLOOR_SUM_BUDGET
+
+    def spend(n: int) -> None:
+        nonlocal spent
+        spent += n
+        if spent > budget:
+            raise BudgetExceeded(f"floor sums up to r = {grid[-1]} need more than {budget} "
+                                 "Moebius terms and Lucy table updates")
+
+    mix_v, mix_pi, mix_vp = view.mix
+    pis = [0] * len(grid)
+    if mix_pi or mix_vp:
+        # one Lucy table at the largest radius has pi at every quotient of
+        # it, the default grid r // 2^i among them; any other radius gets
+        # its own. They go first: a table too large for the budget is
+        # refused before it is made
+        top = grid[-1]
+        pi = prime_pi_table(top, spend)
+        pis = [pi(r) if top // (top // r) == r else prime_pi_table(r, spend)(r) for r in grid]
+    local = _local_weights(view, alpha, grid, spend) if mix_v else [0] * len(grid)
+    return [mix_v * v + mix_pi * p + mix_vp * (p - sum(q <= r for q in view.exceptions))
+            for v, p, r in zip(local, pis, grid)]
+
+
+_PLUS = bytes.maketrans(b"\2", b"\0")  # mobius_codes to a mask of mu = 1
+_MINUS = bytes.maketrans(b"\1\2", b"\0\1")  # and of mu = -1
+
+
+def _local_weights(view: CountView, alpha: float, grid: list[int], spend) -> list[int | float]:
+    """Weights of the view's local part V over the grid: at r, the sum over
+    d <= r^(1/k) with mu(d) != 0 (d = 1 alone without a kfree factor) and
+    over the inclusion-exclusion terms c_l, l <= r, of the moduli, of
+    mu(d) c_l F(L), L = lcm(d^k, l): F(L) = r // L (or the one CRT class of
+    the cong factor in L Z, _class_counter) at alpha 0, H(r // L) / L at
+    alpha -1. A term with L > r is 0. The complement takes it from r or
+    H(r)."""
+    k = view.k or 1
+    ie = _ie_coefficients(view.moduli, bound=grid[-1])
+    roots = [_iroot(r, k) if view.k else 1 for r in grid]
+    spend(sum(root * sum(l <= r for l in ie) for r, root in zip(grid, roots)))
+    codes = mobius_codes(roots[-1]) if view.k else b"\0\1"
+    signs = [(1, codes.translate(_PLUS)), (-1, codes.translate(_MINUS))]
+    del codes
+    # runs of consecutive d past r^(1/(k+1)) share r // d^k, so a small
+    # cache saves most of the harmonic numbers
+    h = functools.lru_cache(maxsize=1 << 12)(harmonic)
+    count = None if view.cls is None else _class_counter(*view.cls)
+    out = []
+    for r, root in zip(grid, roots):
+        groups = []  # (coefficient, L values) per sign of mu(d) and term l
+        for sign, marks in signs:
+            for l, c in ie.items():
+                if l <= r:
+                    qs = map(pow, compress(range(root + 1), marks), repeat(k))
+                    groups.append((sign * c, qs if l == 1 else map(math.lcm, qs, repeat(l))))
+        if alpha == -1.0:
+            weight = math.fsum(c * h(r // L) / L for c, Ls in groups for L in Ls)
+        elif count is None:
+            weight = sum(c * sum(map(r.__floordiv__, Ls)) for c, Ls in groups)
+        else:
+            weight = sum(c * sum(count(r, L) for L in Ls) for c, Ls in groups)
+        if view.complement:
+            weight = (r if alpha == 0.0 else harmonic(r)) - weight
+        out.append(weight)
+    return out
+
+
+def _class_counter(a: int, m: int):
+    """count(r, L): the n in [1, r] with L | n and n = a mod m. None unless
+    g = gcd(L, m) divides a; else the one class n0 = L t mod lcm(L, m) with
+    t = (a/g) (L/g)^-1 mod m/g (the CRT). g and t depend on L mod m only,
+    so they are cached by it."""
+    a %= m
+
+    @functools.lru_cache(maxsize=1 << 12)
+    def solve(x: int) -> tuple[int, int] | None:
+        g = math.gcd(x, m)
+        if a % g:
+            return None
+        step = m // g
+        return a // g * pow(x // g, -1, step) % step, step
+
+    def count(r: int, L: int) -> int:
+        sol = solve(L % m)
+        if sol is None:
+            return 0
+        t, step = sol
+        return (r - L * t) // (L * step) + (t > 0)
+
+    return count
 
 
 def log_density_window(cset: CompiledSet, r_lo: int, r_hi: int) -> float:
@@ -256,6 +358,8 @@ def _window_extremes(blocks, lengths: list[int]) -> list[tuple[int, int]]:
     of blocks with at least lengths[-1] points: running window counts
     w(e) = w(e - 1) + x(e) - x(e - L), x(k) the membership of k (0 for
     k < 1), over the blocks' own bool tables of the last lengths[-1] points."""
+    import numpy as np
+
     extremes = [(math.inf, -math.inf)] * len(lengths)
     counts = [0] * len(lengths)  # w(done) per length
     kept, done = [], 0  # (first point, table) of the blocks kept; points read
@@ -412,13 +516,15 @@ AXIOM_CHECK_RADIUS = 10**6
 def _random_periodic(rng: random.Random) -> np.ndarray:
     """A random periodic set: the mask of its classes mod m, for m drawn
     from 1..AXIOM_MAX_MODULUS and each class kept with one drawn chance."""
+    import numpy as np
+
     m = rng.randint(1, AXIOM_MAX_MODULUS)
     density = rng.random()
     return np.array([rng.random() < density for _ in range(m)], dtype=bool)
 
 
 def _classes(mask: np.ndarray) -> str:
-    return f"classes {np.flatnonzero(mask).tolist()} mod {mask.size}"
+    return f"classes {mask.nonzero()[0].tolist()} mod {mask.size}"
 
 
 def axiom_suite(case_count: int, seed: int, pair: str = "exact",
@@ -431,6 +537,8 @@ def axiom_suite(case_count: int, seed: int, pair: str = "exact",
     every axiom except ideal-scaling: the verdict is PASS when exactly the
     expected axioms hold. Optionally re-estimates a few of the sampled sets
     with each estimator and compares against the exact density."""
+    import numpy as np
+
     if pair not in _PAIRS:
         raise DslValueError(f"unknown pair {pair!r}; options: {sorted(_PAIRS)}")
     if case_count < 1 or estimator_cases < 0:
@@ -508,7 +616,7 @@ def _estimator_convergence(mask: np.ndarray) -> list[dict]:
     """Each estimator on the union of the classes cong(c, m) of the mask
     against its exact density, at radii up to AXIOM_CHECK_RADIUS: one JSON
     record per check."""
-    m, classes = mask.size, np.flatnonzero(mask).tolist()
+    m, classes = mask.size, mask.nonzero()[0].tolist()
     target = len(classes) / m
     cs = compile_set(functools.reduce(Union, (Cong(c, m) for c in classes)) if classes else FiniteSet(()))
     txt = f"periodic mod {m}, {len(classes)} classes"

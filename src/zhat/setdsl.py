@@ -30,7 +30,7 @@ import math
 import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import TYPE_CHECKING, ClassVar, Iterator, NoReturn, Optional
+from typing import TYPE_CHECKING, ClassVar, Iterator, NamedTuple, NoReturn, Optional
 
 from . import _primes
 # the exception classes and the residue budget live at the numpy-free
@@ -651,6 +651,79 @@ def clopen_modulus(expr: SetExpr) -> Optional[int]:
     return None
 
 
+class CountView(NamedTuple):
+    """A dimension-1 set whose counts are floor sums sum_d c_d F(r // d).
+    Its local part V is the intersection of kfree(k) (k None: no such
+    factor), !multiples(moduli) and cong(a, m) (cls None: none), or the
+    complement of that intersection. [kfree(k)](n) = sum over d^k | n of
+    mu(d), so V counts as sum_{d, l} mu(d) c_l N(r, lcm(d^k, l)), with c_l
+    the inclusion-exclusion coefficients of the moduli and N(r, L) the
+    members n <= r of L Z ∩ cong(a, m), one CRT class. Then with primes:
+    |X| = mix[0] |V| + mix[1] pi(r) + mix[2] |V ∩ primes|, where every prime
+    but the exceptions lies in V, so |V ∩ primes| = pi(r) minus the
+    exceptions up to r."""
+
+    k: int | None = None
+    moduli: tuple[int, ...] = ()
+    cls: tuple[int, int] | None = None
+    complement: bool = False
+    mix: tuple[int, int, int] = (1, 0, 0)
+    exceptions: tuple[int, ...] = ()
+
+
+# |X| as (|V|, pi, |V ∩ primes|) coefficients for X = V op primes (and
+# primes op V, but for primes \ V, which is (0, 1, -1))
+_PRIME_MIX = {Intersection: (0, 0, 1), Union: (1, 1, -1), Difference: (1, 0, -1)}
+
+
+def _count_view(expr: SetExpr) -> CountView | None:
+    """The CountView of expr: primes, V, or V combined with primes by &, |
+    or \\ (either side), when every prime outside a finite set lies in V:
+    V without complement, no modulus 1, and cong(a, m) only for m = 1 or
+    odd a mod 2, whose one exception is 2. A cong factor comes with a
+    kfree factor; cong alone, a clopen set, keeps the stream."""
+    if isinstance(expr, Primes):
+        return CountView(mix=(0, 0, 1))
+    if not (isinstance(expr, _Binary) and (isinstance(expr.a, Primes) or isinstance(expr.b, Primes))):
+        view = _local_view(expr)
+        return view if view is None or view.cls is None or view.k else None
+    view = _local_view(expr.a if isinstance(expr.b, Primes) else expr.b)
+    if view is None or view.complement or 1 in view.moduli or view.cls and not view.k:
+        return None
+    exceptions = {a for a in view.moduli if _primes.is_prime(a)}
+    if view.cls is not None:
+        a, m = view.cls
+        if m == 2 and a % 2:
+            exceptions.add(2)
+        elif m != 1:
+            return None
+    mix = (0, 1, -1) if isinstance(expr, Difference) and isinstance(expr.a, Primes) else _PRIME_MIX[type(expr)]
+    return CountView(view.k, view.moduli, view.cls, mix=mix, exceptions=tuple(sorted(exceptions)))
+
+
+def _local_view(expr: SetExpr) -> CountView | None:
+    """The local part of a CountView: an intersection of at most one
+    kfree, at most one cong and any !multiples (a \\ b is a & !b), or the
+    complement of one (multiples is the complement of !multiples)."""
+    if isinstance(expr, Multiples):
+        return CountView(moduli=expr.moduli, complement=True)
+    if isinstance(expr, KFree):
+        return CountView(k=expr.k)
+    if isinstance(expr, Cong):
+        return CountView(cls=(expr.r, expr.m0))
+    if isinstance(expr, Complement):
+        view = _local_view(expr.a)
+        return None if view is None else CountView(view.k, view.moduli, view.cls, not view.complement)
+    if not isinstance(expr, (Intersection, Difference)):
+        return None
+    a, b = _local_view(expr.a), _local_view(expr.b)
+    if a is None or b is None or a.complement or b.complement is isinstance(expr, Intersection):
+        return None
+    if a.k is not None and b.k is not None or a.cls is not None and b.cls is not None:
+        return None
+    return CountView(a.k if b.k is None else b.k, a.moduli + b.moduli, a.cls or b.cls)
+
+
 @dataclass
 class CompiledSet:
     expr: SetExpr
@@ -778,14 +851,13 @@ class CompiledSet:
         structure supports it (LeadingDigit, FiniteSet, unions of those)."""
         return _interval_view(self.expr, r)
 
-    def ie_view(self) -> tuple[str, tuple[int, ...]] | None:
-        """('multiples', moduli) or ('complement', moduli) when the set is a
-        set of multiples or its complement; None otherwise."""
-        if isinstance(self.expr, Multiples):
-            return ("multiples", self.expr.moduli)
-        if isinstance(self.expr, Complement) and isinstance(self.expr.a, Multiples):
-            return ("complement", self.expr.a.moduli)
-        return None
+    def count_view(self) -> CountView | None:
+        """X ∩ [1, r] as a floor sum (CountView), when the set is dimension-1
+        and of the shapes it describes; None otherwise."""
+        return _count_view(self.expr) if self.dim == 1 else None
+
+    # perfbench/trace_runner.py wraps the view under its former name
+    ie_view = count_view
 
 
 def compile_set(expr: SetExpr | str) -> CompiledSet:

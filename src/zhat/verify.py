@@ -33,7 +33,7 @@ def prime_power_family(k: int, prime_bound: int) -> list[int]:
     style investigations."""
     if k < 1:
         raise DslValueError("exponent must be >= 1")
-    return [int(p) ** k for p in _primes.primes_upto(prime_bound)]
+    return [p**k for p in takewhile(lambda p: p <= prime_bound, _primes.iter_primes())]
 
 
 # ------------------------------------------------------------- main theorem
@@ -539,35 +539,34 @@ def counterexample_cover(a: int, terms: int) -> VerificationReport:
     if a**terms > RESIDUE_BUDGET:
         raise BudgetExceeded(f"level {a}^{terms} exceeds the enumeration budget")
     m = a**terms
-
-    def spiral(n: int) -> int:  # 1 -> 0, 2 -> 1, 3 -> -1, 4 -> 2, ...
-        return (n // 2) if n % 2 == 0 else -(n // 2)
-
-    def covers(j: int, x: int) -> bool:  # x in the coset x_j + a^j Z
-        return (x - spiral(j)) % a**j == 0
-
-    # coset n, a class mod a^n, lies inside an earlier coset j < n or misses
-    # it; the cosets inside no earlier one are disjoint and cover the union
-    covered = sum(a**(terms - n) for n in range(1, terms + 1)
-                  if not any(covers(j, spiral(n)) for j in range(1, n)))
+    covered = _covered_classes(a, terms)
     comp_measure = Fraction(m - covered, m)
     bound = 1 - Fraction(1, a - 1) * (1 - Fraction(1, a**terms))
-    enumerated_covered = all(any(covers(j, spiral(n)) for j in range(1, terms + 1))
-                             for n in range(1, terms + 1))
     narrative = [
         f"complement measure at level {a}^{terms}: {float(comp_measure):.9f}",
         f"certified lower bound 1 - (1/(a-1))(1-a^-K) = {float(bound):.9f}",
-        f"first {terms} enumerated integers all covered: {enumerated_covered}",
         "every integer is eventually enumerated, so the complement meets the "
         "integers in a density-zero set while keeping positive measure",
     ]
-    ok = comp_measure >= bound and enumerated_covered
     return VerificationReport(
         "counterexample", {"a": a, "terms": terms},
         {"complement_measure": comp_measure, "lower_bound": bound,
          "covered_classes": covered, "level": m},
-        PASS if ok else FAIL, tuple(narrative),
+        PASS if comp_measure >= bound else FAIL, tuple(narrative),
     )
+
+
+def _covered_classes(a: int, terms: int) -> int:
+    """The classes mod a^terms that the cosets x_n + a^n Z, n <= terms,
+    cover, x_n the n-th integer of the spiral 0, 1, -1, 2, -2, ...: coset n
+    lies inside an earlier coset j < n or misses it, and the cosets inside
+    no earlier one are disjoint and cover the union."""
+
+    def spiral(n: int) -> int:  # 1 -> 0, 2 -> 1, 3 -> -1, 4 -> 2, ...
+        return (n // 2) if n % 2 == 0 else -(n // 2)
+
+    return sum(a**(terms - n) for n in range(1, terms + 1)
+               if not any((spiral(n) - spiral(j)) % a**j == 0 for j in range(1, n)))
 
 
 # ------------------------------------------------------------- dense union

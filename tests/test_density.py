@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from zhat import _primes, setdsl
 from zhat.density import (
+    _floor_sums,
+    _prefix_weights,
     _window_extremes,
     DensityReport,
     axiom_suite,
@@ -95,8 +97,8 @@ def test_alpha0_squarefree_tracks_direct_sieve():
 
 
 def test_alpha0_mask_count_matches_membership():
-    # neither an interval nor a multiple-set view: the mask count path
-    cset = compile_set("kfree(2) \\ primes")
+    # neither an interval nor a count view: the mask count path
+    cset = compile_set("kfree(2) & image(x^2+1)")
     grid = [1, 7, 100, 999]
     rep = density_alpha(cset, 0.0, grid)
     for r, val in zip(grid, rep.values):
@@ -149,9 +151,9 @@ def test_log_weight_agrees_with_partial_sums_oracle():
 @pytest.mark.parametrize("alpha", [0.0, -0.5, -1.0])
 def test_alpha_mask_paths_share_the_box_budget(alpha, monkeypatch):
     # the count and the weights read one stream of blocks over [1, r]: one
-    # budget of r cells
+    # budget of r cells (the image keeps the set off the floor sums)
     monkeypatch.setattr(_primes, "BOX_BUDGET", 100)
-    cset = compile_set("kfree(2)")
+    cset = compile_set("kfree(2) & image(x^2+1)")
     assert density_alpha(cset, alpha, [100]).values[0] > 0
     with pytest.raises(BudgetExceeded):
         density_alpha(cset, alpha, [101])
@@ -237,8 +239,9 @@ def test_alpha_grid_reads_one_box(monkeypatch, text, alpha):
 def test_density_grids_grow_the_prime_sieve_to_sqrt_r(monkeypatch, estimate):
     # a streamed grid sieves [1, r] one segment at a time: the shared sieve
     # grows only to the base primes up to about sqrt(r), never to r, and
-    # the grid's values are the single-radius values
-    cs = compile_set("kfree(2) \\ primes")
+    # the grid's values are the single-radius values; the image keeps the
+    # set off the floor sums
+    cs = compile_set("(kfree(2) \\ primes) | image(x^2+1)")
     grid = [250000, 500000, 1000000, 2000000]
     single = [estimate(cs, [r]).values[0] for r in grid]
     for name in ("_SIEVE_BOUND", "_PRIMES", "_SMALL_PRIMES"):
@@ -608,3 +611,74 @@ def test_periodic_density_exact_at_aligned_radii(m, seed):
     r = m * rng.randint(1, 50)
     rep = density_alpha(cset, 0.0, [r])
     assert rep.values[0] == pytest.approx(len(residues) / m, abs=1e-12)
+
+
+# ---------------------------------------------------------------- floor sums
+
+
+@st.composite
+def view_sets(draw):
+    """Text of a random set the count view admits: an intersection of
+    kfree, !multiples and cong factors (cong only beside kfree), as it is,
+    complemented, or combined with primes; beside primes the moduli exclude
+    1 and cong is odd mod 2, so every prime but finitely many lies in it."""
+    form = draw(st.sampled_from(["plain", "complement", "&", "|", "\\", "primes\\"]))
+    with_primes = form not in ("plain", "complement")
+    k = draw(st.sampled_from([None, 2, 3, 4]))
+    mods = draw(st.lists(st.integers(2 if with_primes else 1, 60), max_size=4))
+    factors = [f"kfree({k})"] if k else []
+    if mods:
+        factors.append(f"!multiples({','.join(map(str, mods))})")
+    if k and draw(st.booleans()):
+        a, m = ((2 * draw(st.integers(-5, 5)) + 1, 2) if with_primes
+                else (draw(st.integers(-30, 30)), draw(st.integers(1, 30))))
+        factors.append(f"cong({a},{m})")
+    if not factors:
+        factors = [] if with_primes and form == "&" else ["kfree(2)"]
+    local = " & ".join(f"({f})" for f in draw(st.permutations(factors)))
+    if form == "complement":
+        return f"!({local})"
+    if not with_primes:
+        return local
+    if not local:
+        return "primes"
+    return f"primes \\ ({local})" if form == "primes\\" else f"({local}) {form} primes"
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=view_sets(), grid=st.lists(st.integers(1, 2 * 10**5), min_size=1, max_size=3, unique=True))
+def test_floor_sums_match_the_stream(text, grid):
+    # exact counts at alpha 0; at alpha -1 (no cong factor, no primes) the
+    # same sums up to rounding
+    cs, grid = compile_set(text), sorted(grid)
+    view = cs.count_view()
+    assert view is not None, text
+    assert _floor_sums(view, 0.0, grid) == _prefix_weights(cs, 0.0, grid, grid[-1])
+    if view.cls is None and view.mix == (1, 0, 0):
+        got, ref = _floor_sums(view, -1.0, grid), _prefix_weights(cs, -1.0, grid, grid[-1])
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def test_floor_sums_count_their_work_against_the_budget(monkeypatch):
+    view = compile_set("kfree(2) \\ primes").count_view()
+    monkeypatch.setattr(_primes, "FLOOR_SUM_BUDGET", 100)
+    assert _floor_sums(view, 0.0, [100]) == [61 - 25]  # 45 Lucy steps, 10 Moebius terms
+    with pytest.raises(BudgetExceeded):
+        _floor_sums(view, 0.0, [10**4])
+
+
+def test_a_view_past_its_budget_takes_the_stream_inside_the_box_budget(monkeypatch):
+    cs = compile_set("kfree(2) & cong(1,4)")
+    monkeypatch.setattr(_primes, "FLOOR_SUM_BUDGET", 10)
+    rep = density_alpha(cs, 0.0, [10**4])
+    assert rep.values[0] == sum(1 for n in range(1, 10**4 + 1, 4) if cs.contains(n)) / 10**4
+    assert rep.notes == ()
+    monkeypatch.setattr(_primes, "BOX_BUDGET", 1000)
+    with pytest.raises(BudgetExceeded, match="floor sums"):
+        density_alpha(cs, 0.0, [10**4])
+
+
+def test_a_prime_count_off_the_largest_radius_quotients_gets_its_own_table():
+    rep = density_alpha(compile_set("primes"), 0.0, [7, 30, 97, 100])
+    assert [round(v * r) for v, r in zip(rep.values, rep.grid)] == [4, 10, 25, 25]
+    assert rep.notes == ("closed-form floor sums",)

@@ -20,8 +20,15 @@ from zhat import _ie
 from zhat._ie import _ie_coefficients, _ie_groups
 from zhat._primes import BudgetExceeded
 from zhat.analytic import de_delta_bracket, de_delta_exact
-from zhat.density import _ie_weight, harmonic
+from zhat.density import _floor_sums, harmonic
 from zhat.measure import multiples_measure_ie, multiples_measure_prefixes
+from zhat.setdsl import CountView
+
+
+def ie_weight(mods, r, alpha, complement=False):
+    """The floor-sum weight of !multiples(mods), or of multiples(mods), in
+    [1, r] at alpha 0 or -1."""
+    return _floor_sums(CountView(moduli=tuple(mods), complement=complement), alpha, [r])[0]
 
 
 def subset_terms(mods):
@@ -77,10 +84,10 @@ def test_floor_sums_match_subset_sum(mods, r):
     assert all(l <= r for l in coeffs)
     count = sum(c * (r // l) for l, c in coeffs.items())
     assert count == sum(sign * (r // lcm) for sign, lcm in terms)
-    assert _ie_weight("complement", mods, r, 0.0) == count
-    assert _ie_weight("multiples", mods, r, 0.0) == r - count
+    assert ie_weight(mods, r, 0.0) == count
+    assert ie_weight(mods, r, 0.0, complement=True) == r - count
     ref = math.fsum(sign * harmonic(r // lcm) / lcm for sign, lcm in terms)
-    got = _ie_weight("complement", mods, r, -1.0)
+    got = ie_weight(mods, r, -1.0)
     assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
@@ -88,7 +95,7 @@ def test_floor_sums_match_subset_sum(mods, r):
 def test_floor_sum_counts_non_multiples(mods):
     for r in (1, 5, 59, 600, 2000):
         direct = sum(1 for n in range(1, r + 1) if all(n % a for a in mods))
-        assert _ie_weight("complement", mods, r, 0.0) == direct, (mods, r)
+        assert ie_weight(mods, r, 0.0) == direct, (mods, r)
 
 
 @settings(max_examples=120, deadline=None)

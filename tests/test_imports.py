@@ -155,6 +155,13 @@ EXACT_COMMANDS = [
     (("verify", "counterexample", "--base", "4", "--terms", "12"), {"zhat.verify"}),
     (("sn", "limit", "--seq", "factorial", "--terms", "60", "--pmax", "13"),
      {"zhat.supernatural"}),
+    # floor sums: a Moebius sum and the Lucy prime count
+    (("density", "--set", "kfree(2) \\ primes", "--method", "asymptotic", "--r", "2e7"),
+     {"zhat._ie", "zhat.setdsl", "zhat.measure", "zhat.density"}),
+    # closed forms, and floor sums over the inclusion-exclusion terms
+    (("verify", "davenport-erdos", "--family", "p^2", "--pmax", "31", "--certified-points", "50",
+      "--rmax", "1e7"),
+     {"zhat._ie", "zhat.setdsl", "zhat.measure", "zhat.analytic", "zhat.density", "zhat.verify"}),
 ]
 
 

@@ -51,7 +51,7 @@ PINNED = [
     ('measure --set primes --chain factorial --levels 4 --N 1e4', 0,
      "01f0125704a59b9cbf34fcf73e2a507851784ca0cbae2940395658973edeed48"),
     ("density --set 'kfree(2)' --method all --r 2e4 --cutoff 1e4", 0,
-     "36e63c697b3ba22f3fe45c98cff00c187a62c6f19f3ea3ce1535136d8b84f178"),
+     "78e688cc0ba210facc1395a4f940676ea06a9424217cedf021d6f86b0b73a504"),
     ("density --set 'coprime(2)' --method asymptotic --r 200", 0,
      "a0faa78cb917347ceef26154afe90cca529e3df6c20b6bb5649c617515ccbae0"),
     ("density --set 'coprime(2)' --method logarithmic --r 200", 0,
@@ -79,7 +79,7 @@ PINNED = [
     ("verify mt --set 'kfree(2)' --cutoff 1e3 --rmax 1e4", 3,
      "fabfc4592f66ef4879cafb0f55a15303a05618d2df3896399168ef853bd65bb0"),
     ('verify counterexample --base 4 --terms 6', 0,
-     "9d7717b895a2d89a5cdb528698eb0cb14b59e0fca29b9087f3e800cfd7b05202"),
+     "09e4d7c0b028889d65f70d9ecfadc9e59ea5377b21610a0b00fdb6cf091a8fb7"),
     ("verify union-dense --supports '2,3;3,5;5,7'", 0,
      "0793b53d383b17f88616c768d1a2691cbdf78461118975d5e700f26cf39978d6"),
     ('verify axioms --cases 50 --seed 3', 0,

@@ -6,6 +6,7 @@ Pollard-Brent; products of known primes and known strong pseudoprimes
 check those paths.
 """
 
+import bisect
 import contextlib
 import itertools
 import math
@@ -179,3 +180,42 @@ def test_valuation_edges():
     assert _primes.valuation(math.factorial(2000), 2) == one_factor_valuation(math.factorial(2000), 2)
     with pytest.raises(ValueError):
         _primes.valuation(0, 3)
+
+
+def lucy_quotients(n):
+    """pi(x) by the Lucy tables of n at every quotient x = n // k."""
+    spent = []
+    pi = _primes.prime_pi_table(n, spent.append)
+    return {x: pi(x) for x in {n // k for k in range(1, math.isqrt(n) + 1)} | set(range(math.isqrt(n) + 1))}
+
+
+@pytest.mark.parametrize("n", [*range(1, 40), 97, 1000, 65536, 99991, 10**6 - 1, 10**6])
+def test_lucy_prime_counts_match_the_sieve(n):
+    primes = _primes.primes_upto(n).tolist()
+    for x, count in lucy_quotients(n).items():
+        assert count == bisect.bisect_right(primes, x), (n, x)
+
+
+def test_lucy_charges_each_prime_step_before_it_runs():
+    calls = []
+    assert _primes.prime_pi_table(100, calls.append)(100) == 25
+    # the sqrt(100) = 10 cells of each table, then for p = 2, 3, 5, 7 the
+    # large cells while 100 // k >= p^2 and the small cells p^2..10
+    assert calls == [10, 10 + 7, 10 + 2, 4, 2]
+
+
+def test_lucy_tables_are_charged_before_they_are_made():
+    def refuse(n):
+        raise BudgetExceeded(f"{n} cells")
+
+    with pytest.raises(BudgetExceeded, match="10000000000 cells"):
+        _primes.prime_pi_table(10**20, refuse)
+
+
+def test_mobius_codes_match_factorization():
+    codes = _primes.mobius_codes(3000)
+    assert codes[0] == 0
+    for d in range(1, 3001):
+        fac = factorize(d)
+        mu = 0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)
+        assert codes[d] == {0: 0, 1: 1, -1: 2}[mu], d

@@ -16,6 +16,7 @@ from zhat.setdsl import (
     BudgetExceeded,
     Complement,
     Cong,
+    CountView,
     DimensionMismatch,
     DslSyntaxError,
     DslValueError,
@@ -501,9 +502,35 @@ def test_crt_split_examples():
 
 def test_views_for_fast_paths():
     assert compile_set("leadingdigit(1,10)").interval_view(25) == [(1, 1), (10, 19)]
-    assert compile_set("!multiples(4,6)").ie_view() == ("complement", (4, 6))
-    assert compile_set("multiples(4,6)").ie_view() == ("multiples", (4, 6))
-    assert compile_set("kfree(2)").ie_view() is None
+    assert compile_set("!multiples(4,6)").count_view() == CountView(moduli=(4, 6))
+    assert compile_set("multiples(4,6)").count_view() == CountView(moduli=(4, 6), complement=True)
+    assert compile_set("kfree(2)").count_view() == CountView(k=2)
+    assert compile_set("kfree(2) & image(x^2+1)").count_view() is None
+
+
+@pytest.mark.parametrize("text, view", [
+    ("primes", CountView(mix=(0, 0, 1))),
+    ("kfree(2) \\ primes", CountView(k=2, mix=(1, 0, -1))),
+    ("primes \\ kfree(3)", CountView(k=3, mix=(0, 1, -1))),
+    ("primes | !multiples(3,4)", CountView(moduli=(3, 4), mix=(1, 1, -1), exceptions=(3,))),
+    ("(kfree(2) & cong(1,2)) & primes", CountView(k=2, cls=(1, 2), mix=(0, 0, 1), exceptions=(2,))),
+    ("cong(1,4) & kfree(2) \\ multiples(9)", CountView(k=2, moduli=(9,), cls=(1, 4))),
+    ("!(kfree(2) & !multiples(3))", CountView(k=2, moduli=(3,), complement=True)),
+    ("!!kfree(3)", CountView(k=3)),
+    # outside the view: a lone cong, two cong or kfree factors, a cong that
+    # misses infinitely many primes, a complement or an empty set beside
+    # primes, a primes-free difference, dimension 2
+    ("cong(1,4)", None),
+    ("kfree(2) & cong(1,4) & cong(1,3)", None),
+    ("kfree(2) & kfree(3)", None),
+    ("(kfree(2) & cong(1,4)) \\ primes", None),
+    ("multiples(4) | primes", None),
+    ("!multiples(1) & primes", None),
+    ("kfree(2) \\ cong(1,4)", None),
+    ("multiples(2) & coprime(2)", None),
+])
+def test_count_view_shapes(text, view):
+    assert compile_set(text).count_view() == view
 
 
 # ---------------------------------------------------------------- properties

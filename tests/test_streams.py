@@ -272,7 +272,9 @@ def test_estimators_read_one_stream_per_call(monkeypatch, path):
 # ---------------------------------------------------------------- memory
 
 PATHS = {
-    "asymptotic": lambda r: density_alpha(compile_set("kfree(2) \\ primes"), 0.0, [r // 4, r // 2, r]),
+    # at alpha 0 kfree(2) \\ primes alone counts by floor sums, not a stream
+    "asymptotic": lambda r: density_alpha(compile_set("(kfree(2) \\ primes) | image(x^2+1)"), 0.0,
+                                          [r // 4, r // 2, r]),
     "logarithmic": lambda r: density_alpha(compile_set("kfree(2) \\ primes"), -1.0, [r // 2, r]),
     "analytic": lambda r: density_analytic(compile_set("primes"), [1.5, 1.1], r),
     "uniform": lambda r: density_uniform(compile_set("kfree(3) | cong(1,4)"), [r // 40, r // 20], r),

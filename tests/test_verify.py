@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zhat import _ie, _primes
+from zhat import _ie, _primes, cli, verify
 from zhat.measure import Bracket, ModulusChain
 from zhat.setdsl import BudgetExceeded, CompiledSet, DslValueError, compile_set
 from zhat.verify import (
@@ -461,6 +461,17 @@ def test_counterexample_cover_counts_the_classes_of_the_coset_mask(a):
         q = counterexample_cover(a, terms).quantities
         assert (q["covered_classes"], q["level"]) == (int(mask.sum()), m)
         assert q["complement_measure"] == Fraction(m - int(mask.sum()), m)
+
+
+def test_counterexample_verdict_rests_on_the_complement_measure(monkeypatch):
+    # at K = 6 the complement measure meets its lower bound exactly, so one
+    # more covered class puts it below: FAIL, and exit 1 from the CLI
+    covered = verify._covered_classes
+    monkeypatch.setattr(verify, "_covered_classes", lambda a, terms: covered(a, terms) + 1)
+    rep = counterexample_cover(4, 6)
+    assert rep.verdict == "FAIL"
+    assert rep.quantities["complement_measure"] < rep.quantities["lower_bound"]
+    assert cli.main(["verify", "counterexample", "--base", "4", "--terms", "6"]) == 1
 
 
 def test_counterexample_cover_rejects_small_base():
