@@ -1,6 +1,7 @@
 """Shared sieve and factorization utilities, the named integer
 sequences, the exception classes and verdicts of the set language, the
-one JSON form of a result and the one report of a verification harness.
+one JSON form of a result, the one record base and the one report of a
+verification harness.
 
 A single module-level cache, the sorted primes up to a bound, is grown on
 demand and read-only afterwards, so every consumer shares one array; sums
@@ -81,24 +82,58 @@ def jsonable(x):
     return x
 
 
-class VerificationReport:
-    """A harness's inputs, the quantities it computed, its verdict and the
-    narrative of its checks. A plain class, not a dataclass: the commands
-    that load no numpy would otherwise load dataclasses and inspect."""
+class Record:
+    """The one record base: _fields names a subclass's fields in order and
+    _defaults gives the trailing fields' defaults. The constructor takes the
+    fields positionally or by name, keeps them in __dict__ in field order and
+    runs _check; to_json is jsonable of that dict. Records are frozen unless
+    the class sets _frozen = False; two are equal when they are of one class
+    with equal field tuples, and a record hashes as that tuple, as frozen
+    dataclasses do. Defining a record class generates no code, where a
+    dataclass costs some 0.7 ms at import."""
 
-    def __init__(self, theorem: str, inputs: dict, quantities: dict, verdict: str,
-                 narrative: tuple[str, ...]):
-        self.theorem = theorem
-        self.inputs = inputs
-        self.quantities = quantities
-        self.verdict = verdict
-        self.narrative = narrative
+    _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+    _frozen = True
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = dict(zip(names[len(names) - len(self._defaults):], self._defaults))
+        values.update(zip(names, args), **kwargs)
+        if len(args) > len(names) or values.keys() != set(names) or not kwargs.keys().isdisjoint(names[:len(args)]):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}, got {args} and {kwargs}")
+        vars(self).update({n: values[n] for n in names})
+        self._check()
+
+    def _check(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(vars(self)[n] for n in self._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        if self._frozen:
+            raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+        object.__setattr__(self, name, value)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, VerificationReport) and vars(self) == vars(other)
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in zip(self._fields, self._values()))})"
 
     def to_json(self) -> dict:
         return jsonable(vars(self))
+
+
+class VerificationReport(Record):
+    """A harness's inputs, the quantities it computed, its verdict and the
+    narrative of its checks."""
+
+    _fields = ("theorem", "inputs", "quantities", "verdict", "narrative")
 
 
 # most cells one box table may hold, and the largest bound the shared sieve

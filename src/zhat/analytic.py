@@ -10,13 +10,12 @@ integer is the integer itself, so ideal-indexed sums become ordinary series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import _primes
 from ._ie import _ie_groups
-from ._primes import FAIL, INCONCLUSIVE, PASS, DslValueError, _iroot, jsonable
+from ._primes import FAIL, INCONCLUSIVE, PASS, DslValueError, Record, _iroot
 from .measure import (
     _BLOCK,
     _LIB_UNITS,
@@ -43,19 +42,14 @@ if TYPE_CHECKING:
 # ------------------------------------------------------------- truncations
 
 
-@dataclass(frozen=True)
-class DirichletTruncation:
+class DirichletTruncation(Record):
     """Partial sum of a subset zeta series, a bound on its rounding error,
     and a certified tail range. Subset terms are positive, so the partial
     sum less its rounding bound is the lower endpoint and the full-series
     tail bounds the rest."""
 
-    cutoff: int
-    s: float
-    partial: float
-    bound: float
-    tail_hi: float
-    notes: tuple[str, ...] = ()
+    _fields = ("cutoff", "s", "partial", "bound", "tail_hi", "notes")
+    _defaults = ((),)
 
     def bracket(self) -> Bracket:
         return Bracket(max(0.0, _down(self.partial - self.bound)),
@@ -212,19 +206,8 @@ def _log_block(lo: int, hi: int) -> np.ndarray:
     return np.log(logs, out=logs)
 
 
-@dataclass(frozen=True)
-class DlogReport:
-    s: float
-    cutoff: int
-    tol: float
-    ratio_side: float
-    series_side: float
-    difference: float
-    tail_budget: float
-    verdict: str
-
-    def to_json(self) -> dict:
-        return jsonable(vars(self))
+class DlogReport(Record):
+    _fields = ("s", "cutoff", "tol", "ratio_side", "series_side", "difference", "tail_budget", "verdict")
 
 
 def dlog_zeta_check(s: float, cutoff: int, tol: float) -> DlogReport:

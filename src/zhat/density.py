@@ -17,14 +17,13 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from typing import TYPE_CHECKING
 
 from . import _primes, measure
 from ._ie import _ie_coefficients
-from ._primes import (FAIL, PASS, BudgetExceeded, VerificationReport, _iroot, jsonable, mobius_codes,
+from ._primes import (FAIL, PASS, BudgetExceeded, Record, VerificationReport, _iroot, mobius_codes,
                       prime_pi_table)
 from .measure import ModulusChain, closure_measure_trace, masked_power_sums, zeta_partial
 from .setdsl import (
@@ -63,27 +62,17 @@ def harmonic(n: int) -> float:
 # ------------------------------------------------------------- reports
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    method: str
-    params: dict
-    grid: tuple
-    values: tuple
-    lower_est: float
-    upper_est: float
-    certified: bool
-    notes: tuple[str, ...] = ()
+class DensityReport(Record):
+    _fields = ("method", "params", "grid", "values", "lower_est", "upper_est", "certified", "notes")
+    _defaults = ((),)
 
-    def __post_init__(self):
+    def _check(self):
         if not self.grid:
             raise DslValueError("empty evaluation grid")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise DslValueError("grid must be strictly increasing")
         if self.lower_est > self.upper_est + 1e-12:
             raise DslValueError("lower estimate exceeds upper estimate")
-
-    def to_json(self) -> dict:
-        return jsonable(vars(self))
 
 
 def _report(method: str, params: dict, grid, values, bounds, tail_window: int,
@@ -263,7 +252,8 @@ def _local_weights(view: CountView, alpha: float, grid: list[int], spend) -> lis
     k = view.k or 1
     ie = _ie_coefficients(view.moduli, bound=grid[-1])
     roots = [_iroot(r, k) if view.k else 1 for r in grid]
-    spend(sum(root * sum(l <= r for l in ie) for r, root in zip(grid, roots)))
+    # a term through _class_counter costs about two plain floor terms
+    spend((1 if view.cls is None else 2) * sum(root * sum(l <= r for l in ie) for r, root in zip(grid, roots)))
     codes = mobius_codes(roots[-1]) if view.k else b"\0\1"
     signs = [(1, codes.translate(_PLUS)), (-1, codes.translate(_MINUS))]
     del codes

@@ -13,7 +13,6 @@ from __future__ import annotations
 import io
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, takewhile
 from typing import TYPE_CHECKING
@@ -22,7 +21,7 @@ from . import _primes
 # numpy and the set layer are imported by the functions that run them, so
 # `zhat measure --multiples` loads neither
 from ._ie import _ie_measure, _ie_prefix_measures
-from ._primes import BudgetExceeded, DslValueError
+from ._primes import BudgetExceeded, DslValueError, Record
 
 if TYPE_CHECKING:
     from .setdsl import CompiledSet
@@ -86,17 +85,15 @@ PRIMORIAL_POWER = "primorial-power"
 EXPLICIT = "explicit"
 
 
-@dataclass(frozen=True)
-class ModulusChain:
+class ModulusChain(Record):
     """A strict divisibility chain m_1 | m_2 | ... used as the parameter set
     of a measure trace. The non-explicit kinds eventually absorb every
     prime."""
 
-    kind: str
-    power: int = 1
-    moduli: tuple[int, ...] = ()
+    _fields = ("kind", "power", "moduli")
+    _defaults = (1, ())
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in (PRIMORIAL, FACTORIAL, PRIMORIAL_POWER, EXPLICIT):
             raise ChainError(f"unknown chain kind {self.kind!r}")
         if self.kind == PRIMORIAL_POWER and self.power < 1:
@@ -149,17 +146,13 @@ class ModulusChain:
 # ------------------------------------------------------------- brackets
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(Record):
     """An interval certified (or flagged otherwise) to contain a value."""
 
-    lo: float
-    hi: float
-    certified: bool
-    cutoff: int
-    notes: tuple[str, ...] = ()
+    _fields = ("lo", "hi", "certified", "cutoff", "notes")
+    _defaults = ((),)
 
-    def __post_init__(self):
+    def _check(self):
         if self.lo > self.hi:
             raise ValueError(f"bracket endpoints out of order: {self.lo} > {self.hi}")
 
@@ -181,22 +174,13 @@ class Bracket:
 # ------------------------------------------------------------- traces
 
 
-@dataclass(frozen=True)
-class LevelMeasure:
-    level_index: int
-    modulus: int
-    residue_count: int
-    measure: Fraction
-    mode: str
+class LevelMeasure(Record):
+    _fields = ("level_index", "modulus", "residue_count", "measure", "mode")
 
 
-@dataclass(frozen=True)
-class MeasureTrace:
-    chain: ModulusChain
-    dim: int
-    records: tuple[LevelMeasure, ...]
-    mode: str
-    notes: tuple[str, ...] = ()
+class MeasureTrace(Record):
+    _fields = ("chain", "dim", "records", "mode", "notes")
+    _defaults = ((),)
 
     @property
     def certified(self) -> bool:
@@ -419,13 +403,13 @@ def masked_power_sums(mask, s_grid) -> tuple[np.ndarray, np.ndarray]:
     return sums, bounds
 
 
-@dataclass
-class _Tally:
+class _Tally(Record):
     """What a power-sum pass has read: the nonzero cells, the sum of their
     weights, and whether any table held weights (not booleans)."""
-    count: int = 0
-    mass: float = 0.0
-    weighted: bool = False
+    _fields = ("count", "mass", "weighted")
+    _defaults = (0, 0.0, False)
+    _frozen = False
+    __hash__ = None
 
 
 def _chunk_power_sums(blocks, ss: list[float], tally: _Tally):

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import TYPE_CHECKING, ClassVar, Iterator, NamedTuple, NoReturn, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, NoReturn, Optional
 
 from . import _primes
 # the exception classes and the residue budget live at the numpy-free
@@ -42,6 +41,7 @@ from ._primes import (
     DslError,
     DslSyntaxError,
     DslValueError,
+    Record,
     _mark_classes,
     _segments,
 )
@@ -69,12 +69,11 @@ class ModeError(DslError):
 _VAR_NAMES = ("x", "y", "z")
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Record):
     """Sparse integer polynomial in x, y, z: terms maps exponent triples to
     nonzero coefficients."""
 
-    terms: tuple[tuple[tuple[int, int, int], int], ...]
+    _fields = ("terms",)
 
     @classmethod
     def from_dict(cls, d: dict[tuple[int, int, int], int]) -> "Polynomial":
@@ -140,7 +139,7 @@ class Polynomial:
 # ------------------------------------------------------------- expression AST
 
 
-class SetExpr:
+class SetExpr(Record):
     """Base class for expression nodes. `dim_spec` is the fixed dimension of
     the node, or None when the node is valid in any dimension."""
 
@@ -151,35 +150,30 @@ class SetExpr:
         return ()
 
 
-@dataclass(frozen=True)
 class Cong(SetExpr):
-    r: int
-    m0: int
+    _fields = ("r", "m0")
 
-    def __post_init__(self):
+    def _check(self):
         if self.m0 < 1:
             raise DslValueError(f"cong modulus must be >= 1, got {self.m0}")
 
 
-@dataclass(frozen=True)
 class KFree(SetExpr):
-    k: int
+    _fields = ("k",)
 
-    def __post_init__(self):
+    def _check(self):
         if self.k < 2:
             raise DslValueError(f"kfree exponent must be >= 2, got {self.k}")
 
 
-@dataclass(frozen=True)
 class Primes(SetExpr):
     pass
 
 
-@dataclass(frozen=True)
 class Coprime(SetExpr):
-    n: int
+    _fields = ("n",)
 
-    def __post_init__(self):
+    def _check(self):
         if not 1 <= self.n <= 3:
             raise DslValueError(f"coprime dimension must be 1..3, got {self.n}")
 
@@ -187,20 +181,18 @@ class Coprime(SetExpr):
         return self.n
 
 
-@dataclass(frozen=True)
 class PolyImage(SetExpr):
-    poly: Polynomial
+    _fields = ("poly",)
 
     @property
     def arity(self) -> int:
         return max(self.poly.arity, 1)
 
 
-@dataclass(frozen=True)
 class Multiples(SetExpr):
-    moduli: tuple[int, ...]
+    _fields = ("moduli",)
 
-    def __post_init__(self):
+    def _check(self):
         if not self.moduli or any(a < 1 for a in self.moduli):
             raise DslValueError("multiples needs positive moduli")
 
@@ -208,34 +200,27 @@ class Multiples(SetExpr):
         return None  # a*Z^n makes sense in every dimension
 
 
-@dataclass(frozen=True)
 class LeadingDigit(SetExpr):
-    d: int
-    base: int
+    _fields = ("d", "base")
 
-    def __post_init__(self):
+    def _check(self):
         if self.base < 2 or not 1 <= self.d < self.base:
             raise DslValueError(f"leadingdigit needs 1 <= d < base, got d={self.d} base={self.base}")
 
 
-@dataclass(frozen=True)
 class Seq(SetExpr):
-    name: str
+    _fields = ("name",)
 
 
-@dataclass(frozen=True)
 class FiniteSet(SetExpr):
-    values: tuple[int, ...]
+    _fields = ("values",)
 
 
-@dataclass(frozen=True)
 class _Binary(SetExpr):
     """The body the three binary operators share; each subclass names its
-    operator symbol, the one the parser reads and to_text writes."""
+    operator symbol op, the one the parser reads and to_text writes."""
 
-    a: SetExpr
-    b: SetExpr
-    op: ClassVar[str]
+    _fields = ("a", "b")
 
     def children(self):
         return (self.a, self.b)
@@ -259,9 +244,8 @@ class Difference(_Binary):
 _BINARY = {cls.op: cls for cls in (Union, Intersection, Difference)}
 
 
-@dataclass(frozen=True)
 class Complement(SetExpr):
-    a: SetExpr
+    _fields = ("a",)
 
     def children(self):
         return (self.a,)
@@ -292,11 +276,9 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident | int | sym | end
-    text: str
-    pos: int
+class _Token(Record):
+    # kind: ident | int | sym | end
+    _fields = ("kind", "text", "pos")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -490,7 +472,7 @@ def to_text(expr: SetExpr) -> str:
     """Canonical form; parse(to_text(e)) reproduces e."""
     kw = _KEYWORDS.get(type(expr))
     if kw is not None:
-        args = [getattr(expr, f.name) for f in fields(expr)]
+        args = expr._values()
         if _ATOMS[kw][1] == "ints":
             (args,) = args
         return f"{kw}({','.join(map(str, args))})"
@@ -510,8 +492,7 @@ def to_text(expr: SetExpr) -> str:
 # ------------------------------------------------------------- residue image
 
 
-@dataclass(frozen=True, eq=False)
-class ResidueImage:
+class ResidueImage(Record):
     """pi_m(X) at level m: exact, or the image of the box truncation.
 
     The image is a flat boolean mask over (Z/m)^dim in row-major order: the
@@ -519,14 +500,13 @@ class ResidueImage:
     in dimension 1 the index is the residue itself. `residues` and
     `sorted_residues` are views derived from the mask."""
 
-    m: int
-    dim: int
-    mask: np.ndarray
-    mode: str
-    truncation: int | None = None
-    assumptions: frozenset = frozenset()
+    _fields = ("m", "dim", "mask", "mode", "truncation", "assumptions")
+    _defaults = (None, frozenset())
 
-    def __post_init__(self):
+    # equal only to itself: the mask is an array
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def _check(self):
         if self.mask.dtype != bool or self.mask.shape != (self.m**self.dim,):
             raise ValueError("mask must be a flat boolean array with one cell per class")
 
@@ -551,25 +531,20 @@ class ResidueImage:
         return coords[0].tolist() if self.dim == 1 else list(zip(*(c.tolist() for c in coords)))
 
 
-@dataclass(frozen=True)
-class CrtSplit:
-    parts: dict
-    is_product: bool
+class CrtSplit(Record):
+    _fields = ("parts", "is_product")
 
 
 # ------------------------------------------------------------- compiled set
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(Record):
     """The exact engine's expansion of a set (_counts): the leaves of its
     top union (local atoms, and clopen leaves as tuples of pieces (node,
     period L) on coprime periods), the points (the finite and primes atoms)
     and the width w: the local work at q is q^w."""
 
-    leaves: tuple
-    points: tuple
-    width: int
+    _fields = ("leaves", "points", "width")
 
 
 def _plan(expr: SetExpr, dim: int) -> _Plan | None:
@@ -724,16 +699,20 @@ def _local_view(expr: SetExpr) -> CountView | None:
     return CountView(a.k if b.k is None else b.k, a.moduli + b.moduli, a.cls or b.cls)
 
 
-@dataclass
-class CompiledSet:
-    expr: SetExpr
-    dim: int
-    # the exact engine's expansion (_plan), None for a truncated set
-    plan: Optional[_Plan] = field(repr=False)
-    assumptions: frozenset = frozenset()
-    # tables the exact engine (_counts) keeps for later levels: the images
-    # mod q, each clopen piece's period box and its last projection
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class CompiledSet(Record):
+    _fields = ("expr", "dim", "assumptions")
+    _defaults = (frozenset(),)
+    _frozen = False
+    __hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # not fields, as they follow from the fields: the exact engine's
+        # expansion (_plan), None for a truncated set, and the tables it keeps
+        # for later levels (_counts): the images mod q, each clopen piece's
+        # period box and its last projection
+        self.plan: Optional[_Plan] = _plan(self.expr, self.dim)
+        self._tables = {}
 
     @property
     def mode(self) -> str:
@@ -877,7 +856,7 @@ def compile_set(expr: SetExpr | str) -> CompiledSet:
             assumptions = frozenset([ASSUMES_DIRICHLET])
         todo.extend(reversed(node.children()))
     dim = expr_dim(expr)
-    return CompiledSet(expr, dim, _plan(expr, dim), assumptions)
+    return CompiledSet(expr, dim, assumptions)
 
 
 # ------------------------------------------------------------- membership
@@ -1009,12 +988,12 @@ def _finite_coprime(expr: SetExpr) -> SetExpr:
     return FiniteSet((-1, 1)) if isinstance(expr, Coprime) and expr.n == 1 else expr
 
 
-@dataclass(frozen=True, eq=False)
 class _Members(SetExpr):
     """A stream's stand-in for a sparse atom: the atom's members inside the
     stream's range, as a sorted int64 array computed once (_stream_expr)."""
 
-    values: np.ndarray
+    _fields = ("values",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
 
 def _stream_expr(expr: SetExpr, lo: int, hi: int) -> SetExpr:

@@ -167,24 +167,15 @@ DIVERGING = "diverging"
 INCONCLUSIVE = "inconclusive"
 
 
-class ValuationProfile:
+class ValuationProfile(_primes.Record):
     """Per-prime valuations of an integer sequence plus window flags.
 
     The flags only claim behaviour over the inspected window: ``stabilized``
     means constant over the last K terms; ``diverging`` means nondecreasing
     over the whole sequence with strict growth inside the window (a
-    divergence-to-inf witness, never a proof). A plain class, so that
-    ``sn`` loads neither dataclasses nor inspect."""
+    divergence-to-inf witness, never a proof)."""
 
-    def __init__(self, prime_bound: int, window: int,
-                 valuations: dict[int, tuple[int, ...]], status: dict[int, str]):
-        self.prime_bound = prime_bound
-        self.window = window
-        self.valuations = valuations
-        self.status = status
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ValuationProfile) and vars(self) == vars(other)
+    _fields = ("prime_bound", "window", "valuations", "status")
 
 
 def limit_profile(seq: Sequence[int] | Iterable[int], prime_bound: int, window: int) -> ValuationProfile:

@@ -667,6 +667,19 @@ def test_floor_sums_count_their_work_against_the_budget(monkeypatch):
         _floor_sums(view, 0.0, [10**4])
 
 
+def test_a_cong_view_is_charged_two_steps_per_moebius_term(monkeypatch):
+    # a term through the CRT class counter costs about two plain floor terms
+    r = 10**6
+    plain, cong = compile_set("kfree(2)").count_view(), compile_set("kfree(2) & cong(1,4)").count_view()
+    squarefree = _sieve_squarefree(r)
+    monkeypatch.setattr(_primes, "FLOOR_SUM_BUDGET", math.isqrt(r))
+    assert _floor_sums(plain, 0.0, [r]) == [np.count_nonzero(squarefree)]
+    with pytest.raises(BudgetExceeded):
+        _floor_sums(cong, 0.0, [r])
+    monkeypatch.setattr(_primes, "FLOOR_SUM_BUDGET", 2 * math.isqrt(r))
+    assert _floor_sums(cong, 0.0, [r]) == [np.count_nonzero(squarefree[1::4])]
+
+
 def test_a_view_past_its_budget_takes_the_stream_inside_the_box_budget(monkeypatch):
     cs = compile_set("kfree(2) & cong(1,4)")
     monkeypatch.setattr(_primes, "FLOOR_SUM_BUDGET", 10)

@@ -179,23 +179,23 @@ def test_a_set_theorem_imports_its_layers_before_verify():
     assert order.index("zhat.setdsl") < order.index("zhat.verify")
 
 
-# the numpy-free commands whose records are plain classes; the commands
-# that run measure or setdsl still load both modules through their
-# dataclasses
-PLAIN_RECORD_COMMANDS = [("sn", "rho", "1125896954054519"), ("sn", "mul", "2^inf*3", "3*5"),
-                         *(args for args, runs in EXACT_COMMANDS
-                           if not runs & {"zhat.measure", "zhat.setdsl"})]
+NUMPY_FREE_COMMANDS = [("sn", "rho", "1125896954054519"), ("sn", "mul", "2^inf*3", "3*5"),
+                       *(args for args, _ in EXACT_COMMANDS)]
 
 
-@pytest.mark.parametrize("args", PLAIN_RECORD_COMMANDS,
-                         ids=["-".join(args[:2]) for args in PLAIN_RECORD_COMMANDS])
+# every record is a zhat._primes.Record, a plain class, so a command that
+# loads no numpy loads neither module
+@pytest.mark.parametrize("args", NUMPY_FREE_COMMANDS,
+                         ids=["-".join(args[:2]) for args in NUMPY_FREE_COMMANDS])
 def test_plain_record_commands_load_neither_dataclasses_nor_inspect(args):
     loaded = loaded_modules(RUN_CLI, *args)
     assert not loaded & {"dataclasses", "inspect"}
 
 
-NUMPY_FREE_COMMANDS = [("sn", "rho", "1125896954054519"), ("sn", "mul", "2^inf*3", "3*5"),
-                       *(args for args, _ in EXACT_COMMANDS)]
+def test_no_zhat_module_loads_dataclasses():
+    loaded = loaded_modules("import sys\nimport zhat.setdsl, zhat._counts, zhat.measure, zhat.density, "
+                            "zhat.analytic, zhat.verify")
+    assert "zhat.verify" in loaded and "dataclasses" not in loaded
 
 
 @pytest.mark.parametrize("args", NUMPY_FREE_COMMANDS,

@@ -1,6 +1,5 @@
 """End-to-end checks for the theorem-verification harnesses."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -11,7 +10,7 @@ import pytest
 
 from zhat import _ie, _primes, cli, verify
 from zhat.measure import Bracket, ModulusChain
-from zhat.setdsl import BudgetExceeded, CompiledSet, DslValueError, compile_set
+from zhat.setdsl import BudgetExceeded, CompiledSet, DslValueError, ResidueImage, compile_set
 from zhat.verify import (
     VerificationReport,
     asdmltp_verify,
@@ -210,7 +209,7 @@ def test_dirichlet_coverage_fails_when_the_image_drops_a_unit_class(monkeypatch)
         if m == 7:
             mask = img.mask.copy()
             mask[3] = False
-            img = dataclasses.replace(img, mask=mask)
+            img = ResidueImage(img.m, img.dim, mask, img.mode, img.truncation, img.assumptions)
         return img
 
     monkeypatch.setattr(CompiledSet, "residue_image", drop_3_mod_7)
