@@ -1,7 +1,8 @@
 """Dirichlet series of definable sets over the positive integers: truncated
 zeta sums with certified tails, the density ratio delta(X,s), the von
-Mangoldt function, and exact closed forms for complements of sets of
-multiples.
+Mangoldt function, exact closed forms for complements of sets of
+multiples, and certified closed forms of the ratio for every count view
+without a cong factor, primes through the prime zeta function.
 
 Everything here is specific to the rational integers: the norm of a positive
 integer is the integer itself, so ideal-indexed sums become ordinary series.
@@ -19,9 +20,12 @@ from ._primes import FAIL, INCONCLUSIVE, PASS, DslValueError, Record, _iroot
 from .measure import (
     _BLOCK,
     _LIB_UNITS,
+    _TINY,
+    _U,
     Bracket,
     _down,
     _err,
+    _gamma,
     _tail_integral,
     _up,
     masked_power_sums,
@@ -36,7 +40,7 @@ from .measure import (
 if TYPE_CHECKING:
     import numpy as np
 
-    from .setdsl import CompiledSet
+    from .setdsl import CompiledSet, CountView
 
 
 # ------------------------------------------------------------- truncations
@@ -260,9 +264,7 @@ def de_delta_exact(moduli, s) -> "Fraction | float":
     if float(s) == int(s):
         return multiples_measure_ie(mods, dim=int(s))
     sf = float(s)
-    return math.prod(
-        math.fsum(c * l**-sf for l, c in coeffs.items()) for coeffs in _ie_groups(mods).values()
-    )
+    return math.prod(math.fsum(_terms(coeffs, sf)) for coeffs in _ie_groups(mods).values())
 
 
 def de_delta_bracket(moduli, s: Fraction, digits: int = 30) -> tuple[Fraction, Fraction]:
@@ -313,3 +315,153 @@ def de_delta_table(moduli, s_values) -> str:
         v = de_delta_exact(moduli, s)
         lines.append(f"{float(s):.10g},{float(v):.12g}")
     return "\n".join(lines) + "\n"
+
+
+# ------------------------------------------------------------- count views in closed form
+
+# every zeta value of the closed forms is Euler-Maclaurin at this cutoff,
+# which costs the same as any other and leaves a tail range far below
+# float resolution
+_ZETA_CUTOFF = 2**52
+# a term l^-s with l at least this is below 2^-1000 for s >= 1; it is
+# dropped and its size goes into the error bound, as l would overflow a float
+_HUGE = 2**1000
+
+
+def _terms(coeffs: dict[int, int], s: float):
+    """The floats c * l^-s of the Dirichlet polynomial sum of c l^-s over
+    the {l: c} items, 0 for l >= _HUGE."""
+    return (c * l**-s if l < _HUGE else 0.0 for l, c in coeffs.items())
+
+
+def _polynomial(coeffs: dict[int, int], s: float) -> tuple[float, float]:
+    """Enclosure of the Dirichlet polynomial sum of c l^-s over the {l: c}
+    items at s >= 1: the correctly rounded fsum of the terms, each within
+    _LIB_UNITS for the power and two roundings for the product and the
+    conversion of c, and 3 s u more where l >= 2^53 converts to a float
+    with relative error u, which (1 + u)^-s turns into at most 3 s u."""
+    terms = list(_terms(coeffs, s))
+    total = math.fsum(terms)
+    top = max(coeffs, default=1)
+    rel = _gamma(2 * (_LIB_UNITS + 2)) + (3 * s * _U if top >= 2**53 else 0.0)
+    err = rel * math.fsum(map(abs, terms)) + _err(total, 1) + len(terms) * _TINY
+    if top >= _HUGE:
+        err += 2.0**-1000 * sum(abs(c) for l, c in coeffs.items() if l >= _HUGE)
+    return _down(total - err), _up(total + err)
+
+
+def _zeta_at(j: int, s: float) -> tuple[float, float]:
+    """Enclosure of zeta(j s) for an integer j >= 1 and j s > 1: the float
+    product j * s is exact or the exact argument lies between its
+    neighbours, and zeta decreases."""
+    x = j * s
+    if Fraction(x) == j * Fraction(s):
+        z = zeta_bracket(x, _ZETA_CUTOFF)
+        return z.lo, z.hi
+    return zeta_bracket(_up(x), _ZETA_CUTOFF).lo, zeta_bracket(_down(x), _ZETA_CUTOFF).hi
+
+
+def prime_zeta(s: float) -> Bracket:
+    """Certified bracket for P(s), the sum of p^-s over the primes, at
+    s > 1: P(s) = sum over j >= 1 of mu(j)/j log zeta(j s) (Froberg, BIT 8
+    (1968)), each log zeta(j s) from a zeta enclosure and the log within
+    _LIB_UNITS. For x >= 2, log zeta(x) <= zeta(x) - 1 <= 2^-x (1 + 2/(x-1))
+    <= 3 2^-x, so the terms past J add at most
+    3 2^-(J+1)s / ((J+1)(1 - 2^-s)); the sum stops once that is below
+    2^-64 2^-s <= 2^-64 P(s), or below the subnormal allowance _TINY."""
+    s = float(s)
+    if not 1 < s < math.inf:
+        raise DslValueError(f"prime zeta needs finite s > 1, got {s}")
+    ends, j = [[], []], 0
+    while True:
+        j += 1
+        fac = _primes.factorize(j)
+        if all(e == 1 for e in fac.values()):
+            z_lo, z_hi = _zeta_at(j, s)
+            log_lo, log_hi = math.log(z_lo), math.log(z_hi)
+            lo = _down(_down(log_lo - _err(log_lo, _LIB_UNITS)) / j)
+            hi = _up(_up(log_hi + _err(log_hi, _LIB_UNITS)) / j)
+            if len(fac) % 2:
+                lo, hi = -hi, -lo
+            ends[0].append(lo)
+            ends[1].append(hi)
+        # the pow, two products and a quotient, with 2^-40 to spare
+        tail = 3.0 * 2.0 ** (-(j + 1) * s) / ((j + 1) * (1.0 - 2.0**-s)) * (1 + 2.0**-40) + _TINY
+        if tail <= max(2.0**-64 * 2.0**-s, _TINY):
+            break
+    return Bracket(_down(math.fsum(ends[0] + [-tail])), _up(math.fsum(ends[1] + [tail])), True, None)
+
+
+def _local_ratio(groups: list[dict[int, int]], primes: list[int], k: int | None,
+                 s: float) -> tuple[float, float]:
+    """Enclosure of zeta_V(s)/zeta(s) at s >= 1 for V = kfree(k) (k None:
+    no such factor) ∩ !multiples(A). Write each squarefree d as d1 d2,
+    d1 | P and gcd(d2, P) = 1, P the product of the primes of A, so that
+    lcm(d^k, l) = lcm(d1^k, l) d2^k for every inclusion-exclusion term l of
+    A. The sum over d1 | P of mu(d1) times that over l is the
+    inclusion-exclusion sum of A with p^k added for every p | P, and the
+    sum over d2 is the Euler product over p ∤ P of 1 - p^-ks, that is
+    1/zeta(ks) times prod over p | P of 1/(1 - p^-ks). groups holds the
+    coefficients of the coprime groups of that family and primes the p | P.
+    Every factor is nonnegative, so the enclosures multiply end by end."""
+    lo = hi = 1.0
+    for coeffs in groups:
+        a, b = _polynomial(coeffs, s)
+        lo, hi = max(0.0, _down(lo * a)), _up(hi * b)
+    if k is not None:
+        for p in primes:
+            a, b = _polynomial({1: 1, p**k: -1}, s)
+            lo, hi = _down(lo / b), _up(hi / a)
+        z_lo, z_hi = _zeta_at(k, s)
+        lo, hi = _down(lo / z_hi), _up(hi / z_lo)
+    return lo, hi
+
+
+def series_ratios(view: CountView, s_grid) -> list[Bracket]:
+    """Certified brackets for zeta_X(s)/zeta(s) at every s of the grid, X
+    the set of a count view without a cong factor, in closed form: no
+    stream and no cutoff. The local part V is _local_ratio (its
+    complement 1 minus it), and with primes
+    zeta_X = mix[0] zeta_V + mix[1] P + mix[2] (P - sum over the exceptions
+    of p^-s), P the prime zeta function. At s = 1 the bracket is the limit
+    s -> 1+, the Dirichlet density: V's closed form is continuous there, as
+    ks >= 2 and its sums are finite, and P(s)/zeta(s) and p^-s/zeta(s) tend
+    to 0."""
+    ss = [float(s) for s in s_grid]
+    for s in ss:
+        if not 1 <= s < math.inf:
+            raise DslValueError(f"series ratio needs finite s >= 1, got {s}")
+    if view.cls is not None:
+        raise DslValueError("the closed form covers count views without a cong factor")
+    k = view.k
+    primes = sorted({p for a in view.moduli for p in _primes.factorize(a)}) if k is not None else []
+    groups = list(_ie_groups(view.moduli + tuple(p**k for p in primes)).values())
+    mix_v, mix_pi, mix_vp = view.mix
+    out = []
+    for s in ss:
+        parts = []  # (integer coefficient, enclosure) of each summand
+        if mix_v:
+            lo, hi = _local_ratio(groups, primes, k, s)
+            parts.append((mix_v, (_down(1.0 - hi), _up(1.0 - lo)) if view.complement else (lo, hi)))
+        if (mix_pi or mix_vp) and s > 1:
+            z_lo, z_hi = _zeta_at(1, s)
+            if mix_pi + mix_vp:  # a union cancels P
+                p = prime_zeta(s)
+                parts.append((mix_pi + mix_vp, (_down(max(0.0, p.lo) / z_hi), _up(p.hi / z_lo))))
+            if mix_vp and view.exceptions:
+                e_lo, e_hi = _polynomial(dict.fromkeys(view.exceptions, 1), s)
+                parts.append((-mix_vp, (_down(max(0.0, e_lo) / z_hi), _up(e_hi / z_lo))))
+        if not parts:
+            lo = hi = 0.0
+        elif len(parts) == 1 and parts[0][0] == 1:
+            lo, hi = parts[0][1]
+        else:
+            lo = _down(math.fsum(c * ends[c < 0] for c, ends in parts))
+            hi = _up(math.fsum(c * ends[c > 0] for c, ends in parts))
+        out.append(Bracket(max(0.0, lo), min(1.0, hi), True, None))
+    return out
+
+
+def series_ratio(view: CountView, s: float) -> Bracket:
+    """series_ratios at the single point s."""
+    return series_ratios(view, [s])[0]

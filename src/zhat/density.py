@@ -261,15 +261,28 @@ def _local_weights(view: CountView, alpha: float, grid: list[int], spend) -> lis
     # cache saves most of the harmonic numbers
     h = functools.lru_cache(maxsize=1 << 12)(harmonic)
     count = None if view.cls is None else _class_counter(*view.cls)
-    out = []
-    for r, root in zip(grid, roots):
-        groups = []  # (coefficient, L values) per sign of mu(d) and term l
+
+    def moebius_terms(r: int, root: int):
+        """(coefficient, L values) per sign of mu(d) and term l, one at a
+        time: 2^20 terms held at once are 2^21 live iterator chains, which
+        the cyclic garbage collector rescans as they pile up."""
         for sign, marks in signs:
             for l, c in ie.items():
                 if l <= r:
                     qs = map(pow, compress(range(root + 1), marks), repeat(k))
-                    groups.append((sign * c, qs if l == 1 else map(math.lcm, qs, repeat(l))))
-        if alpha == -1.0:
+                    yield sign * c, qs if l == 1 else map(math.lcm, qs, repeat(l))
+
+    out = []
+    for r, root in zip(grid, roots):
+        groups = moebius_terms(r, root)
+        if view.k is None:  # d = 1 alone, so L = l
+            if alpha == -1.0:
+                weight = math.fsum(c * harmonic(r // l) / l for l, c in ie.items() if l <= r)
+            elif count is None:
+                weight = sum(c * (r // l) for l, c in ie.items() if l <= r)
+            else:
+                weight = sum(c * count(r, l) for l, c in ie.items() if l <= r)
+        elif alpha == -1.0:
             weight = math.fsum(c * h(r // L) / L for c, Ls in groups for L in Ls)
         elif count is None:
             weight = sum(c * sum(map(r.__floordiv__, Ls)) for c, Ls in groups)
@@ -379,21 +392,35 @@ def density_analytic(cset: CompiledSet, s_grid, cutoff: int,
                      tail_window: int = DEFAULT_TAIL_WINDOW) -> DensityReport:
     """Dirichlet-density estimates: certified per-point brackets for the
     series ratio, with the report hull taken over the grid points closest
-    to 1."""
+    to 1. A count view without a cong factor takes the closed form
+    instead, whose brackets and limit at s = 1 are certified and which
+    leaves the cutoff unused."""
     ss = [float(s) for s in s_grid]
     if not ss or any(b >= a for a, b in zip(ss, ss[1:])) or ss[-1] <= 1:
         raise DslValueError("s_grid must strictly decrease toward 1 and stay > 1")
     # the other estimators do not load analytic
-    from .analytic import zeta_sets
+    from .analytic import series_ratios, zeta_sets
 
+    params = {"s_grid": ss, "cutoff": cutoff, "tail_window": tail_window}
+    view = cset.count_view()
+    if view is not None and view.cls is None:
+        try:
+            *points, limit = series_ratios(view, ss + [1.0])
+        except BudgetExceeded:
+            pass
+        else:
+            return DensityReport("analytic", {**params, "brackets": [[b.lo, b.hi] for b in points]},
+                                 tuple(reversed(ss)), tuple(b.mid for b in reversed(points)),
+                                 limit.lo, limit.hi, True,
+                                 ("closed-form Dirichlet series: the brackets and the limit at s = 1 "
+                                  "are certified; the cutoff is unused",))
     truncations = zeta_sets(cset, ss, cutoff)
     brackets = [[b.lo, b.hi] for b in (t.ratio_bracket() for t in truncations)]
     # point estimates are ratios of the partial sums; the clamped bracket
     # mid degenerates toward 1/2 whenever the tail budget blows up
     values = [t.partial / zeta_partial(t.s, cutoff)[0] for t in truncations]
     # the report grid must increase; s values decrease, so present reversed
-    return _report("analytic", {"s_grid": ss, "cutoff": cutoff, "tail_window": tail_window,
-                                "brackets": brackets},
+    return _report("analytic", {**params, "brackets": brackets},
                    reversed(ss), reversed(values), brackets, tail_window,
                    ("per-point brackets are certified; the limit extraction is an estimate",))
 

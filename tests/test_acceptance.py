@@ -1,4 +1,4 @@
-"""Acceptance gate: fourteen pinned criteria, each with a runtime budget.
+"""Acceptance gate: fifteen pinned criteria, each with a runtime budget.
 
 Every test prints one line of the form
 
@@ -8,6 +8,7 @@ Every test prints one line of the form
 one-line-per-criterion record is the verbose test listing itself).
 """
 
+import json
 import math
 import random
 import time
@@ -52,7 +53,7 @@ class _Gate:
         ok = not self.failures and in_time
         line = (
             f"criterion {self.num:02d}: {'PASS' if ok else 'FAIL'} "
-            f"[{elapsed:.1f}s < {self.budget:.0f}s] {detail}"
+            f"[{elapsed:.1f}s < {self.budget:g}s] {detail}"
         )
         print(line)
         assert not self.failures, f"criterion {self.num}: {self.failures}"
@@ -331,3 +332,15 @@ def test_criterion_14_floor_sums_past_their_budget_exit_3():
         code = cli.main(["density", "--set", text, "--method", "asymptotic", "--r", "1e20"])
         gate.check(code == 3, f"{text}: exit {code}")
     gate.finish("kfree(2), kfree(2) & cong(1,4), primes | kfree(3) at r = 1e20 exit 3")
+
+
+def test_criterion_15_prime_dirichlet_series_in_closed_form(capsys):
+    gate = _Gate(15, 0.5)
+    code = cli.main(["density", "--set", "primes", "--method", "analytic", "--cutoff", "1e9"])
+    rep = json.loads(capsys.readouterr().out)["reports"]["analytic"]
+    gate.check(code == 0, f"exit {code}")
+    widths = [hi - lo for lo, hi in rep["params"]["brackets"]]
+    gate.check(len(widths) == 4 and max(widths) <= 1e-12, f"bracket widths {widths}")
+    gate.check(rep["certified"] and rep["lower_est"] == rep["upper_est"] == 0.0,
+               f"limit [{rep['lower_est']}, {rep['upper_est']}]")
+    gate.finish(f"P(s)/zeta(s) at s = 1.5..1.05, widest bracket {max(widths):.1e}, no stream at cutoff 1e9")

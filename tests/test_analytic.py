@@ -21,12 +21,16 @@ from zhat.analytic import (
     de_delta_table,
     delta_ratio,
     dlog_zeta_check,
+    prime_zeta,
+    series_ratio,
+    series_ratios,
     vm_identity_check,
     vm_identity_scan,
     von_mangoldt,
     zeta_set,
+    zeta_sets,
 )
-from zhat.setdsl import compile_set
+from zhat.setdsl import CountView, compile_set
 
 SEGMENT = _primes._SEGMENT
 BLOCK = measure._BLOCK
@@ -299,6 +303,70 @@ def test_de_delta_bracket_contains_exact(moduli, k):
     lo, hi = de_delta_bracket(moduli, s, digits=10)
     fval = de_delta_exact(moduli, float(s))
     assert float(lo) - 1e-8 <= fval <= float(hi) + 1e-8
+
+
+# ---------------------------------------------------------------------------
+# count views in closed form
+
+
+@pytest.mark.parametrize("text", ["primes", "kfree(2)", "kfree(3) \\ multiples(4,9)", "kfree(2) \\ primes",
+                                  "!multiples(4,6)"])
+def test_series_ratio_lies_inside_the_stream_brackets(text):
+    # the stream encloses the ratio by a partial sum over the members and the
+    # full series' tail, with no Euler product and no prime zeta function
+    cset = compile_set(text)
+    ss = [2.0, 1.5, 1.1, 1.02]
+    closed = series_ratios(cset.count_view(), ss)
+    for cutoff in (10**4, 10**5, 10**6):
+        for s, c, t in zip(ss, closed, zeta_sets(cset, ss, cutoff)):
+            stream = t.ratio_bracket()
+            assert stream.lo <= c.lo <= c.hi <= stream.hi, (s, cutoff)
+            assert c.width <= 1e-12
+
+
+def test_prime_zeta_at_2_matches_its_published_digits():
+    p = prime_zeta(2.0)
+    known = Fraction("0.4522474200410654985")  # OEIS A085548
+    assert Fraction(p.lo) <= known <= Fraction(p.hi)
+    assert p.width < 1e-13
+
+
+def test_series_ratio_near_the_pole_approaches_the_dirichlet_density():
+    view = compile_set("kfree(2) \\ multiples(3)").count_view()
+    density = 9 / (2 * math.pi**2)  # 6/pi^2 times (1 - 1/3) / (1 - 1/9)
+    near = series_ratio(view, 1 + 1e-6)
+    assert abs(near.lo - density) < 1e-5 and abs(near.hi - density) < 1e-5
+    limit = series_ratio(view, 1.0)
+    assert limit.lo <= density <= limit.hi and limit.width < 1e-13
+
+
+@settings(max_examples=80, deadline=None)
+@given(moduli=st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=6),
+       k=st.integers(min_value=0, max_value=48))
+def test_series_ratio_contains_the_rational_de_delta_bracket(moduli, k):
+    # s = 1 + k/16 is a float exactly; the rational bracket is 1e-30 wide
+    s = Fraction(1) + Fraction(k, 16)
+    lo, hi = de_delta_bracket(moduli, s)
+    br = series_ratio(CountView(moduli=tuple(moduli)), float(s))
+    assert Fraction(br.lo) <= lo and hi <= Fraction(br.hi)
+
+
+def test_a_modulus_past_float_range_adds_a_bounded_term():
+    # (2 5^500)^-s is below 2^-1000: the term drops into the error bound
+    # instead of overflowing the conversion to float
+    huge = 2 * 5**500
+    assert de_delta_exact([9, huge], 1.5) == 1 - 9**-1.5
+    br = series_ratio(CountView(moduli=(9, huge)), 1.5)
+    assert Fraction(br.lo) <= Fraction(26, 27) <= Fraction(br.hi) and br.width < 1e-13
+
+
+def test_series_ratio_rejects_cong_views_and_s_below_1():
+    with pytest.raises(ValueError):
+        series_ratio(CountView(k=2, cls=(1, 4)), 2.0)
+    with pytest.raises(ValueError):
+        series_ratio(CountView(k=2), 0.5)
+    with pytest.raises(ValueError):
+        prime_zeta(1.0)
 
 
 def test_dlog_report_json_is_pinned():

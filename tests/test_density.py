@@ -9,12 +9,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zhat import _primes, setdsl
 from zhat.density import (
     _floor_sums,
+    _local_weights,
     _prefix_weights,
     _window_extremes,
     DensityReport,
@@ -387,6 +388,30 @@ def test_analytic_report_tail_note_on_slow_grid():
     assert rep.lower_est <= 6.0 / math.pi**2 <= rep.upper_est
 
 
+def test_a_count_view_takes_the_closed_form_and_no_stream(monkeypatch):
+    def no_stream(self, n):
+        raise AssertionError("streamed a count view")
+
+    monkeypatch.setattr(setdsl.CompiledSet, "blocks", no_stream)
+    rep = density_analytic(compile_set("kfree(2) \\ primes"), [1.5, 1.05], cutoff=10)
+    assert rep.certified and rep.notes[0].startswith("closed-form Dirichlet series")
+    assert "the cutoff is unused" in rep.notes[0]
+    # the Dirichlet density of kfree(2) \ primes is 6/pi^2: primes have density 0
+    assert rep.lower_est <= 6.0 / math.pi**2 <= rep.upper_est
+    assert rep.upper_est - rep.lower_est < 1e-13
+    assert rep.params["cutoff"] == 10 and rep.grid == (1.05, 1.5)
+    for (lo, hi), v in zip(rep.params["brackets"], reversed(rep.values)):
+        assert lo <= v <= hi and hi - lo < 1e-12
+
+
+def test_a_count_view_past_the_ie_budget_takes_the_stream(monkeypatch):
+    from zhat import _ie
+
+    monkeypatch.setattr(_ie, "IE_TERM_BUDGET", 4)
+    rep = density_analytic(compile_set("!multiples(6,10,15)"), [1.5], cutoff=10**3)
+    assert not rep.certified and rep.notes == ("per-point brackets are certified; the limit extraction is an estimate",)
+
+
 # ---------------------------------------------------------------------------
 # chain-based bounds
 
@@ -659,6 +684,21 @@ def test_floor_sums_match_the_stream(text, grid):
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(text=view_sets(), s=st.sampled_from([3.0, 2.0, 1.5, 1.25, 1.1]))
+def test_closed_form_ratios_lie_inside_the_stream_brackets(text, s):
+    # the closed form against the partial sum over the members and the
+    # full series' tail, at a cutoff where the stream bracket is wide
+    from zhat.analytic import series_ratio, zeta_set
+
+    cs = compile_set(text)
+    view = cs.count_view()
+    assume(view.cls is None)
+    closed, stream = series_ratio(view, s), zeta_set(cs, s, 10**4).ratio_bracket()
+    assert stream.lo <= closed.lo <= closed.hi <= stream.hi
+    assert closed.width <= 1e-12
+
+
 def test_floor_sums_count_their_work_against_the_budget(monkeypatch):
     view = compile_set("kfree(2) \\ primes").count_view()
     monkeypatch.setattr(_primes, "FLOOR_SUM_BUDGET", 100)
@@ -689,6 +729,22 @@ def test_a_view_past_its_budget_takes_the_stream_inside_the_box_budget(monkeypat
     monkeypatch.setattr(_primes, "BOX_BUDGET", 1000)
     with pytest.raises(BudgetExceeded, match="floor sums"):
         density_alpha(cs, 0.0, [10**4])
+
+
+def test_logarithmic_floor_sums_hold_one_term_at_a_time():
+    # 2^18 inclusion-exclusion terms of the squares of the primes to 61: the
+    # coefficient dict takes about 26 MB, and 2^19 iterator chains held at
+    # once took 277 MB more
+    mods = ",".join(str(p * p) for p in _primes.primes_upto(61).tolist())
+    view = compile_set(f"!multiples({mods})").count_view()
+    tracemalloc.start()
+    try:
+        (weight,) = _local_weights(view, -1.0, [10**65], lambda n: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20, peak
+    assert weight > 0
 
 
 def test_a_prime_count_off_the_largest_radius_quotients_gets_its_own_table():

@@ -158,6 +158,12 @@ EXACT_COMMANDS = [
     # floor sums: a Moebius sum and the Lucy prime count
     (("density", "--set", "kfree(2) \\ primes", "--method", "asymptotic", "--r", "2e7"),
      {"zhat._ie", "zhat.setdsl", "zhat.measure", "zhat.density"}),
+    # Dirichlet series ratios in closed form: certified zeta values, the
+    # prime zeta function and no sieve
+    (("density", "--method", "analytic", "--set", "primes", "--cutoff", "1e9"),
+     {"zhat._ie", "zhat.setdsl", "zhat.measure", "zhat.analytic", "zhat.density"}),
+    (("density", "--method", "analytic", "--set", "kfree(2) \\ multiples(3)"),
+     {"zhat._ie", "zhat.setdsl", "zhat.measure", "zhat.analytic", "zhat.density"}),
     # closed forms, and floor sums over the inclusion-exclusion terms
     (("verify", "davenport-erdos", "--family", "p^2", "--pmax", "31", "--certified-points", "50",
       "--rmax", "1e7"),

@@ -51,7 +51,7 @@ PINNED = [
     ('measure --set primes --chain factorial --levels 4 --N 1e4', 0,
      "01f0125704a59b9cbf34fcf73e2a507851784ca0cbae2940395658973edeed48"),
     ("density --set 'kfree(2)' --method all --r 2e4 --cutoff 1e4", 0,
-     "78e688cc0ba210facc1395a4f940676ea06a9424217cedf021d6f86b0b73a504"),
+     "8237f7c35f9ea8af1e67c31b57e08a31e97cffbe1de45269e29128ad5a27068b"),
     ("density --set 'coprime(2)' --method asymptotic --r 200", 0,
      "a0faa78cb917347ceef26154afe90cca529e3df6c20b6bb5649c617515ccbae0"),
     ("density --set 'coprime(2)' --method logarithmic --r 200", 0,
