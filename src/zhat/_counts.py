@@ -2,7 +2,7 @@
 exact-mode sets, both from one expansion of the level into CRT terms.
 
 A set is exact exactly when setdsl._plan, built once at compile time,
-expands it: the leaves of its top union, its points and its width. The
+expands it: the leaves of its top union and its points. The
 image mod m is the union of the images of the leaves, each a CRT product:
 
 - a local atom (cong, one class a of multiples as cong(0, a), kfree,
@@ -23,9 +23,10 @@ inclusion-exclusion over the leaves' terms, each a product of local counts
 and of one masked count per set of pieces that share primes, plus the
 points outside every leaf; a mask over (Z/m)^dim, built only for
 residue_image, is the union of the leaves' CRT products of their local
-tiles, and the points. Only the tiles, a clopen period box and an image's
-values mod q are numpy tables; setdsl imports this module when it first
-counts a level or builds an exact image.
+tiles, and the points. An image's values mod q are a bytearray mask
+found by Hensel descent (_hensel, imported when a level first needs one);
+the tiles and a clopen period box are numpy tables. setdsl imports this
+module when it first counts a level or builds an exact image.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .setdsl import Cong, PolyImage, Primes, SetExpr, _box_mask, _coprime_groups
 if TYPE_CHECKING:
     import numpy as np
 
-    from .setdsl import Polynomial, _Plan
+    from .setdsl import _Plan
 
 _FULL = ((), frozenset())  # the term of no condition: all of (Z/m)^dim
 _NO_IMAGE = frozenset()
@@ -52,10 +53,13 @@ def _level_terms(plan: _Plan, dim: int, m: int, tables: dict):
     images): the distinct nonempty leaf terms ({_FULL: None} when a leaf is
     all of (Z/m)^dim), the points' classes, {p: q} over q || m, the
     g = gcd(m, L) of each piece and the image masks mod q. tables keeps
-    what it reads for later levels. BudgetExceeded when the local work,
-    the sum of q^w over q || m (plan.width), is over RESIDUE_BUDGET."""
+    what it reads for later levels. BudgetExceeded when the local work is
+    over RESIDUE_BUDGET: the sum over q = p^j || m of q^dim, or of p^arity
+    per image atom for its descent's grid (_hensel.image_mask) when that is
+    more."""
     pps = _primes.prime_powers_of(m)
-    work = sum(q**plan.width for _, _, q in pps)
+    arities = [atom.arity for atom in plan.leaves if isinstance(atom, PolyImage)]
+    work = sum(max(q**dim, sum(p**a for a in arities)) for p, _, q in pps)
     if work > RESIDUE_BUDGET:
         raise BudgetExceeded(f"local work {work} at level m={m}, dim={dim} exceeds budget {RESIDUE_BUDGET}")
     qs = {p: q for p, _, q in pps}
@@ -132,7 +136,7 @@ def _local_cond(atom: SetExpr, p: int, j: int, q: int, images: dict):
         return (0, atom.r % d, d, _NO_IMAGE) if d > 1 else None
     if isinstance(atom, PolyImage):
         # f commutes with Z/m = prod Z/q: its image is the product of the
-        # local images, q^arity evaluations each
+        # local images
         return None if _image_mod(atom, q, images)[1] == q else (0, 0, 1, frozenset([atom]))
     # kfree, coprime and the units of primes: outside 0 + p^k Z^dim, which
     # every class mod q meets when j < k
@@ -141,14 +145,18 @@ def _local_cond(atom: SetExpr, p: int, j: int, q: int, images: dict):
 
 
 def _image_mod(atom: PolyImage, q: int, images: dict):
-    """(mask over Z/q, count) of an image atom's values mod q, the mask None
-    when every class is hit. images keeps the masks of later levels'
-    prime powers while their moduli sum to at most the residue budget."""
+    """(mask over Z/q, count) of an image atom's values mod q, the mask a
+    bytearray of 0/1 bytes (_hensel.image_mask) and None when every class is
+    hit. images keeps the masks of later levels' prime powers while their
+    moduli sum to at most the residue budget."""
     if (atom, q) not in images:
         if sum(k[1] for k in images) + q > RESIDUE_BUDGET:
             images.clear()
-        hit = _poly_values_mod(atom.poly, q, atom.arity)
-        n = int(hit.sum())
+        from ._hensel import image_mask
+
+        ((p, k),) = _primes.factorize(q).items()
+        hit = image_mask(atom.poly, atom.arity, p, k)
+        n = hit.count(1)
         images[atom, q] = (hit if n < q else None), n
     return images[atom, q]
 
@@ -201,11 +209,11 @@ def _local_count(cond: tuple, q: int, dim: int, images: dict) -> int:
         return (q // d) ** dim - ((q // dz) ** dim if dz and r == 0 else 0)
     if len(imgs) == 1 and d == 1 and not dz:
         return _image_mod(next(iter(imgs)), q, images)[1]
-    hit = None  # dimension 1
+    hit = -1  # dimension 1: the masks' 0/1 bytes meet as one integer
     for atom in imgs:
-        mask = _image_mod(atom, q, images)[0]
-        hit = mask if hit is None else hit & mask
-    return int(hit[r::d].sum()) - (int(hit[::dz].sum()) if dz and r == 0 else 0)
+        hit &= int.from_bytes(_image_mod(atom, q, images)[0], "little")
+    hit = hit.to_bytes(q, "little")
+    return hit[r::d].count(1) - (hit[::dz].count(1) if dz and r == 0 else 0)
 
 
 def _term_count(term: tuple, top: int, qs: dict, gs: dict, dim: int, images: dict,
@@ -257,7 +265,7 @@ def _cond_tile(q: int, cond: tuple, dim: int, images: dict) -> tuple[int, np.nda
     if dz:
         cell[(slice(None, None, dz),) * dim] = False
     for atom in imgs:  # dimension 1
-        cell &= _image_mod(atom, q, images)[0]
+        cell &= np.frombuffer(_image_mod(atom, q, images)[0], dtype=bool)
     return e, cell.ravel()
 
 
@@ -296,52 +304,3 @@ def _crt_and(m: int, dim: int, tiles: list[tuple[int, np.ndarray]]) -> np.ndarra
     for e, tile in tiles:
         out &= np.tile(tile.reshape((e,) * dim), (m // e,) * dim)
     return out.ravel()
-
-
-def _poly_values_mod(poly: Polynomial, q: int, arity: int) -> np.ndarray:
-    """Mask over Z/q of poly's values on (Z/q)^arity, evaluated in chunks of
-    2^20 grid points, each in its own call so that its tables are freed
-    before the next: only the mask scales with q."""
-    import numpy as np
-
-    hit = np.zeros(q, dtype=bool)
-    cells = q**arity
-    for start in range(0, cells, 1 << 20):
-        hit[_chunk_values(poly, q, arity, start, min(cells, start + (1 << 20)))] = True
-    return hit
-
-
-def _chunk_values(poly: Polynomial, q: int, arity: int, lo: int, hi: int) -> np.ndarray:
-    """poly mod q at the points lo..hi-1 of (Z/q)^arity in row-major order,
-    each power of a coordinate taken once. Callers check the local work
-    first, so q <= the residue budget and every product, reduced mod q,
-    fits in int64."""
-    import numpy as np
-
-    coords = np.unravel_index(np.arange(lo, hi), (q,) * arity)
-    powers: dict = {}
-    val = np.zeros(hi - lo, dtype=np.int64)
-    for e, c in poly.terms:
-        term = c % q
-        for i in range(arity):
-            if e[i]:
-                if (i, e[i]) not in powers:
-                    powers[i, e[i]] = _powmod(coords[i], e[i], q)
-                term = term * powers[i, e[i]]
-                term %= q
-        val += term
-    val %= q
-    return val
-
-
-def _powmod(base: np.ndarray, e: int, q: int) -> np.ndarray:
-    """base^e mod q elementwise, for 0 <= base < q and e >= 1: the bits of e
-    after the leading one, from the top, each square and maybe multiply."""
-    out = base
-    for bit in bin(e)[3:]:
-        out = out * out
-        out %= q
-        if bit == "1":
-            out *= base
-            out %= q
-    return out

@@ -350,23 +350,57 @@ def _polynomial(coeffs: dict[int, int], s: float) -> tuple[float, float]:
     return _down(total - err), _up(total + err)
 
 
-def _zeta_at(j: int, s: float) -> tuple[float, float]:
-    """Enclosure of zeta(j s) for an integer j >= 1 and j s > 1: the float
-    product j * s is exact or the exact argument lies between its
-    neighbours, and zeta decreases."""
+def _zeta_ends(x: float) -> tuple[float, float]:
+    """Enclosure of zeta(x) at a float x > 1."""
+    z = zeta_bracket(x, _ZETA_CUTOFF)
+    return z.lo, z.hi
+
+
+def _zeta_at(j: int, s: float, enclose=_zeta_ends) -> tuple[float, float]:
+    """Enclosure of zeta(j s) for an integer j >= 1 and j s > 1, or of
+    another function decreasing in j s that enclose(x) encloses at a float
+    x: the float product j * s is exact or the exact argument lies between
+    its neighbours."""
     x = j * s
     if Fraction(x) == j * Fraction(s):
-        z = zeta_bracket(x, _ZETA_CUTOFF)
-        return z.lo, z.hi
-    return zeta_bracket(_up(x), _ZETA_CUTOFF).lo, zeta_bracket(_down(x), _ZETA_CUTOFF).hi
+        return enclose(x)
+    return enclose(_up(x))[0], enclose(_down(x))[1]
+
+
+# past this argument log zeta(x) is below 2^-16, so zeta(x) - 1 is taken
+# directly: a zeta enclosure of 1 + tiny would leave it a few ulps of 1 wide
+_LOG1P_FROM = 16.0
+# the head of zeta(x) - 1 runs to this n; the tail's enclosure is at most
+# n^-x wide, under 2^-64 2^-x for x > 16
+_HEAD = 32
+
+
+def _zeta_minus_one(x: float) -> tuple[float, float]:
+    """Enclosure of zeta(x) - 1 at x > _LOG1P_FROM: the sum of n^-x over
+    2 <= n <= _HEAD (_polynomial) plus the tail between the integrals of
+    t^-x from _HEAD + 1 and from _HEAD."""
+    lo, hi = _polynomial(dict.fromkeys(range(2, _HEAD + 1), 1), x)
+    return _down(lo + _tail_integral(_HEAD + 1, x)[0]), _up(hi + _tail_integral(_HEAD, x)[1])
+
+
+def _log_zeta_at(j: int, s: float) -> tuple[float, float]:
+    """Enclosure of log zeta(j s): the log of a zeta enclosure, or log1p of
+    an enclosure of zeta(j s) - 1 past _LOG1P_FROM, within _LIB_UNITS."""
+    if j * s > _LOG1P_FROM:
+        lo, hi = map(math.log1p, _zeta_at(j, s, _zeta_minus_one))
+    else:
+        lo, hi = map(math.log, _zeta_at(j, s))
+    return _down(lo - _err(lo, _LIB_UNITS)), _up(hi + _err(hi, _LIB_UNITS))
 
 
 def prime_zeta(s: float) -> Bracket:
     """Certified bracket for P(s), the sum of p^-s over the primes, at
     s > 1: P(s) = sum over j >= 1 of mu(j)/j log zeta(j s) (Froberg, BIT 8
-    (1968)), each log zeta(j s) from a zeta enclosure and the log within
-    _LIB_UNITS. For x >= 2, log zeta(x) <= zeta(x) - 1 <= 2^-x (1 + 2/(x-1))
-    <= 3 2^-x, so the terms past J add at most
+    (1968)), each log zeta(j s) within _LIB_UNITS of an enclosure of
+    zeta(j s), or of zeta(j s) - 1 where j s is large (_log_zeta_at), so
+    that P(s) keeps its relative accuracy at large s. For x >= 2,
+    log zeta(x) <= zeta(x) - 1 <= 2^-x (1 + 2/(x-1)) <= 3 2^-x, so the
+    terms past J add at most
     3 2^-(J+1)s / ((J+1)(1 - 2^-s)); the sum stops once that is below
     2^-64 2^-s <= 2^-64 P(s), or below the subnormal allowance _TINY."""
     s = float(s)
@@ -377,10 +411,8 @@ def prime_zeta(s: float) -> Bracket:
         j += 1
         fac = _primes.factorize(j)
         if all(e == 1 for e in fac.values()):
-            z_lo, z_hi = _zeta_at(j, s)
-            log_lo, log_hi = math.log(z_lo), math.log(z_hi)
-            lo = _down(_down(log_lo - _err(log_lo, _LIB_UNITS)) / j)
-            hi = _up(_up(log_hi + _err(log_hi, _LIB_UNITS)) / j)
+            log_lo, log_hi = _log_zeta_at(j, s)
+            lo, hi = _down(log_lo / j), _up(log_hi / j)
             if len(fac) % 2:
                 lo, hi = -hi, -lo
             ends[0].append(lo)

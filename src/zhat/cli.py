@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 
 # each handler imports the modules it runs, leaf first (setdsl, then
@@ -97,12 +98,14 @@ class _Resolver:
     def __init__(self, args: argparse.Namespace, file_cfg: dict[str, str]):
         self.args = args
         self.file_cfg = file_cfg
+        self.read: set[str] = set()  # the keys a command asked for
         self.output = self.get("output", str, "json")
         if self.output not in OUTPUTS:
             raise ValueError(f"output must be one of {', '.join(OUTPUTS)}, got {self.output!r}")
         self.seed = self.get("seed", _num, 0)
 
     def get(self, key: str, cast, default=None):
+        self.read.add(key)
         v = getattr(self.args, key, None)
         if v is None and key in self.file_cfg:
             v = cast(self.file_cfg[key])
@@ -273,56 +276,59 @@ def _cmd_verify(res: _Resolver) -> int:
             mods, tail = verify.prime_power_family(1, pmax), 1
         else:
             mods, tail = _int_list(family), None
-        rep = verify.davenport_erdos(
-            mods, r_max=res.get("rmax", _num, 10**6), tol=res.get("tol", _tol, 5e-3),
+        run = partial(
+            verify.davenport_erdos, mods, r_max=res.get("rmax", _num, 10**6), tol=res.get("tol", _tol, 5e-3),
             tail_exponent=tail,
             certified_grid_points=res.get("certified_points", _num, 0),
         )
     elif theorem == "dirichlet":
-        rep = verify.dirichlet_coverage(res.get("mmax", _num, 100), res.get("pbound", _num, 10**5))
+        run = partial(verify.dirichlet_coverage, res.get("mmax", _num, 100), res.get("pbound", _num, 10**5))
     elif theorem == "omega":
-        rep = verify.omega_bound_measure(res.get("k", _num, 2), res.get("pbound", _num, 13))
+        run = partial(verify.omega_bound_measure, res.get("k", _num, 2), res.get("pbound", _num, 13))
     elif theorem == "eulerian":
         set_text = res.get("set", str)
         if not set_text:
             raise DslSyntaxError("verify eulerian needs --set", 0, ("set expression",))
-        rep = verify.eulerian_check(setdsl.compile_set(set_text),
-                                    res.get("mlist", _int_list, [12]),
-                                    expect=res.get("expect", str, "product"))
+        run = partial(verify.eulerian_check, setdsl.compile_set(set_text),
+                      res.get("mlist", _int_list, [12]), expect=res.get("expect", str, "product"))
     elif theorem == "asdmltp":
-        rep = verify.asdmltp_verify(res.get("moduli", _int_list, [4, 9, 25]),
-                                    r_max=res.get("rmax", _num, 10**6),
-                                    m_check=res.get("mcheck", _num),
-                                    tol=res.get("tol", _tol, 1e-2))
+        run = partial(verify.asdmltp_verify, res.get("moduli", _int_list, [4, 9, 25]),
+                      r_max=res.get("rmax", _num, 10**6), m_check=res.get("mcheck", _num),
+                      tol=res.get("tol", _tol, 1e-2))
     elif theorem == "poonen-stoll":
-        rep = verify.poonen_stoll_tail(res.get("spec", str, "kfree"),
-                                       k=res.get("k", _num, 2),
-                                       prime_cutoffs=res.get("cutoffs", _int_list, [10, 100, 1000]),
-                                       tol=res.get("tol", _tol, 1e-2))
+        run = partial(verify.poonen_stoll_tail, res.get("spec", str, "kfree"), k=res.get("k", _num, 2),
+                      prime_cutoffs=res.get("cutoffs", _int_list, [10, 100, 1000]),
+                      tol=res.get("tol", _tol, 1e-2))
     elif theorem == "mt":
         set_text = res.get("set", str)
         if not set_text:
             raise DslSyntaxError("verify mt needs --set", 0, ("set expression",))
-        rep = verify.mt_criterion(setdsl.compile_set(set_text),
-                                  _parse_chain(res.get("chain", str, "primorial")),
-                                  res.get("cutoff", _num, 10**4),
-                                  r_max=res.get("rmax", _num, 10**6),
-                                  tol=res.get("tol", _tol, 1e-2),
-                                  truncation=res.get("truncation", _num))
+        run = partial(verify.mt_criterion, setdsl.compile_set(set_text),
+                      _parse_chain(res.get("chain", str, "primorial")), res.get("cutoff", _num, 10**4),
+                      r_max=res.get("rmax", _num, 10**6), tol=res.get("tol", _tol, 1e-2),
+                      truncation=res.get("truncation", _num))
     elif theorem == "counterexample":
-        rep = verify.counterexample_cover(res.get("base", _num, 4), res.get("terms", _num, 10))
+        run = partial(verify.counterexample_cover, res.get("base", _num, 4), res.get("terms", _num, 10))
     elif theorem == "union-dense":
         raw = res.get("supports", str)
         if not raw:
             raise DslSyntaxError("verify union-dense needs --supports", 0, ("prime sets",))
         sups = [_int_list(part) for part in raw.split(";") if part.strip()]
-        rep = verify.union_dense_check(sups, family_flag=res.get("family_flag", _bool, False))
+        run = partial(verify.union_dense_check, sups, family_flag=res.get("family_flag", _bool, False))
     else:
         from . import measure, density
 
-        rep = density.axiom_suite(res.get("cases", _num, 100), res.seed,
-                                  pair=res.get("pair", str, "exact"),
-                                  estimator_cases=res.get("estimator_cases", _num, 0))
+        run = partial(density.axiom_suite, res.get("cases", _num, 100), res.seed,
+                      pair=res.get("pair", str, "exact"),
+                      estimator_cases=res.get("estimator_cases", _num, 0))
+    # every option given on the command line must be one the theorem reads;
+    # config-file keys may serve several commands and stay exempt
+    unread = sorted(k for k, v in vars(res.args).items()
+                    if v is not None and k not in res.read and k not in ("command", "config"))
+    if unread:
+        flags = ", ".join("--N" if k == "truncation" else "--" + k.replace("_", "-") for k in unread)
+        raise ValueError(f"verify {theorem} does not read {flags}")
+    rep = run()
     _emit(res, {"report": rep, "csv": f"theorem,verdict\n{rep.theorem},{rep.verdict}\n"},
           "verify", {"theorem": theorem})
     return {PASS: EXIT_OK, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}[rep.verdict]

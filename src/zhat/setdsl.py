@@ -541,10 +541,10 @@ class CrtSplit(Record):
 class _Plan(Record):
     """The exact engine's expansion of a set (_counts): the leaves of its
     top union (local atoms, and clopen leaves as tuples of pieces (node,
-    period L) on coprime periods), the points (the finite and primes atoms)
-    and the width w: the local work at q is q^w."""
+    period L) on coprime periods) and the points (the finite and primes
+    atoms)."""
 
-    _fields = ("leaves", "points", "width")
+    _fields = ("leaves", "points")
 
 
 def _plan(expr: SetExpr, dim: int) -> _Plan | None:
@@ -577,8 +577,7 @@ def _plan(expr: SetExpr, dim: int) -> _Plan | None:
             leaves.append(((node, period),))
     if sum(top**dim for leaf in leaves if isinstance(leaf, tuple) for _, top in leaf) > RESIDUE_BUDGET:
         return None
-    width = max([dim] + [n.arity for n in leaves if isinstance(n, PolyImage)])
-    return _Plan(tuple(leaves), tuple(points), width)
+    return _Plan(tuple(leaves), tuple(points))
 
 
 def _coprime_groups(items, support) -> list[tuple[int, list]]:
@@ -814,8 +813,8 @@ class CompiledSet(Record):
     def residue_count(self, m: int) -> int:
         """|pi_m(X)| as a signed sum of CRT products of local counts
         (_counts.level_count), without a mask over (Z/m)^dim. The residue
-        budget bounds the local work: the sum of q^w over the prime powers
-        q || m, w the dimension or the largest arity of an image atom."""
+        budget bounds the local work: the sum over the prime powers q = p^j
+        || m of q^dim, or of p^arity per image atom when that is more."""
         if self.mode != EXACT:
             raise ModeError("residue_count needs an exact-mode set")
         if m < 1:

@@ -1,4 +1,4 @@
-"""Acceptance gate: fifteen pinned criteria, each with a runtime budget.
+"""Acceptance gate: sixteen pinned criteria, each with a runtime budget.
 
 Every test prints one line of the form
 
@@ -344,3 +344,26 @@ def test_criterion_15_prime_dirichlet_series_in_closed_form(capsys):
     gate.check(rep["certified"] and rep["lower_est"] == rep["upper_est"] == 0.0,
                f"limit [{rep['lower_est']}, {rep['upper_est']}]")
     gate.finish(f"P(s)/zeta(s) at s = 1.5..1.05, widest bracket {max(widths):.1e}, no stream at cutoff 1e9")
+
+
+def test_criterion_16_sums_of_three_cubes_along_square_primorials(capsys):
+    # every level (p#)^2 to 1e30, p <= 41, is exact: each image mod p^2 is
+    # found by Hensel descent from the p^3 grid, where a grid of (p^2)^3
+    # points stopped the trace before level 9 on the local-work budget. The
+    # sums of three cubes miss exactly the classes 4 and 5 mod 9 and no
+    # class mod p^2 for p != 3
+    gate = _Gate(16, 1)
+    code = cli.main(["measure", "--set", "image(x^3+y^3+z^3)", "--chain", "primorial^2",
+                     "--cutoff", "1e30", "--levels", "30"])
+    payload = json.loads(capsys.readouterr().out)
+    gate.check(code == 0, f"exit {code}")
+    primorials = [math.prod(p for p in range(2, top + 1) if all(p % d for d in range(2, p)))
+                  for top in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)]
+    levels = payload["levels"]
+    gate.check([lv["modulus"] for lv in levels] == [m * m for m in primorials],
+               f"moduli {[lv['modulus'] for lv in levels]}")
+    gate.check(all(lv["mode"] == "exact" for lv in levels), "a level is not exact")
+    gate.check([(lv["measure"]["num"], lv["measure"]["den"]) for lv in levels] == [(1, 1)] + [(7, 9)] * 12,
+               "measures")
+    gate.check(payload["notes"] == [], f"notes {payload['notes']}")
+    gate.finish(f"image(x^3+y^3+z^3): {len(levels)} exact levels to (41#)^2, measure 7/9 from 36 on")

@@ -331,6 +331,16 @@ def test_prime_zeta_at_2_matches_its_published_digits():
     assert p.width < 1e-13
 
 
+def test_prime_zeta_at_large_s_keeps_its_relative_accuracy():
+    # P(60) ~ 8.7e-19: log zeta(60) is log1p of an enclosure of zeta(60) - 1,
+    # not the log of a zeta enclosure a few ulps of 1 wide, which left
+    # [-1.8e-14, 1.8e-14]; the primes past 100 add less than 100^-59 / 59
+    p = prime_zeta(60.0)
+    head = sum(Fraction(1, q**60) for q in range(2, 101) if all(q % d for d in range(2, q)))
+    assert 0 < p.lo and Fraction(p.lo) <= head and head + Fraction(1, 59 * 100**59) <= Fraction(p.hi)
+    assert p.width <= 1e-12 * p.lo
+
+
 def test_series_ratio_near_the_pole_approaches_the_dirichlet_density():
     view = compile_set("kfree(2) \\ multiples(3)").count_view()
     density = 9 / (2 * math.pi**2)  # 6/pi^2 times (1 - 1/3) / (1 - 1/9)

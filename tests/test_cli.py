@@ -555,6 +555,27 @@ def test_config_file_family_flag_is_parsed(value, dense, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["report"]["quantities"]["dense"] is dense
 
 
+@pytest.mark.parametrize("args, flags", [
+    (("omega", "--k", "2", "--pmax", "73"), "--pmax"),
+    (("eulerian", "--set", "kfree(2)", "--N", "5", "--certified-points", "3"), "--certified-points, --N"),
+    (("union-dense", "--supports", "2;3", "--family", "p"), "--family"),
+], ids=["omega-pmax", "eulerian-N", "union-dense-family"])
+def test_verify_refuses_options_its_theorem_does_not_read(args, flags, capsys):
+    # omega reads --pbound, not --pmax: run at the default bound, this
+    # passed; now nothing runs and nothing goes to stdout
+    assert cli.main(["verify", *args]) == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", f"usage: verify {args[0]} does not read {flags}\n")
+
+
+def test_verify_takes_unread_keys_from_a_config_file(tmp_path, capsys):
+    # one config file may serve several commands: only flags are checked
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pmax = 73\nseed = 3\n")
+    assert cli.main(["--config", str(cfg), "verify", "omega", "--k", "2", "--seed", "4",
+                     "--output", "csv"]) == 0
+    assert capsys.readouterr().out == "theorem,verdict\nomega,PASS\n"
+
+
 def test_config_file_family_flag_rejects_other_values(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("family_flag = maybe\n")

@@ -168,6 +168,13 @@ EXACT_COMMANDS = [
     (("verify", "davenport-erdos", "--family", "p^2", "--pmax", "31", "--certified-points", "50",
       "--rmax", "1e7"),
      {"zhat._ie", "zhat.setdsl", "zhat.measure", "zhat.analytic", "zhat.density", "zhat.verify"}),
+    # polynomial images by Hensel descent: every depth has at most
+    # _hensel._INT_BATCH classes, evaluated with Python ints (the options
+    # come first so that the test ids above stay as they are)
+    (("verify", "--set", "image(5*x^2-7*x-8)", "eulerian", "--mlist", "12,360,9999"),
+     {"zhat._ie", "zhat.setdsl", "zhat._counts", "zhat._hensel", "zhat.verify"}),
+    (("measure", "--set", "image(x^2+y^2)", "--chain", "explicit:2,6,30,210,630"),
+     SET_TRACE | {"zhat._hensel"}),
 ]
 
 

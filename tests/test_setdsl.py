@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zhat import _counts, _primes, setdsl
+from zhat import _counts, _hensel, _primes, setdsl
 from zhat.measure import ModulusChain, closure_measure_trace, multiples_measure_ie
 from zhat.setdsl import (
     EXACT,
@@ -813,9 +813,13 @@ def test_level_count_budget_bounds_the_local_work(monkeypatch):
     assert [r.modulus for r in trace.records] == [2, 6, 30, 210, 2310, 30030]
     assert trace.notes == ("stopped before level 7 (m=510510): local work 58 at level m=510510, "
                            "dim=1 exceeds budget 50",)
-    # an image's local work is q^arity: 8^2 + 9^2 at m = 72
-    with pytest.raises(BudgetExceeded, match="local work 145 at level m=72"):
-        compile_set("image(x^2 + y^2)").residue_count(72)
+    # an image's local work at q = p^j || m is q or its descent's grid
+    # p^arity, whichever is more: 8 + 9 fits at m = 72, 8 + 9 + 7^2 does
+    # not at m = 504
+    image = compile_set("image(x^2 + y^2)")
+    assert image.residue_count(72) == brute_local_image_count(lambda x, y: x * x + y * y, 72)
+    with pytest.raises(BudgetExceeded, match="local work 66 at level m=504"):
+        image.residue_count(504)
 
 
 def test_clopen_pieces_are_built_once_per_set(monkeypatch):
@@ -840,15 +844,15 @@ def test_clopen_pieces_are_built_once_per_set(monkeypatch):
 
 def test_image_count_keeps_a_mask_not_a_set_of_values(monkeypatch):
     # at a prime q near the (lowered) budget the image's values mod q stay
-    # the evaluation's mask of q bytes: counting peaks at the evaluation's
-    # own peak, with no Python object per value, and a full image keeps no
-    # mask at all
+    # the descent's mask of q bytes: counting peaks at the descent's own
+    # peak, with no Python object per value, and a full image keeps no mask
+    # at all
     q = 131071
     monkeypatch.setattr(_counts, "RESIDUE_BUDGET", q + 1)
     square, identity = compile_set("image(x^2)"), compile_set("image(x)")
     tracemalloc.start()
     try:
-        _counts._poly_values_mod(square.expr.poly, q, 1)
+        _hensel.image_mask(square.expr.poly, 1, q, 1)
         _, evaluation = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         assert square.residue_count(q) == (q + 1) // 2
@@ -861,14 +865,69 @@ def test_image_count_keeps_a_mask_not_a_set_of_values(monkeypatch):
 
 
 def test_image_values_hold_the_mask_and_one_chunk():
-    # the powers are taken per chunk of 2^20 points, so past the chunks'
+    # the powers are taken per chunk of 2^16 points, so past the chunks'
     # own tables only the q-byte mask grows with q
     q = 4194319  # the least prime above 2^22
     tracemalloc.start()
     try:
-        hit = _counts._poly_values_mod(Polynomial.from_dict({(3, 0, 0): 1, (1, 0, 0): 1}), q, 1)
+        hit = _hensel.image_mask(Polynomial.from_dict({(3, 0, 0): 1, (1, 0, 0): 1}), 1, q, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= q + 48 * 2**20, peak
     assert all(hit[(x**3 + x) % q] for x in range(0, q, 9973))
+
+
+# (arity, p, k) with q^arity <= 10^5, q = p^k: the brute-force grid stays small
+DESCENT_CASES = [(n, p, k) for n in (1, 2, 3) for p in (2, 3, 5, 7, 11) for k in range(1, 17)
+                 if p ** (k * n) <= 10**5]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(DESCENT_CASES),
+       terms=st.lists(st.tuples(st.tuples(*[st.integers(0, 7)] * 3), st.integers(-30, 30),
+                                st.integers(0, 2)), min_size=1, max_size=4))
+def test_hensel_descent_matches_the_brute_force_grid(case, terms):
+    # coefficients divisible by p and powers x^p (whose derivative vanishes
+    # mod p) come up often, so do classes the descent must refine, and
+    # grids it evaluates whole instead; the Python-int pieces and the numpy
+    # chunks (_INT_BATCH 0) must agree
+    n, p, k = case
+    q = p**k
+    coeffs: dict = {}
+    for e, c, s in terms:
+        e = tuple(x if i < n else 0 for i, x in enumerate(e))
+        coeffs[e] = coeffs.get(e, 0) + c * p**s
+    poly = Polynomial.from_dict(coeffs)
+    want = bytearray(q)
+    for x in product(range(q), repeat=n):
+        want[poly.evaluate(x, q)] = 1
+    for batch in (_hensel._INT_BATCH, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_hensel, "_INT_BATCH", batch)
+            assert _hensel.image_mask(poly, n, p, k) == want, (str(poly), case, batch)
+
+
+def test_hensel_descent_charges_each_refinement_before_evaluating_it(monkeypatch):
+    # 1024 x^2 mod 2^12: the gradient vanishes mod 2^10 on every class, so
+    # splitting them would cost more than the 2^12 points of the grid, which
+    # is evaluated instead; its values are 0 and 1024
+    hit = _hensel.image_mask(Polynomial.from_dict({(2, 0, 0): 1024}), 1, 2, 12)
+    assert [r for r, v in enumerate(hit) if v] == [0, 1024]
+    # 211 x y z mod 211^2: every class of the 211^3 grid splits, and the
+    # first chunk of them is already past the budget: refused at once
+    with pytest.raises(BudgetExceeded, match="of image\\(211\\*x\\*y\\*z\\) mod 44521 exceeds"):
+        _hensel.image_mask(Polynomial.from_dict({(1, 1, 1): 211}), 3, 211, 2)
+    # x^2 + y^2 mod 32: the grid's 4 classes all refine (16 more), then the
+    # 4 even classes mod 4 (16), then the 4 classes 0 mod 4 of those mod 8
+    # (16): 52 classes are over a budget of 50 before the fourth depth runs
+    monkeypatch.setattr(_hensel, "RESIDUE_BUDGET", 50)
+    squares = Polynomial.from_dict({(2, 0, 0): 1, (0, 2, 0): 1})
+    assert _hensel.image_mask(squares, 2, 2, 3).count(1) == 5  # 0, 1, 2, 4, 5 mod 8
+    with pytest.raises(BudgetExceeded, match=r"local work 52 of image\(x\^2 \+ y\^2\) mod 32 exceeds"):
+        _hensel.image_mask(squares, 2, 2, 5)
+    # x^3 + y^3 + z^3 mod 97^2: the 97^3 grid's nonsingular classes hit every
+    # class mod 97, so the descent stops there instead of splitting (0, 0, 0)
+    monkeypatch.setattr(_hensel, "RESIDUE_BUDGET", 97**3)
+    cubes = Polynomial.from_dict({(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
+    assert _hensel.image_mask(cubes, 3, 97, 2).count(1) == 97**2
