@@ -153,18 +153,19 @@ FLOOR_SUM_BUDGET = 2**25
 _TRIAL_BOUND = 1 << 10
 
 
-def _eratosthenes(n: int) -> list[int]:
-    """The primes below n >= 2, sieved in a bytearray."""
-    table = bytearray(b"\0\0") + bytearray(b"\1") * (n - 2)
+def _eratosthenes(n: int) -> bytearray:
+    """The sieve of Eratosthenes below n >= 1: n bytes, 1 at the primes and
+    0 elsewhere."""
+    table = bytearray(b"\0\0"[:n]) + bytearray(b"\1") * (n - 2)
     for p in range(2, math.isqrt(n - 1) + 1):
         if table[p]:
             table[p * p::p] = bytes(len(range(p * p, n, p)))
-    return [p for p in range(n) if table[p]]
+    return table
 
 
 _SIEVE_BOUND = 0
 _PRIMES = None  # the sorted primes up to _SIEVE_BOUND, an int64 array once sieved
-_SMALL_PRIMES = _eratosthenes(_TRIAL_BOUND)
+_SMALL_PRIMES = list(compress(range(_TRIAL_BOUND), _eratosthenes(_TRIAL_BOUND)))
 
 # cells per sieve segment and per membership block: 256 KiB of booleans
 # stay in cache while every base prime marks them
@@ -286,12 +287,8 @@ def mobius_codes(n: int) -> bytearray:
     the signs of its multiples by one translate of their strided slice and
     zeroes the multiples of p^2, so the Python work is one step per prime
     and the memory two bytes per d."""
-    prime = bytearray(b"\0\0") + bytearray(b"\1") * max(n - 1, 0)
-    for p in range(2, math.isqrt(n) + 1):
-        if prime[p]:
-            prime[p * p::p] = bytes(len(range(p * p, n + 1, p)))
     codes = bytearray(b"\0") + bytearray(b"\1") * n
-    for p in compress(range(n + 1), prime):
+    for p in compress(range(n + 1), _eratosthenes(n + 1)):
         codes[p::p] = codes[p::p].translate(_FLIP_SIGN)
         codes[p * p::p * p] = bytes(len(range(p * p, n + 1, p * p)))
     return codes

@@ -367,26 +367,26 @@ def _zeta_at(j: int, s: float, enclose=_zeta_ends) -> tuple[float, float]:
     return enclose(_up(x))[0], enclose(_down(x))[1]
 
 
-# past this argument log zeta(x) is below 2^-16, so zeta(x) - 1 is taken
-# directly: a zeta enclosure of 1 + tiny would leave it a few ulps of 1 wide
-_LOG1P_FROM = 16.0
-# the head of zeta(x) - 1 runs to this n; the tail's enclosure is at most
-# n^-x wide, under 2^-64 2^-x for x > 16
-_HEAD = 32
+# from this argument on zeta(x) - 1 is taken directly: a zeta enclosure
+# of 1 + tiny would leave log zeta(x) a few ulps of 1 wide
+_LOG1P_FROM = 6.0
 
 
 def _zeta_minus_one(x: float) -> tuple[float, float]:
-    """Enclosure of zeta(x) - 1 at x > _LOG1P_FROM: the sum of n^-x over
-    2 <= n <= _HEAD (_polynomial) plus the tail between the integrals of
-    t^-x from _HEAD + 1 and from _HEAD."""
-    lo, hi = _polynomial(dict.fromkeys(range(2, _HEAD + 1), 1), x)
-    return _down(lo + _tail_integral(_HEAD + 1, x)[0]), _up(hi + _tail_integral(_HEAD, x)[1])
+    """Enclosure of zeta(x) - 1 at x >= _LOG1P_FROM: the sum of n^-x over
+    2 <= n <= N (_polynomial) plus the tail between the integrals of t^-x
+    from N + 1 and from N. The tail's enclosure is at most N^-x wide, so
+    N = 2^(1 + 64/x), at most 3251 terms, keeps it under 2^-64 2^-x, which
+    is below 2^-64 (zeta(x) - 1)."""
+    head = math.ceil(2.0 ** (1 + 64 / x))
+    lo, hi = _polynomial(dict.fromkeys(range(2, head + 1), 1), x)
+    return _down(lo + _tail_integral(head + 1, x)[0]), _up(hi + _tail_integral(head, x)[1])
 
 
 def _log_zeta_at(j: int, s: float) -> tuple[float, float]:
     """Enclosure of log zeta(j s): the log of a zeta enclosure, or log1p of
     an enclosure of zeta(j s) - 1 past _LOG1P_FROM, within _LIB_UNITS."""
-    if j * s > _LOG1P_FROM:
+    if j * s >= _LOG1P_FROM:
         lo, hi = map(math.log1p, _zeta_at(j, s, _zeta_minus_one))
     else:
         lo, hi = map(math.log, _zeta_at(j, s))

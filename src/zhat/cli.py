@@ -15,7 +15,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-from functools import partial
 from itertools import islice
 
 # each handler imports the modules it runs, leaf first (setdsl, then
@@ -31,11 +30,6 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 OUTPUTS = ("json", "csv", "table")
-
-THEOREM_IDS = (
-    "davenport-erdos", "dirichlet", "omega", "eulerian", "asdmltp",
-    "poonen-stoll", "mt", "counterexample", "union-dense", "axioms",
-)
 
 
 def _num(text: str) -> int:
@@ -76,6 +70,52 @@ def _bool(text: str) -> bool:
     return t in ("true", "yes", "1")
 
 
+# every option once: its key (the argparse dest and the config-file key)
+# maps to its flag, its cast of the flag and the config-file value alike (a
+# _bool option is a switch on the command line) and more add_argument keywords
+_OPTIONS = {
+    "output": ("--output", str, {"choices": OUTPUTS}),
+    "seed": ("--seed", _num),
+    "set": ("--set", str),
+    "method": ("--method", str, {"help": "asymptotic|logarithmic|alpha|uniform|analytic|buck|all"}),
+    "alpha": ("--alpha", float),
+    "r": ("--r", _num, {"help": "largest radius in the grid"}),
+    "cutoff": ("--cutoff", _num, {"help": "Dirichlet series cutoff, modulus bound or prime cutoff"}),
+    "s_grid": ("--s-grid", _float_list),
+    "chain": ("--chain", str),
+    "level_cutoff": ("--level-cutoff", _num),
+    "truncation": ("--N", _num),
+    "levels": ("--levels", _num, {"help": "max level count in the trace"}),
+    "multiples": ("--multiples", _int_list),
+    "euler": ("--euler", str, {"help": 'local factor, e.g. "1-1/p^2"'}),
+    "family": ("--family", str, {"help": '"p^2", "p", or explicit "4,6"'}),
+    "pmax": ("--pmax", _num),
+    "rmax": ("--rmax", _num),
+    "tol": ("--tol", _tol),
+    "certified_points": ("--certified-points", _num),
+    "mmax": ("--mmax", _num),
+    "pbound": ("--pbound", _num),
+    "k": ("--k", _num),
+    "mlist": ("--mlist", _int_list),
+    "expect": ("--expect", str),
+    "moduli": ("--moduli", _int_list),
+    "mcheck": ("--mcheck", _num),
+    "spec": ("--spec", str),
+    "cutoffs": ("--cutoffs", _int_list),
+    "base": ("--base", _num),
+    "terms": ("--terms", _num),
+    "supports": ("--supports", str, {"help": 'semicolon-separated prime lists: "2,3;3,5"'}),
+    "family_flag": ("--family-flag", _bool),
+    "cases": ("--cases", _num),
+    "pair": ("--pair", str, {"help": "exact|deformed"}),
+    "estimator_cases": ("--estimator-cases", _num),
+    "seq": ("--seq", str),
+    "window": ("--window", _num),
+}
+# the options of every command, which every command echoes
+_COMMON = ("output", "seed")
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -91,24 +131,23 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 class _Resolver:
-    """Flag > config file > built-in default, recording the effective value.
-    The output form and the seed, which every command echoes, are read once
-    here, before any command computes."""
+    """Flag > config file > built-in default: get returns the effective
+    value, casting a config-file value as _OPTIONS declares. The output
+    form and the seed, which every command echoes, are read once here,
+    before any command computes."""
 
     def __init__(self, args: argparse.Namespace, file_cfg: dict[str, str]):
         self.args = args
         self.file_cfg = file_cfg
-        self.read: set[str] = set()  # the keys a command asked for
-        self.output = self.get("output", str, "json")
+        self.output = self.get("output", "json")
         if self.output not in OUTPUTS:
             raise ValueError(f"output must be one of {', '.join(OUTPUTS)}, got {self.output!r}")
-        self.seed = self.get("seed", _num, 0)
+        self.seed = self.get("seed", 0)
 
-    def get(self, key: str, cast, default=None):
-        self.read.add(key)
+    def get(self, key: str, default=None):
         v = getattr(self.args, key, None)
         if v is None and key in self.file_cfg:
-            v = cast(self.file_cfg[key])
+            v = _OPTIONS[key][1](self.file_cfg[key])
         return default if v is None else v
 
 
@@ -168,29 +207,24 @@ def _render(v) -> str:
 def _cmd_density(res: _Resolver) -> int:
     from . import setdsl, measure, density
 
-    set_text = res.get("set", str)
+    set_text = res.get("set")
     if not set_text:
         raise DslSyntaxError("density needs --set", 0, ("set expression",))
-    method = res.get("method", str, "asymptotic")
-    r_max = _positive("r_max", res.get("r", _num, 10**6))
-    cutoff = res.get("cutoff", _num, 10**5)
+    method = res.get("method", "asymptotic")
+    r_max = _positive("r_max", res.get("r", 10**6))
+    cutoff = res.get("cutoff", 10**5)
     cs = setdsl.compile_set(set_text)
     r_grid = sorted({max(1, r_max // 2**i) for i in range(5)})
     methods = {
         "asymptotic": lambda: density.density_alpha(cs, 0, r_grid),
         "logarithmic": lambda: density.density_alpha(cs, -1, r_grid),
-        "alpha": lambda: density.density_alpha(cs, res.get("alpha", float, -1.0), r_grid),
+        "alpha": lambda: density.density_alpha(cs, res.get("alpha", -1.0), r_grid),
         "uniform": lambda: density.density_uniform(
             cs, sorted({max(1, r_max // 10), max(2, r_max // 5)}), r_max
         ),
-        "analytic": lambda: density.density_analytic(
-            cs, res.get("s_grid", _float_list, [1.5, 1.25, 1.1, 1.05]), cutoff
-        ),
-        "buck": lambda: density.density_buck(
-            cs, _parse_chain(res.get("chain", str, "primorial")),
-            res.get("level_cutoff", _num, 10**4),
-            truncation=res.get("truncation", _num),
-        ),
+        "analytic": lambda: density.density_analytic(cs, res.get("s_grid", [1.5, 1.25, 1.1, 1.05]), cutoff),
+        "buck": lambda: density.density_buck(cs, _parse_chain(res.get("chain", "primorial")),
+                                             res.get("level_cutoff", 10**4), truncation=res.get("truncation")),
     }
     wanted = list(methods) if method == "all" else [method]
     unknown = [m for m in wanted if m not in methods]
@@ -203,13 +237,13 @@ def _cmd_density(res: _Resolver) -> int:
         f"{m},{rep.lower_est:.10g},{rep.upper_est:.10g},{rep.certified}"
         for m, rep in reports.items()]
     _emit(res, {"reports": reports, "csv": "\n".join(rows) + "\n"}, "density",
-          {"method": method}, set_text=set_text, r_max=r_max, chain=res.get("chain", str))
+          {"method": method}, set_text=set_text, r_max=r_max, chain=res.get("chain"))
     return EXIT_OK
 
 
 def _cmd_measure(res: _Resolver) -> int:
-    multiples = res.get("multiples", _int_list)
-    euler = res.get("euler", str)
+    multiples = res.get("multiples")
+    euler = res.get("euler")
     if multiples:
         from . import measure
 
@@ -221,19 +255,19 @@ def _cmd_measure(res: _Resolver) -> int:
     from . import setdsl, measure
 
     if euler:
-        cutoff = _positive("prime_bound", res.get("cutoff", _num, 10**4))
+        cutoff = _positive("prime_bound", res.get("cutoff", 10**4))
         br = measure.euler_product(euler, cutoff)
         _emit(res, {"bracket": br, "notes": br.notes,
                     "csv": f"lo,hi,certified\n{br.lo:.12g},{br.hi:.12g},{br.certified}\n"},
               "measure", {"euler": euler}, prime_bound=cutoff)
         return EXIT_OK
-    set_text = res.get("set", str)
+    set_text = res.get("set")
     if not set_text:
         raise DslSyntaxError("measure needs --set, --multiples or --euler", 0, ("input",))
-    chain_text = res.get("chain", str, "primorial")
-    level_cap = res.get("levels", _num, 10)
-    cutoff = res.get("cutoff", _num, 10**6)
-    truncation = _positive("truncation", res.get("truncation", _num))
+    chain_text = res.get("chain", "primorial")
+    level_cap = res.get("levels", 10)
+    cutoff = res.get("cutoff", 10**6)
+    truncation = _positive("truncation", res.get("truncation"))
     if level_cap < 1:
         raise ValueError(f"levels must be >= 1, got {level_cap}")
     cs = setdsl.compile_set(set_text)
@@ -253,12 +287,72 @@ def _cmd_measure(res: _Resolver) -> int:
     return EXIT_OK
 
 
+def _compiled(set_text: str | None, theorem: str):
+    if not set_text:
+        raise DslSyntaxError(f"verify {theorem} needs --set", 0, ("set expression",))
+    from .setdsl import compile_set
+
+    return compile_set(set_text)
+
+
+def _davenport_erdos(v, family, pmax, rmax, tol, certified_points):
+    power = "1" if family == "p" else family[2:] if family.startswith("p^") else ""
+    tail = int(power) if power.isdigit() else None  # else explicit moduli
+    mods = _int_list(family) if tail is None else v.prime_power_family(tail, pmax)
+    return v.davenport_erdos(mods, r_max=rmax, tol=tol, tail_exponent=tail,
+                             certified_grid_points=certified_points)
+
+
+def _union_dense(v, supports, family_flag):
+    if not supports:
+        raise DslSyntaxError("verify union-dense needs --supports", 0, ("prime sets",))
+    return v.union_dense_check([_int_list(part) for part in supports.split(";") if part.strip()],
+                               family_flag=family_flag)
+
+
+def _axioms(v, cases, seed, pair, estimator_cases):
+    from . import measure, density
+
+    return density.axiom_suite(cases, seed, pair=pair, estimator_cases=estimator_cases)
+
+
+# every theorem once: its id maps to the options it reads, each with its
+# default, and to its harness, called with the verify module and the
+# effective value of each of those options by keyword
+_THEOREMS = {
+    "davenport-erdos": ({"family": "p^2", "pmax": 31, "rmax": 10**6, "tol": 5e-3, "certified_points": 0},
+                        _davenport_erdos),
+    "dirichlet": ({"mmax": 100, "pbound": 10**5},
+                  lambda v, mmax, pbound: v.dirichlet_coverage(mmax, pbound)),
+    "omega": ({"k": 2, "pbound": 13}, lambda v, k, pbound: v.omega_bound_measure(k, pbound)),
+    "eulerian": ({"set": None, "mlist": (12,), "expect": "product"},
+                 lambda v, set, mlist, expect: v.eulerian_check(_compiled(set, "eulerian"), mlist, expect)),
+    "asdmltp": ({"moduli": (4, 9, 25), "rmax": 10**6, "mcheck": None, "tol": 1e-2},
+                lambda v, moduli, rmax, mcheck, tol: v.asdmltp_verify(moduli, rmax, mcheck, tol)),
+    "poonen-stoll": ({"spec": "kfree", "k": 2, "cutoffs": (10, 100, 1000), "tol": 1e-2},
+                     lambda v, spec, k, cutoffs, tol: v.poonen_stoll_tail(spec, k, cutoffs, tol)),
+    "mt": ({"set": None, "chain": "primorial", "cutoff": 10**4, "rmax": 10**6, "tol": 1e-2,
+            "truncation": None},
+           lambda v, set, chain, cutoff, rmax, tol, truncation: v.mt_criterion(
+               _compiled(set, "mt"), _parse_chain(chain), cutoff, rmax, tol, truncation)),
+    "counterexample": ({"base": 4, "terms": 10},
+                       lambda v, base, terms: v.counterexample_cover(base, terms)),
+    "union-dense": ({"supports": None, "family_flag": False}, _union_dense),
+    "axioms": ({"cases": 100, "seed": 0, "pair": "exact", "estimator_cases": 0}, _axioms),
+}
+
+
 def _cmd_verify(res: _Resolver) -> int:
-    theorem = res.get("theorem", str)
-    if theorem not in THEOREM_IDS:
-        raise ValueError(
-            f"unknown theorem id {theorem!r}; valid ids: {', '.join(THEOREM_IDS)}"
-        )
+    theorem = res.args.theorem
+    if theorem not in _THEOREMS:
+        raise ValueError(f"unknown theorem id {theorem!r}; valid ids: {', '.join(_THEOREMS)}")
+    reads, harness = _THEOREMS[theorem]
+    # every option given on the command line must be one the theorem reads;
+    # config-file keys may serve several commands and stay exempt
+    unread = sorted(k for k, v in vars(res.args).items()
+                    if v is not None and k in _OPTIONS and k not in reads and k not in _COMMON)
+    if unread:
+        raise ValueError(f"verify {theorem} does not read {', '.join(_OPTIONS[k][0] for k in unread)}")
     if theorem not in ("omega", "union-dense", "counterexample"):
         # leaf first: the set layer before verify; the other way round, a
         # harness that loads both peaks higher. counterexample runs on numpy
@@ -266,69 +360,7 @@ def _cmd_verify(res: _Resolver) -> int:
         from . import setdsl
     from . import verify
 
-    if theorem == "davenport-erdos":
-        family = res.get("family", str, "p^2")
-        pmax = res.get("pmax", _num, 31)
-        if family.startswith("p^") and family[2:].isdigit():
-            k = int(family[2:])
-            mods, tail = verify.prime_power_family(k, pmax), k
-        elif family == "p":
-            mods, tail = verify.prime_power_family(1, pmax), 1
-        else:
-            mods, tail = _int_list(family), None
-        run = partial(
-            verify.davenport_erdos, mods, r_max=res.get("rmax", _num, 10**6), tol=res.get("tol", _tol, 5e-3),
-            tail_exponent=tail,
-            certified_grid_points=res.get("certified_points", _num, 0),
-        )
-    elif theorem == "dirichlet":
-        run = partial(verify.dirichlet_coverage, res.get("mmax", _num, 100), res.get("pbound", _num, 10**5))
-    elif theorem == "omega":
-        run = partial(verify.omega_bound_measure, res.get("k", _num, 2), res.get("pbound", _num, 13))
-    elif theorem == "eulerian":
-        set_text = res.get("set", str)
-        if not set_text:
-            raise DslSyntaxError("verify eulerian needs --set", 0, ("set expression",))
-        run = partial(verify.eulerian_check, setdsl.compile_set(set_text),
-                      res.get("mlist", _int_list, [12]), expect=res.get("expect", str, "product"))
-    elif theorem == "asdmltp":
-        run = partial(verify.asdmltp_verify, res.get("moduli", _int_list, [4, 9, 25]),
-                      r_max=res.get("rmax", _num, 10**6), m_check=res.get("mcheck", _num),
-                      tol=res.get("tol", _tol, 1e-2))
-    elif theorem == "poonen-stoll":
-        run = partial(verify.poonen_stoll_tail, res.get("spec", str, "kfree"), k=res.get("k", _num, 2),
-                      prime_cutoffs=res.get("cutoffs", _int_list, [10, 100, 1000]),
-                      tol=res.get("tol", _tol, 1e-2))
-    elif theorem == "mt":
-        set_text = res.get("set", str)
-        if not set_text:
-            raise DslSyntaxError("verify mt needs --set", 0, ("set expression",))
-        run = partial(verify.mt_criterion, setdsl.compile_set(set_text),
-                      _parse_chain(res.get("chain", str, "primorial")), res.get("cutoff", _num, 10**4),
-                      r_max=res.get("rmax", _num, 10**6), tol=res.get("tol", _tol, 1e-2),
-                      truncation=res.get("truncation", _num))
-    elif theorem == "counterexample":
-        run = partial(verify.counterexample_cover, res.get("base", _num, 4), res.get("terms", _num, 10))
-    elif theorem == "union-dense":
-        raw = res.get("supports", str)
-        if not raw:
-            raise DslSyntaxError("verify union-dense needs --supports", 0, ("prime sets",))
-        sups = [_int_list(part) for part in raw.split(";") if part.strip()]
-        run = partial(verify.union_dense_check, sups, family_flag=res.get("family_flag", _bool, False))
-    else:
-        from . import measure, density
-
-        run = partial(density.axiom_suite, res.get("cases", _num, 100), res.seed,
-                      pair=res.get("pair", str, "exact"),
-                      estimator_cases=res.get("estimator_cases", _num, 0))
-    # every option given on the command line must be one the theorem reads;
-    # config-file keys may serve several commands and stay exempt
-    unread = sorted(k for k, v in vars(res.args).items()
-                    if v is not None and k not in res.read and k not in ("command", "config"))
-    if unread:
-        flags = ", ".join("--N" if k == "truncation" else "--" + k.replace("_", "-") for k in unread)
-        raise ValueError(f"verify {theorem} does not read {flags}")
-    rep = run()
+    rep = harness(verify, **{k: res.get(k, default) for k, default in reads.items()})
     _emit(res, {"report": rep, "csv": f"theorem,verdict\n{rep.theorem},{rep.verdict}\n"},
           "verify", {"theorem": theorem})
     return {PASS: EXIT_OK, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}[rep.verdict]
@@ -345,7 +377,7 @@ _SN_SEQUENCES = {
 def _cmd_sn(res: _Resolver) -> int:
     from . import supernatural as sn
 
-    op = res.get("sn_op", str)
+    op = res.args.sn_op
     if op in ("mul", "rho"):
         operands = res.args.operands
         v = (sn.mul(*map(sn.parse_supernatural, operands)) if op == "mul"
@@ -354,12 +386,12 @@ def _cmd_sn(res: _Resolver) -> int:
         payload = {"result": text, "csv": f"result\n{text}\n"}
     else:
         # limit: valuation trajectories of a named sequence
-        name = res.get("seq", str, "factorial")
+        name = res.get("seq", "factorial")
         if name not in _SN_SEQUENCES:
             raise ValueError(f"unknown sequence {name!r}; choose from {', '.join(sorted(_SN_SEQUENCES))}")
-        terms = res.get("terms", _num, 30)
-        pmax = res.get("pmax", _num, 7)
-        window = res.get("window", _num, 5)
+        terms = res.get("terms", 30)
+        pmax = res.get("pmax", 7)
+        window = res.get("window", 5)
         prof = sn.limit_profile(islice(sequence_terms(_SN_SEQUENCES[name]), max(terms, 0)),
                                 pmax, window)
         rows = ["prime,last_valuation,status"]
@@ -382,6 +414,14 @@ _COMMANDS = {"density": _cmd_density, "measure": _cmd_measure, "verify": _cmd_ve
              "sn": _cmd_sn}
 
 
+def _add_options(parser: argparse.ArgumentParser, keys) -> None:
+    """Add the options of these keys as _OPTIONS declares them, None when not given."""
+    for key in keys:
+        flag, cast, *extra = _OPTIONS[key]
+        kind = {"action": "store_true"} if cast is _bool else {"type": cast}
+        parser.add_argument(flag, dest=key, default=None, **kind, **(extra[0] if extra else {}))
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="zhat",
@@ -390,58 +430,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", help="key=value config file; flags override it")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", choices=OUTPUTS, default=None)
-    common.add_argument("--seed", type=_num, default=None)
+    _add_options(common, _COMMON)
     sub = p.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("density", parents=[common], help="density estimates for a DSL set")
-    d.add_argument("--set")
-    d.add_argument("--method", default=None,
-                   help="asymptotic|logarithmic|alpha|uniform|analytic|buck|all")
-    d.add_argument("--alpha", type=float, default=None)
-    d.add_argument("--r", type=_num, default=None, help="largest radius in the grid")
-    d.add_argument("--cutoff", type=_num, default=None, help="Dirichlet series cutoff")
-    d.add_argument("--s-grid", dest="s_grid", type=_float_list, default=None)
-    d.add_argument("--chain", default=None)
-    d.add_argument("--level-cutoff", dest="level_cutoff", type=_num, default=None)
-    d.add_argument("--N", dest="truncation", type=_num, default=None)
-
+    _add_options(d, ("set", "method", "alpha", "r", "cutoff", "s_grid", "chain", "level_cutoff",
+                     "truncation"))
     m = sub.add_parser("measure", parents=[common], help="closure measure traces, IE values, Euler brackets")
-    m.add_argument("--set")
-    m.add_argument("--chain", default=None)
-    m.add_argument("--levels", type=_num, default=None, help="max level count in the trace")
-    m.add_argument("--cutoff", type=_num, default=None, help="modulus bound / prime cutoff")
-    m.add_argument("--multiples", type=_int_list, default=None)
-    m.add_argument("--euler", default=None, help='local factor, e.g. "1-1/p^2"')
-    m.add_argument("--N", dest="truncation", type=_num, default=None)
-
+    _add_options(m, ("set", "chain", "levels", "cutoff", "multiples", "euler", "truncation"))
+    # one parser for every theorem: its flags are the union of the rows
     v = sub.add_parser("verify", parents=[common], help="theorem harnesses with PASS/FAIL/INCONCLUSIVE verdicts")
-    v.add_argument("theorem", help="|".join(THEOREM_IDS))
-    v.add_argument("--family", default=None, help='"p^2", "p", or explicit "4,6"')
-    v.add_argument("--pmax", type=_num, default=None)
-    v.add_argument("--rmax", type=_num, default=None)
-    v.add_argument("--tol", type=_tol, default=None)
-    v.add_argument("--certified-points", dest="certified_points", type=_num, default=None)
-    v.add_argument("--mmax", type=_num, default=None)
-    v.add_argument("--pbound", type=_num, default=None)
-    v.add_argument("--k", type=_num, default=None)
-    v.add_argument("--set", default=None)
-    v.add_argument("--mlist", type=_int_list, default=None)
-    v.add_argument("--expect", default=None)
-    v.add_argument("--moduli", type=_int_list, default=None)
-    v.add_argument("--mcheck", type=_num, default=None)
-    v.add_argument("--spec", default=None)
-    v.add_argument("--cutoffs", type=_int_list, default=None)
-    v.add_argument("--chain", default=None)
-    v.add_argument("--cutoff", type=_num, default=None)
-    v.add_argument("--N", dest="truncation", type=_num, default=None)
-    v.add_argument("--base", type=_num, default=None)
-    v.add_argument("--terms", type=_num, default=None)
-    v.add_argument("--supports", default=None, help='semicolon-separated prime lists: "2,3;3,5"')
-    v.add_argument("--family-flag", dest="family_flag", action="store_true", default=None)
-    v.add_argument("--cases", type=_num, default=None)
-    v.add_argument("--pair", default=None, help="exact|deformed")
-    v.add_argument("--estimator-cases", dest="estimator_cases", type=_num, default=None)
+    v.add_argument("theorem", help="|".join(_THEOREMS))
+    _add_options(v, dict.fromkeys(k for reads, _ in _THEOREMS.values() for k in reads
+                                  if k not in _COMMON))
 
     s = sub.add_parser("sn", parents=[common], help="supernatural number arithmetic and limits")
     ss = s.add_subparsers(dest="sn_op", required=True)
@@ -450,10 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     rho = ss.add_parser("rho", parents=[common])
     rho.add_argument("operands", nargs=1)
     lim = ss.add_parser("limit", parents=[common])
-    lim.add_argument("--seq", default=None)
-    lim.add_argument("--pmax", type=_num, default=None)
-    lim.add_argument("--terms", type=_num, default=None)
-    lim.add_argument("--window", type=_num, default=None)
+    _add_options(lim, ("seq", "pmax", "terms", "window"))
 
     return p
 

@@ -341,6 +341,23 @@ def test_prime_zeta_at_large_s_keeps_its_relative_accuracy():
     assert p.width <= 1e-12 * p.lo
 
 
+def test_prime_zeta_between_6_and_16_keeps_its_relative_accuracy():
+    # log zeta(x) for 6 <= x <= 16 is log1p of an enclosure of zeta(x) - 1
+    # with a head of 2^(1 + 64/x) terms; the log of a zeta enclosure left
+    # P(8) 9e-12 and P(15.9) 1.5e-9 wide relative to their values. The
+    # primes past n add less than n^-(s-1) / (s-1): 1.5e-22 at s = 8 and
+    # n = 1000, 1e-31 at s = 15.9 and n = 100
+    primes = [q for q in range(2, 1000) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+    p = prime_zeta(8.0)
+    head = sum(Fraction(1, q**8) for q in primes)
+    assert Fraction(p.lo) <= head + Fraction(1, 7 * 1000**7) and head <= Fraction(p.hi)
+    assert p.width <= 1e-13 * p.lo
+    p = prime_zeta(15.9)
+    near = math.fsum(q**-15.9 for q in primes if q < 100)  # within a few ulps
+    assert p.lo <= near * (1 + 1e-15) and near * (1 - 1e-15) <= p.hi
+    assert p.width <= 1e-13 * p.lo
+
+
 def test_series_ratio_near_the_pole_approaches_the_dirichlet_density():
     view = compile_set("kfree(2) \\ multiples(3)").count_view()
     density = 9 / (2 * math.pi**2)  # 6/pi^2 times (1 - 1/3) / (1 - 1/9)

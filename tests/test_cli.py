@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from zhat import _counts, _primes, cli, density
+from zhat import _counts, _primes, cli, density, measure, verify
 
 CLI = [sys.executable, "-m", "zhat.cli"]
 
@@ -508,6 +508,33 @@ def test_verify_asdmltp_fails_on_a_class_outside_the_exact_image(monkeypatch, ca
     assert rep["verdict"] == "FAIL"
     assert rep["narrative"][-1] == ("truncated image at m=36 (24 classes) has 1 of them outside the "
                                     "exact local conditions")
+
+
+def test_verify_davenport_erdos_fails_when_the_measure_prefix_is_off(monkeypatch, capsys):
+    # the exact measure of the whole family one numerator unit too large:
+    # the Dirichlet closed form at s = 1 no longer meets it
+    prefix_measures = measure._ie_prefix_measures
+
+    def bumped(*args):
+        *head, (num, den) = prefix_measures(*args)
+        yield from head
+        yield num + 1, den
+
+    monkeypatch.setattr(measure, "_ie_prefix_measures", bumped)
+    assert cli.main(["verify", "davenport-erdos", "--pmax", "13", "--rmax", "1e4"]) == cli.EXIT_FAIL
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert rep["verdict"] == "FAIL"
+    assert rep["narrative"][-1] == "certified identities failed; this indicates a bug"
+
+
+def test_verify_omega_fails_when_the_direct_count_is_off(monkeypatch, capsys):
+    tally = verify._omega_tally
+    monkeypatch.setattr(verify, "_omega_tally", lambda *args: tally(*args) + 1)
+    assert cli.main(["verify", "omega"]) == cli.EXIT_FAIL
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert rep["verdict"] == "FAIL"
+    assert rep["narrative"][-1] == "direct residue enumeration mod 30030 agrees: False"
+    assert rep["quantities"]["direct_count"] == 26649
 
 
 def test_verify_tol_zero_is_kept(tmp_path, capsys):
